@@ -449,7 +449,10 @@ def separation(
         lines.append(
             check("M^2 > (2 - mu_p)^2 + (2 - mu_q)^2", sq, ">", (2 - mp) ** 2 + (2 - mq) ** 2)
         )
-        return _verdict("separation/degree-bounds", lines, note="no admissible witness pair found")
+        # the lines are necessary conditions only: without a witness nothing is established
+        return CriterionVerdict(
+            False, "separation/degree-bounds", tuple(lines), note="no admissible witness pair found"
+        )
 
     if len(witness.beta2) < 2 or len(witness.beta1) < 2:
         raise DomainError("two-point separation needs beta values for both points")
@@ -594,7 +597,8 @@ def tangent_separation(
                 check("min degree at p > 1 (forced when mu_v < 2)", dp, ">", 1),
                 check("min degree on Z > 2 (forced when mu_v < 2)", dz, ">", 2),
             ]
-        return _verdict("tangent/degree-bounds", lines, note="no admissible witness found")
+        # the lines are necessary conditions only: without a witness nothing is established
+        return CriterionVerdict(False, "tangent/degree-bounds", tuple(lines), note="no admissible witness found")
 
     if len(witness.beta2) < 2:
         raise DomainError("tangent separation needs beta2 values at the point and at V")

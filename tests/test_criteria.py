@@ -183,6 +183,17 @@ def test_separation_witness_search_round_trip():
     assert separation(0, 0, 12, 4, 4, 4, w).established
 
 
+def test_separation_without_a_witness_is_not_established():
+    # infeasible: beta2 >= 2 at both points leaves beta2^2 < 5 at one of them, so the
+    # two degree-bound minima sum to at least 3.7 > 201/100; every necessary line still holds
+    verdict = separation(0, 0, 9, 100, 100, F(201, 100))
+    assert not verdict.established
+    assert verdict.witness is None
+    assert verdict.rule == "separation/degree-bounds"
+    assert verdict.note == "no admissible witness pair found"
+    assert verdict.trace and all(line.holds for line in verdict.trace)
+
+
 # ---------------------------------------------------------------------------
 # separation of tangent directions
 
@@ -232,6 +243,16 @@ def test_tangent_witness_search_round_trip():
     w = tangent_witness(0, 0, 12, 3, 6)
     assert w is not None
     assert tangent_separation(0, 0, 12, 3, 6, w).established
+
+
+def test_tangent_without_a_witness_is_not_established():
+    # infeasible: the rule needs beta2_p + beta2_V >= 9.84, but its supremum is sqrt(82) < 9.06
+    verdict = tangent_separation(0, 0, 41, 100, F(251, 100))
+    assert not verdict.established
+    assert verdict.witness is None
+    assert verdict.rule == "tangent/degree-bounds"
+    assert verdict.note == "no admissible witness found"
+    assert verdict.trace and all(line.holds for line in verdict.trace)
 
 
 def test_tangent_beta1_bound_branches():
@@ -574,3 +595,58 @@ def test_global_witness_search_is_complete_against_grid_scan(m2, deg):
         assert found
     if not found:
         assert not _grid_feasible_global(m2, deg)
+
+
+def _bound_at(mu, beta2):
+    """min(2 - mu, beta2 / (beta2 - (1 - mu))), written out afresh."""
+    return min(2 - mu, beta2 / (beta2 - 1 + mu))
+
+
+def _separation_holds(mu_p, mu_q, m2, dp, dq, dpq, w):
+    (b2p, b2q), (b1p, b1q) = w.beta2, w.beta1
+    return (
+        b2p >= 2 - mu_p
+        and b2q >= 2 - mu_q
+        and m2 > b2p**2 + b2q**2
+        and b1p >= _bound_at(mu_p, b2p)
+        and b1q >= _bound_at(mu_q, b2q)
+        and dp >= b1p
+        and dq >= b1q
+        and dpq >= b1p + b1q
+    )
+
+
+def _tangent_holds(mu_p, mu_V, m2, dp, dz, w):
+    (b2p, b2v), (b1,) = w.beta2, w.beta1
+    mu_v = mu_p + mu_V
+    bound = (4 - mu_v) / 2
+    s = b2p + b2v
+    if mu_v < 2 and s > 2 - mu_v:
+        bound = min(bound, s / (s - (2 - mu_v)))
+    return (
+        b2p >= 2 - mu_p
+        and b2v >= 2 - mu_V
+        and m2 > b2p**2 + b2v**2
+        and b1 >= bound
+        and dp >= b1
+        and dz >= 2 * b1
+    )
+
+
+@given(mu_p=mus, mu_q=mus, m2=small_pos, dp=small_pos, dq=small_pos, dpq=small_pos)
+@settings(max_examples=100, deadline=None)
+def test_established_separation_degree_bounds_carry_a_reverifying_witness(mu_p, mu_q, m2, dp, dq, dpq):
+    verdict = separation(mu_p, mu_q, 4 * m2, dp, dq, 2 * dpq)
+    if verdict.established and verdict.rule == "separation/degree-bounds":
+        assert verdict.witness is not None
+        assert _separation_holds(mu_p, mu_q, 4 * m2, dp, dq, 2 * dpq, verdict.witness)
+
+
+@given(mu_p=mus, mu_V=mus, m2=small_pos, dp=small_pos, dz=small_pos)
+@settings(max_examples=100, deadline=None)
+def test_established_tangent_degree_bounds_carry_a_reverifying_witness(mu_p, mu_V, m2, dp, dz):
+    mu_p, mu_V = max(mu_p, mu_V), min(mu_p, mu_V)
+    verdict = tangent_separation(mu_p, mu_V, 4 * m2, dp, 2 * dz)
+    if verdict.established and verdict.rule == "tangent/degree-bounds":
+        assert verdict.witness is not None
+        assert _tangent_holds(mu_p, mu_V, 4 * m2, dp, 2 * dz, verdict.witness)
