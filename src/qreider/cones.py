@@ -14,6 +14,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Union
 
+from .criteria import TraceLine, check
 from .lattice import DivisorClass, IntersectionLattice
 
 
@@ -115,13 +116,21 @@ def _require_lattice(m: DivisorClass, cone: ConeDescription) -> None:
         raise ValueError("class does not live on the cone's lattice")
 
 
-def is_nef(m: DivisorClass, cone: ConeDescription) -> bool:
-    """True iff the class meets every declared curve class non-negatively."""
+def nef_lines(m: DivisorClass, cone: ConeDescription) -> list[TraceLine]:
+    """One ``M.C >= 0 (nef)`` line per declared class the nef test pairs with."""
     _require_lattice(m, cone)
     if isinstance(cone, FiniteGenerators):
-        return all(m.intersect(g.cls) >= 0 for g in cone.generators)
+        return [check(f"M.C_{i} >= 0 (nef)", m.intersect(g.cls), ">=", 0) for i, g in enumerate(cone.generators)]
     # m.(aG+bF) = a*(m.G) + b*(m.F) >= a*(m.G + n*m.F) >= 0 once both signs check out
-    return m.intersect(cone.g_class) >= 0 and m.intersect(cone.f_class) >= 0
+    return [
+        check("M.G >= 0 (nef)", m.intersect(cone.g_class), ">=", 0),
+        check("M.F >= 0 (nef)", m.intersect(cone.f_class), ">=", 0),
+    ]
+
+
+def is_nef(m: DivisorClass, cone: ConeDescription) -> bool:
+    """True iff the class meets every declared curve class non-negatively."""
+    return all(line.holds for line in nef_lines(m, cone))
 
 
 def is_big(m: DivisorClass, cone: ConeDescription) -> bool:
@@ -129,16 +138,20 @@ def is_big(m: DivisorClass, cone: ConeDescription) -> bool:
     return is_nef(m, cone) and m.self_intersection() > 0
 
 
+def degree_classes(cone: ConeDescription, filt: DegreeFilter = DegreeFilter.ALL) -> tuple[DivisorClass, ...]:
+    """The declared classes whose least pairing with a nef class is its minimal degree in the filter."""
+    if isinstance(cone, FiniteGenerators):
+        classes = tuple(g.cls for g in cone.generators if g.matches(filt))
+        if not classes:
+            raise ValueError(f"no cone generator matches filter {filt.value!r}")
+        return classes
+    if filt is DegreeFilter.CONTAINING_Z:
+        return (cone.g_class, cone.family_corner())
+    return (cone.g_class, cone.family_corner(), cone.f_class)
+
+
 def min_degree(m: DivisorClass, cone: ConeDescription, filt: DegreeFilter = DegreeFilter.ALL) -> Fraction:
     """Minimal pairing of a nef class against the declared curves in the filter."""
     if not is_nef(m, cone):
         raise NotNefError("minimal degree is only defined for nef classes")
-    if isinstance(cone, FiniteGenerators):
-        degrees = [m.intersect(g.cls) for g in cone.generators if g.matches(filt)]
-        if not degrees:
-            raise ValueError(f"no cone generator matches filter {filt.value!r}")
-        return min(degrees)
-    candidates = [cone.g_class, cone.family_corner()]
-    if filt is not DegreeFilter.CONTAINING_Z:
-        candidates.append(cone.f_class)
-    return min(m.intersect(c) for c in candidates)
+    return min(m.intersect(c) for c in degree_classes(cone, filt))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cones import HirzebruchFamily
 from .lattice import DivisorClass, hirzebruch_lattice
 from .surface import Curve, PointSpec, SurfaceModel, TangentSpec
 
@@ -49,23 +48,6 @@ def hirzebruch_model(n: int) -> SurfaceModel:
         points=points,
         tangents=tangents,
     )
-
-
-def hirzebruch_cone(model: SurfaceModel, n: int) -> HirzebruchFamily:
-    return HirzebruchFamily(n, model.lattice)
-
-
-def section_class(model: SurfaceModel) -> DivisorClass:
-    return model.curves["G"].cls
-
-
-def fiber_class(model: SurfaceModel) -> DivisorClass:
-    return model.curves["F"].cls
-
-
-def family_corner_class(model: SurfaceModel, n: int) -> DivisorClass:
-    """G + n*F, the degree-minimizing member of the moving curve family."""
-    return model.lattice.divisor_class((1, n))
 
 
 def hyperplane_class(model: SurfaceModel, m: int) -> DivisorClass:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import __version__
-from .cones import DegreeFilter, min_degree
+from .cones import DegreeFilter, degree_classes, min_degree
 from .criteria import (
     BetaWitness,
     CriterionVerdict,
@@ -29,17 +29,7 @@ from .criteria import (
     very_ampleness,
 )
 from .document import BoundDocument, Document, ParseError, QueryDecl, bind
-from .search import (
-    ConeDegrees,
-    FreenessGoal,
-    ParamFamily,
-    SearchReport,
-    SeparationGoal,
-    TangentGoal,
-    VeryAmpleGoal,
-    hirzebruch_claim,
-    search_params,
-)
+from .search import Degrees, Goal, ParamFamily, SearchReport, hirzebruch_claim, search_params
 
 
 class QueryError(ValueError):
@@ -160,16 +150,20 @@ def _freeness_witness_args(q: QueryDecl) -> Optional[BetaWitness]:
     return BetaWitness.single(b2, b1, role="at-p")
 
 
+def _decomposition(bound: BoundDocument, q: QueryDecl):
+    """The boundary B=, the class of the positive part M=, and M^2."""
+    boundary = bound.concrete_divisor(_require(q, "B"))
+    m_cls = bound.concrete_divisor(_require(q, "M")).divisor_class()
+    return boundary, m_cls, m_cls.self_intersection()
+
+
 def _run_check_free(bound: BoundDocument, q: QueryDecl, result: QueryResult) -> None:
     _need_model(bound)
     point = _require(q, "point")
-    boundary = bound.concrete_divisor(_require(q, "B"))
-    positive = bound.concrete_divisor(_require(q, "M"))
-    m_cls = positive.divisor_class()
+    boundary, m_cls, m2 = _decomposition(bound, q)
     mu = boundary.ord_at(point)
     filt = DegreeFilter(q.arg("filter", "through-p"))
     deg = _mindeg(bound, m_cls, filt, _rational_arg(q, "mindeg"))
-    m2 = m_cls.self_intersection()
     result.values.update({"mu": mu, "M2": m2, "mindeg": deg})
     _from_verdict(result, freeness_at(mu, m2, deg, _freeness_witness_args(q)))
 
@@ -177,14 +171,11 @@ def _run_check_free(bound: BoundDocument, q: QueryDecl, result: QueryResult) -> 
 def _run_check_separate(bound: BoundDocument, q: QueryDecl, result: QueryResult) -> None:
     _need_model(bound)
     p, qq = _require(q, "p"), _require(q, "q")
-    boundary = bound.concrete_divisor(_require(q, "B"))
-    positive = bound.concrete_divisor(_require(q, "M"))
-    m_cls = positive.divisor_class()
+    boundary, m_cls, m2 = _decomposition(bound, q)
     mu_p, mu_q = boundary.ord_at(p), boundary.ord_at(qq)
     deg_p = _mindeg(bound, m_cls, DegreeFilter.ALL, _rational_arg(q, "mindeg_p"))
     deg_q = _mindeg(bound, m_cls, DegreeFilter.ALL, _rational_arg(q, "mindeg_q"))
     deg_pq = _mindeg(bound, m_cls, DegreeFilter.ALL, _rational_arg(q, "mindeg_pq"))
-    m2 = m_cls.self_intersection()
     witness = None
     parts = [_rational_arg(q, k) for k in ("beta2_p", "beta2_q", "beta1_p", "beta1_q")]
     if any(v is not None for v in parts):
@@ -200,13 +191,10 @@ def _run_check_separate(bound: BoundDocument, q: QueryDecl, result: QueryResult)
 def _run_check_tangent(bound: BoundDocument, q: QueryDecl, result: QueryResult) -> None:
     _need_model(bound)
     tangent = _require(q, "tangent")
-    boundary = bound.concrete_divisor(_require(q, "B"))
-    positive = bound.concrete_divisor(_require(q, "M"))
-    m_cls = positive.divisor_class()
+    boundary, m_cls, m2 = _decomposition(bound, q)
     orders = boundary.ord_tangential(tangent)
     deg_p = _mindeg(bound, m_cls, DegreeFilter.THROUGH_POINT, _rational_arg(q, "mindeg_p"))
     deg_z = _mindeg(bound, m_cls, DegreeFilter.CONTAINING_Z, _rational_arg(q, "mindeg_Z"))
-    m2 = m_cls.self_intersection()
     witness = None
     parts = [_rational_arg(q, k) for k in ("beta2_p", "beta2_V", "beta1")]
     if any(v is not None for v in parts):
@@ -231,7 +219,8 @@ def _run_check_tangent(bound: BoundDocument, q: QueryDecl, result: QueryResult) 
     )
 
 
-def _run_check_very_ample(bound: BoundDocument, q: QueryDecl, result: QueryResult) -> None:
+def _run_check_global(bound: BoundDocument, q: QueryDecl, result: QueryResult) -> None:
+    """check-very-ample and check-corollary2: M^2 and the minimal degree, given or computed from M."""
     m2 = _rational_arg(q, "m2")
     deg = _rational_arg(q, "mindeg")
     if m2 is None or deg is None:
@@ -242,21 +231,11 @@ def _run_check_very_ample(bound: BoundDocument, q: QueryDecl, result: QueryResul
         if deg is None:
             deg = _mindeg(bound, m_cls, DegreeFilter.ALL, None)
     result.values.update({"M2": m2, "mindeg": deg})
-    _from_verdict(result, very_ampleness(m2, deg, _freeness_witness_args(q)))
-
-
-def _run_check_corollary2(bound: BoundDocument, q: QueryDecl, result: QueryResult) -> None:
-    m2 = _rational_arg(q, "m2")
-    deg = _rational_arg(q, "mindeg")
-    if m2 is None or deg is None:
-        positive = bound.concrete_divisor(_require(q, "M"))
-        m_cls = positive.divisor_class()
-        if m2 is None:
-            m2 = m_cls.self_intersection()
-        if deg is None:
-            deg = _mindeg(bound, m_cls, DegreeFilter.ALL, None)
-    result.values.update({"M2": m2, "mindeg": deg})
-    _from_verdict(result, threshold_very_ampleness(m2, deg))
+    if q.kind == "check-very-ample":
+        verdict = very_ampleness(m2, deg, _freeness_witness_args(q))
+    else:
+        verdict = threshold_very_ampleness(m2, deg)
+    _from_verdict(result, verdict)
 
 
 def _run_plc_threshold(bound: BoundDocument, q: QueryDecl, result: QueryResult) -> None:
@@ -284,6 +263,16 @@ def _run_plc_threshold(bound: BoundDocument, q: QueryDecl, result: QueryResult) 
         result.labels["achievers"] = ", ".join(outcome.achievers)
 
 
+# search goal= kind -> (query keys naming the marked data, degree filter of each minimal degree,
+# whether beta2=/beta1= give a witness)
+_SEARCH_GOALS = {
+    "free": (("point",), (DegreeFilter.THROUGH_POINT,), True),
+    "separate": (("p", "q"), (DegreeFilter.ALL,) * 3, False),
+    "tangent": (("tangent",), (DegreeFilter.THROUGH_POINT, DegreeFilter.CONTAINING_Z), False),
+    "very-ample": ((), (DegreeFilter.ALL,), True),
+}
+
+
 def _run_search(bound: BoundDocument, q: QueryDecl, result: QueryResult, default_depth: int = 24) -> None:
     model = _need_model(bound)
     cone = _need_cone(bound)
@@ -292,33 +281,16 @@ def _run_search(bound: BoundDocument, q: QueryDecl, result: QueryResult, default
     boundary = bound.divisor_expr(_require(q, "B"))
     positive = bound.divisor_expr(_require(q, "M"))
     family = ParamFamily(model, bound.params, boundary, positive)
-    if goal_kind == "free":
-        goal = FreenessGoal(
-            cone,
-            _require(q, "point"),
-            ConeDegrees(cone, DegreeFilter.THROUGH_POINT),
-            _freeness_witness_args(q),
-        )
-    elif goal_kind == "separate":
-        goal = SeparationGoal(
-            cone,
-            _require(q, "p"),
-            _require(q, "q"),
-            ConeDegrees(cone, DegreeFilter.ALL),
-            ConeDegrees(cone, DegreeFilter.ALL),
-            ConeDegrees(cone, DegreeFilter.ALL),
-        )
-    elif goal_kind == "tangent":
-        goal = TangentGoal(
-            cone,
-            _require(q, "tangent"),
-            ConeDegrees(cone, DegreeFilter.THROUGH_POINT),
-            ConeDegrees(cone, DegreeFilter.CONTAINING_Z),
-        )
-    elif goal_kind == "very-ample":
-        goal = VeryAmpleGoal(cone, ConeDegrees(cone, DegreeFilter.ALL), _freeness_witness_args(q))
-    else:
+    if goal_kind not in _SEARCH_GOALS:
         raise QueryError(f"unknown search goal {goal_kind!r}")
+    keys, filters, takes_witness = _SEARCH_GOALS[goal_kind]
+    goal = Goal(
+        goal_kind,
+        cone,
+        tuple(_require(q, key) for key in keys),
+        tuple(Degrees(f"cone filter {f.value}", degree_classes(cone, f)) for f in filters),
+        _freeness_witness_args(q) if takes_witness else None,
+    )
     _from_search(result, search_params(family, goal, depth))
 
 
@@ -364,8 +336,8 @@ _RUNNERS = {
     "check-free": _run_check_free,
     "check-separate": _run_check_separate,
     "check-tangent": _run_check_tangent,
-    "check-very-ample": _run_check_very_ample,
-    "check-corollary2": _run_check_corollary2,
+    "check-very-ample": _run_check_global,
+    "check-corollary2": _run_check_global,
     "plc-threshold": _run_plc_threshold,
     "search": _run_search,
     "hirzebruch-claim": _run_hirzebruch_claim,

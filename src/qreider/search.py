@@ -18,20 +18,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Union
 
+from . import criteria
 from . import hirzebruch as hz
-from .cones import ConeDescription, DegreeFilter, FiniteGenerators, HirzebruchFamily, is_nef
-from .cones import min_degree as cone_min_degree
-from .criteria import (
-    BetaWitness,
-    CriterionVerdict,
-    TraceLine,
-    check,
-    freeness_at,
-    riemann_roch_chi,
-    separation,
-    tangent_separation,
-    very_ampleness,
-)
+from .cones import ConeDescription, HirzebruchFamily, is_nef, nef_lines
+from .criteria import BetaWitness, CriterionVerdict, TraceLine, check, riemann_roch_chi
 from .lattice import DivisorClass, RationalLike, as_fraction
 from .surface import QDivisor, SurfaceModel
 
@@ -190,21 +180,15 @@ class ParamFamily:
 
 
 # ---------------------------------------------------------------------------
-# degree sources
+# degree sources and goals
 
 
 @dataclass(frozen=True)
-class LabeledClass:
-    label: str
-    cls: DivisorClass
-
-
-@dataclass(frozen=True)
-class ExplicitDegrees:
+class Degrees:
     """A declared family of candidate curve classes for a degree minimum."""
 
     description: str
-    classes: tuple[LabeledClass, ...]
+    classes: tuple[DivisorClass, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "classes", tuple(self.classes))
@@ -212,46 +196,18 @@ class ExplicitDegrees:
             raise ValueError("degree family needs at least one class")
 
     def min_degree(self, m: DivisorClass) -> Fraction:
-        return min(m.intersect(lc.cls) for lc in self.classes)
+        return min(m.intersect(c) for c in self.classes)
 
-
-@dataclass(frozen=True)
-class ConeDegrees:
-    """Degree minimum delegated to a cone description and filter."""
-
-    cone: ConeDescription
-    filt: DegreeFilter = DegreeFilter.ALL
-
-    @property
-    def description(self) -> str:
-        return f"cone filter {self.filt.value}"
-
-    def min_degree(self, m: DivisorClass) -> Fraction:
-        return cone_min_degree(m, self.cone, self.filt)
-
-
-DegreeSource = Union[ExplicitDegrees, ConeDegrees]
 
 WitnessProvider = Union[BetaWitness, Callable[[Mapping[str, Fraction]], BetaWitness], None]
 
-
-def _resolve_witness(provider: WitnessProvider, values: Mapping[str, Fraction]) -> Optional[BetaWitness]:
-    if provider is None or isinstance(provider, BetaWitness):
-        return provider
-    return provider(values)
-
-
-def _ambient_lines(m_cls: DivisorClass, cone: ConeDescription) -> list[TraceLine]:
-    lines = []
-    if isinstance(cone, HirzebruchFamily):
-        lines.append(check("M.G >= 0 (nef)", m_cls.intersect(cone.g_class), ">=", 0))
-        lines.append(check("M.F >= 0 (nef)", m_cls.intersect(cone.f_class), ">=", 0))
-    else:
-        assert isinstance(cone, FiniteGenerators)
-        for i, gen in enumerate(cone.generators):
-            lines.append(check(f"M.C_{i} >= 0 (nef)", m_cls.intersect(gen.cls), ">=", 0))
-    lines.append(check("M^2 > 0 (big)", m_cls.self_intersection(), ">", 0))
-    return lines
+# goal kind -> (checker in the criteria module, rule of a candidate turned down before it runs)
+_GOAL_KINDS = {
+    "free": ("freeness_at", "freeness/degree-bound"),
+    "separate": ("separation", "separation/degree-bounds"),
+    "tangent": ("tangent_separation", "tangent/degree-bounds"),
+    "very-ample": ("very_ampleness", "very-ample/witness"),
+}
 
 
 def _prefixed(label: str, lines: Sequence[TraceLine]) -> list[TraceLine]:
@@ -260,117 +216,49 @@ def _prefixed(label: str, lines: Sequence[TraceLine]) -> list[TraceLine]:
     return [TraceLine(f"{label}: {l.text}", l.lhs, l.rel, l.rhs, l.holds) for l in lines]
 
 
-def _with_ambient(
-    label: str, rule: str, ambient: Sequence[TraceLine], inner: Optional[CriterionVerdict]
-) -> CriterionVerdict:
-    lines = _prefixed(label, ambient)
-    ambient_ok = all(l.holds for l in lines)
-    if inner is None:
-        return CriterionVerdict(False, rule, tuple(lines), note="positive part not nef and big")
-    lines += _prefixed(label, inner.trace)
-    return CriterionVerdict(
-        ambient_ok and inner.established, inner.rule, tuple(lines), inner.witness, inner.note
-    )
-
-
 @dataclass(frozen=True)
-class FreenessGoal:
+class Goal:
+    """One Reider-type check of the positive part M at each candidate.
+
+    ``kind`` is a ``search goal=`` name (see ``_GOAL_KINDS``).  ``at`` names
+    the marked data the checker reads: one point (free), two points
+    (separate), one tangent direction (tangent) or nothing (very-ample).
+    ``degrees`` gives one source per minimal degree, in the checker's
+    argument order.  A candidate whose M fails the nef or big line is turned
+    down before the checker runs.
+    """
+
+    kind: str
     cone: ConeDescription
-    point: str
-    degrees: DegreeSource
+    at: tuple[str, ...]
+    degrees: tuple[Degrees, ...]
     witness: WitnessProvider = None
     label: str = ""
 
-    rule = "freeness/degree-bound"
+    def __post_init__(self):
+        if self.kind not in _GOAL_KINDS:
+            raise ValueError(f"unknown search goal {self.kind!r}")
+        object.__setattr__(self, "at", tuple(self.at))
+        object.__setattr__(self, "degrees", tuple(self.degrees))
 
     def evaluate(self, boundary: QDivisor, positive: QDivisor, values: Mapping[str, Fraction]) -> CriterionVerdict:
+        checker, rule = _GOAL_KINDS[self.kind]
         m_cls = positive.divisor_class()
-        ambient = _ambient_lines(m_cls, self.cone)
+        m2 = m_cls.self_intersection()
+        ambient = nef_lines(m_cls, self.cone) + [check("M^2 > 0 (big)", m2, ">", 0)]
         if not all(l.holds for l in ambient):
-            return _with_ambient(self.label, self.rule, ambient, None)
-        mu = boundary.ord_at(self.point)
-        verdict = freeness_at(
-            mu, m_cls.self_intersection(), self.degrees.min_degree(m_cls), _resolve_witness(self.witness, values)
-        )
-        return _with_ambient(self.label, self.rule, ambient, verdict)
-
-
-@dataclass(frozen=True)
-class SeparationGoal:
-    cone: ConeDescription
-    first: str
-    second: str
-    degrees_first: DegreeSource
-    degrees_second: DegreeSource
-    degrees_joint: DegreeSource
-    witness: WitnessProvider = None
-    label: str = ""
-
-    rule = "separation/degree-bounds"
-
-    def evaluate(self, boundary: QDivisor, positive: QDivisor, values: Mapping[str, Fraction]) -> CriterionVerdict:
-        m_cls = positive.divisor_class()
-        ambient = _ambient_lines(m_cls, self.cone)
-        if not all(l.holds for l in ambient):
-            return _with_ambient(self.label, self.rule, ambient, None)
-        verdict = separation(
-            boundary.ord_at(self.first),
-            boundary.ord_at(self.second),
-            m_cls.self_intersection(),
-            self.degrees_first.min_degree(m_cls),
-            self.degrees_second.min_degree(m_cls),
-            self.degrees_joint.min_degree(m_cls),
-            _resolve_witness(self.witness, values),
-        )
-        return _with_ambient(self.label, self.rule, ambient, verdict)
-
-
-@dataclass(frozen=True)
-class TangentGoal:
-    cone: ConeDescription
-    tangent: str
-    degrees_point: DegreeSource
-    degrees_scheme: DegreeSource
-    witness: WitnessProvider = None
-    label: str = ""
-
-    rule = "tangent/degree-bounds"
-
-    def evaluate(self, boundary: QDivisor, positive: QDivisor, values: Mapping[str, Fraction]) -> CriterionVerdict:
-        m_cls = positive.divisor_class()
-        ambient = _ambient_lines(m_cls, self.cone)
-        if not all(l.holds for l in ambient):
-            return _with_ambient(self.label, self.rule, ambient, None)
-        orders = boundary.ord_tangential(self.tangent)
-        verdict = tangent_separation(
-            orders.at_point,
-            orders.at_infinitely_near,
-            m_cls.self_intersection(),
-            self.degrees_point.min_degree(m_cls),
-            self.degrees_scheme.min_degree(m_cls),
-            _resolve_witness(self.witness, values),
-        )
-        return _with_ambient(self.label, self.rule, ambient, verdict)
-
-
-@dataclass(frozen=True)
-class VeryAmpleGoal:
-    cone: ConeDescription
-    degrees: DegreeSource
-    witness: WitnessProvider = None
-    label: str = ""
-
-    rule = "very-ample/witness"
-
-    def evaluate(self, boundary: QDivisor, positive: QDivisor, values: Mapping[str, Fraction]) -> CriterionVerdict:
-        m_cls = positive.divisor_class()
-        ambient = _ambient_lines(m_cls, self.cone)
-        if not all(l.holds for l in ambient):
-            return _with_ambient(self.label, self.rule, ambient, None)
-        verdict = very_ampleness(
-            m_cls.self_intersection(), self.degrees.min_degree(m_cls), _resolve_witness(self.witness, values)
-        )
-        return _with_ambient(self.label, self.rule, ambient, verdict)
+            lines = _prefixed(self.label, ambient)
+            return CriterionVerdict(False, rule, tuple(lines), note="positive part not nef and big")
+        if self.kind == "tangent":
+            orders = boundary.ord_tangential(self.at[0])
+            mus = (orders.at_point, orders.at_infinitely_near)
+        else:
+            mus = tuple(boundary.ord_at(name) for name in self.at)
+        witness = self.witness(values) if callable(self.witness) else self.witness
+        # looked up at call time, so a wrapped checker is the one that runs
+        verdict = getattr(criteria, checker)(*mus, m2, *(d.min_degree(m_cls) for d in self.degrees), witness)
+        lines = _prefixed(self.label, ambient + list(verdict.trace))
+        return CriterionVerdict(verdict.established, verdict.rule, tuple(lines), verdict.witness, verdict.note)
 
 
 @dataclass(frozen=True)
@@ -391,9 +279,6 @@ class MultiGoal:
             witnesses.append(verdict.witness)
         witness = witnesses[0] if witnesses and all(w == witnesses[0] for w in witnesses) else None
         return CriterionVerdict(ok, self.rule, tuple(lines), witness)
-
-
-Goal = Union[FreenessGoal, SeparationGoal, TangentGoal, VeryAmpleGoal, MultiGoal]
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +332,7 @@ def dyadic_schedule(params: Sequence[Param], depth: int, first_exponent: int = 2
 
 
 def search_params(
-    family: ParamFamily, goal: Goal, depth: int = 24, first_exponent: int = 2
+    family: ParamFamily, goal: Union[Goal, MultiGoal], depth: int = 24, first_exponent: int = 2
 ) -> SearchReport:
     """First parameter values along the dyadic schedule whose decomposition
     makes the goal's checker fire; exact verification at every candidate."""
@@ -468,6 +353,19 @@ def search_params(
 
 # ---------------------------------------------------------------------------
 # drivers for the ruled-surface claims
+
+
+# The claim's curve families: what each covers, and which of the section G,
+# the fiber class F and the moving family's degree-minimizing member G + nF
+# enter its degree minimum.  A point on the section meets all three.
+CLAIM_FAMILIES = {
+    "on": ("all irreducible curves: the section, the fiber class, the moving family", ("G", "F", "G+nF")),
+    "off": ("curves through a point off the section: its fiber and the moving family", ("F", "G+nF")),
+    "scheme": ("curves containing the tangent scheme: the section and the moving family", ("G", "G+nF")),
+    "joint-fiber": ("curves through two points of one fiber: the fiber and the moving family", ("F", "G+nF")),
+    "joint-section": ("curves through two points of the section: the section and the moving family", ("G", "G+nF")),
+    "joint-generic": ("curves through two unrelated points: the moving family", ("G+nF",)),
+}
 
 
 @dataclass(frozen=True)
@@ -524,38 +422,11 @@ def hirzebruch_claim(n: int, part: int, m: Optional[int] = None, depth: int = 24
             raise ValueError("part 2 needs m >= n + 1")
 
     model = hz.hirzebruch_model(n)
-    cone = hz.hirzebruch_cone(model, n)
-    g_cls = hz.section_class(model)
-    f_cls = hz.fiber_class(model)
-    corner = hz.family_corner_class(model, n)
+    cone = HirzebruchFamily(n, model.lattice)
     h_cls = hz.hyperplane_class(model, m)
     l_cls = h_cls - model.canonical
-
-    fam_all = ExplicitDegrees(
-        "all irreducible curves: the section, the fiber class, the moving family",
-        (LabeledClass("G", g_cls), LabeledClass("F", f_cls), LabeledClass("G+nF", corner)),
-    )
-    fam_off_section = ExplicitDegrees(
-        "curves through a point off the section: its fiber and the moving family",
-        (LabeledClass("F", f_cls), LabeledClass("G+nF", corner)),
-    )
-    fam_on_section = fam_all
-    fam_scheme = ExplicitDegrees(
-        "curves containing the tangent scheme: the section and the moving family",
-        (LabeledClass("G", g_cls), LabeledClass("G+nF", corner)),
-    )
-    fam_joint_fiber = ExplicitDegrees(
-        "curves through two points of one fiber: the fiber and the moving family",
-        (LabeledClass("F", f_cls), LabeledClass("G+nF", corner)),
-    )
-    fam_joint_section = ExplicitDegrees(
-        "curves through two points of the section: the section and the moving family",
-        (LabeledClass("G", g_cls), LabeledClass("G+nF", corner)),
-    )
-    fam_joint_generic = ExplicitDegrees(
-        "curves through two unrelated points: the moving family",
-        (LabeledClass("G+nF", corner),),
-    )
+    named = {"G": cone.g_class, "F": cone.f_class, "G+nF": cone.family_corner()}
+    fam = {key: Degrees(text, tuple(named[c] for c in curves)) for key, (text, curves) in CLAIM_FAMILIES.items()}
 
     eps = Param("eps")
     section_boundary = ParamFamily(
@@ -574,107 +445,101 @@ def hirzebruch_claim(n: int, part: int, m: Optional[int] = None, depth: int = 24
     free_witness = BetaWitness.single(Fraction(3), Fraction(3, 2), role="at-p")
     freeness_goal = MultiGoal(
         (
-            FreenessGoal(cone, hz.POINT_GENERIC, fam_off_section, free_witness, label="off the section"),
-            FreenessGoal(cone, hz.POINT_ON_G, fam_on_section, free_witness, label="on the section"),
+            Goal("free", cone, (hz.POINT_GENERIC,), (fam["off"],), free_witness, label="off the section"),
+            Goal("free", cone, (hz.POINT_ON_G,), (fam["on"],), free_witness, label="on the section"),
         ),
         rule="freeness/degree-bound",
     )
-
-    checks = [
-        ClaimCheck(
+    # (check name, families shown, decomposition, goal) for every searched check
+    searches = [
+        (
             "freeness",
-            f"{fam_off_section.description}; {fam_on_section.description}",
-            search_params(section_boundary, freeness_goal, depth),
+            f"{fam['off'].description}; {fam['on'].description}",
+            section_boundary,
+            freeness_goal,
         )
     ]
 
     if part == 2:
-        sep_fiber = SeparationGoal(
-            cone,
-            hz.POINT_ON_F,
-            hz.POINT_ON_F2,
-            fam_off_section,
-            fam_off_section,
-            fam_joint_fiber,
-            witness=lambda v: BetaWitness.pair(
-                Fraction(3, 2), Fraction(3, 2), 1 + v["eps"] / 2, 1 + v["eps"] / 2
-            ),
-            label="two points on one fiber, off the section",
-        )
-        sep_section = SeparationGoal(
-            cone,
-            hz.POINT_ON_G,
-            hz.POINT_ON_G2,
-            fam_on_section,
-            fam_on_section,
-            fam_joint_section,
-            witness=lambda v: BetaWitness.pair(
-                2, 2, Fraction(2) / (2 - v["eps"]), Fraction(2) / (2 - v["eps"])
-            ),
-            label="two points on the section",
-        )
-        sep_mixed_fiber = SeparationGoal(
-            cone,
-            hz.POINT_FG,
-            hz.POINT_ON_F,
-            fam_on_section,
-            fam_off_section,
-            fam_joint_fiber,
-            witness=lambda v: BetaWitness.pair(
-                1, 2, v["eps"] + v["alpha"], Fraction(2) / (2 - v["alpha"])
-            ),
-            label="fiber-section point with a fiber point",
-        )
-        sep_mixed_generic = SeparationGoal(
-            cone,
-            hz.POINT_ON_G,
-            hz.POINT_GENERIC,
-            fam_on_section,
-            fam_off_section,
-            fam_joint_generic,
-            witness=lambda v: BetaWitness.pair(2, 2, Fraction(2) / (2 - v["eps"]), 2),
-            label="section point with a general point",
-        )
-        tangent_goal = TangentGoal(
-            cone,
-            hz.TANGENT_G,
-            fam_on_section,
-            fam_scheme,
-            witness=lambda v: BetaWitness(
-                (Fraction(2), Fraction(2)),
-                (Fraction(2) / (2 - v["eps"]),),
-                ("at-p", "at-V"),
-                ("global",),
-            ),
-            label="tangent to the section at the fiber-section point",
-        )
-        checks += [
-            ClaimCheck(
+        searches += [
+            (
                 "separation on a fiber off the section",
-                f"per point: {fam_off_section.description}; joint: {fam_joint_fiber.description}",
-                search_params(fiber_boundary, sep_fiber, depth),
+                f"per point: {fam['off'].description}; joint: {fam['joint-fiber'].description}",
+                fiber_boundary,
+                Goal(
+                    "separate",
+                    cone,
+                    (hz.POINT_ON_F, hz.POINT_ON_F2),
+                    (fam["off"], fam["off"], fam["joint-fiber"]),
+                    witness=lambda v: BetaWitness.pair(
+                        Fraction(3, 2), Fraction(3, 2), 1 + v["eps"] / 2, 1 + v["eps"] / 2
+                    ),
+                    label="two points on one fiber, off the section",
+                ),
             ),
-            ClaimCheck(
+            (
                 "separation along the section",
-                f"per point: {fam_on_section.description}; joint: {fam_joint_section.description}",
-                search_params(section_boundary, sep_section, depth),
+                f"per point: {fam['on'].description}; joint: {fam['joint-section'].description}",
+                section_boundary,
+                Goal(
+                    "separate",
+                    cone,
+                    (hz.POINT_ON_G, hz.POINT_ON_G2),
+                    (fam["on"], fam["on"], fam["joint-section"]),
+                    witness=lambda v: BetaWitness.pair(
+                        2, 2, Fraction(2) / (2 - v["eps"]), Fraction(2) / (2 - v["eps"])
+                    ),
+                    label="two points on the section",
+                ),
             ),
-            ClaimCheck(
+            (
                 "separation of the fiber-section point from a fiber point",
-                f"joint: {fam_joint_fiber.description}",
-                search_params(fiber_boundary, sep_mixed_fiber, depth),
+                f"joint: {fam['joint-fiber'].description}",
+                fiber_boundary,
+                Goal(
+                    "separate",
+                    cone,
+                    (hz.POINT_FG, hz.POINT_ON_F),
+                    (fam["on"], fam["off"], fam["joint-fiber"]),
+                    witness=lambda v: BetaWitness.pair(
+                        1, 2, v["eps"] + v["alpha"], Fraction(2) / (2 - v["alpha"])
+                    ),
+                    label="fiber-section point with a fiber point",
+                ),
             ),
-            ClaimCheck(
+            (
                 "separation of a section point from a general point",
-                f"joint: {fam_joint_generic.description}",
-                search_params(section_boundary, sep_mixed_generic, depth),
+                f"joint: {fam['joint-generic'].description}",
+                section_boundary,
+                Goal(
+                    "separate",
+                    cone,
+                    (hz.POINT_ON_G, hz.POINT_GENERIC),
+                    (fam["on"], fam["off"], fam["joint-generic"]),
+                    witness=lambda v: BetaWitness.pair(2, 2, Fraction(2) / (2 - v["eps"]), 2),
+                    label="section point with a general point",
+                ),
             ),
-            ClaimCheck(
+            (
                 "tangent separation at the fiber-section point",
-                f"point: {fam_on_section.description}; scheme: {fam_scheme.description}",
-                search_params(section_boundary, tangent_goal, depth),
+                f"point: {fam['on'].description}; scheme: {fam['scheme'].description}",
+                section_boundary,
+                Goal(
+                    "tangent",
+                    cone,
+                    (hz.TANGENT_G,),
+                    (fam["on"], fam["scheme"]),
+                    witness=lambda v: BetaWitness(
+                        (Fraction(2), Fraction(2)),
+                        (Fraction(2) / (2 - v["eps"]),),
+                        ("at-p", "at-V"),
+                        ("global",),
+                    ),
+                    label="tangent to the section at the fiber-section point",
+                ),
             ),
         ]
+    checks = [ClaimCheck(name, text, search_params(family, goal, depth)) for name, text, family, goal in searches]
 
     return ClaimReport(
         n=n,
@@ -682,9 +547,9 @@ def hirzebruch_claim(n: int, part: int, m: Optional[int] = None, depth: int = 24
         m=m,
         chi=riemann_roch_chi(h_cls, model.canonical, model.chi_structure_sheaf),
         chi_expected=Fraction(2 * m - n + 2),
-        h_dot_g=h_cls.intersect(g_cls),
-        h_dot_f=h_cls.intersect(f_cls),
-        l_dot_g=l_cls.intersect(g_cls),
+        h_dot_g=h_cls.intersect(cone.g_class),
+        h_dot_f=h_cls.intersect(cone.f_class),
+        l_dot_g=l_cls.intersect(cone.g_class),
         l_nef=is_nef(l_cls, cone),
         checks=tuple(checks),
     )

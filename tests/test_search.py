@@ -3,18 +3,15 @@ from fractions import Fraction as F
 import pytest
 
 from qreider import hirzebruch as hz
-from qreider.cones import DegreeFilter
+from qreider.cones import DegreeFilter, HirzebruchFamily, degree_classes
 from qreider.criteria import BetaWitness
 from qreider.search import (
     AffineExpr,
-    ConeDegrees,
-    ExplicitDegrees,
+    Degrees,
     FamilyViolation,
-    FreenessGoal,
-    LabeledClass,
+    Goal,
     Param,
     ParamFamily,
-    SeparationGoal,
     dyadic_schedule,
     hirzebruch_claim,
     search_params,
@@ -31,6 +28,10 @@ def section_family(n, m=None, model=None):
         boundary={"G": AffineExpr(1, {"eps": -1})},
         positive={"G": AffineExpr(2, {"eps": 1}), "F": AffineExpr.constant(m + n + 2)},
     )
+
+
+def all_curves(cone):
+    return Degrees("cone filter all", degree_classes(cone, DegreeFilter.ALL))
 
 
 def test_affine_expr_arithmetic():
@@ -93,11 +94,12 @@ def test_dyadic_schedule_is_nested_and_in_domain():
 def test_freeness_search_succeeds_early_with_the_stated_witness():
     n = 1
     model, family = section_family(n)
-    cone = hz.hirzebruch_cone(model, n)
-    goal = FreenessGoal(
+    cone = HirzebruchFamily(n, model.lattice)
+    goal = Goal(
+        "free",
         cone,
-        hz.POINT_GENERIC,
-        ConeDegrees(cone, DegreeFilter.ALL),
+        (hz.POINT_GENERIC,),
+        (all_curves(cone),),
         BetaWitness.single(3, F(3, 2), role="at-p"),
     )
     report = search_params(family, goal, depth=24)
@@ -118,11 +120,8 @@ def test_degenerate_family_reports_zero_attempts():
         boundary={"G": AffineExpr(1, {"eps": -1})},
         positive={"G": AffineExpr(2, {"eps": 1}), "F": AffineExpr.constant(4)},
     )
-    goal = FreenessGoal(
-        hz.hirzebruch_cone(model, 1),
-        hz.POINT_GENERIC,
-        ConeDegrees(hz.hirzebruch_cone(model, 1), DegreeFilter.ALL),
-    )
+    cone = HirzebruchFamily(1, model.lattice)
+    goal = Goal("free", cone, (hz.POINT_GENERIC,), (all_curves(cone),))
     report = search_params(family, goal)
     assert not report.found
     assert report.attempts == 0
@@ -131,24 +130,19 @@ def test_degenerate_family_reports_zero_attempts():
 def test_two_parameter_separation_search():
     n = 1
     model = hz.hirzebruch_model(n)
-    cone = hz.hirzebruch_cone(model, n)
+    cone = HirzebruchFamily(n, model.lattice)
     family = ParamFamily(
         surface=model,
         params=(Param("eps"), Param("alpha")),
         boundary={"G": AffineExpr(1, {"eps": -1}), "F": AffineExpr(1, {"alpha": -1})},
         positive={"G": AffineExpr(2, {"eps": 1}), "F": AffineExpr(2 * n + 1, {"alpha": 1})},
     )
-    fam_off = ExplicitDegrees(
-        "off the section",
-        (LabeledClass("F", model.curves["F"].cls), LabeledClass("G+nF", model.lattice.divisor_class((1, n)))),
-    )
-    goal = SeparationGoal(
+    fam_off = Degrees("off the section", (model.curves["F"].cls, model.lattice.divisor_class((1, n))))
+    goal = Goal(
+        "separate",
         cone,
-        hz.POINT_ON_F,
-        hz.POINT_ON_F2,
-        fam_off,
-        fam_off,
-        fam_off,
+        (hz.POINT_ON_F, hz.POINT_ON_F2),
+        (fam_off, fam_off, fam_off),
         witness=lambda v: BetaWitness.pair(
             F(3, 2), F(3, 2), 1 + v["eps"] / 2, 1 + v["eps"] / 2
         ),
@@ -164,8 +158,8 @@ def test_two_parameter_separation_search():
 def test_search_reports_replay():
     n = 2
     model, family = section_family(n)
-    cone = hz.hirzebruch_cone(model, n)
-    goal = FreenessGoal(cone, hz.POINT_ON_G, ConeDegrees(cone, DegreeFilter.ALL))
+    cone = HirzebruchFamily(n, model.lattice)
+    goal = Goal("free", cone, (hz.POINT_ON_G,), (all_curves(cone),))
     report = search_params(family, goal)
     assert report.found
     b, m = family.instantiate(report.params)
@@ -177,11 +171,12 @@ def test_search_reports_replay():
 def test_monotone_depth_nesting():
     n = 6
     model, family = section_family(n)
-    cone = hz.hirzebruch_cone(model, n)
-    goal = FreenessGoal(
+    cone = HirzebruchFamily(n, model.lattice)
+    goal = Goal(
+        "free",
         cone,
-        hz.POINT_ON_G,
-        ConeDegrees(cone, DegreeFilter.ALL),
+        (hz.POINT_ON_G,),
+        (all_curves(cone),),
         BetaWitness.single(3, F(3, 2), role="at-p"),
     )
     first = None
