@@ -186,6 +186,14 @@ def _scan(text: str, line: int, col_offset: int = 0) -> list[_Token]:
     return tokens
 
 
+def _number(tok: _Token, line: int) -> Fraction:
+    """The value of a number token; a zero denominator is a positioned ParseError."""
+    try:
+        return Fraction(tok.text)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {tok.text!r}", line, tok.col) from None
+
+
 # expression values: ("scalar", AffineExpr) or ("vec", {name: AffineExpr})
 _Value = tuple[str, object]
 
@@ -254,7 +262,7 @@ class _ExprParser:
     def factor(self) -> _Value:
         tok = self.take()
         if tok.kind == "num":
-            return ("scalar", AffineExpr.constant(Fraction(tok.text)))
+            return ("scalar", AffineExpr.constant(_number(tok, self.line)))
         if tok.kind == "name":
             try:
                 return self.resolve(tok.text)
@@ -365,7 +373,7 @@ def _parse_matrix(tokens: list[_Token], line: int) -> tuple[tuple[Fraction, ...]
         tok = take()
         if tok.kind != "num":
             raise ParseError(f"expected a number, got {tok.text!r}", line, tok.col)
-        return sign * Fraction(tok.text)
+        return sign * _number(tok, line)
 
     take("[")
     rows = []
@@ -590,9 +598,10 @@ class _DocBuilder:
         m = re.fullmatch(r"\(\s*([^,\s]+)\s*,\s*([^)\s]+)\s*\)", rhs)
         if not m:
             raise ParseError("parameter domain must look like (lo, hi)", line)
-        self.params.append(
-            ParamDecl(key, _parse_rational(m.group(1), line), _parse_rational(m.group(2), line))
-        )
+        lo, hi = _parse_rational(m.group(1), line), _parse_rational(m.group(2), line)
+        if lo >= hi:
+            raise ParseError(f"parameter domain ({lo}, {hi}) is empty", line)
+        self.params.append(ParamDecl(key, lo, hi))
 
     def feed_divisor(self, line: int, key: str, rhs: Optional[str], offset: int) -> None:
         if rhs is None:

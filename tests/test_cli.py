@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -174,3 +175,19 @@ def test_check_separate_query():
     assert defaulted.status in ("established", "not-established")
     assert overridden.values["mindeg_pq"] == F(7, 2)
     assert overridden.status == "established"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "gram = [[1/0]]; K = -G; chi_O = 1\n",
+        "gram = [[-1]]; K = -G; chi_O = 1\ncurves\nG = G\nqueries\ncheck-very-ample M=2/0 G\n",
+        "gram = [[-1]]; K = -G; chi_O = 1\nparams\ne = (1, 0)\n",
+    ],
+    ids=["gram", "inline-query", "empty-domain"],
+)
+def test_bad_literals_exit_one_not_two(text, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["check", "-"]) == 1
+    captured = capsys.readouterr()
+    assert "line " in captured.out + captured.err

@@ -134,3 +134,41 @@ def test_concrete_divisor_rejects_parametric_expressions():
     with pytest.raises(ParseError):
         bound.concrete_divisor("Bfam")
     assert bound.concrete_divisor("(1 - 1/2)G").coeff("G") == F(1, 2)
+
+
+SURFACE = "gram = [[-3, 1], [1, 0]]; K = -2G - 5F; chi_O = 1\n"
+
+
+@pytest.mark.parametrize(
+    "text,line,col",
+    [
+        ("gram = [[-3, 1], [1, 0/0]]; K = -2G - 5F; chi_O = 1\n", 1, 22),
+        ("gram = [[-3, 1], [1, 0]]; K = -2G - 5/0 F; chi_O = 1\n", 1, 37),
+        (SURFACE + "curves\nG = 1/0 G\n", 3, 5),
+        (SURFACE + "curves\nG = G\nF = F\ncone\ngenerator = G + 3/0 F, through-p\n", 6, 17),
+        (SURFACE + "curves\nG = G\nF = F\ndivisors\nD = G + 7/0 F\n", 6, 9),
+    ],
+    ids=["gram", "K", "curve", "generator", "divisor"],
+)
+def test_zero_denominator_is_a_positioned_parse_error(text, line, col):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert "zero denominator" in err.value.message
+
+
+def test_zero_denominator_in_an_inline_query_expression_is_a_query_error():
+    from qreider.report import run_document
+
+    text = SURFACE + "curves\nG = G\nF = F\npoints\np = G:1\nqueries\ncheck-free point=p B=1/0 G M=3G + 8F\n"
+    result = run_document(parse(text)).results[0]
+    assert result.status == "error"
+    assert "col 1: zero denominator in '1/0'" in result.error
+
+
+@pytest.mark.parametrize("domain", ["(1, 0)", "(1/2, 1/2)"])
+def test_empty_parameter_domain_is_rejected(domain):
+    with pytest.raises(ParseError) as err:
+        parse(SURFACE + f"params\ne = {domain}\n")
+    assert err.value.line == 3
+    assert "is empty" in err.value.message
