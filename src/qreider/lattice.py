@@ -152,18 +152,6 @@ class DivisorClass:
         return " + ".join(parts) if parts else "0"
 
 
-def intersect(a: DivisorClass, b: DivisorClass) -> Fraction:
-    return a.intersect(b)
-
-
-def self_intersection(a: DivisorClass) -> Fraction:
-    return a.self_intersection()
-
-
-def is_integral(a: DivisorClass) -> bool:
-    return a.is_integral()
-
-
 def hirzebruch_lattice(n: int) -> IntersectionLattice:
     """Rank-2 lattice with basis (G, F), G*G = -n, F*F = 0, G*F = 1."""
     if n < 1:

@@ -286,22 +286,6 @@ class QDivisor:
         return " + ".join(parts) if parts else "0"
 
 
-def round_up(d: QDivisor) -> QDivisor:
-    return d.round_up()
-
-
-def round_down(d: QDivisor) -> QDivisor:
-    return d.round_down()
-
-
-def frac_part(d: QDivisor) -> QDivisor:
-    return d.frac_part()
-
-
-def class_of(d: QDivisor) -> DivisorClass:
-    return d.divisor_class()
-
-
 @dataclass(frozen=True)
 class PullbackMap:
     """Total-transform map attached to a single blow-up.
