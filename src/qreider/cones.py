@@ -139,7 +139,7 @@ def is_big(m: DivisorClass, cone: ConeDescription) -> bool:
 
 
 def degree_classes(cone: ConeDescription, filt: DegreeFilter = DegreeFilter.ALL) -> tuple[DivisorClass, ...]:
-    """The declared classes whose least pairing with a nef class is its minimal degree in the filter."""
+    """The declared classes a nef class's minimal degree over the filter is taken on."""
     if isinstance(cone, FiniteGenerators):
         classes = tuple(g.cls for g in cone.generators if g.matches(filt))
         if not classes:

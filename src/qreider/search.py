@@ -238,8 +238,6 @@ class Goal:
     def __post_init__(self):
         if self.kind not in _GOAL_KINDS:
             raise ValueError(f"unknown search goal {self.kind!r}")
-        object.__setattr__(self, "at", tuple(self.at))
-        object.__setattr__(self, "degrees", tuple(self.degrees))
 
     def evaluate(self, boundary: QDivisor, positive: QDivisor, values: Mapping[str, Fraction]) -> CriterionVerdict:
         checker, rule = _GOAL_KINDS[self.kind]
