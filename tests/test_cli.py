@@ -181,7 +181,7 @@ def test_check_separate_query():
     "text",
     [
         "gram = [[1/0]]; K = -G; chi_O = 1\n",
-        "gram = [[-1]]; K = -G; chi_O = 1\ncurves\nG = G\nqueries\ncheck-very-ample M=2/0 G\n",
+        "gram = [[-1]]; K = -G; chi_O = 1\ncurves\nG = G\nqueries\ncheck-very-ample M=2/0G\n",
         "gram = [[-1]]; K = -G; chi_O = 1\nparams\ne = (1, 0)\n",
     ],
     ids=["gram", "inline-query", "empty-domain"],
@@ -191,3 +191,17 @@ def test_bad_literals_exit_one_not_two(text, capsys, monkeypatch):
     assert main(["check", "-"]) == 1
     captured = capsys.readouterr()
     assert "line " in captured.out + captured.err
+
+
+def test_search_with_no_generator_in_the_degree_filter_errors_before_any_candidate():
+    # no generator is flagged through-p, and M is nef nowhere on the schedule
+    text = (
+        "gram = [[-1, 1], [1, 0]]; K = -2G - 3F; chi_O = 1\n"
+        "curves\nG = G\nF = F\ncone\ngenerator = G\ngenerator = F\npoints\np = G:1\nparams\ne = (0, 1)\n"
+        "divisors\nB = (1 - e)G\nM = 20G + 8F - B\n"
+        "queries\nsearch goal=free point=p B=B M=M depth=4\n"
+    )
+    result = run_document(parse(text)).results[0]
+    assert result.status == "error"
+    assert result.error == "no cone generator matches filter 'through-p'"
+    assert result.attempts is None

@@ -160,7 +160,7 @@ def test_zero_denominator_is_a_positioned_parse_error(text, line, col):
 def test_zero_denominator_in_an_inline_query_expression_is_a_query_error():
     from qreider.report import run_document
 
-    text = SURFACE + "curves\nG = G\nF = F\npoints\np = G:1\nqueries\ncheck-free point=p B=1/0 G M=3G + 8F\n"
+    text = SURFACE + "curves\nG = G\nF = F\npoints\np = G:1\nqueries\ncheck-free point=p B=1/0G M=3G+8F\n"
     result = run_document(parse(text)).results[0]
     assert result.status == "error"
     assert "col 1: zero denominator in '1/0'" in result.error
