@@ -9,7 +9,9 @@ surface-level keys are accepted directly, so a fragment like
     gram = [[-3, 1], [1, 0]]; K = -2G - 5F; chi_O = 1
 
 is a complete surface declaration (basis labels default to the names used in
-the canonical-class expression when no ``basis`` key is given).
+the canonical-class expression when no ``basis`` key is given).  The surface
+is built once, at the first curve, cone, point, tangent or divisor statement;
+a surface key after that point is an error.
 
 Expressions are rational-linear: ``3G + 8F``, ``9/10 G``, ``L - B``, and with
 declared parameters, ``(1 - e)G + (2 + e)F``.  Juxtaposition multiplies.
@@ -18,14 +20,14 @@ declared parameters, ``(1 - e)G + (2 + e)F``.  Juxtaposition multiplies.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
 from .cones import ConeDescription, ConeGenerator, FiniteGenerators, HirzebruchFamily
 from .lattice import IntersectionLattice
 from .search import AffineExpr, Param
-from .surface import Curve, PointSpec, QDivisor, SurfaceModel, TangentSpec
+from .surface import Curve, PointSpec, QDivisor, SurfaceModel, TangentSpec, check_tangent
 
 SECTIONS = ("surface", "curves", "cone", "points", "tangents", "params", "divisors", "queries")
 QUERY_KINDS = (
@@ -57,6 +59,9 @@ class ParseError(ValueError):
 
 # ---------------------------------------------------------------------------
 # document model
+#
+# A declaration's ``line`` is where an invariant it breaks is reported; it
+# takes no part in equality, so parse(render(d)) == d holds.
 
 
 @dataclass(frozen=True)
@@ -65,6 +70,7 @@ class SurfaceDecl:
     gram: tuple[tuple[Fraction, ...], ...]
     canonical: tuple[Fraction, ...]
     chi_o: Fraction
+    line: Optional[int] = field(default=None, compare=False)  # the gram's line
 
 
 @dataclass(frozen=True)
@@ -78,18 +84,21 @@ class GeneratorDecl:
     coeffs: tuple[Fraction, ...]
     through_p: bool = False
     contains_z: bool = False
+    line: Optional[int] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class ConeDecl:
     hirzebruch_n: Optional[int] = None
     generators: tuple[GeneratorDecl, ...] = ()
+    line: Optional[int] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class PointDecl:
     name: str
     mults: tuple[tuple[str, int], ...]
+    line: Optional[int] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -97,13 +106,7 @@ class TangentDecl:
     name: str
     at: str
     entries: tuple[tuple[str, int, bool], ...]
-
-
-@dataclass(frozen=True)
-class ParamDecl:
-    name: str
-    lo: Fraction = Fraction(0)
-    hi: Fraction = Fraction(1)
+    line: Optional[int] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -117,6 +120,7 @@ class QueryDecl:
     kind: str
     args: tuple[tuple[str, str], ...] = ()
     positional: tuple[str, ...] = ()
+    line: Optional[int] = field(default=None, compare=False)
 
     def arg(self, key: str, default: Optional[str] = None) -> Optional[str]:
         for k, v in self.args:
@@ -131,16 +135,78 @@ class QueryDecl:
         return " ".join(parts)
 
 
+def _at(line: Optional[int], build: Callable, *args):
+    """Call a runtime constructor; its ValueError becomes a ParseError at ``line``."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ParseError(str(exc), line) from exc
+
+
 @dataclass(frozen=True)
 class Document:
+    """The declarations of a document and the runtime objects bound from them.
+
+    ``model``, ``curve_cone`` and ``symbols`` (every declared name to its
+    declaration) are derived once, on construction, and take no part in
+    equality.
+    """
+
     surface: Optional[SurfaceDecl] = None
     curves: tuple[CurveDecl, ...] = ()
     cone: Optional[ConeDecl] = None
     points: tuple[PointDecl, ...] = ()
     tangents: tuple[TangentDecl, ...] = ()
-    params: tuple[ParamDecl, ...] = ()
+    params: tuple[Param, ...] = ()
     divisors: tuple[DivisorDecl, ...] = ()
     queries: tuple[QueryDecl, ...] = ()
+    model: Optional[SurfaceModel] = field(default=None, init=False, compare=False, repr=False)
+    curve_cone: Optional[ConeDescription] = field(default=None, init=False, compare=False, repr=False)
+    symbols: Mapping[str, object] = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        decls = (*self.curves, *self.points, *self.tangents, *self.params, *self.divisors)
+        object.__setattr__(self, "symbols", {d.name: d for d in decls})
+        s = self.surface
+        if s is None:
+            if any((self.curves, self.cone, self.points, self.tangents, self.divisors)):
+                raise ParseError("declarations need a surface section first")
+            return
+        lattice = _at(s.line, IntersectionLattice, s.basis, s.gram)
+        curves = {c.name: Curve(c.name, lattice.divisor_class(c.coeffs)) for c in self.curves}
+        points = {p.name: _at(p.line, PointSpec, p.name, dict(p.mults)) for p in self.points}
+        tangents = {}
+        for t in self.tangents:
+            mults, flags = {c: m for c, m, _ in t.entries}, {c: z for c, _, z in t.entries}
+            tangents[t.name] = spec = _at(t.line, TangentSpec, t.name, t.at, mults, flags)
+            _at(t.line, check_tangent, spec, points, curves)
+        canonical = lattice.divisor_class(s.canonical)
+        model = _at(s.line, SurfaceModel, lattice, canonical, s.chi_o, curves, points, tangents)
+        object.__setattr__(self, "model", model)
+        c = self.cone
+        if c is not None and c.hirzebruch_n is not None:
+            object.__setattr__(self, "curve_cone", _at(c.line, HirzebruchFamily, c.hirzebruch_n, lattice))
+        elif c is not None:
+            generators = tuple(
+                _at(g.line, ConeGenerator, lattice.divisor_class(g.coeffs), g.through_p, g.contains_z)
+                for g in c.generators
+            )
+            object.__setattr__(self, "curve_cone", _at(c.line, FiniteGenerators, generators))
+
+    def divisor_expr(self, text: str, line: Optional[int] = None) -> Mapping[str, AffineExpr]:
+        """Resolve a divisor name or inline expression against the document."""
+        if self.model is None:
+            raise ParseError("no surface declared", line)
+        return _divisor_coeffs(self.symbols, _scan(text, line), line)
+
+    def concrete_divisor(self, text: str, line: Optional[int] = None) -> QDivisor:
+        coeffs = self.divisor_expr(text, line)
+        out = {}
+        for curve, expr in coeffs.items():
+            if not expr.is_constant():
+                raise ParseError(f"divisor {text!r} depends on parameters; a concrete one is needed", line)
+            out[curve] = expr.const
+        return self.model.divisor(out)
 
 
 # ---------------------------------------------------------------------------
@@ -186,26 +252,34 @@ def _scan(text: str, line: int, col_offset: int = 0) -> list[_Token]:
     return tokens
 
 
-def _number(tok: _Token, line: int) -> Fraction:
-    """The value of a number token; a zero denominator is a positioned ParseError."""
+def _number(text: str, line: int, col: Optional[int] = None) -> Fraction:
+    """The value of a rational literal; anything else is a positioned ParseError."""
     try:
-        return Fraction(tok.text)
+        return Fraction(text)
     except ZeroDivisionError:
-        raise ParseError(f"zero denominator in {tok.text!r}", line, tok.col) from None
+        raise ParseError(f"zero denominator in {text!r}", line, col) from None
+    except ValueError:
+        raise ParseError(f"expected a rational number, got {text!r}", line, col) from None
 
 
 # expression values: ("scalar", AffineExpr) or ("vec", {name: AffineExpr})
 _Value = tuple[str, object]
 
-Resolver = Callable[[str], _Value]
+_ONE = AffineExpr.constant(1)
+
+# The value a name stands for, or None for a name that is not defined.
+Resolver = Callable[[str], Optional[_Value]]
 
 
 class _ExprParser:
-    def __init__(self, tokens: Sequence[_Token], line: int, resolve: Resolver):
+    """Parses one divisor expression; ``undefined`` formats the error for an unresolved name."""
+
+    def __init__(self, tokens: Sequence[_Token], line: int, resolve: Resolver, undefined: str):
         self.tokens = list(tokens)
         self.line = line
         self.pos = 0
         self.resolve = resolve
+        self.undefined = undefined
 
     def peek(self) -> Optional[_Token]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -221,11 +295,15 @@ class _ExprParser:
         tok = self.peek()
         return ParseError(message, self.line, tok.col if tok else None)
 
-    def parse(self) -> _Value:
+    def parse(self) -> dict[str, AffineExpr]:
         value = self.additive()
         if self.peek() is not None:
             raise self.error(f"unexpected token {self.peek().text!r} (expected '+', '-' or end)")
-        return value
+        if value[0] == "vec":
+            return dict(value[1])
+        if _is_zero_scalar(value):
+            return {}
+        raise ParseError("expected a divisor expression, got a plain number", self.line)
 
     def additive(self) -> _Value:
         value = self.signed_term()
@@ -262,12 +340,12 @@ class _ExprParser:
     def factor(self) -> _Value:
         tok = self.take()
         if tok.kind == "num":
-            return ("scalar", AffineExpr.constant(_number(tok, self.line)))
+            return ("scalar", AffineExpr.constant(_number(tok.text, self.line, tok.col)))
         if tok.kind == "name":
-            try:
-                return self.resolve(tok.text)
-            except KeyError as exc:
-                raise ParseError(str(exc.args[0]), self.line, tok.col) from None
+            value = self.resolve(tok.text)
+            if value is None:
+                raise ParseError(self.undefined.format(tok.text), self.line, tok.col)
+            return value
         if tok.text == "(":
             value = self.additive()
             closing = self.take()
@@ -313,18 +391,20 @@ def _is_zero_scalar(value: _Value) -> bool:
     return value[0] == "scalar" and value[1].is_constant() and value[1].const == 0
 
 
-def _as_vec(value: _Value, line: int) -> dict[str, AffineExpr]:
-    if value[0] == "vec":
-        return dict(value[1])
-    if _is_zero_scalar(value):
-        return {}
-    raise ParseError("expected a divisor expression, got a plain number", line)
+def _divisor_coeffs(symbols: Mapping[str, object], tokens: Sequence[_Token], line: int) -> dict[str, AffineExpr]:
+    """Expand a divisor expression over the declared curves, divisors and parameters."""
 
+    def resolve(name: str) -> Optional[_Value]:
+        decl = symbols.get(name)
+        if isinstance(decl, CurveDecl):
+            return ("vec", {name: _ONE})
+        if isinstance(decl, DivisorDecl):
+            return ("vec", dict(decl.coeffs))
+        if isinstance(decl, Param):
+            return ("scalar", AffineExpr.parameter(name))
+        return None
 
-def _expect_constant(expr: AffineExpr, line: int, what: str) -> Fraction:
-    if not expr.is_constant():
-        raise ParseError(f"{what} must not involve parameters", line)
-    return expr.const
+    return _ExprParser(tokens, line, resolve, "undefined name {!r} (not a curve, divisor, or parameter)").parse()
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +421,6 @@ def _split_statements(text: str):
             if stripped:
                 yield line_no, stripped, offset + chunk.index(stripped[0])
             offset += len(chunk) + 1
-
-
-def _parse_rational(text: str, line: int) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"expected a rational number, got {text.strip()!r}", line) from None
 
 
 def _parse_matrix(tokens: list[_Token], line: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -373,7 +446,7 @@ def _parse_matrix(tokens: list[_Token], line: int) -> tuple[tuple[Fraction, ...]
         tok = take()
         if tok.kind != "num":
             raise ParseError(f"expected a number, got {tok.text!r}", line, tok.col)
-        return sign * _number(tok, line)
+        return sign * _number(tok.text, line, tok.col)
 
     take("[")
     rows = []
@@ -398,85 +471,48 @@ def _parse_matrix(tokens: list[_Token], line: int) -> tuple[tuple[Fraction, ...]
 class _DocBuilder:
     def __init__(self):
         self.section = "surface"
-        self.surface_keys: dict[str, tuple[str, int, int]] = {}
-        self.surface_line: Optional[int] = None
-        self.curves: list[CurveDecl] = []
-        self.cone_kind: Optional[str] = None
+        self.surface_keys: dict[str, tuple[object, int]] = {}  # key -> (parsed value, line)
+        self.surface: Optional[SurfaceDecl] = None  # built once, by freeze()
+        self.basis: dict[str, _Value] = {}
+        self.symbols: dict[str, object] = {}  # every declared name -> its declaration, in order
         self.hirzebruch_n: Optional[int] = None
         self.generators: list[GeneratorDecl] = []
-        self.points: list[PointDecl] = []
-        self.tangents: list[TangentDecl] = []
-        self.params: list[ParamDecl] = []
-        self.divisors: list[DivisorDecl] = []
+        self.cone_line: Optional[int] = None
         self.queries: list[QueryDecl] = []
 
-    # -- resolvers -----------------------------------------------------
-    def basis_labels(self, line: int) -> tuple[str, ...]:
-        surface = self.surface(line)
-        return surface.basis
-
-    def surface(self, line: int) -> SurfaceDecl:
-        if not self.surface_keys:
+    def freeze(self, line: int) -> None:
+        """Build the surface from its keys, once; ``line`` is the statement that needs it."""
+        if self.surface is not None:
+            return
+        keys = self.surface_keys
+        if not keys:
             raise ParseError("no surface declared (need gram, K, chi_O)", line)
         for key in ("gram", "K", "chi_O"):
-            if key not in self.surface_keys:
+            if key not in keys:
                 raise ParseError(f"surface declaration is missing {key!r}", line)
-        gram_text, gram_line, gram_off = self.surface_keys["gram"]
-        gram = _parse_matrix(_scan(gram_text, gram_line, gram_off), gram_line)
-        rank = len(gram)
-        k_text, k_line, k_off = self.surface_keys["K"]
-        if "basis" in self.surface_keys:
-            basis_text, basis_line, _ = self.surface_keys["basis"]
-            basis = tuple(basis_text.split())
-            for label in basis:
-                if not _NAME_RE.fullmatch(label):
-                    raise ParseError(f"invalid basis label {label!r}", basis_line)
-        else:
-            # default: labels in order of first appearance in the K expression
-            basis = tuple(dict.fromkeys(t.text for t in _scan(k_text, k_line, k_off) if t.kind == "name"))
-        if len(basis) != rank:
-            raise ParseError(
-                f"basis has {len(basis)} labels but the gram matrix has rank {rank}", k_line
-            )
+        (gram, gram_line), (k_tokens, k_line) = keys["gram"], keys["K"]
+        # default: labels in order of first appearance in the K expression
+        default = tuple(dict.fromkeys(t.text for t in k_tokens if t.kind == "name"))
+        basis, basis_line = keys.get("basis", (default, k_line))
+        if len(basis) != len(gram):
+            raise ParseError(f"basis has {len(basis)} labels but the gram matrix has rank {len(gram)}", basis_line)
+        self.basis = {label: ("vec", {label: _ONE}) for label in basis}
+        self.surface = SurfaceDecl(basis, gram, self.class_coeffs(k_tokens, k_line), keys["chi_O"][0], gram_line)
 
-        def resolve(name: str) -> _Value:
-            if name in basis:
-                return ("vec", {name: AffineExpr.constant(1)})
-            raise KeyError(f"undefined basis label {name!r}")
+    def class_coeffs(self, tokens: list[_Token], line: int) -> tuple[Fraction, ...]:
+        vec = _ExprParser(tokens, line, self.basis.get, "undefined basis label {!r}").parse()
+        return tuple(vec.get(label, AffineExpr()).const for label in self.basis)
 
-        vec = _as_vec(_ExprParser(_scan(k_text, k_line, k_off), k_line, resolve).parse(), k_line)
-        canonical = tuple(
-            _expect_constant(vec.get(label, AffineExpr()), k_line, "canonical class") for label in basis
-        )
-        chi_text, chi_line, _ = self.surface_keys["chi_O"]
-        return SurfaceDecl(basis, gram, canonical, _parse_rational(chi_text, chi_line))
+    def declare(self, decl, line: int) -> None:
+        if not _NAME_RE.fullmatch(decl.name):
+            raise ParseError(f"invalid name {decl.name!r}", line)
+        if decl.name in self.symbols:
+            raise ParseError(f"name {decl.name!r} is already declared", line)
+        self.symbols[decl.name] = decl
 
-    def class_coeffs(self, text: str, line: int, offset: int) -> tuple[Fraction, ...]:
-        basis = self.basis_labels(line)
-
-        def resolve(name: str) -> _Value:
-            if name in basis:
-                return ("vec", {name: AffineExpr.constant(1)})
-            raise KeyError(f"undefined basis label {name!r}")
-
-        vec = _as_vec(_ExprParser(_scan(text, line, offset), line, resolve).parse(), line)
-        return tuple(_expect_constant(vec.get(label, AffineExpr()), line, "class expression") for label in basis)
-
-    def divisor_coeffs(self, text: str, line: int, offset: int) -> dict[str, AffineExpr]:
-        curve_names = {c.name for c in self.curves}
-        divisor_map = {d.name: dict(d.coeffs) for d in self.divisors}
-        param_names = {p.name for p in self.params}
-
-        def resolve(name: str) -> _Value:
-            if name in curve_names:
-                return ("vec", {name: AffineExpr.constant(1)})
-            if name in divisor_map:
-                return ("vec", dict(divisor_map[name]))
-            if name in param_names:
-                return ("scalar", AffineExpr.parameter(name))
-            raise KeyError(f"undefined name {name!r} (not a curve, divisor, or parameter)")
-
-        return _as_vec(_ExprParser(_scan(text, line, offset), line, resolve).parse(), line)
+    def known(self, name: str, kind: type, what: str, line: int) -> None:
+        if not isinstance(self.symbols.get(name), kind):
+            raise ParseError(f"undefined {what} {name!r}", line)
 
     # -- statements ----------------------------------------------------
     def feed(self, line: int, stmt: str, offset: int) -> None:
@@ -486,23 +522,12 @@ class _DocBuilder:
         if self.section == "queries":
             self.feed_query(line, stmt)
             return
-        key, eq, rhs_raw = stmt.partition("=")
-        key = key.strip()
-        rhs = rhs_raw.strip()
-        if eq:
-            rhs_offset = offset + len(stmt) - len(rhs_raw) + (len(rhs_raw) - len(rhs_raw.lstrip()))
-        else:
-            rhs_offset = offset
-        handler = {
-            "surface": self.feed_surface,
-            "curves": self.feed_curve,
-            "cone": self.feed_cone,
-            "points": self.feed_point,
-            "tangents": self.feed_tangent,
-            "params": self.feed_param,
-            "divisors": self.feed_divisor,
-        }[self.section]
-        handler(line, key, rhs if eq else None, rhs_offset)
+        if self.section not in ("surface", "params"):
+            self.freeze(line)
+        key, eq, rhs = stmt.partition("=")
+        rhs = rhs.strip()  # stmt is stripped, so rhs ends where stmt does
+        handler = getattr(self, f"feed_{self.section}")
+        handler(line, key.strip(), rhs if eq else None, offset + len(stmt) - len(rhs))
 
     def feed_surface(self, line: int, key: str, rhs: Optional[str], offset: int) -> None:
         if key not in ("basis", "gram", "K", "chi_O"):
@@ -511,34 +536,45 @@ class _DocBuilder:
             raise ParseError(f"surface key {key!r} needs a value", line)
         if key in self.surface_keys:
             raise ParseError(f"duplicate surface key {key!r}", line)
-        self.surface_keys[key] = (rhs, line, offset)
-        self.surface_line = self.surface_line or line
+        if self.surface is not None:
+            raise ParseError(f"surface key {key!r} comes after the surface is in use", line)
+        if key == "basis":
+            value = tuple(rhs.split())
+            for label in value:
+                if not _NAME_RE.fullmatch(label):
+                    raise ParseError(f"invalid basis label {label!r}", line)
+            if len(set(value)) != len(value):
+                raise ParseError(f"basis labels must be pairwise distinct: {rhs!r}", line)
+        elif key == "gram":
+            value = _parse_matrix(_scan(rhs, line, offset), line)
+        elif key == "K":
+            value = _scan(rhs, line, offset)
+        else:
+            value = _number(rhs, line)
+        self.surface_keys[key] = (value, line)
 
-    def feed_curve(self, line: int, key: str, rhs: Optional[str], offset: int) -> None:
+    def feed_curves(self, line: int, key: str, rhs: Optional[str], offset: int) -> None:
         if rhs is None:
             raise ParseError("curve declaration needs 'name = class expression'", line)
-        self._check_fresh_name(key, line)
-        self.curves.append(CurveDecl(key, self.class_coeffs(rhs, line, offset)))
+        self.declare(CurveDecl(key, self.class_coeffs(_scan(rhs, line, offset), line)), line)
 
     def feed_cone(self, line: int, key: str, rhs: Optional[str], offset: int) -> None:
         if key == "hirzebruch":
-            if self.cone_kind == "generators":
+            if self.generators:
                 raise ParseError("cone already declared with generators", line)
             if rhs is None:
                 raise ParseError("expected 'hirzebruch = n'", line)
             try:
-                n = int(rhs)
+                self.hirzebruch_n = int(rhs)
             except ValueError:
                 raise ParseError(f"expected an integer, got {rhs!r}", line) from None
-            self.cone_kind = "hirzebruch"
-            self.hirzebruch_n = n
         elif key == "generator":
-            if self.cone_kind == "hirzebruch":
+            if self.hirzebruch_n is not None:
                 raise ParseError("cone already declared as hirzebruch", line)
             if rhs is None:
                 raise ParseError("expected 'generator = class expression [, through-p][, contains-z]'", line)
             chunks = [c.strip() for c in rhs.split(",")]
-            coeffs = self.class_coeffs(chunks[0], line, offset)
+            coeffs = self.class_coeffs(_scan(chunks[0], line, offset), line)
             through_p = contains_z = False
             for flag in chunks[1:]:
                 if flag == "through-p":
@@ -547,39 +583,36 @@ class _DocBuilder:
                     contains_z = True
                 else:
                     raise ParseError(f"unknown generator flag {flag!r}", line)
-            self.cone_kind = "generators"
-            self.generators.append(GeneratorDecl(coeffs, through_p, contains_z))
+            self.generators.append(GeneratorDecl(coeffs, through_p, contains_z, line))
         else:
             raise ParseError(f"unknown cone key {key!r} (expected hirzebruch or generator)", line)
+        self.cone_line = self.cone_line or line
 
-    def feed_point(self, line: int, key: str, rhs: Optional[str], offset: int) -> None:
-        self._check_fresh_name(key, line)
+    def feed_points(self, line: int, key: str, rhs: Optional[str], offset: int) -> None:
         entries: list[tuple[str, int]] = []
         for token in (rhs or "").split():
             name, _, mult = token.partition(":")
             if not mult:
                 raise ParseError(f"point entry {token!r} must look like curve:mult", line)
-            self._known_curve(name, line)
+            self.known(name, CurveDecl, "curve", line)
             try:
                 entries.append((name, int(mult)))
             except ValueError:
                 raise ParseError(f"multiplicity {mult!r} is not an integer", line) from None
-        self.points.append(PointDecl(key, tuple(entries)))
+        self.declare(PointDecl(key, tuple(entries), line), line)
 
-    def feed_tangent(self, line: int, key: str, rhs: Optional[str], offset: int) -> None:
-        self._check_fresh_name(key, line)
+    def feed_tangents(self, line: int, key: str, rhs: Optional[str], offset: int) -> None:
         tokens = (rhs or "").split()
         if not tokens:
             raise ParseError("tangent declaration needs 'name = point curve:order[:z] ...'", line)
         at = tokens[0]
-        if at not in {p.name for p in self.points}:
-            raise ParseError(f"undefined point {at!r}", line)
+        self.known(at, PointDecl, "point", line)
         entries: list[tuple[str, int, bool]] = []
         for token in tokens[1:]:
             parts = token.split(":")
             if len(parts) not in (2, 3):
                 raise ParseError(f"tangent entry {token!r} must look like curve:order[:z]", line)
-            self._known_curve(parts[0], line)
+            self.known(parts[0], CurveDecl, "curve", line)
             try:
                 order = int(parts[1])
             except ValueError:
@@ -588,77 +621,56 @@ class _DocBuilder:
             if in_cone and parts[2] != "z":
                 raise ParseError(f"unknown tangent marker {parts[2]!r} (only ':z')", line)
             entries.append((parts[0], order, in_cone))
-        self.tangents.append(TangentDecl(key, at, tuple(entries)))
+        self.declare(TangentDecl(key, at, tuple(entries), line), line)
 
-    def feed_param(self, line: int, key: str, rhs: Optional[str], offset: int) -> None:
-        self._check_fresh_name(key, line)
-        if rhs is None or not rhs:
-            self.params.append(ParamDecl(key))
+    def feed_params(self, line: int, key: str, rhs: Optional[str], offset: int) -> None:
+        if not rhs:
+            self.declare(Param(key), line)
             return
         m = re.fullmatch(r"\(\s*([^,\s]+)\s*,\s*([^)\s]+)\s*\)", rhs)
         if not m:
             raise ParseError("parameter domain must look like (lo, hi)", line)
-        lo, hi = _parse_rational(m.group(1), line), _parse_rational(m.group(2), line)
+        lo, hi = _number(m.group(1), line), _number(m.group(2), line)
         if lo >= hi:
             raise ParseError(f"parameter domain ({lo}, {hi}) is empty", line)
-        self.params.append(ParamDecl(key, lo, hi))
+        self.declare(Param(key, lo, hi), line)
 
-    def feed_divisor(self, line: int, key: str, rhs: Optional[str], offset: int) -> None:
+    def feed_divisors(self, line: int, key: str, rhs: Optional[str], offset: int) -> None:
         if rhs is None:
             raise ParseError("divisor declaration needs 'name = expression'", line)
-        self._check_fresh_name(key, line)
-        coeffs = self.divisor_coeffs(rhs, line, offset)
+        coeffs = _divisor_coeffs(self.symbols, _scan(rhs, line, offset), line)
         kept = {c: e for c, e in coeffs.items() if not (e.is_constant() and e.const == 0)}
-        self.divisors.append(DivisorDecl(key, tuple(sorted(kept.items()))))
+        self.declare(DivisorDecl(key, tuple(sorted(kept.items()))), line)
 
     def feed_query(self, line: int, stmt: str) -> None:
-        words = stmt.split()
-        kind = words[0]
+        kind, *words = stmt.split()
         if kind not in QUERY_KINDS:
             raise ParseError(f"unknown query {kind!r} (expected one of {', '.join(QUERY_KINDS)})", line)
         args: list[tuple[str, str]] = []
         positional: list[str] = []
-        for word in words[1:]:
-            if "=" in word:
-                k, _, v = word.partition("=")
-                args.append((k, v))
+        for word in words:
+            key, eq, value = word.partition("=")
+            if eq:
+                args.append((key, value))
+            elif args:  # a word without '=' continues the value before it: M=3G + 9F
+                key, value = args[-1]
+                args[-1] = (key, f"{value} {word}".lstrip())
             else:
                 positional.append(word)
-        self.queries.append(QueryDecl(kind, tuple(args), tuple(positional)))
-
-    # -- helpers ---------------------------------------------------------
-    def _check_fresh_name(self, name: str, line: int) -> None:
-        if not _NAME_RE.fullmatch(name):
-            raise ParseError(f"invalid name {name!r}", line)
-        taken = (
-            {c.name for c in self.curves}
-            | {p.name for p in self.points}
-            | {t.name for t in self.tangents}
-            | {p.name for p in self.params}
-            | {d.name for d in self.divisors}
-        )
-        if name in taken:
-            raise ParseError(f"name {name!r} is already declared", line)
-
-    def _known_curve(self, name: str, line: int) -> None:
-        if name not in {c.name for c in self.curves}:
-            raise ParseError(f"undefined curve {name!r}", line)
+        self.queries.append(QueryDecl(kind, tuple(args), tuple(positional), line))
 
     def build(self) -> Document:
-        surface = self.surface(self.surface_line or 1) if self.surface_keys else None
-        cone = None
-        if self.cone_kind == "hirzebruch":
-            cone = ConeDecl(hirzebruch_n=self.hirzebruch_n)
-        elif self.cone_kind == "generators":
-            cone = ConeDecl(generators=tuple(self.generators))
+        if self.surface_keys:
+            self.freeze(next(iter(self.surface_keys.values()))[1])
+        decls = list(self.symbols.values())
         return Document(
-            surface=surface,
-            curves=tuple(self.curves),
-            cone=cone,
-            points=tuple(self.points),
-            tangents=tuple(self.tangents),
-            params=tuple(self.params),
-            divisors=tuple(self.divisors),
+            surface=self.surface,
+            curves=tuple(d for d in decls if isinstance(d, CurveDecl)),
+            cone=None if self.cone_line is None else ConeDecl(self.hirzebruch_n, tuple(self.generators), self.cone_line),
+            points=tuple(d for d in decls if isinstance(d, PointDecl)),
+            tangents=tuple(d for d in decls if isinstance(d, TangentDecl)),
+            params=tuple(d for d in decls if isinstance(d, Param)),
+            divisors=tuple(d for d in decls if isinstance(d, DivisorDecl)),
             queries=tuple(self.queries),
         )
 
@@ -668,15 +680,7 @@ def parse(text: str) -> Document:
     builder = _DocBuilder()
     for line, stmt, offset in _split_statements(text):
         builder.feed(line, stmt, offset)
-    doc = builder.build()
-    if doc.surface is not None:
-        try:
-            bind(doc)  # surface invariants (symmetry, references) checked here
-        except ParseError:
-            raise
-        except ValueError as exc:
-            raise ParseError(str(exc), builder.surface_line) from exc
-    return doc
+    return builder.build()
 
 
 # ---------------------------------------------------------------------------
@@ -779,98 +783,11 @@ def render(doc: Document) -> str:
             for curve, expr in d.coeffs:
                 rendered = _render_affine(expr)
                 parts.append(curve if rendered == "1" else f"{rendered} {curve}")
-            lines.append(f"{d.name} = " + (" + ".join(parts) if parts else "0"))
+            # a negative term after the first is written as a difference: "A - 1/3 B", not "A + -1/3 B"
+            lines.append(f"{d.name} = " + (" + ".join(parts).replace("+ -", "- ") if parts else "0"))
     if doc.queries:
         lines.append("")
         lines.append("queries")
         for q in doc.queries:
             lines.append(q.text())
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# binding to runtime objects
-
-
-@dataclass(frozen=True)
-class BoundDocument:
-    doc: Document
-    model: Optional[SurfaceModel]
-    cone: Optional[ConeDescription]
-    params: tuple[Param, ...]
-    divisors: Mapping[str, Mapping[str, AffineExpr]]
-
-    def divisor_expr(self, text: str, line: int = 0) -> Mapping[str, AffineExpr]:
-        """Resolve a divisor name or inline expression against the document."""
-        if self.model is None:
-            raise ParseError("no surface declared", line)
-        if text in self.divisors:
-            return self.divisors[text]
-        curve_names = set(self.model.curves)
-        param_names = {p.name for p in self.params}
-
-        def resolve(name: str) -> _Value:
-            if name in curve_names:
-                return ("vec", {name: AffineExpr.constant(1)})
-            if name in self.divisors:
-                return ("vec", dict(self.divisors[name]))
-            if name in param_names:
-                return ("scalar", AffineExpr.parameter(name))
-            raise KeyError(f"undefined name {name!r}")
-
-        return _as_vec(_ExprParser(_scan(text, line), line, resolve).parse(), line)
-
-    def concrete_divisor(self, text: str, line: int = 0) -> QDivisor:
-        coeffs = self.divisor_expr(text, line)
-        out = {}
-        for curve, expr in coeffs.items():
-            if not expr.is_constant():
-                raise ParseError(f"divisor {text!r} depends on parameters; a concrete one is needed", line)
-            out[curve] = expr.const
-        return self.model.divisor(out)
-
-
-def bind(doc: Document) -> BoundDocument:
-    """Build the runtime surface model, cone, and divisor tables."""
-    model = None
-    cone: Optional[ConeDescription] = None
-    if doc.surface is not None:
-        s = doc.surface
-        lattice = IntersectionLattice(s.basis, s.gram)
-        curves = {c.name: Curve(c.name, lattice.divisor_class(c.coeffs)) for c in doc.curves}
-        points = {p.name: PointSpec(p.name, dict(p.mults)) for p in doc.points}
-        tangents = {
-            t.name: TangentSpec(
-                t.name,
-                t.at,
-                {c: m for c, m, _ in t.entries},
-                {c: z for c, m, z in t.entries},
-            )
-            for t in doc.tangents
-        }
-        model = SurfaceModel(
-            lattice=lattice,
-            canonical=lattice.divisor_class(s.canonical),
-            chi_structure_sheaf=s.chi_o,
-            curves=curves,
-            points=points,
-            tangents=tangents,
-        )
-        if doc.cone is not None:
-            if doc.cone.hirzebruch_n is not None:
-                cone = HirzebruchFamily(doc.cone.hirzebruch_n, lattice)
-            else:
-                cone = FiniteGenerators(
-                    tuple(
-                        ConeGenerator(lattice.divisor_class(g.coeffs), g.through_p, g.contains_z)
-                        for g in doc.cone.generators
-                    )
-                )
-    elif doc.cone is not None or doc.curves or doc.points or doc.divisors:
-        raise ParseError("declarations need a surface section first")
-
-    params = tuple(Param(p.name, p.lo, p.hi) for p in doc.params)
-    divisors: dict[str, dict[str, AffineExpr]] = {}
-    for d in doc.divisors:
-        divisors[d.name] = dict(d.coeffs)
-    return BoundDocument(doc, model, cone, params, divisors)

@@ -1,4 +1,4 @@
-"""Query execution over a bound document, with text and JSON rendering.
+"""Query execution over a parsed document, with text and JSON rendering.
 
 Every rational in a report is rendered exactly; decimal approximations appear
 only alongside, explicitly marked ``approx``.  JSON encodes rationals as
@@ -28,7 +28,7 @@ from .criteria import (
     threshold_very_ampleness,
     very_ampleness,
 )
-from .document import BoundDocument, Document, ParseError, QueryDecl, bind
+from .document import Document, ParseError, QueryDecl
 from .search import Degrees, Goal, ParamFamily, SearchReport, hirzebruch_claim, search_params
 
 
@@ -86,22 +86,22 @@ def _rational_arg(q: QueryDecl, key: str) -> Optional[Fraction]:
         raise QueryError(f"argument {key}={raw!r} is not a rational") from None
 
 
-def _need_model(bound: BoundDocument):
-    if bound.model is None:
+def _need_model(doc: Document):
+    if doc.model is None:
         raise QueryError("this query needs a declared surface")
-    return bound.model
+    return doc.model
 
 
-def _need_cone(bound: BoundDocument):
-    if bound.cone is None:
+def _need_cone(doc: Document):
+    if doc.curve_cone is None:
         raise QueryError("this query needs a declared cone")
-    return bound.cone
+    return doc.curve_cone
 
 
-def _mindeg(bound: BoundDocument, m_cls, filt: DegreeFilter, override: Optional[Fraction]) -> Fraction:
+def _mindeg(doc: Document, m_cls, filt: DegreeFilter, override: Optional[Fraction]) -> Fraction:
     if override is not None:
         return override
-    return min_degree(m_cls, _need_cone(bound), filt)
+    return min_degree(m_cls, _need_cone(doc), filt)
 
 
 def _from_verdict(result: QueryResult, verdict: CriterionVerdict) -> QueryResult:
@@ -130,12 +130,12 @@ def _from_search(result: QueryResult, report: SearchReport) -> QueryResult:
 # individual queries
 
 
-def _run_chi(bound: BoundDocument, q: QueryDecl, result: QueryResult) -> None:
-    model = _need_model(bound)
+def _run_chi(doc: Document, q: QueryDecl, result: QueryResult) -> None:
+    model = _need_model(doc)
     name = q.positional[0] if q.positional else q.arg("H")
     if name is None:
         raise QueryError("chi needs a divisor: 'chi H'")
-    h = bound.concrete_divisor(name).divisor_class()
+    h = doc.concrete_divisor(name, q.line).divisor_class()
     value = riemann_roch_chi(h, model.canonical, model.chi_structure_sheaf)
     result.status = "value"
     result.values["chi"] = value
@@ -150,32 +150,32 @@ def _freeness_witness_args(q: QueryDecl) -> Optional[BetaWitness]:
     return BetaWitness.single(b2, b1, role="at-p")
 
 
-def _decomposition(bound: BoundDocument, q: QueryDecl):
+def _decomposition(doc: Document, q: QueryDecl):
     """The boundary B=, the class of the positive part M=, and M^2."""
-    boundary = bound.concrete_divisor(_require(q, "B"))
-    m_cls = bound.concrete_divisor(_require(q, "M")).divisor_class()
+    boundary = doc.concrete_divisor(_require(q, "B"), q.line)
+    m_cls = doc.concrete_divisor(_require(q, "M"), q.line).divisor_class()
     return boundary, m_cls, m_cls.self_intersection()
 
 
-def _run_check_free(bound: BoundDocument, q: QueryDecl, result: QueryResult) -> None:
-    _need_model(bound)
+def _run_check_free(doc: Document, q: QueryDecl, result: QueryResult) -> None:
+    _need_model(doc)
     point = _require(q, "point")
-    boundary, m_cls, m2 = _decomposition(bound, q)
+    boundary, m_cls, m2 = _decomposition(doc, q)
     mu = boundary.ord_at(point)
     filt = DegreeFilter(q.arg("filter", "through-p"))
-    deg = _mindeg(bound, m_cls, filt, _rational_arg(q, "mindeg"))
+    deg = _mindeg(doc, m_cls, filt, _rational_arg(q, "mindeg"))
     result.values.update({"mu": mu, "M2": m2, "mindeg": deg})
     _from_verdict(result, freeness_at(mu, m2, deg, _freeness_witness_args(q)))
 
 
-def _run_check_separate(bound: BoundDocument, q: QueryDecl, result: QueryResult) -> None:
-    _need_model(bound)
+def _run_check_separate(doc: Document, q: QueryDecl, result: QueryResult) -> None:
+    _need_model(doc)
     p, qq = _require(q, "p"), _require(q, "q")
-    boundary, m_cls, m2 = _decomposition(bound, q)
+    boundary, m_cls, m2 = _decomposition(doc, q)
     mu_p, mu_q = boundary.ord_at(p), boundary.ord_at(qq)
-    deg_p = _mindeg(bound, m_cls, DegreeFilter.ALL, _rational_arg(q, "mindeg_p"))
-    deg_q = _mindeg(bound, m_cls, DegreeFilter.ALL, _rational_arg(q, "mindeg_q"))
-    deg_pq = _mindeg(bound, m_cls, DegreeFilter.ALL, _rational_arg(q, "mindeg_pq"))
+    deg_p = _mindeg(doc, m_cls, DegreeFilter.ALL, _rational_arg(q, "mindeg_p"))
+    deg_q = _mindeg(doc, m_cls, DegreeFilter.ALL, _rational_arg(q, "mindeg_q"))
+    deg_pq = _mindeg(doc, m_cls, DegreeFilter.ALL, _rational_arg(q, "mindeg_pq"))
     witness = None
     parts = [_rational_arg(q, k) for k in ("beta2_p", "beta2_q", "beta1_p", "beta1_q")]
     if any(v is not None for v in parts):
@@ -188,13 +188,13 @@ def _run_check_separate(bound: BoundDocument, q: QueryDecl, result: QueryResult)
     _from_verdict(result, separation(mu_p, mu_q, m2, deg_p, deg_q, deg_pq, witness))
 
 
-def _run_check_tangent(bound: BoundDocument, q: QueryDecl, result: QueryResult) -> None:
-    _need_model(bound)
+def _run_check_tangent(doc: Document, q: QueryDecl, result: QueryResult) -> None:
+    _need_model(doc)
     tangent = _require(q, "tangent")
-    boundary, m_cls, m2 = _decomposition(bound, q)
+    boundary, m_cls, m2 = _decomposition(doc, q)
     orders = boundary.ord_tangential(tangent)
-    deg_p = _mindeg(bound, m_cls, DegreeFilter.THROUGH_POINT, _rational_arg(q, "mindeg_p"))
-    deg_z = _mindeg(bound, m_cls, DegreeFilter.CONTAINING_Z, _rational_arg(q, "mindeg_Z"))
+    deg_p = _mindeg(doc, m_cls, DegreeFilter.THROUGH_POINT, _rational_arg(q, "mindeg_p"))
+    deg_z = _mindeg(doc, m_cls, DegreeFilter.CONTAINING_Z, _rational_arg(q, "mindeg_Z"))
     witness = None
     parts = [_rational_arg(q, k) for k in ("beta2_p", "beta2_V", "beta1")]
     if any(v is not None for v in parts):
@@ -219,17 +219,17 @@ def _run_check_tangent(bound: BoundDocument, q: QueryDecl, result: QueryResult) 
     )
 
 
-def _run_check_global(bound: BoundDocument, q: QueryDecl, result: QueryResult) -> None:
+def _run_check_global(doc: Document, q: QueryDecl, result: QueryResult) -> None:
     """check-very-ample and check-corollary2: M^2 and the minimal degree, given or computed from M."""
     m2 = _rational_arg(q, "m2")
     deg = _rational_arg(q, "mindeg")
     if m2 is None or deg is None:
-        positive = bound.concrete_divisor(_require(q, "M"))
+        positive = doc.concrete_divisor(_require(q, "M"), q.line)
         m_cls = positive.divisor_class()
         if m2 is None:
             m2 = m_cls.self_intersection()
         if deg is None:
-            deg = _mindeg(bound, m_cls, DegreeFilter.ALL, None)
+            deg = _mindeg(doc, m_cls, DegreeFilter.ALL, None)
     result.values.update({"M2": m2, "mindeg": deg})
     if q.kind == "check-very-ample":
         verdict = very_ampleness(m2, deg, _freeness_witness_args(q))
@@ -238,11 +238,11 @@ def _run_check_global(bound: BoundDocument, q: QueryDecl, result: QueryResult) -
     _from_verdict(result, verdict)
 
 
-def _run_plc_threshold(bound: BoundDocument, q: QueryDecl, result: QueryResult) -> None:
-    model = _need_model(bound)
+def _run_plc_threshold(doc: Document, q: QueryDecl, result: QueryResult) -> None:
+    model = _need_model(doc)
     point = model.point(_require(q, "point"))
-    boundary = bound.concrete_divisor(_require(q, "B"))
-    auxiliary = bound.concrete_divisor(_require(q, "D"))
+    boundary = doc.concrete_divisor(_require(q, "B"), q.line)
+    auxiliary = doc.concrete_divisor(_require(q, "D"), q.line)
     mode = q.arg("mode", "basic")
     weak = q.arg("weak", "false").lower() in ("1", "true", "yes")
     # declaration order of the point's curves decides threshold tie-breaking
@@ -264,32 +264,33 @@ def _run_plc_threshold(bound: BoundDocument, q: QueryDecl, result: QueryResult) 
 
 
 # search goal= kind -> (query keys naming the marked data, degree filter of each minimal degree,
-# whether beta2=/beta1= give a witness)
+# the witness keys beta2=/beta1= if the goal takes them)
+_WITNESS_KEYS = ("beta2", "beta1")
 _SEARCH_GOALS = {
-    "free": (("point",), (DegreeFilter.THROUGH_POINT,), True),
-    "separate": (("p", "q"), (DegreeFilter.ALL,) * 3, False),
-    "tangent": (("tangent",), (DegreeFilter.THROUGH_POINT, DegreeFilter.CONTAINING_Z), False),
-    "very-ample": ((), (DegreeFilter.ALL,), True),
+    "free": (("point",), (DegreeFilter.THROUGH_POINT,), _WITNESS_KEYS),
+    "separate": (("p", "q"), (DegreeFilter.ALL,) * 3, ()),
+    "tangent": (("tangent",), (DegreeFilter.THROUGH_POINT, DegreeFilter.CONTAINING_Z), ()),
+    "very-ample": ((), (DegreeFilter.ALL,), _WITNESS_KEYS),
 }
 
 
-def _run_search(bound: BoundDocument, q: QueryDecl, result: QueryResult, default_depth: int = 24) -> None:
-    model = _need_model(bound)
-    cone = _need_cone(bound)
+def _run_search(doc: Document, q: QueryDecl, result: QueryResult, default_depth: int = 24) -> None:
+    model = _need_model(doc)
+    cone = _need_cone(doc)
     goal_kind = _require(q, "goal")
     depth = int(q.arg("depth", str(default_depth)))
-    boundary = bound.divisor_expr(_require(q, "B"))
-    positive = bound.divisor_expr(_require(q, "M"))
-    family = ParamFamily(model, bound.params, boundary, positive)
+    boundary = doc.divisor_expr(_require(q, "B"), q.line)
+    positive = doc.divisor_expr(_require(q, "M"), q.line)
+    family = ParamFamily(model, doc.params, boundary, positive)
     if goal_kind not in _SEARCH_GOALS:
         raise QueryError(f"unknown search goal {goal_kind!r}")
-    keys, filters, takes_witness = _SEARCH_GOALS[goal_kind]
+    keys, filters, witness_keys = _SEARCH_GOALS[goal_kind]
     goal = Goal(
         goal_kind,
         cone,
         tuple(_require(q, key) for key in keys),
         tuple(Degrees(f"cone filter {f.value}", degree_classes(cone, f)) for f in filters),
-        _freeness_witness_args(q) if takes_witness else None,
+        _freeness_witness_args(q) if witness_keys else None,
     )
     _from_search(result, search_params(family, goal, depth))
 
@@ -304,7 +305,7 @@ def _claim_to_result(claim) -> list[QueryResult]:
     return out
 
 
-def _run_hirzebruch_claim(bound: BoundDocument, q: QueryDecl, result: QueryResult, default_depth: int = 24) -> None:
+def _run_hirzebruch_claim(doc: Document, q: QueryDecl, result: QueryResult, default_depth: int = 24) -> None:
     n = int(_require(q, "n"))
     part = int(_require(q, "part"))
     m = q.arg("m")
@@ -331,17 +332,34 @@ def _run_hirzebruch_claim(bound: BoundDocument, q: QueryDecl, result: QueryResul
     result.checks = tuple(_claim_to_result(claim))
 
 
+# query kind -> (runner, the argument keys it reads; a search also reads its goal's keys)
 _RUNNERS = {
-    "chi": _run_chi,
-    "check-free": _run_check_free,
-    "check-separate": _run_check_separate,
-    "check-tangent": _run_check_tangent,
-    "check-very-ample": _run_check_global,
-    "check-corollary2": _run_check_global,
-    "plc-threshold": _run_plc_threshold,
-    "search": _run_search,
-    "hirzebruch-claim": _run_hirzebruch_claim,
+    "chi": (_run_chi, ("H",)),
+    "check-free": (_run_check_free, ("point", "B", "M", "filter", "mindeg") + _WITNESS_KEYS),
+    "check-separate": (
+        _run_check_separate,
+        ("p", "q", "B", "M", "mindeg_p", "mindeg_q", "mindeg_pq", "beta2_p", "beta2_q", "beta1_p", "beta1_q"),
+    ),
+    "check-tangent": (_run_check_tangent, ("tangent", "B", "M", "mindeg_p", "mindeg_Z", "beta2_p", "beta2_V", "beta1")),
+    "check-very-ample": (_run_check_global, ("M", "m2", "mindeg") + _WITNESS_KEYS),
+    "check-corollary2": (_run_check_global, ("M", "m2", "mindeg")),
+    "plc-threshold": (_run_plc_threshold, ("point", "B", "D", "mode", "weak", "c0")),
+    "search": (_run_search, ("goal", "B", "M", "depth")),
+    "hirzebruch-claim": (_run_hirzebruch_claim, ("n", "part", "m", "depth")),
 }
+
+
+def _check_keys(q: QueryDecl) -> None:
+    """Raise QueryError for an argument key the query does not read."""
+    keys = _RUNNERS[q.kind][1]
+    if q.kind == "search":
+        if q.arg("goal") not in _SEARCH_GOALS:
+            return  # the runner reports the missing or unknown goal
+        marked, _, witness_keys = _SEARCH_GOALS[q.arg("goal")]
+        keys += marked + witness_keys
+    for key, _ in q.args:
+        if key not in keys:
+            raise QueryError(f"unknown argument {key}= for {q.kind!r} (expected {', '.join(keys)})")
 
 
 def run_document(doc: Document, depth: int = 24, source: str = "<memory>") -> Report:
@@ -350,16 +368,17 @@ def run_document(doc: Document, depth: int = 24, source: str = "<memory>") -> Re
     ``depth`` is the default dyadic search depth; individual search queries
     may override it with a ``depth=`` argument.
     """
-    bound = bind(doc)
     results = []
     for q in doc.queries:
         result = QueryResult(query=q.text(), status="error")
         start = time.perf_counter()
         try:
+            _check_keys(q)
+            runner = _RUNNERS[q.kind][0]
             if q.kind in ("search", "hirzebruch-claim"):
-                _RUNNERS[q.kind](bound, q, result, depth)
+                runner(doc, q, result, depth)
             else:
-                _RUNNERS[q.kind](bound, q, result)
+                runner(doc, q, result)
         except (QueryError, ParseError, ValueError, KeyError) as exc:
             result.status = "error"
             result.error = str(exc)

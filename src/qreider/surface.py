@@ -111,6 +111,25 @@ class TangentialOrder(NamedTuple):
     total: Fraction
 
 
+def check_tangent(tangent: TangentSpec, points: Mapping[str, PointSpec], curves: Mapping[str, Curve]) -> None:
+    """Raise unless the tangent sits at a declared point, names declared curves
+    only, and orders and marks no curve beyond its multiplicity at the point."""
+    tname = tangent.name
+    if tangent.at not in points:
+        raise UnknownPointError(f"tangent {tname!r} sits at undeclared point {tangent.at!r}")
+    base = points[tangent.at]
+    for curve, m in tangent.mults_V.items():
+        if curve not in curves:
+            raise UnknownCurveError(f"tangent {tname!r} references undeclared curve {curve!r}")
+        if m > base.mult(curve):
+            raise ValueError(f"order of {curve!r} at {tname!r} exceeds its multiplicity at {tangent.at!r}")
+    for curve, flag in tangent.contains_Z.items():
+        if curve not in curves:
+            raise UnknownCurveError(f"tangent {tname!r} references undeclared curve {curve!r}")
+        if flag and base.mult(curve) < 1:
+            raise ValueError(f"direction {tname!r} lies on {curve!r}, but {curve!r} misses {tangent.at!r}")
+
+
 @dataclass(frozen=True)
 class SurfaceModel:
     lattice: IntersectionLattice
@@ -141,23 +160,7 @@ class SurfaceModel:
         for tname, tangent in self.tangents.items():
             if tangent.name != tname:
                 raise ValueError(f"tangent key {tname!r} does not match tangent name {tangent.name!r}")
-            if tangent.at not in self.points:
-                raise UnknownPointError(f"tangent {tname!r} sits at undeclared point {tangent.at!r}")
-            base = self.points[tangent.at]
-            for curve, m in tangent.mults_V.items():
-                if curve not in self.curves:
-                    raise UnknownCurveError(f"tangent {tname!r} references undeclared curve {curve!r}")
-                if m > base.mult(curve):
-                    raise ValueError(
-                        f"order of {curve!r} at {tname!r} exceeds its multiplicity at {tangent.at!r}"
-                    )
-            for curve, flag in tangent.contains_Z.items():
-                if curve not in self.curves:
-                    raise UnknownCurveError(f"tangent {tname!r} references undeclared curve {curve!r}")
-                if flag and base.mult(curve) < 1:
-                    raise ValueError(
-                        f"direction {tname!r} lies on {curve!r}, but {curve!r} misses {tangent.at!r}"
-                    )
+            check_tangent(tangent, self.points, self.curves)
 
     def curve(self, name: str) -> Curve:
         try:

@@ -2,8 +2,25 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qreider.document import ParseError, bind, parse, render
+from qreider.document import (
+    QUERY_KINDS,
+    ConeDecl,
+    CurveDecl,
+    DivisorDecl,
+    Document,
+    GeneratorDecl,
+    ParseError,
+    PointDecl,
+    QueryDecl,
+    SurfaceDecl,
+    TangentDecl,
+    parse,
+    render,
+)
+from qreider.search import AffineExpr, Param
 
 GOLDEN = Path(__file__).resolve().parent.parent / "docs" / "hirzebruch_n3.surf"
 
@@ -118,7 +135,7 @@ def test_parameter_products_are_rejected():
 
 
 def test_bind_builds_model_and_cone():
-    bound = bind(parse(GOLDEN.read_text()))
+    bound = parse(GOLDEN.read_text())
     assert bound.model is not None
     assert set(bound.model.curves) == {"G", "F"}
     assert bound.cone is not None
@@ -130,7 +147,7 @@ def test_bind_builds_model_and_cone():
 
 
 def test_concrete_divisor_rejects_parametric_expressions():
-    bound = bind(parse(GOLDEN.read_text()))
+    bound = parse(GOLDEN.read_text())
     with pytest.raises(ParseError):
         bound.concrete_divisor("Bfam")
     assert bound.concrete_divisor("(1 - 1/2)G").coeff("G") == F(1, 2)
@@ -164,6 +181,7 @@ def test_zero_denominator_in_an_inline_query_expression_is_a_query_error():
     result = run_document(parse(text)).results[0]
     assert result.status == "error"
     assert "col 1: zero denominator in '1/0'" in result.error
+    assert result.error.startswith("line 8, ")
 
 
 @pytest.mark.parametrize("domain", ["(1, 0)", "(1/2, 1/2)"])
@@ -172,3 +190,126 @@ def test_empty_parameter_domain_is_rejected(domain):
         parse(SURFACE + f"params\ne = {domain}\n")
     assert err.value.line == 3
     assert "is empty" in err.value.message
+
+
+CURVES = SURFACE + "curves\nG = G\nF = F\n"
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        (CURVES + "points\np = G:-1\n", 6),
+        (CURVES + "points\np = G:1\ntangents\nv = p G:-1\n", 8),
+        (CURVES + "cone\nhirzebruch = 2\n", 6),
+        (CURVES + "cone\ngenerator = G\ngenerator = G, contains-z\n", 7),
+        ("gram = [[0, 1], [1, 0]]; K = -2G; chi_O = 1\nbasis = G G\n", 2),
+        ("basis = G F\ngram = [[-3, 1], [1]]\nK = -2G - 5F\nchi_O = 1\n", 2),
+        (CURVES + "surface\nbasis = F G\n", 6),
+    ],
+    ids=["point-mult", "tangent-order", "hirzebruch-gram", "contains-z", "basis-labels", "ragged-gram", "late-key"],
+)
+def test_invariant_errors_are_reported_at_the_declaring_line(text, line):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.line == line
+
+
+def test_query_values_may_contain_spaces():
+    doc = parse(GOLDEN.read_text() + "check-free point=p B=9/10 G M=21/10 G + 8F\n")
+    query = doc.queries[-1]
+    assert query.args == (("point", "p"), ("B", "9/10 G"), ("M", "21/10 G + 8F")) and query.positional == ()
+    assert parse(render(doc)) == doc
+
+    from qreider.report import run_document
+
+    inline, named = run_document(doc).results[-1], run_document(doc).results[1]
+    assert named.query == "check-free point=p B=B M=M"
+    assert (inline.status, inline.values, inline.trace) == (named.status, named.values, named.trace)
+
+
+@pytest.mark.parametrize(
+    "query,key",
+    [
+        ("search goal=free point=p B=Bfam M=Mfam bogus=1", "bogus"),
+        ("search goal=separate p=p q=p B=Bfam M=Mfam beta2_p=3", "beta2_p"),
+    ],
+)
+def test_unknown_query_arguments_are_query_errors(query, key):
+    from qreider.report import run_document
+
+    result = run_document(parse(GOLDEN.read_text() + query + "\n")).results[-1]
+    assert result.status == "error"
+    assert f"unknown argument {key}=" in result.error
+
+
+# -- whole generated documents round-trip through render ---------------------
+
+# section words among the names: "surface = G" declares a curve, it is no header
+POOL = ("G", "F", "E1", "e", "f", "z", "_", "x_2", "C", "D", "p", "q", "v", "Bq", "surface", "cone", "queries", "chi")
+NAMES = st.sampled_from(POOL)
+RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+WORDS = st.from_regex(r"[A-Za-z0-9_+\-*/():.,]{1,5}", fullmatch=True)
+
+
+@st.composite
+def documents(draw):
+    names = list(draw(st.permutations(POOL)))
+    take = lambda k: [names.pop() for _ in range(min(k, len(names)))]  # noqa: E731
+    params = tuple(
+        Param(name, lo, lo + draw(st.fractions(min_value="1/4", max_value=3, max_denominator=4)))
+        for name, lo in ((n, draw(RATIONALS)) for n in take(draw(st.integers(0, 2))))
+    )
+    queries = []
+    for _ in range(draw(st.integers(0, 3))):
+        args = draw(st.lists(st.tuples(NAMES, st.lists(WORDS, max_size=3).map(" ".join)), max_size=3))
+        queries.append(QueryDecl(draw(st.sampled_from(QUERY_KINDS)), tuple(args), tuple(draw(st.lists(WORDS, max_size=2)))))
+    if not draw(st.booleans()):
+        return Document(params=params, queries=tuple(queries))
+
+    rank = draw(st.integers(1, 3))
+    basis = tuple(draw(st.lists(NAMES, min_size=rank, max_size=rank, unique=True)))
+    vectors = st.lists(RATIONALS, min_size=rank, max_size=rank).map(tuple)
+    hirzebruch = rank == 2 and draw(st.booleans())
+    if hirzebruch:
+        n = draw(st.integers(1, 5))
+        gram = ((F(-n), F(1)), (F(1), F(0)))
+        cone = ConeDecl(hirzebruch_n=n)
+    else:
+        upper = {(i, j): draw(RATIONALS) for i in range(rank) for j in range(i, rank)}
+        gram = tuple(tuple(upper[min(i, j), max(i, j)] for j in range(rank)) for i in range(rank))
+        flags = st.sampled_from([(False, False), (True, False), (True, True)])
+        generators = draw(st.lists(st.tuples(vectors, flags), max_size=3))
+        cone = ConeDecl(generators=tuple(GeneratorDecl(v, *f) for v, f in generators)) if generators else None
+    surface = SurfaceDecl(basis, gram, draw(vectors), draw(RATIONALS))
+
+    curves = tuple(CurveDecl(name, draw(vectors)) for name in take(draw(st.integers(0, 4))))
+    curve_names = [c.name for c in curves]
+    points = []
+    for name in take(draw(st.integers(0, 2))):
+        picked = draw(st.lists(st.sampled_from(curve_names), unique=True)) if curve_names else []
+        points.append(PointDecl(name, tuple((c, draw(st.integers(0, 3))) for c in picked)))
+    tangents = []
+    for name in take(draw(st.integers(0, 2))) if points else ():
+        at = draw(st.sampled_from(points))
+        entries = tuple(
+            (c, draw(st.integers(0, m)), m >= 1 and draw(st.booleans()))
+            for c, m in at.mults
+            if draw(st.booleans())
+        )
+        tangents.append(TangentDecl(name, at.name, entries))
+    terms = st.dictionaries(st.sampled_from([p.name for p in params] or ["_"]), RATIONALS, max_size=2)
+    coeffs = st.builds(AffineExpr, RATIONALS, terms if params else st.just({}))
+    divisors = []
+    for name in take(draw(st.integers(0, 3))) if curve_names else ():
+        picked = draw(st.dictionaries(st.sampled_from(curve_names), coeffs, max_size=3))
+        kept = {c: e for c, e in picked.items() if not (e.is_constant() and e.const == 0)}
+        divisors.append(DivisorDecl(name, tuple(sorted(kept.items()))))
+    return Document(
+        surface, curves, cone, tuple(points), tuple(tangents), params, tuple(divisors), tuple(queries)
+    )
+
+
+@given(documents())
+@settings(max_examples=150, deadline=None)
+def test_render_round_trips_generated_documents(doc):
+    assert parse(render(doc)) == doc
