@@ -10,7 +10,7 @@ of exact rational searches; rerunning is deterministic.
 import argparse
 from fractions import Fraction
 
-from qreider.search import hirzebruch_claim
+from qreider.search import DEFAULT_DEPTH, hirzebruch_claim
 
 
 def fmt(q: Fraction) -> str:
@@ -20,7 +20,7 @@ def fmt(q: Fraction) -> str:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=10)
-    parser.add_argument("--depth", type=int, default=24)
+    parser.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     args = parser.parse_args()
 
     print(f"{'n':>3} {'part':>4} {'ok':>3} {'chi':>5} {'L.G':>5} {'L nef':>5}  first parameters")

@@ -15,6 +15,7 @@ from pathlib import Path
 from . import __version__
 from .document import Document, ParseError, QueryDecl, parse
 from .report import render_text, report_to_json, run_document
+from .search import DEFAULT_DEPTH
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -32,14 +33,13 @@ def _build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="run the queries of a .surf document")
     check.add_argument("file", help="input document, or '-' for stdin")
     check.add_argument("--json", action="store_true", help="emit the machine-readable report")
-    check.add_argument("--depth", type=int, default=24, help="dyadic search depth (default 24)")
 
     hz = sub.add_parser("hirzebruch", help="verify one part of the ruled-surface claim")
     hz.add_argument("--n", type=int, required=True)
     hz.add_argument("--part", type=int, choices=(1, 2), required=True)
     hz.add_argument("--m", type=int, default=None)
     hz.add_argument("--json", action="store_true")
-    hz.add_argument("--depth", type=int, default=24)
+    hz.add_argument("--depth", type=int, default=DEFAULT_DEPTH, help="the claim query's depth=")
     return parser
 
 
@@ -66,7 +66,7 @@ def _run_check(args) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    report = run_document(doc, depth=args.depth, source=source)
+    report = run_document(doc, source=source)
     _emit(report, args.json)
     return EXIT_USAGE if report.any_error else EXIT_OK
 
@@ -76,14 +76,19 @@ def _run_hirzebruch(args) -> int:
     if args.m is not None:
         argpairs.insert(2, ("m", str(args.m)))
     doc = Document(queries=(QueryDecl("hirzebruch-claim", tuple(argpairs)),))
-    report = run_document(doc, depth=args.depth, source=f"hirzebruch n={args.n} part={args.part}")
+    report = run_document(doc, source=f"hirzebruch n={args.n} part={args.part}")
     _emit(report, args.json)
     return EXIT_USAGE if report.any_error else EXIT_OK
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 after a usage error, 0 after --help or --version
+        if exc.code == 0:
+            raise
+        return EXIT_USAGE
     if args.command is None:
         parser.print_help()
         return EXIT_USAGE

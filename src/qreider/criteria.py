@@ -5,11 +5,12 @@ inequalities that were evaluated.  Verdicts are one-sided: ``established``
 certifies the property through one of the implemented sufficient rules, while
 ``not-established`` only means no implemented rule fired on the given data.
 
-Witness searches sweep dyadic rational candidates (denominators ``2**k``) and
-verify each candidate exactly; in addition the exact rational corner of the
-feasible region is always tried, so a search returns a witness whenever the
-feasibility system has any real solution at all.  Every function here is a
-pure, deterministic decision procedure over immutable data.
+Every witness is verified exactly.  The freeness and very-ample searches are
+complete: they prefer a dyadic rational (denominator ``2**k``) and fall back to
+the exact corner of the feasible region, so they find a witness whenever the
+system has a real solution.  The two-point and tangent searches walk a dyadic
+grid and are not yet complete.  Every function here is a pure, deterministic
+decision procedure over immutable data.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Iterable, Optional, Union
 
 from .lattice import DivisorClass, RationalLike, as_fraction
 
-DEFAULT_DEPTH = 24
+_WITNESS_DEPTH = 24  # finest dyadic level of the one-parameter witness searches
 _PAIR_DEPTH = 12  # per-axis refinement depth for two-parameter searches
 
 
@@ -224,15 +225,14 @@ def _degree_corner(mu: Fraction, mindeg: Fraction) -> Optional[Fraction]:
     return None
 
 
-def _beta2_candidates(mu: Fraction, m2: Fraction, mindeg: Fraction, depth: int) -> list[Fraction]:
-    lower = 2 - mu
-    cands = [c for c in _dyadic_below_sqrt(m2, depth) if c >= lower]
-    if lower > 0:
-        cands.append(lower)
-    corner = _degree_corner(mu, mindeg)
-    if corner is not None and corner > 0:
-        cands.append(corner)
-    return _dedupe(cands)
+def _dyadic_witness(value: Fraction, floor: Fraction) -> Fraction:
+    """For the first level k = 0.._WITNESS_DEPTH where it is >= floor, the largest
+    multiple of 2**-k whose square is below ``value``; else floor itself."""
+    for k in range(_WITNESS_DEPTH + 1 if value > 0 else 0):
+        a = isqrt(((value.numerator << 2 * k) - 1) // value.denominator)  # largest a with a^2 < value * 4**k
+        if Fraction(a, 1 << k) >= floor:
+            return Fraction(a, 1 << k)
+    return floor
 
 
 def _dyadic_grid(lo: Fraction, hi: Fraction, levels: int) -> list[Fraction]:
@@ -253,9 +253,7 @@ def _dyadic_grid(lo: Fraction, hi: Fraction, levels: int) -> list[Fraction]:
 # freeness at a point
 
 
-def freeness_witness(
-    mu: RationalLike, m2: RationalLike, mindeg_p: RationalLike, depth: int = DEFAULT_DEPTH
-) -> Optional[BetaWitness]:
+def freeness_witness(mu: RationalLike, m2: RationalLike, mindeg_p: RationalLike) -> Optional[BetaWitness]:
     """Search for (beta2, beta1) certifying freeness at a low-multiplicity point.
 
     Complete: returns a witness iff the inequality system has a real solution.
@@ -263,15 +261,13 @@ def freeness_witness(
     m, sq, deg = as_fraction(mu), as_fraction(m2), as_fraction(mindeg_p)
     if not 0 <= m < 2:
         raise DomainError("freeness witness search requires 0 <= mu < 2")
-    for b2 in _beta2_candidates(m, sq, deg, depth):
-        if sq <= b2 * b2:
-            continue
-        bound = min_formula(m, b2)
-        b1 = min(deg, bound)
-        if b1 <= 0 or b1 < bound:
-            continue
-        return BetaWitness.single(b2, b1, role="at-p")
-    return None
+    corner = _degree_corner(m, deg)
+    if corner is None:
+        return None
+    b2 = _dyadic_witness(sq, corner)
+    if sq <= b2 * b2:
+        return None
+    return BetaWitness.single(b2, min_formula(m, b2), role="at-p")
 
 
 def _degree_bound_lines(
@@ -313,7 +309,6 @@ def freeness_at(
     m2: RationalLike,
     mindeg_p: RationalLike,
     witness: Optional[BetaWitness] = None,
-    depth: int = DEFAULT_DEPTH,
 ) -> CriterionVerdict:
     """Freeness of the adjoint system at a point.
 
@@ -328,7 +323,7 @@ def freeness_at(
 
     searched = witness is None
     if witness is None:
-        witness = freeness_witness(m, sq, deg, depth)
+        witness = freeness_witness(m, sq, deg)
     if witness is None:
         return _verdict(
             "freeness/degree-bound",
@@ -351,7 +346,6 @@ def separation_witness(
     mindeg_p: RationalLike,
     mindeg_q: RationalLike,
     mindeg_pq: RationalLike,
-    depth: int = _PAIR_DEPTH,
 ) -> Optional[BetaWitness]:
     """Search for (beta2, beta1) pairs certifying separation of two
     low-multiplicity points."""
@@ -365,7 +359,7 @@ def separation_witness(
     if corner_p is None or corner_q is None:
         return None
     room_p = sq - corner_q * corner_q
-    tops = _dyadic_below_sqrt(room_p, depth)
+    tops = _dyadic_below_sqrt(room_p, _PAIR_DEPTH)
     if not tops:
         return None
     xs = _dyadic_grid(corner_p, tops[-1], levels=6) if tops[-1] >= corner_p else []
@@ -374,7 +368,7 @@ def separation_witness(
         if bound_p > dp:
             continue
         room = sq - b2p * b2p
-        ys = _dedupe(_dyadic_below_sqrt(room, depth)[-1:] + [corner_q])
+        ys = _dedupe(_dyadic_below_sqrt(room, _PAIR_DEPTH)[-1:] + [corner_q])
         for b2q in ys:
             if b2q < corner_q or b2p * b2p + b2q * b2q >= sq:
                 continue
@@ -402,7 +396,6 @@ def separation(
     mindeg_q: RationalLike,
     mindeg_pq: RationalLike,
     witness: Optional[BetaWitness] = None,
-    depth: int = _PAIR_DEPTH,
 ) -> CriterionVerdict:
     """Separation of two distinct points by the adjoint system.
 
@@ -432,7 +425,7 @@ def separation(
         sub = _witness_for_side(witness, side)
         searched = sub is None
         if sub is None:
-            sub = freeness_witness(low, sq, low_deg, depth=DEFAULT_DEPTH)
+            sub = freeness_witness(low, sq, low_deg)
         lines = [check(high_text, high, ">=", 2)]
         if sub is None:
             lines += _infeasible_lines(low, sq, low_deg, "")
@@ -443,7 +436,7 @@ def separation(
 
     searched = witness is None
     if witness is None:
-        witness = separation_witness(mp, mq, sq, dp, dq, dpq, depth)
+        witness = separation_witness(mp, mq, sq, dp, dq, dpq)
     if witness is None:
         lines = _infeasible_lines(mp, sq, dp, "_p") + _infeasible_lines(mq, sq, dq, "_q")
         lines.append(
@@ -507,7 +500,6 @@ def tangent_witness(
     m2: RationalLike,
     mindeg_p: RationalLike,
     mindeg_Z: RationalLike,
-    depth: int = _PAIR_DEPTH,
 ) -> Optional[BetaWitness]:
     """Search for (beta2_p, beta2_V, beta1) certifying tangent separation at a
     low-multiplicity point."""
@@ -520,12 +512,12 @@ def tangent_witness(
     if cap <= 0:
         return None
     lower_p, lower_v = 2 - mp, 2 - mv_
-    tops = _dyadic_below_sqrt(sq - lower_v * lower_v, depth)
+    tops = _dyadic_below_sqrt(sq - lower_v * lower_v, _PAIR_DEPTH)
     if not tops or tops[-1] < lower_p:
         return None
     for b2p in _dyadic_grid(lower_p, tops[-1], levels=6):
         room = sq - b2p * b2p
-        ys = _dedupe(_dyadic_below_sqrt(room, depth)[-1:] + [lower_v])
+        ys = _dedupe(_dyadic_below_sqrt(room, _PAIR_DEPTH)[-1:] + [lower_v])
         for b2v in ys:
             if b2v < lower_v or b2p * b2p + b2v * b2v >= sq:
                 continue
@@ -545,7 +537,6 @@ def tangent_separation(
     mindeg_p: RationalLike,
     mindeg_Z: RationalLike,
     witness: Optional[BetaWitness] = None,
-    depth: int = _PAIR_DEPTH,
 ) -> CriterionVerdict:
     """Separation of a tangent direction at a point.
 
@@ -582,7 +573,7 @@ def tangent_separation(
 
     searched = witness is None
     if witness is None:
-        witness = tangent_witness(mp, mv_, sq, dp, dz, depth)
+        witness = tangent_witness(mp, mv_, sq, dp, dz)
     if witness is None:
         lines = [
             check("M^2 > (2 - mu_p)^2 + (2 - mu_V)^2", sq, ">", (2 - mp) ** 2 + (2 - mv_) ** 2)
@@ -620,40 +611,32 @@ def tangent_separation(
 # global very-ampleness
 
 
-def very_ampleness_witness(
-    m2: RationalLike, mindeg_all: RationalLike, depth: int = DEFAULT_DEPTH
-) -> Optional[BetaWitness]:
+def very_ampleness_witness(m2: RationalLike, mindeg_all: RationalLike) -> Optional[BetaWitness]:
     """Search for (beta2, beta1) certifying very ampleness from global data.
 
     Complete: a witness is returned iff beta2 >= 2 with M^2 > 2*beta2^2 and
-    2*beta2/(beta2 - 1) <= mindeg has a real solution.
+    2*beta2/(beta2 - 1) <= mindeg has a real solution.  The degree condition
+    holds exactly from beta2 = max(2, d/(d - 2)) on, where d = mindeg > 2.
     """
     sq, deg = as_fraction(m2), as_fraction(mindeg_all)
-    half = sq / 2
-    cands = [c for c in _dyadic_below_sqrt(half, depth) if c >= 2]
-    cands.append(Fraction(2))
-    if deg > 2:
-        cands.append(max(Fraction(2), deg / (deg - 2)))
-    for b2 in _dedupe(cands):
-        if sq <= 2 * b2 * b2:
-            continue
-        b1 = b2 / (b2 - 1)
-        if deg >= 2 * b1:
-            return BetaWitness.single(b2, b1)
-    return None
+    if deg <= 2:
+        return None
+    b2 = _dyadic_witness(sq / 2, max(Fraction(2), deg / (deg - 2)))
+    if sq <= 2 * b2 * b2:
+        return None
+    return BetaWitness.single(b2, b2 / (b2 - 1))
 
 
 def very_ampleness(
     m2: RationalLike,
     mindeg_all: RationalLike,
     witness: Optional[BetaWitness] = None,
-    depth: int = DEFAULT_DEPTH,
 ) -> CriterionVerdict:
     """Very ampleness of the adjoint system from global degree data."""
     sq, deg = as_fraction(m2), as_fraction(mindeg_all)
     searched = witness is None
     if witness is None:
-        witness = very_ampleness_witness(sq, deg, depth)
+        witness = very_ampleness_witness(sq, deg)
     if witness is None:
         lines = [check("M^2 > 2*beta2^2 with beta2 >= 2 (forces M^2 > 8)", sq, ">", 8)]
         if deg > 2:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .cones import ConeDescription, ConeGenerator, FiniteGenerators, HirzebruchFamily
 from .lattice import IntersectionLattice
@@ -121,12 +121,20 @@ class QueryDecl:
     args: tuple[tuple[str, str], ...] = ()
     positional: tuple[str, ...] = ()
     line: Optional[int] = field(default=None, compare=False)
+    # 0-based start column in the line of each positional word, then of each argument value
+    cols: tuple[int, ...] = field(default=(), compare=False)
 
     def arg(self, key: str, default: Optional[str] = None) -> Optional[str]:
         for k, v in self.args:
             if k == key:
                 return v
         return default
+
+    def col(self, key: Union[int, str]) -> int:
+        """Start column of positional word number ``key``, or of argument ``key``'s value (0 if unknown)."""
+        if isinstance(key, str):
+            key = len(self.positional) + next(i for i, (k, _) in enumerate(self.args) if k == key)
+        return self.cols[key] if key < len(self.cols) else 0
 
     def text(self) -> str:
         parts = [self.kind]
@@ -193,14 +201,14 @@ class Document:
             )
             object.__setattr__(self, "curve_cone", _at(c.line, FiniteGenerators, generators))
 
-    def divisor_expr(self, text: str, line: Optional[int] = None) -> Mapping[str, AffineExpr]:
-        """Resolve a divisor name or inline expression against the document."""
+    def divisor_expr(self, text: str, line: Optional[int] = None, col: int = 0) -> Mapping[str, AffineExpr]:
+        """Resolve a divisor name or inline expression; ``text`` starts at ``line``, 0-based column ``col``."""
         if self.model is None:
             raise ParseError("no surface declared", line)
-        return _divisor_coeffs(self.symbols, _scan(text, line), line)
+        return _divisor_coeffs(self.symbols, _scan(text, line, col), line)
 
-    def concrete_divisor(self, text: str, line: Optional[int] = None) -> QDivisor:
-        coeffs = self.divisor_expr(text, line)
+    def concrete_divisor(self, text: str, line: Optional[int] = None, col: int = 0) -> QDivisor:
+        coeffs = self.divisor_expr(text, line, col)
         out = {}
         for curve, expr in coeffs.items():
             if not expr.is_constant():
@@ -222,6 +230,7 @@ class _Token:
 
 _NUM_RE = re.compile(r"\d+(?:/\d+)?")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_WORD_RE = re.compile(r"\S+")
 _SYMS = set("+-*()[],:")
 
 
@@ -520,7 +529,7 @@ class _DocBuilder:
             self.section = stmt
             return
         if self.section == "queries":
-            self.feed_query(line, stmt)
+            self.feed_query(line, stmt, offset)
             return
         if self.section not in ("surface", "params"):
             self.freeze(line)
@@ -642,22 +651,28 @@ class _DocBuilder:
         kept = {c: e for c, e in coeffs.items() if not (e.is_constant() and e.const == 0)}
         self.declare(DivisorDecl(key, tuple(sorted(kept.items()))), line)
 
-    def feed_query(self, line: int, stmt: str) -> None:
-        kind, *words = stmt.split()
+    def feed_query(self, line: int, stmt: str, offset: int) -> None:
+        first, *words = _WORD_RE.finditer(stmt)
+        kind = first.group()
         if kind not in QUERY_KINDS:
             raise ParseError(f"unknown query {kind!r} (expected one of {', '.join(QUERY_KINDS)})", line)
         args: list[tuple[str, str]] = []
         positional: list[str] = []
+        cols: list[int] = []  # positional words come before the first key=value
         for word in words:
-            key, eq, value = word.partition("=")
+            key, eq, value = word.group().partition("=")
             if eq:
                 args.append((key, value))
+                cols.append(word.start() + len(key) + 1)
             elif args:  # a word without '=' continues the value before it: M=3G + 9F
                 key, value = args[-1]
-                args[-1] = (key, f"{value} {word}".lstrip())
+                if not value:
+                    cols[-1] = word.start()
+                args[-1] = (key, stmt[cols[-1] : word.end()])
             else:
-                positional.append(word)
-        self.queries.append(QueryDecl(kind, tuple(args), tuple(positional), line))
+                positional.append(word.group())
+                cols.append(word.start())
+        self.queries.append(QueryDecl(kind, tuple(args), tuple(positional), line, tuple(offset + c for c in cols)))
 
     def build(self) -> Document:
         if self.surface_keys:

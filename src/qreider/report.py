@@ -10,7 +10,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
 
 from . import __version__
 from .cones import DegreeFilter, degree_classes, min_degree
@@ -29,7 +29,7 @@ from .criteria import (
     very_ampleness,
 )
 from .document import Document, ParseError, QueryDecl
-from .search import Degrees, Goal, ParamFamily, SearchReport, hirzebruch_claim, search_params
+from .search import DEFAULT_DEPTH, Degrees, Goal, ParamFamily, SearchReport, hirzebruch_claim, search_params
 
 
 class QueryError(ValueError):
@@ -76,6 +76,13 @@ def _require(q: QueryDecl, key: str) -> str:
     return value
 
 
+def _divisor(doc: Document, q: QueryDecl, key: Union[int, str], concrete: bool = True):
+    """The divisor that argument ``key``, or positional word number ``key``, names or writes out."""
+    text = q.positional[key] if isinstance(key, int) else _require(q, key)
+    read = doc.concrete_divisor if concrete else doc.divisor_expr
+    return read(text, q.line, q.col(key))
+
+
 def _rational_arg(q: QueryDecl, key: str) -> Optional[Fraction]:
     raw = q.arg(key)
     if raw is None:
@@ -84,6 +91,19 @@ def _rational_arg(q: QueryDecl, key: str) -> Optional[Fraction]:
         return Fraction(raw)
     except (ValueError, ZeroDivisionError):
         raise QueryError(f"argument {key}={raw!r} is not a rational") from None
+
+
+_MAX_DEPTH = 64  # keeps a k-parameter search within about 64**k candidates
+
+
+def _depth(q: QueryDecl) -> int:
+    """The dyadic search depth from depth=, an integer in 1.._MAX_DEPTH."""
+    raw = q.arg("depth")
+    if raw is None:
+        return DEFAULT_DEPTH
+    if not (raw.isascii() and raw.isdigit() and 1 <= int(raw) <= _MAX_DEPTH):
+        raise QueryError(f"depth={raw!r} must be an integer in 1..{_MAX_DEPTH}")
+    return int(raw)
 
 
 def _need_model(doc: Document):
@@ -132,10 +152,9 @@ def _from_search(result: QueryResult, report: SearchReport) -> QueryResult:
 
 def _run_chi(doc: Document, q: QueryDecl, result: QueryResult) -> None:
     model = _need_model(doc)
-    name = q.positional[0] if q.positional else q.arg("H")
-    if name is None:
-        raise QueryError("chi needs a divisor: 'chi H'")
-    h = doc.concrete_divisor(name, q.line).divisor_class()
+    if len(q.positional) + (q.arg("H") is not None) != 1:
+        raise QueryError("chi needs one divisor: 'chi H' or 'chi H=H'")
+    h = _divisor(doc, q, 0 if q.positional else "H").divisor_class()
     value = riemann_roch_chi(h, model.canonical, model.chi_structure_sheaf)
     result.status = "value"
     result.values["chi"] = value
@@ -152,8 +171,8 @@ def _freeness_witness_args(q: QueryDecl) -> Optional[BetaWitness]:
 
 def _decomposition(doc: Document, q: QueryDecl):
     """The boundary B=, the class of the positive part M=, and M^2."""
-    boundary = doc.concrete_divisor(_require(q, "B"), q.line)
-    m_cls = doc.concrete_divisor(_require(q, "M"), q.line).divisor_class()
+    boundary = _divisor(doc, q, "B")
+    m_cls = _divisor(doc, q, "M").divisor_class()
     return boundary, m_cls, m_cls.self_intersection()
 
 
@@ -224,8 +243,7 @@ def _run_check_global(doc: Document, q: QueryDecl, result: QueryResult) -> None:
     m2 = _rational_arg(q, "m2")
     deg = _rational_arg(q, "mindeg")
     if m2 is None or deg is None:
-        positive = doc.concrete_divisor(_require(q, "M"), q.line)
-        m_cls = positive.divisor_class()
+        m_cls = _divisor(doc, q, "M").divisor_class()
         if m2 is None:
             m2 = m_cls.self_intersection()
         if deg is None:
@@ -241,8 +259,8 @@ def _run_check_global(doc: Document, q: QueryDecl, result: QueryResult) -> None:
 def _run_plc_threshold(doc: Document, q: QueryDecl, result: QueryResult) -> None:
     model = _need_model(doc)
     point = model.point(_require(q, "point"))
-    boundary = doc.concrete_divisor(_require(q, "B"), q.line)
-    auxiliary = doc.concrete_divisor(_require(q, "D"), q.line)
+    boundary = _divisor(doc, q, "B")
+    auxiliary = _divisor(doc, q, "D")
     mode = q.arg("mode", "basic")
     weak = q.arg("weak", "false").lower() in ("1", "true", "yes")
     # declaration order of the point's curves decides threshold tie-breaking
@@ -274,13 +292,13 @@ _SEARCH_GOALS = {
 }
 
 
-def _run_search(doc: Document, q: QueryDecl, result: QueryResult, default_depth: int = 24) -> None:
+def _run_search(doc: Document, q: QueryDecl, result: QueryResult) -> None:
     model = _need_model(doc)
     cone = _need_cone(doc)
     goal_kind = _require(q, "goal")
-    depth = int(q.arg("depth", str(default_depth)))
-    boundary = doc.divisor_expr(_require(q, "B"), q.line)
-    positive = doc.divisor_expr(_require(q, "M"), q.line)
+    depth = _depth(q)
+    boundary = _divisor(doc, q, "B", concrete=False)
+    positive = _divisor(doc, q, "M", concrete=False)
     family = ParamFamily(model, doc.params, boundary, positive)
     if goal_kind not in _SEARCH_GOALS:
         raise QueryError(f"unknown search goal {goal_kind!r}")
@@ -305,12 +323,11 @@ def _claim_to_result(claim) -> list[QueryResult]:
     return out
 
 
-def _run_hirzebruch_claim(doc: Document, q: QueryDecl, result: QueryResult, default_depth: int = 24) -> None:
+def _run_hirzebruch_claim(doc: Document, q: QueryDecl, result: QueryResult) -> None:
     n = int(_require(q, "n"))
     part = int(_require(q, "part"))
     m = q.arg("m")
-    depth = int(q.arg("depth", str(default_depth)))
-    claim = hirzebruch_claim(n, part, int(m) if m is not None else None, depth)
+    claim = hirzebruch_claim(n, part, int(m) if m is not None else None, _depth(q))
     result.status = "report"
     result.flags.update({"ok": claim.ok, "L_nef": claim.l_nef})
     if not claim.l_nef:
@@ -350,7 +367,12 @@ _RUNNERS = {
 
 
 def _check_keys(q: QueryDecl) -> None:
-    """Raise QueryError for an argument key the query does not read."""
+    """Raise QueryError for an argument key the query does not read, or for a
+    positional word where none is read (chi reads one, the divisor)."""
+    kept = 1 if q.kind == "chi" else 0
+    if len(q.positional) > kept:
+        takes = "one divisor" if kept else "only key=value arguments"
+        raise QueryError(f"unexpected word {q.positional[kept]!r} for {q.kind!r} (it takes {takes})")
     keys = _RUNNERS[q.kind][1]
     if q.kind == "search":
         if q.arg("goal") not in _SEARCH_GOALS:
@@ -362,23 +384,15 @@ def _check_keys(q: QueryDecl) -> None:
             raise QueryError(f"unknown argument {key}= for {q.kind!r} (expected {', '.join(keys)})")
 
 
-def run_document(doc: Document, depth: int = 24, source: str = "<memory>") -> Report:
-    """Execute the document's queries in order; per-query errors are embedded.
-
-    ``depth`` is the default dyadic search depth; individual search queries
-    may override it with a ``depth=`` argument.
-    """
+def run_document(doc: Document, source: str = "<memory>") -> Report:
+    """Execute the document's queries in order; per-query errors are embedded."""
     results = []
     for q in doc.queries:
         result = QueryResult(query=q.text(), status="error")
         start = time.perf_counter()
         try:
             _check_keys(q)
-            runner = _RUNNERS[q.kind][0]
-            if q.kind in ("search", "hirzebruch-claim"):
-                runner(doc, q, result, depth)
-            else:
-                runner(doc, q, result)
+            _RUNNERS[q.kind][0](doc, q, result)
         except (QueryError, ParseError, ValueError, KeyError) as exc:
             result.status = "error"
             result.error = str(exc)

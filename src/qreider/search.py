@@ -25,6 +25,8 @@ from .criteria import BetaWitness, CriterionVerdict, TraceLine, check, riemann_r
 from .lattice import DivisorClass, RationalLike, as_fraction
 from .surface import QDivisor, SurfaceModel
 
+DEFAULT_DEPTH = 24  # finest dyadic level of the parameter schedule
+
 
 class FamilyViolation(ValueError):
     """A candidate parameter value broke a family invariant."""
@@ -298,10 +300,10 @@ class SearchReport:
             raise AssertionError("search reported success without an established verdict")
 
 
-def dyadic_schedule(params: Sequence[Param], depth: int, first_exponent: int = 2):
+def dyadic_schedule(params: Sequence[Param], depth: int):
     """Nested dyadic parameter candidates, outermost parameter first.
 
-    The first parameter runs through 2**-k for k = first_exponent..depth; each
+    The first parameter runs through 2**-k for k = 2..depth; each
     later parameter through (previous parameter's value) * 2**-j for
     j = 1..depth.  Candidates outside a parameter's open domain are dropped.
     """
@@ -313,7 +315,7 @@ def dyadic_schedule(params: Sequence[Param], depth: int, first_exponent: int = 2
             return
         p = params[i]
         if i == 0:
-            exponents = range(first_exponent, depth + 1)
+            exponents = range(2, depth + 1)
             base = Fraction(1)
         else:
             exponents = range(1, depth + 1)
@@ -329,14 +331,12 @@ def dyadic_schedule(params: Sequence[Param], depth: int, first_exponent: int = 2
     yield from rec(0, {}, Fraction(1))
 
 
-def search_params(
-    family: ParamFamily, goal: Union[Goal, MultiGoal], depth: int = 24, first_exponent: int = 2
-) -> SearchReport:
+def search_params(family: ParamFamily, goal: Union[Goal, MultiGoal], depth: int = DEFAULT_DEPTH) -> SearchReport:
     """First parameter values along the dyadic schedule whose decomposition
     makes the goal's checker fire; exact verification at every candidate."""
     attempts = 0
     notes: list[str] = []
-    for values in dyadic_schedule(family.params, depth, first_exponent):
+    for values in dyadic_schedule(family.params, depth):
         attempts += 1
         try:
             boundary, positive = family.instantiate(values)
@@ -397,7 +397,7 @@ class ClaimReport:
         return all(c.ok for c in self.checks) and self.chi == self.chi_expected
 
 
-def hirzebruch_claim(n: int, part: int, m: Optional[int] = None, depth: int = 24) -> ClaimReport:
+def hirzebruch_claim(n: int, part: int, m: Optional[int] = None, depth: int = DEFAULT_DEPTH) -> ClaimReport:
     """Verify one part of the positivity claim for G + mF on the n-th model.
 
     Part 1 (m = n): base-point-freeness, the Euler characteristic, and the

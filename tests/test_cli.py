@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import subprocess
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qreider import __version__
 from qreider.cli import main
@@ -33,6 +36,25 @@ def test_version_flag():
     proc = run_cli("--version")
     assert proc.returncode == 0
     assert __version__ in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("check",), ("hirzebruch", "--n", "x", "--part", "1"), ("check", str(GOLDEN), "--depth", "8"), ("bogus",)],
+    ids=["check-without-file", "non-integer-n", "check-depth-flag", "unknown-command"],
+)
+def test_usage_errors_exit_one(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 1
+    assert "usage: qreider" in proc.stderr
+    assert "error: " in proc.stderr
+
+
+def test_check_help_exits_zero_and_offers_no_depth_flag():
+    proc = run_cli("check", "--help")
+    assert proc.returncode == 0
+    assert "--json" in proc.stdout
+    assert "--depth" not in proc.stdout
 
 
 def test_check_golden_file_exit_zero():
@@ -205,3 +227,26 @@ def test_search_with_no_generator_in_the_degree_filter_errors_before_any_candida
     assert result.status == "error"
     assert result.error == "no cone generator matches filter 'through-p'"
     assert result.attempts is None
+
+
+@st.composite
+def mutated_documents(draw):
+    text = draw(st.sampled_from([GOLDEN.read_text(), ""]))
+    for _ in range(draw(st.integers(0, 4))):
+        start = draw(st.integers(0, len(text)))
+        end = draw(st.integers(start, min(len(text), start + 8)))
+        text = text[:start] + draw(st.text(max_size=8)) + text[end:]
+    return text
+
+
+@given(mutated_documents())
+@settings(max_examples=200, deadline=None)
+def test_any_text_on_stdin_exits_zero_or_one(text):
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["check", "-"])
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 1), err.getvalue()

@@ -597,6 +597,86 @@ def test_global_witness_search_is_complete_against_grid_scan(m2, deg):
         assert not _grid_feasible_global(m2, deg)
 
 
+def _levels_below_sqrt(value, levels=24):
+    """For k = 0..levels, the largest positive multiple of 2**-k whose square is < value."""
+    out = []
+    for k in range(levels + 1):
+        lo, hi = 0, 2**k * (int(value) + 1)  # (lo / 2**k)^2 < value <= (hi / 2**k)^2, by bisection
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if F(mid, 2**k) ** 2 < value else (lo, mid)
+        if lo > 0:
+            out.append(F(lo, 2**k))
+    return out
+
+
+def _first_candidate(candidates, feasible):
+    return next((b2 for b2 in candidates if feasible(b2)), None)
+
+
+def _freeness_rule(mu, m2, deg):
+    """The dyadic levels, then 2 - mu, then the degree corner; the first feasible beta2."""
+    corner = None
+    if deg >= 2 - mu:
+        corner = 2 - mu
+    elif mu < 1 and deg > 1:
+        corner = max((1 - mu) * deg / (deg - 1), 2 - mu)
+    candidates = [c for c in _levels_below_sqrt(m2) if c >= 2 - mu] + [2 - mu]
+    if corner is not None:
+        candidates.append(corner)
+    return _first_candidate(candidates, lambda b2: b2 * b2 < m2 and _bound_at(mu, b2) <= deg)
+
+
+def _global_rule(m2, deg):
+    candidates = [c for c in _levels_below_sqrt(m2 / 2) if c >= 2] + [F(2)]
+    if deg > 2:
+        candidates.append(max(F(2), deg / (deg - 2)))
+    return _first_candidate(candidates, lambda b2: 2 * b2 * b2 < m2 and 2 * b2 / (b2 - 1) <= deg)
+
+
+@given(
+    mu=mus,
+    m2=st.fractions(min_value=-1, max_value=60, max_denominator=1000),
+    deg=st.fractions(min_value=0, max_value=16, max_denominator=1000),
+)
+@settings(max_examples=400, deadline=None)
+def test_witness_searches_pick_the_first_feasible_candidate_of_the_dyadic_rule(mu, m2, deg):
+    free = freeness_witness(mu, m2, deg)
+    assert (free and free.beta2[0]) == _freeness_rule(mu, m2, deg)
+    if free is not None:
+        assert free.beta1 == (_bound_at(mu, free.beta2[0]),)
+    global_ = very_ampleness_witness(m2, deg)
+    assert (global_ and global_.beta2[0]) == _global_rule(m2, deg)
+    if global_ is not None:
+        assert global_.beta1 == (global_.beta2[0] / (global_.beta2[0] - 1),)
+
+
+TINY = F(1, 10**12)
+FINEST, CORNER = 2 + F(1, 2**24), 2 + F(1, 2**25)  # the finest level lies above this corner, level 23 below
+
+
+@pytest.mark.parametrize(
+    "search,rule,args,beta2",
+    [
+        # the corner 7/3 lies above every dyadic level below sqrt(M^2) ...
+        (freeness_witness, _freeness_rule, (0, F(49, 9) + TINY, F(7, 4)), F(7, 3)),
+        (very_ampleness_witness, _global_rule, (2 * F(49, 9) + TINY, F(7, 2)), F(7, 3)),
+        # ... and fails M^2 > beta2^2 on the boundary itself
+        (freeness_witness, _freeness_rule, (0, F(49, 9), F(7, 4)), None),
+        (very_ampleness_witness, _global_rule, (2 * F(49, 9), F(7, 2)), None),
+        # only the finest level, k = 24, lies at or above the corner
+        (freeness_witness, _freeness_rule, (0, FINEST**2 + F(1, 2**60), CORNER / (CORNER - 1)), FINEST),
+        (very_ampleness_witness, _global_rule, (2 * FINEST**2 + F(1, 2**60), 2 * CORNER / (CORNER - 1)), FINEST),
+        # the corner is 2 - mu, or 2
+        (freeness_witness, _freeness_rule, (F(1, 2), F(9, 4) + TINY, F(3, 2)), F(3, 2)),
+        (very_ampleness_witness, _global_rule, (8 + TINY, 4), F(2)),
+    ],
+)
+def test_witness_searches_at_the_edges_of_the_dyadic_rule(search, rule, args, beta2):
+    witness = search(*args)
+    assert (witness and witness.beta2[0]) == rule(*args) == beta2
+
+
 def _bound_at(mu, beta2):
     """min(2 - mu, beta2 / (beta2 - (1 - mu))), written out afresh."""
     return min(2 - mu, beta2 / (beta2 - 1 + mu))

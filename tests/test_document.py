@@ -180,8 +180,24 @@ def test_zero_denominator_in_an_inline_query_expression_is_a_query_error():
     text = SURFACE + "curves\nG = G\nF = F\npoints\np = G:1\nqueries\ncheck-free point=p B=1/0G M=3G+8F\n"
     result = run_document(parse(text)).results[0]
     assert result.status == "error"
-    assert "col 1: zero denominator in '1/0'" in result.error
+    assert "col 22: zero denominator in '1/0'" in result.error  # B=1/0G starts at column 20
     assert result.error.startswith("line 8, ")
+
+
+@pytest.mark.parametrize(
+    "line,col",
+    [
+        ("chi 3G+1/0F", 8),
+        ("check-very-ample mindeg=3 M=3G  +  x", 36),  # spacing inside the value is kept
+        ("queries; check-very-ample M= 3G + 1/0F", 35),  # the value starts at its first word
+    ],
+)
+def test_errors_inside_a_query_value_carry_the_column_of_the_line(line, col):
+    from qreider.report import run_document
+
+    text = SURFACE + "curves\nG = G\nF = F\n" + ("" if line.startswith("queries") else "queries\n") + line + "\n"
+    error = run_document(parse(text)).results[0].error
+    assert error.startswith(f"line {text.count(chr(10))}, col {col}: ")
 
 
 @pytest.mark.parametrize("domain", ["(1, 0)", "(1/2, 1/2)"])
@@ -240,6 +256,35 @@ def test_unknown_query_arguments_are_query_errors(query, key):
     result = run_document(parse(GOLDEN.read_text() + query + "\n")).results[-1]
     assert result.status == "error"
     assert f"unknown argument {key}=" in result.error
+
+
+@pytest.mark.parametrize(
+    "query,message",
+    [
+        ("check-very-ample stray M=M", "unexpected word 'stray' for 'check-very-ample'"),
+        ("search stray goal=free point=p B=Bfam M=Mfam", "unexpected word 'stray' for 'search'"),
+        ("chi H_3 L", "unexpected word 'L' for 'chi' (it takes one divisor)"),
+        ("chi", "chi needs one divisor"),
+        ("chi H_3 H=L", "chi needs one divisor"),
+    ],
+)
+def test_positional_words_a_query_does_not_read_are_query_errors(query, message):
+    from qreider.report import run_document
+
+    result = run_document(parse(GOLDEN.read_text() + query + "\n")).results[-1]
+    assert result.status == "error"
+    assert message in result.error
+
+
+@pytest.mark.parametrize("depth", ["0", "-3", "65", "x"])
+@pytest.mark.parametrize("query", ["search goal=free point=p B=Bfam M=Mfam", "hirzebruch-claim n=1 part=1"])
+def test_depth_outside_its_range_is_a_query_error(query, depth):
+    from qreider.report import run_document
+
+    result = run_document(parse(GOLDEN.read_text() + f"{query} depth={depth}\n")).results[-1]
+    assert result.status == "error"
+    assert result.error == f"depth={depth!r} must be an integer in 1..64"
+    assert result.attempts is None and not result.checks
 
 
 # -- whole generated documents round-trip through render ---------------------
