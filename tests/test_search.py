@@ -224,3 +224,144 @@ def test_claim_argument_validation():
         hirzebruch_claim(2, 2, m=2)
     with pytest.raises(ValueError):
         hirzebruch_claim(2, 1, m=3)
+
+
+VIOLATION_DOC = """surface
+basis = G F
+gram = [[-3, 1], [1, 0]]
+K = -2G - 5F
+chi_O = 1
+
+curves
+G = G
+F = F
+
+cone
+hirzebruch = 3
+
+points
+p = G:1 F:1
+
+params
+e = (0, 1/2)
+f = (0, 1)
+
+divisors
+L = 3G + 10F
+B = (6e - 1/2)G + (1 - 4f)F
+M = L - B
+
+queries
+search goal=free point=p B=B M=M depth=4
+"""
+
+VIOLATION_NOTES = [
+    "e = 3/4 outside (0, 1/2)",
+    "f = 2 outside (0, 1)",
+    "boundary coefficients leave [0, 1) at {'e': Fraction(1, 4), 'f': Fraction(1, 8)}",
+    "boundary coefficients leave [0, 1) at {'e': Fraction(1, 4), 'f': Fraction(1, 16)}",
+    "boundary coefficients leave [0, 1) at {'e': Fraction(1, 4), 'f': Fraction(1, 32)}",
+    "boundary coefficients leave [0, 1) at {'e': Fraction(1, 4), 'f': Fraction(1, 64)}",
+]
+
+VIOLATION_TEXT = """report for <stdin>
+== search goal=free point=p B=B M=M depth=4
+   status: established   rule: freeness/degree-bound
+   search: found=True attempts=7 at e = 1/8 (approx 0.125), f = 1/16 (approx 0.0625)
+   witness: beta2 = 5 [at-p]; beta1 = 1 [at-p]
+   M.G >= 0 (nef): 1 >= 0  [ok]
+   M.F >= 0 (nef): 11/4 (approx 2.75) >= 0  [ok]
+   M^2 > 0 (big): 451/16 (approx 28.1875) > 0  [ok]
+   M^2 > beta2^2: 451/16 (approx 28.1875) > 25  [ok]
+   min degree >= beta1: 1 >= 1  [ok]
+   beta2 >= 2 - mu: 5 >= 1  [ok]
+   beta1 >= min(2 - mu, beta2/(beta2 - (1 - mu))): 1 >= 1  [ok]
+""" + "".join(f"   note: {note}\n" for note in VIOLATION_NOTES + ["witness found by search"])
+
+
+def _json_q(num, den=1):
+    out = {"num": num, "den": den}
+    if den != 1:
+        out["approx"] = num / den
+    return out
+
+
+def _json_line(text, lhs, rel, rhs):
+    return {"text": text, "lhs": _json_q(*lhs), "rel": rel, "rhs": _json_q(*rhs), "holds": True}
+
+
+VIOLATION_JSON = {
+    "query": "search goal=free point=p B=B M=M depth=4",
+    "status": "established",
+    "rule": "freeness/degree-bound",
+    "trace": [
+        _json_line("M.G >= 0 (nef)", (1,), ">=", (0,)),
+        _json_line("M.F >= 0 (nef)", (11, 4), ">=", (0,)),
+        _json_line("M^2 > 0 (big)", (451, 16), ">", (0,)),
+        _json_line("M^2 > beta2^2", (451, 16), ">", (25,)),
+        _json_line("min degree >= beta1", (1,), ">=", (1,)),
+        _json_line("beta2 >= 2 - mu", (5,), ">=", (1,)),
+        _json_line("beta1 >= min(2 - mu, beta2/(beta2 - (1 - mu)))", (1,), ">=", (1,)),
+    ],
+    "witness": {"beta2": [_json_q(5)], "beta1": [_json_q(1)], "beta2_roles": ["at-p"], "beta1_roles": ["at-p"]},
+    "found": True,
+    "params": {"e": _json_q(1, 8), "f": _json_q(1, 16)},
+    "attempts": 7,
+    "notes": VIOLATION_NOTES + ["witness found by search"],
+}
+
+
+def test_search_notes_pin_the_family_violation_texts(monkeypatch, capsys):
+    """Two schedule values outside the domain (both parameters out, then only
+    the second), then the e = 1/4 candidates, whose boundary coefficient on G
+    is 1, then a success.  The domain is checked in parameter order, before
+    the boundary.  A round-up that misses the target cannot occur here: with
+    B in [0, 1) and B + M integral, the round-up of M is B + M."""
+    import io
+    import json
+
+    from qreider import search
+    from qreider.cli import main
+
+    real = search.dyadic_schedule
+
+    def schedule(params, depth):
+        yield {"e": F(3, 4), "f": F(2)}
+        yield {"e": F(1, 8), "f": F(2)}
+        yield from real(params, depth)
+
+    monkeypatch.setattr(search, "dyadic_schedule", schedule)
+    monkeypatch.setattr("sys.stdin", io.StringIO(VIOLATION_DOC))
+    assert main(["check", "-"]) == 0
+    assert capsys.readouterr().out == VIOLATION_TEXT
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(VIOLATION_DOC))
+    assert main(["check", "-", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    (result,) = payload["queries"]
+    del result["elapsed_ms"]
+    assert result == VIOLATION_JSON
+
+
+def test_instantiate_reports_each_violation_in_order():
+    model = hz.hirzebruch_model(3)
+    family = ParamFamily(
+        surface=model,
+        params=(Param("e", 0, F(1, 2)), Param("f")),
+        boundary={"G": AffineExpr(F(-1, 2), {"e": 6}), "F": AffineExpr(1, {"f": -4})},
+        positive={"G": AffineExpr(F(7, 2), {"e": -6}), "F": AffineExpr(9, {"f": 4})},
+    )
+    with pytest.raises(KeyError, match="no value for parameter 'f'"):
+        family.instantiate({"e": F(1, 8)})
+    with pytest.raises(FamilyViolation) as exc:
+        family.instantiate({"e": F(3, 4)})  # e is checked, and fails, before f is looked up
+    assert str(exc.value) == "e = 3/4 outside (0, 1/2)"
+    with pytest.raises(FamilyViolation) as exc:
+        family.instantiate({"e": F(1, 2), "f": F(1, 2)})
+    assert str(exc.value) == "e = 1/2 outside (0, 1/2)"
+    with pytest.raises(FamilyViolation) as exc:
+        family.instantiate({"e": F(1, 16), "f": F(1, 2)})
+    assert str(exc.value) == "boundary coefficients leave [0, 1) at {'e': Fraction(1, 16), 'f': Fraction(1, 2)}"
+    b, m = family.instantiate({"e": F(1, 8), "f": F(1, 16)})
+    assert b == model.divisor({"G": F(1, 4), "F": F(3, 4)})
+    assert m == model.divisor({"G": F(11, 4), "F": F(37, 4)})
