@@ -4,18 +4,35 @@ A cone description is either a finite list of generator classes (trusted to
 exhaust the degrees of irreducible curves; correctness of that declaration is
 the caller's responsibility) or the builtin family of curve classes on the
 rank-2 (G, F) lattice with G*G = -n, F*F = 0, G*F = 1, whose irreducible
-classes are G, the F-class, and a*G + b*F with a >= 1, b >= n*a.
+classes are G, the F-class, and a*G + b*F with a >= 1, b >= n*a.  Each cone
+builds its nef test once, as pairing rows, so that testing a class is one dot
+product per row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
 from .criteria import TraceLine, check
 from .lattice import DivisorClass, IntersectionLattice
+
+
+# A nef test as (trace text, row): the row is gram . C, with its zero entries
+# dropped as (index, value) pairs, so that m.C is a dot product with m's coefficients.
+NefRow = tuple[str, tuple[tuple[int, Fraction], ...]]
+
+
+def _nef_row(text: str, c: DivisorClass) -> NefRow:
+    row = (sum((g * x for g, x in zip(gram_row, c.coeffs)), Fraction(0)) for gram_row in c.lattice.gram)
+    return text, tuple((i, v) for i, v in enumerate(row) if v)
+
+
+def pair(coeffs: Sequence[Fraction], row) -> Fraction:
+    """m.C for m's coefficient vector and C's sparse row from ``NefRow``."""
+    return sum((coeffs[i] * v for i, v in row), Fraction(0))
 
 
 class NotNefError(ValueError):
@@ -57,6 +74,7 @@ class ConeGenerator:
 @dataclass(frozen=True)
 class FiniteGenerators:
     generators: tuple[ConeGenerator, ...]
+    nef_rows: tuple[NefRow, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gens = tuple(self.generators)
@@ -66,6 +84,8 @@ class FiniteGenerators:
         if any(g.cls.lattice is not lat for g in gens):
             raise ValueError("all generators must live on one lattice")
         object.__setattr__(self, "generators", gens)
+        rows = tuple(_nef_row(f"M.C_{i} >= 0 (nef)", g.cls) for i, g in enumerate(gens))
+        object.__setattr__(self, "nef_rows", rows)
 
     @property
     def lattice(self) -> IntersectionLattice:
@@ -84,6 +104,9 @@ class HirzebruchFamily:
 
     n: int
     lattice: IntersectionLattice
+    g_class: DivisorClass = field(init=False, repr=False, compare=False)
+    f_class: DivisorClass = field(init=False, repr=False, compare=False)
+    nef_rows: tuple[NefRow, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -94,14 +117,12 @@ class HirzebruchFamily:
         expected = ((Fraction(-self.n), Fraction(1)), (Fraction(1), Fraction(0)))
         if g != expected:
             raise ValueError(f"lattice gram matrix must be ((-n, 1), (1, 0)) with n={self.n}")
-
-    @property
-    def g_class(self) -> DivisorClass:
-        return self.lattice.divisor_class((1, 0))
-
-    @property
-    def f_class(self) -> DivisorClass:
-        return self.lattice.divisor_class((0, 1))
+        g_class, f_class = self.lattice.divisor_class((1, 0)), self.lattice.divisor_class((0, 1))
+        object.__setattr__(self, "g_class", g_class)
+        object.__setattr__(self, "f_class", f_class)
+        # m.(aG+bF) = a*(m.G) + b*(m.F) >= a*(m.G + n*m.F) >= 0 once both signs check out
+        rows = (_nef_row("M.G >= 0 (nef)", g_class), _nef_row("M.F >= 0 (nef)", f_class))
+        object.__setattr__(self, "nef_rows", rows)
 
     def family_corner(self) -> DivisorClass:
         """G + n*F, the minimizing member of the a >= 1, b >= n*a family."""
@@ -117,15 +138,9 @@ def _require_lattice(m: DivisorClass, cone: ConeDescription) -> None:
 
 
 def nef_lines(m: DivisorClass, cone: ConeDescription) -> list[TraceLine]:
-    """One ``M.C >= 0 (nef)`` line per declared class the nef test pairs with."""
+    """One ``M.C >= 0 (nef)`` line per row of the cone's nef test."""
     _require_lattice(m, cone)
-    if isinstance(cone, FiniteGenerators):
-        return [check(f"M.C_{i} >= 0 (nef)", m.intersect(g.cls), ">=", 0) for i, g in enumerate(cone.generators)]
-    # m.(aG+bF) = a*(m.G) + b*(m.F) >= a*(m.G + n*m.F) >= 0 once both signs check out
-    return [
-        check("M.G >= 0 (nef)", m.intersect(cone.g_class), ">=", 0),
-        check("M.F >= 0 (nef)", m.intersect(cone.f_class), ">=", 0),
-    ]
+    return [check(text, pair(m.coeffs, row), ">=", 0) for text, row in cone.nef_rows]
 
 
 def is_nef(m: DivisorClass, cone: ConeDescription) -> bool:

@@ -93,17 +93,29 @@ def _rational_arg(q: QueryDecl, key: str) -> Optional[Fraction]:
         raise QueryError(f"argument {key}={raw!r} is not a rational") from None
 
 
+def _int_arg(q: QueryDecl, key: str, lo: int, hi: Optional[int] = None, required: bool = False) -> Optional[int]:
+    """Argument ``key`` as ASCII decimal digits naming an integer in lo..hi
+    (with no upper end when hi is None), or None when it is absent."""
+    raw = _require(q, key) if required else q.arg(key)
+    if raw is None:
+        return None
+    try:
+        value = int(raw) if raw.isascii() and raw.isdigit() else None
+    except ValueError:  # more digits than int() converts
+        value = None
+    if value is None or value < lo or (hi is not None and value > hi):
+        span = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise QueryError(f"{key}={raw!r} must be an integer {span}")
+    return value
+
+
 _MAX_DEPTH = 64  # keeps a k-parameter search within about 64**k candidates
 
 
 def _depth(q: QueryDecl) -> int:
     """The dyadic search depth from depth=, an integer in 1.._MAX_DEPTH."""
-    raw = q.arg("depth")
-    if raw is None:
-        return DEFAULT_DEPTH
-    if not (raw.isascii() and raw.isdigit() and 1 <= int(raw) <= _MAX_DEPTH):
-        raise QueryError(f"depth={raw!r} must be an integer in 1..{_MAX_DEPTH}")
-    return int(raw)
+    depth = _int_arg(q, "depth", 1, _MAX_DEPTH)
+    return DEFAULT_DEPTH if depth is None else depth
 
 
 def _need_model(doc: Document):
@@ -324,10 +336,9 @@ def _claim_to_result(claim) -> list[QueryResult]:
 
 
 def _run_hirzebruch_claim(doc: Document, q: QueryDecl, result: QueryResult) -> None:
-    n = int(_require(q, "n"))
-    part = int(_require(q, "part"))
-    m = q.arg("m")
-    claim = hirzebruch_claim(n, part, int(m) if m is not None else None, _depth(q))
+    n = _int_arg(q, "n", 1, required=True)
+    part = _int_arg(q, "part", 1, 2, required=True)
+    claim = hirzebruch_claim(n, part, _int_arg(q, "m", 1), _depth(q))
     result.status = "report"
     result.flags.update({"ok": claim.ok, "L_nef": claim.l_nef})
     if not claim.l_nef:

@@ -4,9 +4,12 @@ Given an integral target divisor L, a family writes L = B(params) + M(params)
 with coefficients affine in named rational parameters.  The search walks a
 nested dyadic schedule (the first parameter takes values 2**-k, each later
 parameter a dyadic fraction of its predecessor, honoring the intended
-"much smaller than" coupling), instantiates the decomposition exactly at each
-candidate, recomputes multiplicities, the square, and minimal degrees, and
-runs the requested checker; the first established candidate wins.
+"much smaller than" coupling).  Each candidate is first decided on forms the
+family and the cones compile once: the family invariants on the affine
+coefficients, then the nef pairings and the square of M's class.  Only a
+candidate whose M is nef and big is instantiated exactly; its multiplicities
+and minimal degrees are recomputed and the requested checker runs.  The first
+established candidate wins.
 
 The drivers at the bottom reproduce the two positivity claims for the
 standard ruled-surface model end to end.
@@ -14,13 +17,14 @@ standard ruled-surface model end to end.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from . import criteria
 from . import hirzebruch as hz
-from .cones import ConeDescription, HirzebruchFamily, is_nef, nef_lines
+from .cones import ConeDescription, HirzebruchFamily, is_nef, nef_lines, pair
 from .criteria import BetaWitness, CriterionVerdict, TraceLine, check, riemann_roch_chi
 from .lattice import DivisorClass, RationalLike, as_fraction
 from .surface import QDivisor, SurfaceModel
@@ -125,6 +129,10 @@ class ParamFamily:
     Coefficients of both parts are affine in the parameters; the sum must be
     parameter-free and integral.  The boundary must stay in [0, 1) on the
     domain; this is checked at each instantiation, not symbolically.
+
+    Construction also compiles the class of M into one affine form per
+    lattice coordinate, so that a candidate's nef and big test needs no
+    divisor.
     """
 
     surface: SurfaceModel
@@ -161,24 +169,48 @@ class ParamFamily:
                 raise ValueError(f"target coefficient on {curve!r} is not an integer")
             target[curve] = total.const
         object.__setattr__(self, "_target", self.surface.divisor(target))
+        object.__setattr__(self, "_target_coeffs", tuple(target.items()))
+        classes = [self.surface.curves[curve].cls.coeffs for curve in self.positive]
+        m_class = tuple(
+            sum((expr * cls[i] for expr, cls in zip(self.positive.values(), classes)), AffineExpr())
+            for i in range(self.surface.lattice.rank)
+        )
+        object.__setattr__(self, "_m_class", m_class)
+        gram_rows = tuple(tuple((j, g) for j, g in enumerate(row) if g) for row in self.surface.lattice.gram)
+        object.__setattr__(self, "_gram_rows", gram_rows)
 
     @property
     def target(self) -> QDivisor:
         return self._target
 
-    def instantiate(self, values: Mapping[str, Fraction]) -> tuple[QDivisor, QDivisor]:
+    def _coefficients(self, values: Mapping[str, Fraction]) -> tuple[dict[str, Fraction], dict[str, Fraction]]:
+        """Boundary and positive coefficients at the values, once the family
+        invariants hold: each parameter in its domain, in parameter order,
+        then the boundary in [0, 1), then the round-up of M on the target."""
         for p in self.params:
             if p.name not in values:
                 raise KeyError(f"no value for parameter {p.name!r}")
             if not p.contains(values[p.name]):
                 raise FamilyViolation(f"{p.name} = {values[p.name]} outside ({p.lo}, {p.hi})")
-        b = self.surface.divisor({c: e.evaluate(values) for c, e in self.boundary.items()})
-        m = self.surface.divisor({c: e.evaluate(values) for c, e in self.positive.items()})
-        if not b.is_boundary():
+        b = {curve: expr.evaluate(values) for curve, expr in self.boundary.items()}
+        if not all(0 <= v.numerator < v.denominator for v in b.values()):  # 0 <= v < 1
             raise FamilyViolation(f"boundary coefficients leave [0, 1) at {dict(values)}")
-        if m.round_up() != self.target:
+        m = {curve: expr.evaluate(values) for curve, expr in self.positive.items()}
+        if any(math.ceil(m.get(curve, 0)) != t for curve, t in self._target_coeffs):
             raise FamilyViolation(f"round-up of the positive part misses the target at {dict(values)}")
         return b, m
+
+    def _nef_and_big(self, values: Mapping[str, Fraction], rows) -> bool:
+        """Whether M's class at the values pairs non-negatively with every
+        nef row (see ``cones.NefRow``) and has a positive square."""
+        m = [expr.evaluate(values) for expr in self._m_class]
+        if not all(pair(m, row) >= 0 for row in rows):
+            return False
+        return sum(x * pair(m, gram_row) for x, gram_row in zip(m, self._gram_rows)) > 0
+
+    def instantiate(self, values: Mapping[str, Fraction]) -> tuple[QDivisor, QDivisor]:
+        b, m = self._coefficients(values)
+        return self.surface.divisor(b), self.surface.divisor(m)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +273,10 @@ class Goal:
         if self.kind not in _GOAL_KINDS:
             raise ValueError(f"unknown search goal {self.kind!r}")
 
+    @property
+    def cones(self) -> tuple[ConeDescription, ...]:
+        return (self.cone,)
+
     def evaluate(self, boundary: QDivisor, positive: QDivisor, values: Mapping[str, Fraction]) -> CriterionVerdict:
         checker, rule = _GOAL_KINDS[self.kind]
         m_cls = positive.divisor_class()
@@ -267,6 +303,11 @@ class MultiGoal:
 
     goals: tuple
     rule: str = "composite"
+
+    @property
+    def cones(self) -> tuple[ConeDescription, ...]:
+        """The cones of every part's nef test, each once."""
+        return tuple({id(c): c for goal in self.goals for c in goal.cones}.values())
 
     def evaluate(self, boundary: QDivisor, positive: QDivisor, values: Mapping[str, Fraction]) -> CriterionVerdict:
         lines: list[TraceLine] = []
@@ -333,16 +374,27 @@ def dyadic_schedule(params: Sequence[Param], depth: int):
 
 def search_params(family: ParamFamily, goal: Union[Goal, MultiGoal], depth: int = DEFAULT_DEPTH) -> SearchReport:
     """First parameter values along the dyadic schedule whose decomposition
-    makes the goal's checker fire; exact verification at every candidate."""
+    makes the goal's checker fire; exact verification at every candidate.
+
+    A candidate whose M fails the nef test of any goal's cone, or has
+    M^2 <= 0, is turned down on the compiled forms: no goal can establish
+    it, so it is neither instantiated nor evaluated."""
+    cones = goal.cones
+    if any(cone.lattice is not family.surface.lattice for cone in cones):
+        raise ValueError("class does not live on the cone's lattice")
+    rows = tuple(row for cone in cones for _, row in cone.nef_rows)
     attempts = 0
     notes: list[str] = []
     for values in dyadic_schedule(family.params, depth):
         attempts += 1
         try:
-            boundary, positive = family.instantiate(values)
+            family._coefficients(values)
         except FamilyViolation as exc:
             notes.append(str(exc))
             continue
+        if cones and not family._nef_and_big(values, rows):
+            continue
+        boundary, positive = family.instantiate(values)
         verdict = goal.evaluate(boundary, positive, values)
         if verdict.established:
             return SearchReport(True, values, verdict, attempts, tuple(notes))

@@ -229,6 +229,71 @@ def test_search_with_no_generator_in_the_degree_filter_errors_before_any_candida
     assert result.attempts is None
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ("n=x part=1", "n='x' must be an integer >= 1"),
+        ("n=0 part=1", "n='0' must be an integer >= 1"),
+        ("n=1_0 part=1", "n='1_0' must be an integer >= 1"),
+        ("n=-2 part=1", "n='-2' must be an integer >= 1"),
+        (f"n={'9' * 5000} part=1", f"n={'9' * 5000!r} must be an integer >= 1"),
+        ("n=2 part=3", "part='3' must be an integer in 1..2"),
+        ("n=2 part=one", "part='one' must be an integer in 1..2"),
+        ("n=2 part=2 m=1_0", "m='1_0' must be an integer >= 1"),
+        ("n=2 part=2 m=2.5", "m='2.5' must be an integer >= 1"),
+        ("n=2 part=2 m=0", "m='0' must be an integer >= 1"),
+        ("part=1", "query 'hirzebruch-claim' needs argument n=..."),
+    ],
+)
+def test_claim_integer_arguments_are_read_like_depth(args, message, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"queries\nhirzebruch-claim {args}\n"))
+    assert main(["check", "-"]) == 1
+    assert f"   error: {message}\n" in capsys.readouterr().out
+
+
+def test_claim_integer_arguments_accept_plain_digits(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("queries\nhirzebruch-claim n=02 part=2 m=10\n"))
+    assert main(["check", "-"]) == 0
+    out = capsys.readouterr().out
+    assert "   n = 2\n" in out and "   m = 10\n" in out and "   ok: yes\n" in out
+
+
+GENERATOR_SEARCH_DOC = """gram = [[-3, 1], [1, 0]]; K = -2G - 5F; chi_O = 1
+curves
+G = G
+F = F
+cone
+generator = G
+generator = F, through-p
+generator = G + 3F, through-p
+points
+q = F:1
+params
+e = (0, 1)
+divisors
+B = (1 - e)G + 1/2 F
+queries
+search goal=free point=q B=B M=3G + 7F - B depth=8
+search goal=free point=q B=B M=3G + 6F - B depth=8
+"""
+
+
+def test_search_over_a_generator_cone_found_and_exhausted():
+    # M.G = 1/2 - 3e with L = 3G + 7F: turned down at e = 1/4, found at e = 1/8;
+    # M.G = -1/2 - 3e with L = 3G + 6F: every candidate is turned down
+    found, exhausted = run_document(parse(GENERATOR_SEARCH_DOC)).results
+    assert (found.status, found.found, found.attempts, found.params) == ("established", True, 2, {"e": F(1, 8)})
+    assert [(l.text, l.lhs) for l in found.trace[:4]] == [
+        ("M.C_0 >= 0 (nef)", F(1, 8)),
+        ("M.C_1 >= 0 (nef)", F(17, 8)),
+        ("M.C_2 >= 0 (nef)", F(13, 2)),
+        ("M^2 > 0 (big)", F(901, 64)),
+    ]
+    assert found.values == {} and found.notes == ("witness found by search",)
+    assert (exhausted.status, exhausted.found, exhausted.attempts) == ("not-established", False, 7)
+    assert exhausted.params == {} and exhausted.trace == () and exhausted.notes == ()
+
+
 @st.composite
 def mutated_documents(draw):
     text = draw(st.sampled_from([GOLDEN.read_text(), ""]))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import grid_is_nef, grid_min_degree, random_nef_coeffs
+from conftest import grid_is_nef, grid_min_degree, random_class, random_lattice, random_nef_coeffs
 from qreider.cones import (
     ConeGenerator,
     DegreeFilter,
@@ -14,6 +14,7 @@ from qreider.cones import (
     is_big,
     is_nef,
     min_degree,
+    nef_lines,
 )
 from qreider.lattice import IntersectionLattice, hirzebruch_lattice
 
@@ -174,3 +175,25 @@ def test_builtin_family_validates_gram():
     with pytest.raises(ValueError):
         HirzebruchFamily(3, lat)
     HirzebruchFamily(2, lat)  # matching n is accepted
+
+
+def test_nef_rows_pair_as_the_lattice_intersects(rng):
+    """The cones' precomputed rows give the intersection numbers, on random
+    lattices (finite generators) and on the builtin family."""
+    for _ in range(60):
+        lat = random_lattice(rng)
+        gens = [random_class(rng, lat) for _ in range(rng.randint(1, 4))]
+        cone = FiniteGenerators(tuple(ConeGenerator(g) for g in gens))
+        m = random_class(rng, lat)
+        lines = nef_lines(m, cone)
+        assert [l.text for l in lines] == [f"M.C_{i} >= 0 (nef)" for i in range(len(gens))]
+        assert [l.lhs for l in lines] == [m.intersect(g) for g in gens]
+    for n in range(1, 7):
+        lat, cone = family(n)
+        m = random_class(rng, lat)
+        lines = nef_lines(m, cone)
+        assert [(l.text, l.lhs) for l in lines] == [
+            ("M.G >= 0 (nef)", m.intersect(lat.basis_class("G"))),
+            ("M.F >= 0 (nef)", m.intersect(lat.basis_class("F"))),
+        ]
+        assert cone.g_class is cone.g_class  # built once, with the cone

@@ -1,17 +1,25 @@
+import contextlib
+import itertools
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qreider import criteria
 from qreider import hirzebruch as hz
-from qreider.cones import DegreeFilter, HirzebruchFamily, degree_classes
-from qreider.criteria import BetaWitness
+from qreider.cones import ConeGenerator, DegreeFilter, FiniteGenerators, HirzebruchFamily, degree_classes
+from qreider.criteria import BetaWitness, CriterionVerdict
 from qreider.search import (
     AffineExpr,
     Degrees,
     FamilyViolation,
     Goal,
+    MultiGoal,
     Param,
     ParamFamily,
+    SearchReport,
     dyadic_schedule,
     hirzebruch_claim,
     search_params,
@@ -365,3 +373,141 @@ def test_instantiate_reports_each_violation_in_order():
     b, m = family.instantiate({"e": F(1, 8), "f": F(1, 16)})
     assert b == model.divisor({"G": F(1, 4), "F": F(3, 4)})
     assert m == model.divisor({"G": F(11, 4), "F": F(37, 4)})
+
+
+# ---------------------------------------------------------------------------
+# the candidate loop against a reference that builds and evaluates every candidate
+
+
+def reference_instantiate(family, values):
+    """ParamFamily.instantiate as it was before the family compiled its forms."""
+    for p in family.params:
+        if p.name not in values:
+            raise KeyError(f"no value for parameter {p.name!r}")
+        if not p.contains(values[p.name]):
+            raise FamilyViolation(f"{p.name} = {values[p.name]} outside ({p.lo}, {p.hi})")
+    b = family.surface.divisor({c: e.evaluate(values) for c, e in family.boundary.items()})
+    m = family.surface.divisor({c: e.evaluate(values) for c, e in family.positive.items()})
+    if not b.is_boundary():
+        raise FamilyViolation(f"boundary coefficients leave [0, 1) at {dict(values)}")
+    if m.round_up() != family.target:
+        raise FamilyViolation(f"round-up of the positive part misses the target at {dict(values)}")
+    return b, m
+
+
+def reference_search(family, goal, depth):
+    """search_params as it was before candidates were decided on the forms:
+    every admitted candidate is built and handed to the goal."""
+    attempts = 0
+    notes = []
+    for values in dyadic_schedule(family.params, depth):
+        attempts += 1
+        try:
+            boundary, positive = reference_instantiate(family, values)
+        except FamilyViolation as exc:
+            notes.append(str(exc))
+            continue
+        verdict = goal.evaluate(boundary, positive, values)
+        if verdict.established:
+            return SearchReport(True, values, verdict, attempts, tuple(notes))
+    return SearchReport(False, {}, None, attempts, tuple(notes))
+
+
+_small = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 8]))
+_PARAM_NAMES = ("e", "f")
+# goal kind -> (marked data, degree filter of each minimal degree)
+_GOAL_SHAPES = {
+    "free": ((hz.POINT_ON_G,), (DegreeFilter.THROUGH_POINT,)),
+    "separate": ((hz.POINT_ON_F, hz.POINT_GENERIC), (DegreeFilter.ALL,) * 3),
+    "tangent": ((hz.TANGENT_G,), (DegreeFilter.THROUGH_POINT, DegreeFilter.CONTAINING_Z)),
+    "very-ample": ((), (DegreeFilter.ALL,)),
+}
+
+
+@st.composite
+def cones_on(draw, n, lattice):
+    if draw(st.booleans()):
+        return HirzebruchFamily(n, lattice)
+    g, f, corner = (lattice.divisor_class(v) for v in ((1, 0), (0, 1), (1, n)))
+    gens = [ConeGenerator(corner, through_p=True, contains_z=True)]
+    for cls in (g, f, lattice.divisor_class((draw(st.integers(0, 3)), draw(st.integers(-2, 3 * n))))):
+        if draw(st.booleans()):
+            through_p = draw(st.booleans())
+            gens.append(ConeGenerator(cls, through_p, through_p and draw(st.booleans())))
+    return FiniteGenerators(tuple(draw(st.permutations(gens))))
+
+
+@st.composite
+def goals_on(draw, n, lattice):
+    kind = draw(st.sampled_from(sorted(_GOAL_SHAPES)))
+    at, filters = _GOAL_SHAPES[kind]
+    cone = draw(cones_on(n, lattice))
+    degrees = tuple(Degrees(f"filter {f.value}", degree_classes(cone, f)) for f in filters)
+    witness = None
+    if kind in ("free", "very-ample") and draw(st.booleans()):
+        witness = BetaWitness.single(3, F(3, 2), role="at-p")
+    elif kind == "separate" and draw(st.booleans()):
+        witness = lambda v: BetaWitness.pair(F(3, 2), F(3, 2), 1 + v["e"] / 2, 1 + v["e"] / 2)  # noqa: E731
+    return Goal(kind, cone, at, degrees, witness, label=draw(st.sampled_from(["", "part"])))
+
+
+@st.composite
+def search_cases(draw):
+    n = draw(st.integers(1, 6))
+    model = hz.hirzebruch_model(n)
+    params = []
+    for name in _PARAM_NAMES[: draw(st.integers(1, 2))]:
+        lo = draw(st.sampled_from([F(0), F(1, 64)]))
+        params.append(Param(name, lo, draw(st.sampled_from([F(1), F(1, 2), F(1, 8)]))))
+    a = draw(st.integers(0, 3))
+    target = {"G": a, "F": max(0, n * a + draw(st.integers(-2, 4)))}  # M.G near 0, so nefness turns on e and f
+    boundary = {}
+    for curve in ("G", "F"):
+        if draw(st.booleans()):
+            terms = {p.name: draw(_small) for p in params if draw(st.booleans())}
+            boundary[curve] = AffineExpr(draw(st.sampled_from([F(0), F(1, 2), F(9, 10), F(1)])), terms)
+    positive = {c: AffineExpr.constant(t) - boundary.get(c, AffineExpr()) for c, t in target.items()}
+    family = ParamFamily(model, tuple(params), boundary, positive)
+    if draw(st.booleans()):
+        goal = draw(goals_on(n, model.lattice))
+    else:
+        goal = MultiGoal((draw(goals_on(n, model.lattice)), draw(goals_on(n, model.lattice))), rule="both")
+    return family, goal, draw(st.integers(2, 7))
+
+
+@contextlib.contextmanager
+def stubbed_checkers(stub, k):
+    """With ``stub`` set, every goal checker is replaced by a pure one that
+    records its arguments and establishes when their hash is a multiple of k
+    (never if k is None), so the calls show which candidates reach a checker."""
+    calls = []
+    if not stub:
+        yield calls
+        return
+
+    def checker(*args):
+        calls.append(args)
+        return CriterionVerdict(k is not None and hash(args) % k == 0, "stub", ())
+
+    stubs = dict.fromkeys(("freeness_at", "separation", "tangent_separation", "very_ampleness"), checker)
+    with mock.patch.multiple(criteria, **stubs):
+        yield calls
+
+
+@given(search_cases(), st.booleans(), st.one_of(st.none(), st.integers(1, 6)))
+@settings(max_examples=200, deadline=None)
+def test_search_matches_the_build_every_candidate_reference(case, stub, k):
+    family, goal, depth = case
+    with stubbed_checkers(stub, k) as expected_calls:
+        expected = reference_search(family, goal, depth)
+    with stubbed_checkers(stub, k) as calls:
+        report = search_params(family, goal, depth)
+    if len(goal.cones) == 1:
+        # with two cones, the reference also runs the checker of a part whose
+        # cone passes M when the other cone turns it down
+        assert calls == expected_calls
+    assert report.found == expected.found
+    assert report.params == expected.params
+    assert report.attempts == expected.attempts
+    assert report.notes == expected.notes
+    assert report.verdict == expected.verdict  # rule, trace, witness and note
