@@ -1,4 +1,4 @@
-"""Byte-for-byte golden output of two reports, as text and as JSON.
+"""Byte-for-byte golden output of three reports, as text and as JSON.
 
 The JSON comparison drops ``elapsed_ms``, the only field that varies from
 run to run.  The expected files live in ``tests/golden/``.
@@ -18,6 +18,7 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 CASES = {
     "hirzebruch_n3": ("docs/hirzebruch_n3.surf", (ROOT / "docs" / "hirzebruch_n3.surf").read_text()),
     "claim_n2_part2": ("hirzebruch-claim n=2 part=2", "queries\nhirzebruch-claim n=2 part=2\n"),
+    "claim_n12_part2": ("hirzebruch-claim n=12 part=2", "queries\nhirzebruch-claim n=12 part=2\n"),
 }
 
 
