@@ -20,19 +20,25 @@ from .criteria import TraceLine, check
 from .lattice import DivisorClass, IntersectionLattice
 
 
-# A nef test as (trace text, row): the row is gram . C, with its zero entries
-# dropped as (index, value) pairs, so that m.C is a dot product with m's coefficients.
-NefRow = tuple[str, tuple[tuple[int, Fraction], ...]]
+# A pairing row is gram . C, with its zero entries dropped as (index, value)
+# pairs, so that m.C is a dot product with m's coefficients.  A nef test is
+# (trace text, pairing row).
+PairingRow = tuple[tuple[int, Fraction], ...]
+NefRow = tuple[str, PairingRow]
 
 
-def _nef_row(text: str, c: DivisorClass) -> NefRow:
+def pairing_row(c: DivisorClass) -> PairingRow:
     row = (sum((g * x for g, x in zip(gram_row, c.coeffs)), Fraction(0)) for gram_row in c.lattice.gram)
-    return text, tuple((i, v) for i, v in enumerate(row) if v)
+    return tuple((i, v) for i, v in enumerate(row) if v)
 
 
 def pair(coeffs: Sequence[Fraction], row) -> Fraction:
-    """m.C for m's coefficient vector and C's sparse row from ``NefRow``."""
-    return sum((coeffs[i] * v for i, v in row), Fraction(0))
+    """m.C for m's coefficient vector and C's ``pairing_row``."""
+    total = Fraction(0)
+    for i, v in row:
+        product = coeffs[i] * v
+        total = total + product if total else product  # a sum with zero is skipped
+    return total
 
 
 class NotNefError(ValueError):
@@ -84,7 +90,7 @@ class FiniteGenerators:
         if any(g.cls.lattice is not lat for g in gens):
             raise ValueError("all generators must live on one lattice")
         object.__setattr__(self, "generators", gens)
-        rows = tuple(_nef_row(f"M.C_{i} >= 0 (nef)", g.cls) for i, g in enumerate(gens))
+        rows = tuple((f"M.C_{i} >= 0 (nef)", pairing_row(g.cls)) for i, g in enumerate(gens))
         object.__setattr__(self, "nef_rows", rows)
 
     @property
@@ -121,7 +127,7 @@ class HirzebruchFamily:
         object.__setattr__(self, "g_class", g_class)
         object.__setattr__(self, "f_class", f_class)
         # m.(aG+bF) = a*(m.G) + b*(m.F) >= a*(m.G + n*m.F) >= 0 once both signs check out
-        rows = (_nef_row("M.G >= 0 (nef)", g_class), _nef_row("M.F >= 0 (nef)", f_class))
+        rows = (("M.G >= 0 (nef)", pairing_row(g_class)), ("M.F >= 0 (nef)", pairing_row(f_class)))
         object.__setattr__(self, "nef_rows", rows)
 
     def family_corner(self) -> DivisorClass:

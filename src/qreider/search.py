@@ -4,11 +4,13 @@ Given an integral target divisor L, a family writes L = B(params) + M(params)
 with coefficients affine in named rational parameters.  The search walks a
 nested dyadic schedule (the first parameter takes values 2**-k, each later
 parameter a dyadic fraction of its predecessor, honoring the intended
-"much smaller than" coupling).  Each candidate is first decided on forms the
-family and the cones compile once: the family invariants on the affine
-coefficients, then the nef pairings and the square of M's class.  Only a
-candidate whose M is nef and big is instantiated exactly; its multiplicities
-and minimal degrees are recomputed and the requested checker runs.  The first
+"much smaller than" coupling).  Every checker input has degree at most 2 in
+the parameters, so each is compiled once per search: the multiplicities at
+the marked data as rows over the boundary coefficients, M's class as affine
+forms, and the nef tests and degree sources as pairing rows against it.  A
+candidate is then one exact pass: the family invariants, the boundary
+coefficients and M's class, its nef pairings and square, and for an M that
+is nef and big the requested checker.  No divisor is built.  The first
 established candidate wins.
 
 The drivers at the bottom reproduce the two positivity claims for the
@@ -17,14 +19,13 @@ standard ruled-surface model end to end.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from . import criteria
 from . import hirzebruch as hz
-from .cones import ConeDescription, HirzebruchFamily, is_nef, nef_lines, pair
+from .cones import ConeDescription, HirzebruchFamily, PairingRow, is_nef, pair, pairing_row
 from .criteria import BetaWitness, CriterionVerdict, TraceLine, check, riemann_roch_chi
 from .lattice import DivisorClass, RationalLike, as_fraction
 from .surface import QDivisor, SurfaceModel
@@ -127,12 +128,12 @@ class ParamFamily:
     """A parametric decomposition target = boundary + positive part.
 
     Coefficients of both parts are affine in the parameters; the sum must be
-    parameter-free and integral.  The boundary must stay in [0, 1) on the
-    domain; this is checked at each instantiation, not symbolically.
+    parameter-free and integral, so M rounds up to the target wherever the
+    boundary lies in [0, 1).  That range is checked at each candidate, not
+    symbolically.
 
     Construction also compiles the class of M into one affine form per
-    lattice coordinate, so that a candidate's nef and big test needs no
-    divisor.
+    lattice coordinate, so that a candidate's class needs no divisor.
     """
 
     surface: SurfaceModel
@@ -152,12 +153,7 @@ class ParamFamily:
                 if curve not in self.surface.curves:
                     raise ValueError(f"family references undeclared curve {curve!r}")
         declared = set(names)
-        used = {
-            n
-            for coeffs in (self.boundary, self.positive)
-            for expr in coeffs.values()
-            for n in expr.terms
-        }
+        used = {n for coeffs in (self.boundary, self.positive) for expr in coeffs.values() for n in expr.terms}
         if not used <= declared:
             raise ValueError(f"undeclared parameters in family: {sorted(used - declared)}")
         target = {}
@@ -169,7 +165,6 @@ class ParamFamily:
                 raise ValueError(f"target coefficient on {curve!r} is not an integer")
             target[curve] = total.const
         object.__setattr__(self, "_target", self.surface.divisor(target))
-        object.__setattr__(self, "_target_coeffs", tuple(target.items()))
         classes = [self.surface.curves[curve].cls.coeffs for curve in self.positive]
         m_class = tuple(
             sum((expr * cls[i] for expr, cls in zip(self.positive.values(), classes)), AffineExpr())
@@ -183,34 +178,24 @@ class ParamFamily:
     def target(self) -> QDivisor:
         return self._target
 
-    def _coefficients(self, values: Mapping[str, Fraction]) -> tuple[dict[str, Fraction], dict[str, Fraction]]:
-        """Boundary and positive coefficients at the values, once the family
-        invariants hold: each parameter in its domain, in parameter order,
-        then the boundary in [0, 1), then the round-up of M on the target."""
+    def _boundary_at(self, values: Mapping[str, Fraction]) -> tuple[Fraction, ...]:
+        """The boundary coefficients at the values, in ``boundary`` order, once
+        the family invariants hold: each parameter in its domain, in parameter
+        order, then the boundary in [0, 1)."""
         for p in self.params:
             if p.name not in values:
                 raise KeyError(f"no value for parameter {p.name!r}")
             if not p.contains(values[p.name]):
                 raise FamilyViolation(f"{p.name} = {values[p.name]} outside ({p.lo}, {p.hi})")
-        b = {curve: expr.evaluate(values) for curve, expr in self.boundary.items()}
-        if not all(0 <= v.numerator < v.denominator for v in b.values()):  # 0 <= v < 1
+        b = tuple(expr.evaluate(values) for expr in self.boundary.values())
+        if not all(0 <= v.numerator < v.denominator for v in b):  # 0 <= v < 1
             raise FamilyViolation(f"boundary coefficients leave [0, 1) at {dict(values)}")
-        m = {curve: expr.evaluate(values) for curve, expr in self.positive.items()}
-        if any(math.ceil(m.get(curve, 0)) != t for curve, t in self._target_coeffs):
-            raise FamilyViolation(f"round-up of the positive part misses the target at {dict(values)}")
-        return b, m
-
-    def _nef_and_big(self, values: Mapping[str, Fraction], rows) -> bool:
-        """Whether M's class at the values pairs non-negatively with every
-        nef row (see ``cones.NefRow``) and has a positive square."""
-        m = [expr.evaluate(values) for expr in self._m_class]
-        if not all(pair(m, row) >= 0 for row in rows):
-            return False
-        return sum(x * pair(m, gram_row) for x, gram_row in zip(m, self._gram_rows)) > 0
+        return b
 
     def instantiate(self, values: Mapping[str, Fraction]) -> tuple[QDivisor, QDivisor]:
-        b, m = self._coefficients(values)
-        return self.surface.divisor(b), self.surface.divisor(m)
+        b = self._boundary_at(values)
+        m = {curve: expr.evaluate(values) for curve, expr in self.positive.items()}
+        return self.surface.divisor(dict(zip(self.boundary, b))), self.surface.divisor(m)
 
 
 # ---------------------------------------------------------------------------
@@ -219,18 +204,21 @@ class ParamFamily:
 
 @dataclass(frozen=True)
 class Degrees:
-    """A declared family of candidate curve classes for a degree minimum."""
+    """A declared family of candidate curve classes for a degree minimum.
+
+    Each class is kept as its pairing row (see ``cones.pairing_row``), so
+    that M's minimal degree is a minimum of dot products with M's class.
+    """
 
     description: str
     classes: tuple[DivisorClass, ...]
+    rows: tuple[PairingRow, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "classes", tuple(self.classes))
         if not self.classes:
             raise ValueError("degree family needs at least one class")
-
-    def min_degree(self, m: DivisorClass) -> Fraction:
-        return min(m.intersect(c) for c in self.classes)
+        object.__setattr__(self, "rows", tuple(pairing_row(c) for c in self.classes))
 
 
 WitnessProvider = Union[BetaWitness, Callable[[Mapping[str, Fraction]], BetaWitness], None]
@@ -248,6 +236,20 @@ def _prefixed(label: str, lines: Sequence[TraceLine]) -> list[TraceLine]:
     if not label:
         return list(lines)
     return [TraceLine(f"{label}: {l.text}", l.lhs, l.rel, l.rhs, l.holds) for l in lines]
+
+
+def _nef_pairings(m: Sequence[Fraction], cones: Sequence[ConeDescription]) -> dict[int, list[Fraction]]:
+    """M.C for each row of each cone's nef test, keyed by the cone's id."""
+    return {id(cone): [pair(m, row) for _, row in cone.nef_rows] for cone in cones}
+
+
+def _evaluate(goal, boundary: QDivisor, positive: QDivisor, values: Mapping[str, Fraction]) -> CriterionVerdict:
+    """A goal's verdict at built divisors: their numbers, decided on the path a
+    search takes (see ``Goal._decider``)."""
+    decide = goal._decider(boundary.surface, tuple(boundary.coeffs))
+    m_cls = positive.divisor_class()
+    nef = _nef_pairings(m_cls.coeffs, goal.cones)
+    return decide(tuple(boundary.coeffs.values()), m_cls.coeffs, m_cls.self_intersection(), nef, values)
 
 
 @dataclass(frozen=True)
@@ -277,24 +279,41 @@ class Goal:
     def cones(self) -> tuple[ConeDescription, ...]:
         return (self.cone,)
 
-    def evaluate(self, boundary: QDivisor, positive: QDivisor, values: Mapping[str, Fraction]) -> CriterionVerdict:
+    def _decider(self, surface: SurfaceModel, curves: Sequence[str]):
+        """The verdict as a function of one candidate's numbers: the boundary
+        coefficients on ``curves``, M's class vector, M^2, the nef pairings
+        of every cone (see ``_nef_pairings``) and the parameter values.  The
+        cone's lattice and the marked names are checked here, before any
+        candidate; each multiplicity becomes a row over those coefficients."""
+        if self.cone.lattice is not surface.lattice:
+            raise ValueError("class does not live on the cone's lattice")
         checker, rule = _GOAL_KINDS[self.kind]
-        m_cls = positive.divisor_class()
-        m2 = m_cls.self_intersection()
-        ambient = nef_lines(m_cls, self.cone) + [check("M^2 > 0 (big)", m2, ">", 0)]
-        if not all(l.holds for l in ambient):
-            lines = _prefixed(self.label, ambient)
-            return CriterionVerdict(False, rule, tuple(lines), note="positive part not nef and big")
         if self.kind == "tangent":
-            orders = boundary.ord_tangential(self.at[0])
-            mus = (orders.at_point, orders.at_infinitely_near)
+            spec = surface.tangent(self.at[0])
+            weights = (surface.point(spec.at).mult, spec.mult_V)
         else:
-            mus = tuple(boundary.ord_at(name) for name in self.at)
-        witness = self.witness(values) if callable(self.witness) else self.witness
-        # looked up at call time, so a wrapped checker is the one that runs
-        verdict = getattr(criteria, checker)(*mus, m2, *(d.min_degree(m_cls) for d in self.degrees), witness)
-        lines = _prefixed(self.label, ambient + list(verdict.trace))
-        return CriterionVerdict(verdict.established, verdict.rule, tuple(lines), verdict.witness, verdict.note)
+            weights = tuple(surface.point(name).mult for name in self.at)
+        mult_rows = tuple(tuple((i, w(c)) for i, c in enumerate(curves) if w(c)) for w in weights)
+        nef_texts = tuple(text for text, _ in self.cone.nef_rows)
+
+        def decide(b, m, m2, nef, values) -> CriterionVerdict:
+            ambient = [check(text, v, ">=", 0) for text, v in zip(nef_texts, nef[id(self.cone)])]
+            ambient.append(check("M^2 > 0 (big)", m2, ">", 0))
+            if not all(l.holds for l in ambient):
+                lines = _prefixed(self.label, ambient)
+                return CriterionVerdict(False, rule, tuple(lines), note="positive part not nef and big")
+            mus = [pair(b, row) for row in mult_rows]
+            degrees = [min(pair(m, row) for row in d.rows) for d in self.degrees]
+            witness = self.witness(values) if callable(self.witness) else self.witness
+            # looked up at call time, so a wrapped checker is the one that runs
+            verdict = getattr(criteria, checker)(*mus, m2, *degrees, witness)
+            lines = _prefixed(self.label, ambient + list(verdict.trace))
+            return CriterionVerdict(verdict.established, verdict.rule, tuple(lines), verdict.witness, verdict.note)
+
+        return decide
+
+    def evaluate(self, boundary: QDivisor, positive: QDivisor, values: Mapping[str, Fraction]) -> CriterionVerdict:
+        return _evaluate(self, boundary, positive, values)
 
 
 @dataclass(frozen=True)
@@ -309,17 +328,21 @@ class MultiGoal:
         """The cones of every part's nef test, each once."""
         return tuple({id(c): c for goal in self.goals for c in goal.cones}.values())
 
+    def _decider(self, surface: SurfaceModel, curves: Sequence[str]):
+        """Every part's decider (see ``Goal._decider``), run in turn on one candidate."""
+        parts = [goal._decider(surface, curves) for goal in self.goals]
+
+        def decide(*candidate) -> CriterionVerdict:
+            verdicts = [part(*candidate) for part in parts]
+            lines = tuple(line for verdict in verdicts for line in verdict.trace)
+            witnesses = [verdict.witness for verdict in verdicts]
+            witness = witnesses[0] if witnesses and all(w == witnesses[0] for w in witnesses) else None
+            return CriterionVerdict(all(v.established for v in verdicts), self.rule, lines, witness)
+
+        return decide
+
     def evaluate(self, boundary: QDivisor, positive: QDivisor, values: Mapping[str, Fraction]) -> CriterionVerdict:
-        lines: list[TraceLine] = []
-        witnesses = []
-        ok = True
-        for goal in self.goals:
-            verdict = goal.evaluate(boundary, positive, values)
-            ok = ok and verdict.established
-            lines.extend(verdict.trace)
-            witnesses.append(verdict.witness)
-        witness = witnesses[0] if witnesses and all(w == witnesses[0] for w in witnesses) else None
-        return CriterionVerdict(ok, self.rule, tuple(lines), witness)
+        return _evaluate(self, boundary, positive, values)
 
 
 # ---------------------------------------------------------------------------
@@ -355,14 +378,8 @@ def dyadic_schedule(params: Sequence[Param], depth: int):
             yield dict(acc)
             return
         p = params[i]
-        if i == 0:
-            exponents = range(2, depth + 1)
-            base = Fraction(1)
-        else:
-            exponents = range(1, depth + 1)
-            base = prev
-        for e in exponents:
-            value = base / (1 << e)
+        for e in range(2 if i == 0 else 1, depth + 1):
+            value = prev / (1 << e)
             if not p.contains(value):
                 continue
             acc[p.name] = value
@@ -376,26 +393,30 @@ def search_params(family: ParamFamily, goal: Union[Goal, MultiGoal], depth: int 
     """First parameter values along the dyadic schedule whose decomposition
     makes the goal's checker fire; exact verification at every candidate.
 
-    A candidate whose M fails the nef test of any goal's cone, or has
-    M^2 <= 0, is turned down on the compiled forms: no goal can establish
-    it, so it is neither instantiated nor evaluated."""
+    Each candidate is one pass on the compiled forms: the family invariants
+    and the boundary coefficients, M's class, its nef pairings and M^2.  A
+    candidate whose M fails the nef test of any goal's cone, or has
+    M^2 <= 0, is turned down there: no goal can establish it.  The others go
+    to the goal's decider, compiled once before the first candidate."""
     cones = goal.cones
-    if any(cone.lattice is not family.surface.lattice for cone in cones):
-        raise ValueError("class does not live on the cone's lattice")
-    rows = tuple(row for cone in cones for _, row in cone.nef_rows)
+    decide = goal._decider(family.surface, tuple(family.boundary))
     attempts = 0
     notes: list[str] = []
     for values in dyadic_schedule(family.params, depth):
         attempts += 1
         try:
-            family._coefficients(values)
+            b = family._boundary_at(values)
         except FamilyViolation as exc:
             notes.append(str(exc))
             continue
-        if cones and not family._nef_and_big(values, rows):
+        m = [expr.evaluate(values) for expr in family._m_class]
+        nef = _nef_pairings(m, cones)
+        if not all(v >= 0 for pairings in nef.values() for v in pairings):
             continue
-        boundary, positive = family.instantiate(values)
-        verdict = goal.evaluate(boundary, positive, values)
+        m2 = sum(x * pair(m, gram_row) for x, gram_row in zip(m, family._gram_rows))
+        if cones and m2 <= 0:
+            continue
+        verdict = decide(b, m, m2, nef, values)
         if verdict.established:
             return SearchReport(True, values, verdict, attempts, tuple(notes))
     return SearchReport(False, {}, None, attempts, tuple(notes))
@@ -492,6 +513,10 @@ def hirzebruch_claim(n: int, part: int, m: Optional[int] = None, depth: int = DE
         positive={"G": AffineExpr(2, {"eps": 1}), "F": AffineExpr(m + n + 1, {"alpha": 1})},
     )
 
+    def searched(name, shown, family, kind, at, keys, witness, label):
+        """A check as in ``searches``, its degree sources named by CLAIM_FAMILIES keys."""
+        return name, shown, family, Goal(kind, cone, at, tuple(fam[key] for key in keys), witness, label)
+
     free_witness = BetaWitness.single(Fraction(3), Fraction(3, 2), role="at-p")
     freeness_goal = MultiGoal(
         (
@@ -501,92 +526,59 @@ def hirzebruch_claim(n: int, part: int, m: Optional[int] = None, depth: int = DE
         rule="freeness/degree-bound",
     )
     # (check name, families shown, decomposition, goal) for every searched check
-    searches = [
-        (
-            "freeness",
-            f"{fam['off'].description}; {fam['on'].description}",
-            section_boundary,
-            freeness_goal,
-        )
-    ]
-
+    searches = [("freeness", f"{fam['off'].description}; {fam['on'].description}", section_boundary, freeness_goal)]
     if part == 2:
+        half, two = Fraction(3, 2), Fraction(2)
         searches += [
-            (
+            searched(
                 "separation on a fiber off the section",
                 f"per point: {fam['off'].description}; joint: {fam['joint-fiber'].description}",
                 fiber_boundary,
-                Goal(
-                    "separate",
-                    cone,
-                    (hz.POINT_ON_F, hz.POINT_ON_F2),
-                    (fam["off"], fam["off"], fam["joint-fiber"]),
-                    witness=lambda v: BetaWitness.pair(
-                        Fraction(3, 2), Fraction(3, 2), 1 + v["eps"] / 2, 1 + v["eps"] / 2
-                    ),
-                    label="two points on one fiber, off the section",
-                ),
+                "separate",
+                (hz.POINT_ON_F, hz.POINT_ON_F2),
+                ("off", "off", "joint-fiber"),
+                lambda v: BetaWitness.pair(half, half, 1 + v["eps"] / 2, 1 + v["eps"] / 2),
+                "two points on one fiber, off the section",
             ),
-            (
+            searched(
                 "separation along the section",
                 f"per point: {fam['on'].description}; joint: {fam['joint-section'].description}",
                 section_boundary,
-                Goal(
-                    "separate",
-                    cone,
-                    (hz.POINT_ON_G, hz.POINT_ON_G2),
-                    (fam["on"], fam["on"], fam["joint-section"]),
-                    witness=lambda v: BetaWitness.pair(
-                        2, 2, Fraction(2) / (2 - v["eps"]), Fraction(2) / (2 - v["eps"])
-                    ),
-                    label="two points on the section",
-                ),
+                "separate",
+                (hz.POINT_ON_G, hz.POINT_ON_G2),
+                ("on", "on", "joint-section"),
+                lambda v: BetaWitness.pair(2, 2, two / (2 - v["eps"]), two / (2 - v["eps"])),
+                "two points on the section",
             ),
-            (
+            searched(
                 "separation of the fiber-section point from a fiber point",
                 f"joint: {fam['joint-fiber'].description}",
                 fiber_boundary,
-                Goal(
-                    "separate",
-                    cone,
-                    (hz.POINT_FG, hz.POINT_ON_F),
-                    (fam["on"], fam["off"], fam["joint-fiber"]),
-                    witness=lambda v: BetaWitness.pair(
-                        1, 2, v["eps"] + v["alpha"], Fraction(2) / (2 - v["alpha"])
-                    ),
-                    label="fiber-section point with a fiber point",
-                ),
+                "separate",
+                (hz.POINT_FG, hz.POINT_ON_F),
+                ("on", "off", "joint-fiber"),
+                lambda v: BetaWitness.pair(1, 2, v["eps"] + v["alpha"], two / (2 - v["alpha"])),
+                "fiber-section point with a fiber point",
             ),
-            (
+            searched(
                 "separation of a section point from a general point",
                 f"joint: {fam['joint-generic'].description}",
                 section_boundary,
-                Goal(
-                    "separate",
-                    cone,
-                    (hz.POINT_ON_G, hz.POINT_GENERIC),
-                    (fam["on"], fam["off"], fam["joint-generic"]),
-                    witness=lambda v: BetaWitness.pair(2, 2, Fraction(2) / (2 - v["eps"]), 2),
-                    label="section point with a general point",
-                ),
+                "separate",
+                (hz.POINT_ON_G, hz.POINT_GENERIC),
+                ("on", "off", "joint-generic"),
+                lambda v: BetaWitness.pair(2, 2, two / (2 - v["eps"]), 2),
+                "section point with a general point",
             ),
-            (
+            searched(
                 "tangent separation at the fiber-section point",
                 f"point: {fam['on'].description}; scheme: {fam['scheme'].description}",
                 section_boundary,
-                Goal(
-                    "tangent",
-                    cone,
-                    (hz.TANGENT_G,),
-                    (fam["on"], fam["scheme"]),
-                    witness=lambda v: BetaWitness(
-                        (Fraction(2), Fraction(2)),
-                        (Fraction(2) / (2 - v["eps"]),),
-                        ("at-p", "at-V"),
-                        ("global",),
-                    ),
-                    label="tangent to the section at the fiber-section point",
-                ),
+                "tangent",
+                (hz.TANGENT_G,),
+                ("on", "scheme"),
+                lambda v: BetaWitness((two, two), (two / (2 - v["eps"]),), ("at-p", "at-V"), ("global",)),
+                "tangent to the section at the fiber-section point",
             ),
         ]
     checks = [ClaimCheck(name, text, search_params(family, goal, depth)) for name, text, family, goal in searches]

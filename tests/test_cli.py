@@ -32,6 +32,18 @@ def run_cli(*args, stdin=None):
     return proc
 
 
+@pytest.mark.parametrize("args, status", [(("--max-n", "2"), 0), (("--max-n", "1", "--depth", "1"), 1)])
+def test_claim_sweep_script_exits_one_when_a_claim_fails(args, status):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_claims.py"), *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == status, proc.stderr
+    assert (" NO " in proc.stdout) == bool(status)
+
+
 def test_version_flag():
     proc = run_cli("--version")
     assert proc.returncode == 0
@@ -227,6 +239,50 @@ def test_search_with_no_generator_in_the_degree_filter_errors_before_any_candida
     assert result.status == "error"
     assert result.error == "no cone generator matches filter 'through-p'"
     assert result.attempts is None
+
+
+# M = F - (1 - e)G has M.F = e - 1 < 0, so M is nef nowhere on the schedule
+NEVER_NEF_SEARCH = """gram = [[-1, 1], [1, 0]]; K = -2G - 3F; chi_O = 1
+curves
+G = G
+F = F
+cone
+hirzebruch = 1
+points
+p = G:1 F:1
+tangents
+v = p G:1:z
+params
+e = (0, 1)
+divisors
+B = (1 - e)G
+M = F - B
+queries
+"""
+
+
+@pytest.mark.parametrize(
+    "query, message",
+    [
+        ("search goal=free point=zzz B=B M=M", "no point named 'zzz'"),
+        ("search goal=separate p=zzz q=p B=B M=M", "no point named 'zzz'"),
+        ("search goal=separate p=p q=zzz B=B M=M", "no point named 'zzz'"),
+        ("search goal=tangent tangent=zzz B=B M=M", "no tangent named 'zzz'"),
+    ],
+)
+def test_search_resolves_marked_names_before_any_candidate(query, message, capsys, monkeypatch):
+    """An unknown point or tangent is an error even when no candidate is nef."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(NEVER_NEF_SEARCH + query + "\n"))
+    assert main(["check", "-"]) == 1
+    assert capsys.readouterr().out == f"report for <stdin>\n== {query}\n   error: {message}\n"
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(NEVER_NEF_SEARCH + query + "\n"))
+    assert main(["check", "-", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    jsonschema.validate(payload, SCHEMA)
+    (result,) = payload["queries"]
+    del result["elapsed_ms"]
+    assert result == {"query": query, "status": "error", "error": message}
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qreider import criteria
 from qreider import hirzebruch as hz
-from qreider.cones import ConeGenerator, DegreeFilter, FiniteGenerators, HirzebruchFamily, degree_classes
+from qreider.cones import ConeGenerator, DegreeFilter, FiniteGenerators, HirzebruchFamily, degree_classes, is_big
 from qreider.criteria import BetaWitness, CriterionVerdict
 from qreider.search import (
     AffineExpr,
@@ -511,3 +511,73 @@ def test_search_matches_the_build_every_candidate_reference(case, stub, k):
     assert report.attempts == expected.attempts
     assert report.notes == expected.notes
     assert report.verdict == expected.verdict  # rule, trace, witness and note
+
+
+# ---------------------------------------------------------------------------
+# the public adapters against the search's compiled path
+
+
+def compiled_path(family, goal, values):
+    """The search at one candidate: its report when the schedule offers only
+    ``values``, and every verdict the goal's compiled decider returned."""
+    from qreider import search
+
+    verdicts = []
+    real = type(goal)._decider
+
+    def recording(self, surface, curves):
+        decide = real(self, surface, curves)
+        if self is not goal:
+            return decide
+
+        def recorded(*candidate):
+            verdicts.append(decide(*candidate))
+            return verdicts[-1]
+
+        return recorded
+
+    with mock.patch.object(search, "dyadic_schedule", lambda params, depth: iter([dict(values)])):
+        with mock.patch.object(type(goal), "_decider", recording):
+            report = search_params(family, goal)
+    return report, verdicts
+
+
+@given(search_cases())
+@settings(max_examples=100, deadline=None)
+def test_evaluate_at_built_divisors_matches_the_search_path(case):
+    """At every schedule candidate that passes the family invariants, the
+    search hands the goal's decider exactly the candidates whose M is nef and
+    big on every cone, and there its verdict is the one ``evaluate`` gives on
+    the instantiated divisors (for a Goal and for a MultiGoal alike)."""
+    family, goal, depth = case
+    reached = 0
+    for values in dyadic_schedule(family.params, depth):
+        try:
+            boundary, positive = family.instantiate(values)
+        except FamilyViolation:
+            continue
+        report, verdicts = compiled_path(family, goal, values)
+        if not all(is_big(positive.divisor_class(), cone) for cone in goal.cones):
+            assert verdicts == [] and not report.found
+            continue
+        assert verdicts == [goal.evaluate(boundary, positive, values)]
+        assert report.found == verdicts[0].established
+        reached += 1
+        if reached == 4:
+            break
+
+
+def test_the_claim_search_builds_no_divisor():
+    """The n = 12, part 2 claim walks candidates turned down on the nef test
+    and candidates that reach a checker; none goes through the public adapters."""
+    spies = [
+        mock.patch.object(owner, name, autospec=True, side_effect=getattr(owner, name))
+        for owner, name in ((ParamFamily, "instantiate"), (Goal, "evaluate"), (MultiGoal, "evaluate"))
+    ]
+    with spies[0] as instantiate, spies[1] as evaluate, spies[2] as multi_evaluate:
+        report = hirzebruch_claim(12, 2)
+    assert report.ok
+    assert [chk.report.attempts for chk in report.checks] == [2, 25, 3, 25, 2, 3]
+    instantiate.assert_not_called()
+    evaluate.assert_not_called()
+    multi_evaluate.assert_not_called()
