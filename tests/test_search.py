@@ -570,12 +570,13 @@ def test_evaluate_at_built_divisors_matches_the_search_path(case):
 def test_the_claim_search_builds_no_divisor():
     """The n = 12, part 2 claim walks candidates turned down on the nef test
     and candidates that reach a checker; none goes through the public adapters."""
-    spies = [
-        mock.patch.object(owner, name, autospec=True, side_effect=getattr(owner, name))
-        for owner, name in ((ParamFamily, "instantiate"), (Goal, "evaluate"), (MultiGoal, "evaluate"))
-    ]
-    with spies[0] as instantiate, spies[1] as evaluate, spies[2] as multi_evaluate:
-        report = hirzebruch_claim(12, 2)
+
+    def spy(owner, name):
+        return mock.patch.object(owner, name, autospec=True, side_effect=getattr(owner, name))
+
+    with spy(ParamFamily, "instantiate") as instantiate, spy(Goal, "evaluate") as evaluate:
+        with spy(MultiGoal, "evaluate") as multi_evaluate:
+            report = hirzebruch_claim(12, 2)
     assert report.ok
     assert [chk.report.attempts for chk in report.checks] == [2, 25, 3, 25, 2, 3]
     instantiate.assert_not_called()
