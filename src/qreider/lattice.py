@@ -124,9 +124,6 @@ class DivisorClass:
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         self._require_same_lattice(other)
         return DivisorClass(self.lattice, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Mapping, Optional, TypeVar, Union
 
 from . import __version__
 from .cones import DegreeFilter, degree_classes, min_degree
@@ -19,6 +19,7 @@ from .criteria import (
     CriterionVerdict,
     LocalConfig,
     LocalCurveData,
+    ThresholdMode,
     TraceLine,
     freeness_at,
     plc_threshold,
@@ -30,6 +31,8 @@ from .criteria import (
 )
 from .document import Document, ParseError, QueryDecl
 from .search import DEFAULT_DEPTH, Degrees, Goal, ParamFamily, SearchReport, hirzebruch_claim, search_params
+
+T = TypeVar("T")
 
 
 class QueryError(ValueError):
@@ -109,6 +112,18 @@ def _int_arg(q: QueryDecl, key: str, lo: int, hi: Optional[int] = None, required
     return value
 
 
+def _choice_arg(q: QueryDecl, key: str, choices: Mapping[str, T], default: str) -> T:
+    """Argument ``key``, read case-insensitively, as the value that ``choices``
+    gives its spelling, or as ``default``'s when it is absent."""
+    raw = q.arg(key, default)
+    if raw.lower() not in choices:
+        raise QueryError(f"{key}={raw!r} must be one of {', '.join(choices)}")
+    return choices[raw.lower()]
+
+
+_WEAK = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+_THRESHOLD_MODES = {mode.value: mode for mode in ThresholdMode}
+_DEGREE_FILTERS = {filt.value: filt for filt in DegreeFilter}
 _MAX_DEPTH = 64  # keeps a k-parameter search within about 64**k candidates
 
 
@@ -193,7 +208,7 @@ def _run_check_free(doc: Document, q: QueryDecl, result: QueryResult) -> None:
     point = _require(q, "point")
     boundary, m_cls, m2 = _decomposition(doc, q)
     mu = boundary.ord_at(point)
-    filt = DegreeFilter(q.arg("filter", "through-p"))
+    filt = _choice_arg(q, "filter", _DEGREE_FILTERS, "through-p")
     deg = _mindeg(doc, m_cls, filt, _rational_arg(q, "mindeg"))
     result.values.update({"mu": mu, "M2": m2, "mindeg": deg})
     _from_verdict(result, freeness_at(mu, m2, deg, _freeness_witness_args(q)))
@@ -273,8 +288,8 @@ def _run_plc_threshold(doc: Document, q: QueryDecl, result: QueryResult) -> None
     point = model.point(_require(q, "point"))
     boundary = _divisor(doc, q, "B")
     auxiliary = _divisor(doc, q, "D")
-    mode = q.arg("mode", "basic")
-    weak = q.arg("weak", "false").lower() in ("1", "true", "yes")
+    mode = _choice_arg(q, "mode", _THRESHOLD_MODES, "basic")
+    weak = _choice_arg(q, "weak", _WEAK, "false")
     # declaration order of the point's curves decides threshold tie-breaking
     curves = tuple(
         LocalCurveData(name, boundary.coeff(name), auxiliary.coeff(name), mult)

@@ -183,19 +183,12 @@ class ParamFamily:
         the family invariants hold: each parameter in its domain, in parameter
         order, then the boundary in [0, 1)."""
         for p in self.params:
-            if p.name not in values:
-                raise KeyError(f"no value for parameter {p.name!r}")
             if not p.contains(values[p.name]):
                 raise FamilyViolation(f"{p.name} = {values[p.name]} outside ({p.lo}, {p.hi})")
         b = tuple(expr.evaluate(values) for expr in self.boundary.values())
         if not all(0 <= v.numerator < v.denominator for v in b):  # 0 <= v < 1
             raise FamilyViolation(f"boundary coefficients leave [0, 1) at {dict(values)}")
         return b
-
-    def instantiate(self, values: Mapping[str, Fraction]) -> tuple[QDivisor, QDivisor]:
-        b = self._boundary_at(values)
-        m = {curve: expr.evaluate(values) for curve, expr in self.positive.items()}
-        return self.surface.divisor(dict(zip(self.boundary, b))), self.surface.divisor(m)
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +216,12 @@ class Degrees:
 
 WitnessProvider = Union[BetaWitness, Callable[[Mapping[str, Fraction]], BetaWitness], None]
 
-# goal kind -> (checker in the criteria module, rule of a candidate turned down before it runs)
+# goal kind -> checker in the criteria module
 _GOAL_KINDS = {
-    "free": ("freeness_at", "freeness/degree-bound"),
-    "separate": ("separation", "separation/degree-bounds"),
-    "tangent": ("tangent_separation", "tangent/degree-bounds"),
-    "very-ample": ("very_ampleness", "very-ample/witness"),
+    "free": "freeness_at",
+    "separate": "separation",
+    "tangent": "tangent_separation",
+    "very-ample": "very_ampleness",
 }
 
 
@@ -236,20 +229,6 @@ def _prefixed(label: str, lines: Sequence[TraceLine]) -> list[TraceLine]:
     if not label:
         return list(lines)
     return [TraceLine(f"{label}: {l.text}", l.lhs, l.rel, l.rhs, l.holds) for l in lines]
-
-
-def _nef_pairings(m: Sequence[Fraction], cones: Sequence[ConeDescription]) -> dict[int, list[Fraction]]:
-    """M.C for each row of each cone's nef test, keyed by the cone's id."""
-    return {id(cone): [pair(m, row) for _, row in cone.nef_rows] for cone in cones}
-
-
-def _evaluate(goal, boundary: QDivisor, positive: QDivisor, values: Mapping[str, Fraction]) -> CriterionVerdict:
-    """A goal's verdict at built divisors: their numbers, decided on the path a
-    search takes (see ``Goal._decider``)."""
-    decide = goal._decider(boundary.surface, tuple(boundary.coeffs))
-    m_cls = positive.divisor_class()
-    nef = _nef_pairings(m_cls.coeffs, goal.cones)
-    return decide(tuple(boundary.coeffs.values()), m_cls.coeffs, m_cls.self_intersection(), nef, values)
 
 
 @dataclass(frozen=True)
@@ -260,8 +239,8 @@ class Goal:
     the marked data the checker reads: one point (free), two points
     (separate), one tangent direction (tangent) or nothing (very-ample).
     ``degrees`` gives one source per minimal degree, in the checker's
-    argument order.  A candidate whose M fails the nef or big line is turned
-    down before the checker runs.
+    argument order.  The search hands the checker only candidates whose M
+    passes the cone's nef test and has M^2 > 0.
     """
 
     kind: str
@@ -275,19 +254,15 @@ class Goal:
         if self.kind not in _GOAL_KINDS:
             raise ValueError(f"unknown search goal {self.kind!r}")
 
-    @property
-    def cones(self) -> tuple[ConeDescription, ...]:
-        return (self.cone,)
-
     def _decider(self, surface: SurfaceModel, curves: Sequence[str]):
-        """The verdict as a function of one candidate's numbers: the boundary
-        coefficients on ``curves``, M's class vector, M^2, the nef pairings
-        of every cone (see ``_nef_pairings``) and the parameter values.  The
-        cone's lattice and the marked names are checked here, before any
-        candidate; each multiplicity becomes a row over those coefficients."""
+        """The verdict as a function of one candidate whose M is nef and big:
+        its boundary coefficients on ``curves``, M's class vector, M^2, the
+        pairings of the cone's nef rows and the parameter values.  The cone's
+        lattice and the marked names are checked here, before any candidate;
+        each multiplicity becomes a row over those coefficients."""
         if self.cone.lattice is not surface.lattice:
             raise ValueError("class does not live on the cone's lattice")
-        checker, rule = _GOAL_KINDS[self.kind]
+        checker = _GOAL_KINDS[self.kind]
         if self.kind == "tangent":
             spec = surface.tangent(self.at[0])
             weights = (surface.point(spec.at).mult, spec.mult_V)
@@ -297,11 +272,8 @@ class Goal:
         nef_texts = tuple(text for text, _ in self.cone.nef_rows)
 
         def decide(b, m, m2, nef, values) -> CriterionVerdict:
-            ambient = [check(text, v, ">=", 0) for text, v in zip(nef_texts, nef[id(self.cone)])]
+            ambient = [check(text, v, ">=", 0) for text, v in zip(nef_texts, nef)]
             ambient.append(check("M^2 > 0 (big)", m2, ">", 0))
-            if not all(l.holds for l in ambient):
-                lines = _prefixed(self.label, ambient)
-                return CriterionVerdict(False, rule, tuple(lines), note="positive part not nef and big")
             mus = [pair(b, row) for row in mult_rows]
             degrees = [min(pair(m, row) for row in d.rows) for d in self.degrees]
             witness = self.witness(values) if callable(self.witness) else self.witness
@@ -312,21 +284,21 @@ class Goal:
 
         return decide
 
-    def evaluate(self, boundary: QDivisor, positive: QDivisor, values: Mapping[str, Fraction]) -> CriterionVerdict:
-        return _evaluate(self, boundary, positive, values)
-
 
 @dataclass(frozen=True)
 class MultiGoal:
-    """Conjunction of goals; established only when every part is."""
+    """Conjunction of goals on one cone; established only when every part is."""
 
     goals: tuple
     rule: str = "composite"
 
+    def __post_init__(self):
+        if not self.goals or any(goal.cone != self.goals[0].cone for goal in self.goals):
+            raise ValueError("a conjunction needs at least one goal, and all its goals on one cone")
+
     @property
-    def cones(self) -> tuple[ConeDescription, ...]:
-        """The cones of every part's nef test, each once."""
-        return tuple({id(c): c for goal in self.goals for c in goal.cones}.values())
+    def cone(self) -> ConeDescription:
+        return self.goals[0].cone
 
     def _decider(self, surface: SurfaceModel, curves: Sequence[str]):
         """Every part's decider (see ``Goal._decider``), run in turn on one candidate."""
@@ -336,13 +308,10 @@ class MultiGoal:
             verdicts = [part(*candidate) for part in parts]
             lines = tuple(line for verdict in verdicts for line in verdict.trace)
             witnesses = [verdict.witness for verdict in verdicts]
-            witness = witnesses[0] if witnesses and all(w == witnesses[0] for w in witnesses) else None
+            witness = witnesses[0] if all(w == witnesses[0] for w in witnesses) else None
             return CriterionVerdict(all(v.established for v in verdicts), self.rule, lines, witness)
 
         return decide
-
-    def evaluate(self, boundary: QDivisor, positive: QDivisor, values: Mapping[str, Fraction]) -> CriterionVerdict:
-        return _evaluate(self, boundary, positive, values)
 
 
 # ---------------------------------------------------------------------------
@@ -394,11 +363,12 @@ def search_params(family: ParamFamily, goal: Union[Goal, MultiGoal], depth: int 
     makes the goal's checker fire; exact verification at every candidate.
 
     Each candidate is one pass on the compiled forms: the family invariants
-    and the boundary coefficients, M's class, its nef pairings and M^2.  A
-    candidate whose M fails the nef test of any goal's cone, or has
-    M^2 <= 0, is turned down there: no goal can establish it.  The others go
-    to the goal's decider, compiled once before the first candidate."""
-    cones = goal.cones
+    and the boundary coefficients, M's class, its nef pairings up to the
+    first negative one, and M^2.  A candidate whose M fails the goal's nef
+    test, or has M^2 <= 0, is turned down there: no goal can establish it.
+    The others go to the goal's decider, compiled once before the first
+    candidate."""
+    nef_rows = [row for _, row in goal.cone.nef_rows]
     decide = goal._decider(family.surface, tuple(family.boundary))
     attempts = 0
     notes: list[str] = []
@@ -410,11 +380,15 @@ def search_params(family: ParamFamily, goal: Union[Goal, MultiGoal], depth: int 
             notes.append(str(exc))
             continue
         m = [expr.evaluate(values) for expr in family._m_class]
-        nef = _nef_pairings(m, cones)
-        if not all(v >= 0 for pairings in nef.values() for v in pairings):
+        nef = []
+        for row in nef_rows:
+            nef.append(pair(m, row))
+            if nef[-1] < 0:
+                break
+        if nef[-1] < 0:
             continue
         m2 = sum(x * pair(m, gram_row) for x, gram_row in zip(m, family._gram_rows))
-        if cones and m2 <= 0:
+        if m2 <= 0:
             continue
         verdict = decide(b, m, m2, nef, values)
         if verdict.established:
@@ -497,7 +471,11 @@ def hirzebruch_claim(n: int, part: int, m: Optional[int] = None, depth: int = DE
     h_cls = hz.hyperplane_class(model, m)
     l_cls = h_cls - model.canonical
     named = {"G": cone.g_class, "F": cone.f_class, "G+nF": cone.family_corner()}
-    fam = {key: Degrees(text, tuple(named[c] for c in curves)) for key, (text, curves) in CLAIM_FAMILIES.items()}
+    fam = {
+        key: Degrees(text, tuple(named[c] for c in curves))
+        for key, (text, curves) in CLAIM_FAMILIES.items()
+        if part == 2 or key in ("off", "on")  # part 1 searches freeness alone
+    }
 
     eps = Param("eps")
     section_boundary = ParamFamily(

@@ -221,9 +221,6 @@ class QDivisor:
             raise UnknownCurveError(f"no curve named {curve!r}")
         return self.coeffs.get(curve, Fraction(0))
 
-    def support(self) -> tuple[str, ...]:
-        return tuple(sorted(self.coeffs))
-
     def _require_same_surface(self, other: "QDivisor") -> None:
         if self.surface is not other.surface:
             raise ValueError("divisors live on different surface models")
@@ -246,9 +243,6 @@ class QDivisor:
         return QDivisor(self.surface, {n: q * v for n, v in self.coeffs.items()})
 
     __rmul__ = __mul__
-
-    def is_effective(self) -> bool:
-        return all(v >= 0 for v in self.coeffs.values())
 
     def is_integral(self) -> bool:
         return all(v.denominator == 1 for v in self.coeffs.values())

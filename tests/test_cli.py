@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -19,6 +20,9 @@ from qreider.report import report_to_json, run_document
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "docs" / "hirzebruch_n3.surf"
 SCHEMA = json.loads((ROOT / "docs" / "report.schema.json").read_text())
+# child processes import qreider from this checkout, as the tests do
+CHILD_PATH = (str(ROOT / "src"), os.environ.get("PYTHONPATH"))
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, CHILD_PATH))}
 
 
 def run_cli(*args, stdin=None):
@@ -28,6 +32,7 @@ def run_cli(*args, stdin=None):
         text=True,
         input=stdin,
         timeout=120,
+        env=CHILD_ENV,
     )
     return proc
 
@@ -39,6 +44,7 @@ def test_claim_sweep_script_exits_one_when_a_claim_fails(args, status):
         capture_output=True,
         text=True,
         timeout=120,
+        env=CHILD_ENV,
     )
     assert proc.returncode == status, proc.stderr
     assert (" NO " in proc.stdout) == bool(status)
@@ -312,6 +318,55 @@ def test_claim_integer_arguments_accept_plain_digits(capsys, monkeypatch):
     assert main(["check", "-"]) == 0
     out = capsys.readouterr().out
     assert "   n = 2\n" in out and "   m = 10\n" in out and "   ok: yes\n" in out
+
+
+CHOICE_DOC = """gram = [[-3, 1], [1, 0]]; K = -2G - 5F; chi_O = 1
+curves
+G = G
+F = F
+cone
+hirzebruch = 3
+points
+p = G:1 F:1
+divisors
+B = 1/2 G
+M = 3G + 8F - B
+D = 1/2 G + 3/4 F
+queries
+"""
+
+
+WEAK_SPELLINGS = "must be one of 1, true, yes, 0, false, no"
+
+
+@pytest.mark.parametrize(
+    "query, message",
+    [
+        ("plc-threshold point=p B=B D=D mode=prime c0=F weak=maybe", f"weak='maybe' {WEAK_SPELLINGS}"),
+        ("plc-threshold point=p B=B D=D mode=prime c0=F weak=", f"weak='' {WEAK_SPELLINGS}"),
+        ("plc-threshold point=p B=B D=D mode=bogus", "mode='bogus' must be one of basic, cap3, prime"),
+        ("check-free point=p B=B M=M filter=bogus", "filter='bogus' must be one of all, through-p, containing-z"),
+    ],
+)
+def test_choice_arguments_name_the_key_and_the_accepted_values(query, message, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(CHOICE_DOC + query + "\n"))
+    assert main(["check", "-"]) == 1
+    assert capsys.readouterr().out == f"report for <stdin>\n== {query}\n   error: {message}\n"
+
+
+def test_weak_spellings_turn_the_weak_boundary_on_and_off(capsys, monkeypatch):
+    """With c0 = F, the other curve G has b + d = 1 exactly, so the weak
+    boundary adds G to the achievers of the threshold."""
+    outputs = {}
+    for weak in ("", " weak=1", " weak=true", " weak=YES", " weak=0", " weak=false", " weak=No"):
+        query = "plc-threshold point=p B=B D=D mode=prime c0=F" + weak
+        monkeypatch.setattr("sys.stdin", io.StringIO(CHOICE_DOC + query + "\n"))
+        assert main(["check", "-"]) == 0
+        outputs[weak] = capsys.readouterr().out.split("\n", 2)[2]  # the result after its query line
+    on = {outputs[w] for w in (" weak=1", " weak=true", " weak=YES")}
+    off = {outputs[w] for w in ("", " weak=0", " weak=false", " weak=No")}
+    assert len(on) == len(off) == 1 and on != off
+    assert "   achievers: one, G\n" in on.pop() and "   achievers: one\n" in off.pop()
 
 
 GENERATOR_SEARCH_DOC = """gram = [[-3, 1], [1, 0]]; K = -2G - 5F; chi_O = 1

@@ -1,5 +1,4 @@
 import contextlib
-import itertools
 from fractions import Fraction as F
 from unittest import mock
 
@@ -9,8 +8,9 @@ from hypothesis import strategies as st
 
 from qreider import criteria
 from qreider import hirzebruch as hz
-from qreider.cones import ConeGenerator, DegreeFilter, FiniteGenerators, HirzebruchFamily, degree_classes, is_big
-from qreider.criteria import BetaWitness, CriterionVerdict
+from qreider import search
+from qreider.cones import ConeGenerator, DegreeFilter, FiniteGenerators, HirzebruchFamily, degree_classes, nef_lines
+from qreider.criteria import BetaWitness, CriterionVerdict, TraceLine
 from qreider.search import (
     AffineExpr,
     Degrees,
@@ -24,6 +24,7 @@ from qreider.search import (
     hirzebruch_claim,
     search_params,
 )
+from qreider.surface import QDivisor
 
 
 def section_family(n, m=None, model=None):
@@ -77,13 +78,25 @@ def test_family_rejects_non_integral_target():
         )
 
 
-def test_family_instantiation_checks_domain_and_boundary_range():
+def decided_at(family, goal, schedule):
+    """The search when the schedule offers only ``schedule``, with every
+    checker replaced by one that establishes and records its arguments."""
+    with mock.patch.object(search, "dyadic_schedule", lambda params, depth: iter(schedule)):
+        with stubbed_checkers(True, 1) as calls:
+            report = search_params(family, goal)
+    return report, calls
+
+
+def test_family_invariants_are_checked_before_the_checker_runs():
     model, family = section_family(1)
-    with pytest.raises(FamilyViolation):
-        family.instantiate({"eps": F(3, 2)})
-    b, m = family.instantiate({"eps": F(1, 8)})
-    assert b.coeff("G") == F(7, 8)
-    assert m.round_up() == family.target
+    assert family.target == model.divisor({"G": 3, "F": 4})
+    cone = HirzebruchFamily(1, model.lattice)
+    goal = Goal("free", cone, (hz.POINT_ON_G,), (Degrees("G", (cone.g_class,)),))
+    report, calls = decided_at(family, goal, [{"eps": F(3, 2)}, {"eps": F(1, 8)}])
+    assert report.notes == ("eps = 3/2 outside (0, 1)",)
+    assert report.found and report.attempts == 2 and report.params == {"eps": F(1, 8)}
+    # mu is B's coefficient 7/8 on G; M = L - B = (17/8)G + 4F has M^2 = 799/64 and M.G = 15/8
+    assert calls == [(F(7, 8), F(799, 64), F(15, 8), None)]
 
 
 def test_dyadic_schedule_is_nested_and_in_domain():
@@ -170,8 +183,8 @@ def test_search_reports_replay():
     goal = Goal("free", cone, (hz.POINT_ON_G,), (all_curves(cone),))
     report = search_params(family, goal)
     assert report.found
-    b, m = family.instantiate(report.params)
-    replay = goal.evaluate(b, m, report.params)
+    b, m = reference_instantiate(family, report.params)
+    replay = reference_evaluate(goal, b, m, report.params)
     assert replay.established
     assert replay.trace == report.verdict.trace
 
@@ -351,7 +364,7 @@ def test_search_notes_pin_the_family_violation_texts(monkeypatch, capsys):
     assert result == VIOLATION_JSON
 
 
-def test_instantiate_reports_each_violation_in_order():
+def test_search_notes_each_violation_in_order():
     model = hz.hirzebruch_model(3)
     family = ParamFamily(
         surface=model,
@@ -359,20 +372,37 @@ def test_instantiate_reports_each_violation_in_order():
         boundary={"G": AffineExpr(F(-1, 2), {"e": 6}), "F": AffineExpr(1, {"f": -4})},
         positive={"G": AffineExpr(F(7, 2), {"e": -6}), "F": AffineExpr(9, {"f": 4})},
     )
-    with pytest.raises(KeyError, match="no value for parameter 'f'"):
-        family.instantiate({"e": F(1, 8)})
-    with pytest.raises(FamilyViolation) as exc:
-        family.instantiate({"e": F(3, 4)})  # e is checked, and fails, before f is looked up
-    assert str(exc.value) == "e = 3/4 outside (0, 1/2)"
-    with pytest.raises(FamilyViolation) as exc:
-        family.instantiate({"e": F(1, 2), "f": F(1, 2)})
-    assert str(exc.value) == "e = 1/2 outside (0, 1/2)"
-    with pytest.raises(FamilyViolation) as exc:
-        family.instantiate({"e": F(1, 16), "f": F(1, 2)})
-    assert str(exc.value) == "boundary coefficients leave [0, 1) at {'e': Fraction(1, 16), 'f': Fraction(1, 2)}"
-    b, m = family.instantiate({"e": F(1, 8), "f": F(1, 16)})
-    assert b == model.divisor({"G": F(1, 4), "F": F(3, 4)})
-    assert m == model.divisor({"G": F(11, 4), "F": F(37, 4)})
+    cone = HirzebruchFamily(3, model.lattice)
+    classes = {"G": cone.g_class, "F": cone.f_class, "G+3F": cone.family_corner()}
+    degrees = tuple(Degrees(text, (cls,)) for text, cls in classes.items())
+    goal = Goal("separate", cone, (hz.POINT_ON_G, hz.POINT_ON_F), degrees)
+    schedule = [
+        {"e": F(3, 4), "f": F(2)},  # e is checked, and fails, before f
+        {"e": F(1, 2), "f": F(1, 2)},
+        {"e": F(1, 16), "f": F(1, 2)},
+        {"e": F(1, 8), "f": F(1, 16)},
+    ]
+    report, calls = decided_at(family, goal, schedule)
+    assert report.notes == (
+        "e = 3/4 outside (0, 1/2)",
+        "e = 1/2 outside (0, 1/2)",
+        "boundary coefficients leave [0, 1) at {'e': Fraction(1, 16), 'f': Fraction(1, 2)}",
+    )
+    assert report.found and report.attempts == 4 and report.params == schedule[-1]
+    # B = (1/4)G + (3/4)F, and M = (11/4)G + (37/4)F has M^2 = 451/16, M.G = 1, M.F = 11/4, M.(G+3F) = 37/4
+    assert calls == [(F(1, 4), F(3, 4), F(451, 16), F(1), F(11, 4), F(37, 4), None)]
+
+
+def test_a_conjunction_needs_a_goal_and_one_cone():
+    model = hz.hirzebruch_model(3)
+    cone = HirzebruchFamily(3, model.lattice)
+    other = FiniteGenerators((ConeGenerator(cone.g_class), ConeGenerator(cone.f_class)))
+    goals = [Goal("very-ample", c, (), (Degrees("G", (cone.g_class,)),)) for c in (cone, other)]
+    with pytest.raises(ValueError, match="at least one goal"):
+        MultiGoal(())
+    with pytest.raises(ValueError, match="one cone"):
+        MultiGoal(tuple(goals))
+    assert MultiGoal((goals[1], goals[1])).cone is other
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +410,8 @@ def test_instantiate_reports_each_violation_in_order():
 
 
 def reference_instantiate(family, values):
-    """ParamFamily.instantiate as it was before the family compiled its forms."""
+    """The candidate's boundary and positive part, built as divisors."""
     for p in family.params:
-        if p.name not in values:
-            raise KeyError(f"no value for parameter {p.name!r}")
         if not p.contains(values[p.name]):
             raise FamilyViolation(f"{p.name} = {values[p.name]} outside ({p.lo}, {p.hi})")
     b = family.surface.divisor({c: e.evaluate(values) for c, e in family.boundary.items()})
@@ -395,9 +423,46 @@ def reference_instantiate(family, values):
     return b, m
 
 
+_CHECKERS = {
+    "free": "freeness_at",
+    "separate": "separation",
+    "tangent": "tangent_separation",
+    "very-ample": "very_ampleness",
+}
+
+
+def reference_evaluate(goal, boundary, positive, values):
+    """A goal's verdict read off built divisors: the nef and big lines of the
+    goal's cone, then the checker on the multiplicities of the boundary and
+    the minimal degrees of M over each degree source's classes.  A MultiGoal
+    is the conjunction of its parts."""
+    if isinstance(goal, MultiGoal):
+        verdicts = [reference_evaluate(part, boundary, positive, values) for part in goal.goals]
+        witnesses = [v.witness for v in verdicts]
+        witness = witnesses[0] if all(w == witnesses[0] for w in witnesses) else None
+        lines = tuple(line for v in verdicts for line in v.trace)
+        return CriterionVerdict(all(v.established for v in verdicts), goal.rule, lines, witness)
+    m_cls = positive.divisor_class()
+    m2 = m_cls.self_intersection()
+    ambient = nef_lines(m_cls, goal.cone) + [criteria.check("M^2 > 0 (big)", m2, ">", 0)]
+    if not all(line.holds for line in ambient):
+        return CriterionVerdict(False, "not nef and big", ())
+    if goal.kind == "tangent":
+        orders = boundary.ord_tangential(goal.at[0])
+        mus = [orders.at_point, orders.at_infinitely_near]
+    else:
+        mus = [boundary.ord_at(name) for name in goal.at]
+    degrees = [min(m_cls.intersect(c) for c in d.classes) for d in goal.degrees]
+    witness = goal.witness(values) if callable(goal.witness) else goal.witness
+    verdict = getattr(criteria, _CHECKERS[goal.kind])(*mus, m2, *degrees, witness)
+    prefix = f"{goal.label}: " if goal.label else ""
+    lines = tuple(TraceLine(prefix + l.text, l.lhs, l.rel, l.rhs, l.holds) for l in ambient + list(verdict.trace))
+    return CriterionVerdict(verdict.established, verdict.rule, lines, verdict.witness, verdict.note)
+
+
 def reference_search(family, goal, depth):
-    """search_params as it was before candidates were decided on the forms:
-    every admitted candidate is built and handed to the goal."""
+    """search_params without compiled forms: every admitted candidate is
+    built and evaluated from its divisors."""
     attempts = 0
     notes = []
     for values in dyadic_schedule(family.params, depth):
@@ -407,7 +472,7 @@ def reference_search(family, goal, depth):
         except FamilyViolation as exc:
             notes.append(str(exc))
             continue
-        verdict = goal.evaluate(boundary, positive, values)
+        verdict = reference_evaluate(goal, boundary, positive, values)
         if verdict.established:
             return SearchReport(True, values, verdict, attempts, tuple(notes))
     return SearchReport(False, {}, None, attempts, tuple(notes))
@@ -438,10 +503,9 @@ def cones_on(draw, n, lattice):
 
 
 @st.composite
-def goals_on(draw, n, lattice):
+def goals_on(draw, cone):
     kind = draw(st.sampled_from(sorted(_GOAL_SHAPES)))
     at, filters = _GOAL_SHAPES[kind]
-    cone = draw(cones_on(n, lattice))
     degrees = tuple(Degrees(f"filter {f.value}", degree_classes(cone, f)) for f in filters)
     witness = None
     if kind in ("free", "very-ample") and draw(st.booleans()):
@@ -468,10 +532,11 @@ def search_cases(draw):
             boundary[curve] = AffineExpr(draw(st.sampled_from([F(0), F(1, 2), F(9, 10), F(1)])), terms)
     positive = {c: AffineExpr.constant(t) - boundary.get(c, AffineExpr()) for c, t in target.items()}
     family = ParamFamily(model, tuple(params), boundary, positive)
+    cone = draw(cones_on(n, model.lattice))
     if draw(st.booleans()):
-        goal = draw(goals_on(n, model.lattice))
+        goal = draw(goals_on(cone))
     else:
-        goal = MultiGoal((draw(goals_on(n, model.lattice)), draw(goals_on(n, model.lattice))), rule="both")
+        goal = MultiGoal((draw(goals_on(cone)), draw(goals_on(cone))), rule="both")
     return family, goal, draw(st.integers(2, 7))
 
 
@@ -502,10 +567,7 @@ def test_search_matches_the_build_every_candidate_reference(case, stub, k):
         expected = reference_search(family, goal, depth)
     with stubbed_checkers(stub, k) as calls:
         report = search_params(family, goal, depth)
-    if len(goal.cones) == 1:
-        # with two cones, the reference also runs the checker of a part whose
-        # cone passes M when the other cone turns it down
-        assert calls == expected_calls
+    assert calls == expected_calls  # the checkers run on exactly the nef and big candidates
     assert report.found == expected.found
     assert report.params == expected.params
     assert report.attempts == expected.attempts
@@ -513,72 +575,12 @@ def test_search_matches_the_build_every_candidate_reference(case, stub, k):
     assert report.verdict == expected.verdict  # rule, trace, witness and note
 
 
-# ---------------------------------------------------------------------------
-# the public adapters against the search's compiled path
-
-
-def compiled_path(family, goal, values):
-    """The search at one candidate: its report when the schedule offers only
-    ``values``, and every verdict the goal's compiled decider returned."""
-    from qreider import search
-
-    verdicts = []
-    real = type(goal)._decider
-
-    def recording(self, surface, curves):
-        decide = real(self, surface, curves)
-        if self is not goal:
-            return decide
-
-        def recorded(*candidate):
-            verdicts.append(decide(*candidate))
-            return verdicts[-1]
-
-        return recorded
-
-    with mock.patch.object(search, "dyadic_schedule", lambda params, depth: iter([dict(values)])):
-        with mock.patch.object(type(goal), "_decider", recording):
-            report = search_params(family, goal)
-    return report, verdicts
-
-
-@given(search_cases())
-@settings(max_examples=100, deadline=None)
-def test_evaluate_at_built_divisors_matches_the_search_path(case):
-    """At every schedule candidate that passes the family invariants, the
-    search hands the goal's decider exactly the candidates whose M is nef and
-    big on every cone, and there its verdict is the one ``evaluate`` gives on
-    the instantiated divisors (for a Goal and for a MultiGoal alike)."""
-    family, goal, depth = case
-    reached = 0
-    for values in dyadic_schedule(family.params, depth):
-        try:
-            boundary, positive = family.instantiate(values)
-        except FamilyViolation:
-            continue
-        report, verdicts = compiled_path(family, goal, values)
-        if not all(is_big(positive.divisor_class(), cone) for cone in goal.cones):
-            assert verdicts == [] and not report.found
-            continue
-        assert verdicts == [goal.evaluate(boundary, positive, values)]
-        assert report.found == verdicts[0].established
-        reached += 1
-        if reached == 4:
-            break
-
-
 def test_the_claim_search_builds_no_divisor():
     """The n = 12, part 2 claim walks candidates turned down on the nef test
-    and candidates that reach a checker; none goes through the public adapters."""
-
-    def spy(owner, name):
-        return mock.patch.object(owner, name, autospec=True, side_effect=getattr(owner, name))
-
-    with spy(ParamFamily, "instantiate") as instantiate, spy(Goal, "evaluate") as evaluate:
-        with spy(MultiGoal, "evaluate") as multi_evaluate:
-            report = hirzebruch_claim(12, 2)
+    and candidates that reach a checker; the only divisors it builds are the
+    targets of its two decompositions, when each family is made."""
+    with mock.patch.object(QDivisor, "__post_init__", autospec=True, side_effect=QDivisor.__post_init__) as built:
+        report = hirzebruch_claim(12, 2)
     assert report.ok
     assert [chk.report.attempts for chk in report.checks] == [2, 25, 3, 25, 2, 3]
-    instantiate.assert_not_called()
-    evaluate.assert_not_called()
-    multi_evaluate.assert_not_called()
+    assert [call.args[0].coeffs for call in built.call_args_list] == [{"G": 3, "F": 27}] * 2
