@@ -5,14 +5,15 @@ For each n, part 1 certifies base-point-freeness of |G + nF| together with
 the Euler characteristic and contraction degrees; part 2 certifies the
 separation checks for |G + (n+1)F|.  Every line of the table is the outcome
 of exact rational searches; rerunning is deterministic.  The exit status is
-1 when any claim in the range is not established, and 0 otherwise.
+1 when any claim in the range is not established, 2 for a usage error, and 0
+otherwise.
 """
 
 import argparse
 import sys
 from fractions import Fraction
 
-from qreider.search import DEFAULT_DEPTH, hirzebruch_claim
+from qreider.search import DEFAULT_DEPTH, MAX_DEPTH, hirzebruch_claim
 
 
 def fmt(q: Fraction) -> str:
@@ -24,6 +25,10 @@ def main() -> int:
     parser.add_argument("--max-n", type=int, default=10)
     parser.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     args = parser.parse_args()
+    if args.max_n < 1:
+        parser.error(f"--max-n must be at least 1, not {args.max_n}")
+    if not 1 <= args.depth <= MAX_DEPTH:
+        parser.error(f"--depth must be in 1..{MAX_DEPTH}, not {args.depth}")
 
     all_ok = True
     print(f"{'n':>3} {'part':>4} {'ok':>3} {'chi':>5} {'L.G':>5} {'L nef':>5}  first parameters")

@@ -30,7 +30,7 @@ from .criteria import (
     very_ampleness,
 )
 from .document import Document, ParseError, QueryDecl
-from .search import DEFAULT_DEPTH, Degrees, Goal, ParamFamily, SearchReport, hirzebruch_claim, search_params
+from .search import DEFAULT_DEPTH, MAX_DEPTH, Degrees, Goal, ParamFamily, SearchReport, hirzebruch_claim, search_params
 
 T = TypeVar("T")
 
@@ -124,12 +124,11 @@ def _choice_arg(q: QueryDecl, key: str, choices: Mapping[str, T], default: str) 
 _WEAK = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 _THRESHOLD_MODES = {mode.value: mode for mode in ThresholdMode}
 _DEGREE_FILTERS = {filt.value: filt for filt in DegreeFilter}
-_MAX_DEPTH = 64  # keeps a k-parameter search within about 64**k candidates
 
 
 def _depth(q: QueryDecl) -> int:
-    """The dyadic search depth from depth=, an integer in 1.._MAX_DEPTH."""
-    depth = _int_arg(q, "depth", 1, _MAX_DEPTH)
+    """The dyadic search depth from depth=, an integer in 1..MAX_DEPTH."""
+    depth = _int_arg(q, "depth", 1, MAX_DEPTH)
     return DEFAULT_DEPTH if depth is None else depth
 
 

@@ -5,12 +5,13 @@ with coefficients affine in named rational parameters.  The search walks a
 nested dyadic schedule (the first parameter takes values 2**-k, each later
 parameter a dyadic fraction of its predecessor, honoring the intended
 "much smaller than" coupling).  Every checker input has degree at most 2 in
-the parameters, so each is compiled once per search: the multiplicities at
-the marked data as rows over the boundary coefficients, M's class as affine
-forms, and the nef tests and degree sources as pairing rows against it.  A
-candidate is then one exact pass: the family invariants, the boundary
-coefficients and M's class, its nef pairings and square, and for an M that
-is nef and big the requested checker.  No divisor is built.  The first
+the parameters, so each is compiled once: the boundary coefficients and M's
+class as integer rows over one common denominator per family, the
+multiplicities at the marked data as rows over the boundary coefficients,
+and the nef tests and degree sources as pairing rows against M's class.  A
+candidate is then one exact pass: the family invariants, M's nef pairings
+and the sign of M^2 on integers, and for an M that is nef and big the
+requested checker on ``Fraction``s.  No divisor is built.  The first
 established candidate wins.
 
 The drivers at the bottom reproduce the two positivity claims for the
@@ -19,6 +20,8 @@ standard ruled-surface model end to end.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Union
@@ -31,6 +34,7 @@ from .lattice import DivisorClass, RationalLike, as_fraction
 from .surface import QDivisor, SurfaceModel
 
 DEFAULT_DEPTH = 24  # finest dyadic level of the parameter schedule
+MAX_DEPTH = 64  # keeps a k-parameter search within about 64**k candidates
 
 
 class FamilyViolation(ValueError):
@@ -123,6 +127,13 @@ class Param:
         return self.lo < value < self.hi
 
 
+def _integer_rows(rows: Sequence[Sequence[RationalLike]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The least positive common denominator d of the rationals in ``rows``,
+    and the rows times d, as integers."""
+    d = math.lcm(*(x.denominator for row in rows for x in row))
+    return d, tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in rows)
+
+
 @dataclass(frozen=True)
 class ParamFamily:
     """A parametric decomposition target = boundary + positive part.
@@ -132,8 +143,10 @@ class ParamFamily:
     boundary lies in [0, 1).  That range is checked at each candidate, not
     symbolically.
 
-    Construction also compiles the class of M into one affine form per
-    lattice coordinate, so that a candidate's class needs no divisor.
+    Construction also compiles the boundary coefficients and the class of M
+    (one affine form per lattice coordinate) into integer rows over one
+    positive common denominator, and the gram matrix into integer rows over
+    its own, so that a candidate is decided on integers and builds no divisor.
     """
 
     surface: SurfaceModel
@@ -170,25 +183,20 @@ class ParamFamily:
             sum((expr * cls[i] for expr, cls in zip(self.positive.values(), classes)), AffineExpr())
             for i in range(self.surface.lattice.rank)
         )
-        object.__setattr__(self, "_m_class", m_class)
-        gram_rows = tuple(tuple((j, g) for j, g in enumerate(row) if g) for row in self.surface.lattice.gram)
+        # A form const + sum(c_i p_i) becomes the integer row den * (const, c_1, ..., c_k), so
+        # that at p_i = P_i / q its value is row . (q, P_1, ..., P_k) / (den * q).
+        forms = [*self.boundary.values(), *m_class]
+        den, rows = _integer_rows([(e.const, *(e.terms.get(p.name, 0) for p in self.params)) for e in forms])
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_boundary_rows", rows[: len(self.boundary)])
+        object.__setattr__(self, "_m_rows", rows[len(self.boundary) :])
+        gram_den, gram_rows = _integer_rows(self.surface.lattice.gram)
+        object.__setattr__(self, "_gram_den", gram_den)
         object.__setattr__(self, "_gram_rows", gram_rows)
 
     @property
     def target(self) -> QDivisor:
         return self._target
-
-    def _boundary_at(self, values: Mapping[str, Fraction]) -> tuple[Fraction, ...]:
-        """The boundary coefficients at the values, in ``boundary`` order, once
-        the family invariants hold: each parameter in its domain, in parameter
-        order, then the boundary in [0, 1)."""
-        for p in self.params:
-            if not p.contains(values[p.name]):
-                raise FamilyViolation(f"{p.name} = {values[p.name]} outside ({p.lo}, {p.hi})")
-        b = tuple(expr.evaluate(values) for expr in self.boundary.values())
-        if not all(0 <= v.numerator < v.denominator for v in b):  # 0 <= v < 1
-            raise FamilyViolation(f"boundary coefficients leave [0, 1) at {dict(values)}")
-        return b
 
 
 # ---------------------------------------------------------------------------
@@ -341,56 +349,95 @@ def dyadic_schedule(params: Sequence[Param], depth: int):
     j = 1..depth.  Candidates outside a parameter's open domain are dropped.
     """
     params = tuple(params)
+    bounds = _int_bounds(params)
 
-    def rec(i: int, acc: dict, prev: Fraction):
+    def rec(i: int, acc: dict, prev: int):
         if i == len(params):
             yield dict(acc)
             return
-        p = params[i]
-        for e in range(2 if i == 0 else 1, depth + 1):
-            value = prev / (1 << e)
-            if not p.contains(value):
-                continue
-            acc[p.name] = value
-            yield from rec(i + 1, acc, value)
-            del acc[p.name]
+        lo_num, lo_den, hi_num, hi_den = bounds[i]
+        for e in range(prev + (2 if i == 0 else 1), prev + depth + 1):
+            if lo_num << e < lo_den and hi_num << e > hi_den:  # lo < 1/2**e < hi
+                acc[params[i].name] = Fraction(1, 1 << e)
+                yield from rec(i + 1, acc, e)
+                del acc[params[i].name]
 
-    yield from rec(0, {}, Fraction(1))
+    yield from rec(0, {}, 0)
+
+
+def _int_bounds(params: Sequence[Param]) -> list[tuple[int, int, int, int]]:
+    """Each parameter's open domain (lo, hi) as (lo.num, lo.den, hi.num, hi.den)."""
+    return [(p.lo.numerator, p.lo.denominator, p.hi.numerator, p.hi.denominator) for p in params]
+
+
+def _dot(xs: Sequence[int], ys: Sequence[int]) -> int:
+    return sum(map(operator.mul, xs, ys))
+
+
+def _outside(params: Sequence[Param], bounds, point: Sequence[int]) -> Optional[Param]:
+    """The first parameter whose value point[i + 1] / point[0] leaves its
+    domain, given by ``_int_bounds``."""
+    q = point[0]
+    for p, x, (lo_num, lo_den, hi_num, hi_den) in zip(params, point[1:], bounds):
+        if not (lo_num * q < x * lo_den and x * hi_den < hi_num * q):
+            return p
+    return None
 
 
 def search_params(family: ParamFamily, goal: Union[Goal, MultiGoal], depth: int = DEFAULT_DEPTH) -> SearchReport:
     """First parameter values along the dyadic schedule whose decomposition
     makes the goal's checker fire; exact verification at every candidate.
 
-    Each candidate is one pass on the compiled forms: the family invariants
-    and the boundary coefficients, M's class, its nef pairings up to the
-    first negative one, and M^2.  A candidate whose M fails the goal's nef
-    test, or has M^2 <= 0, is turned down there: no goal can establish it.
-    The others go to the goal's decider, compiled once before the first
-    candidate."""
-    nef_rows = [row for _, row in goal.cone.nef_rows]
+    ``depth`` must be an integer in 1..MAX_DEPTH.  Each candidate is one
+    integer pass on the family's compiled rows: its values are scaled by the
+    lcm q of their denominators, and the family invariants (each parameter
+    in its domain, in parameter order, then the boundary in [0, 1)), M's
+    nef pairings up to the first negative one and the sign of M^2 are
+    integer products and sign tests.  A candidate whose M fails the goal's
+    nef test, or has M^2 <= 0, is turned down there: no goal can establish
+    it.  Only the others are read as ``Fraction``s and go to the goal's
+    decider, compiled once before the first candidate."""
+    if not (isinstance(depth, int) and 1 <= depth <= MAX_DEPTH):
+        raise ValueError(f"depth must be an integer in 1..{MAX_DEPTH}, not {depth!r}")
+    # each nef row, dense, times a positive integer r, which keeps the sign of every pairing
+    nef_scales, nef_rows = [], []
+    for _, row in goal.cone.nef_rows:
+        r, (dense,) = _integer_rows([[dict(row).get(i, 0) for i in range(family.surface.lattice.rank)]])
+        nef_scales.append(r)
+        nef_rows.append(dense)
     decide = goal._decider(family.surface, tuple(family.boundary))
+    params = family.params
+    names = [p.name for p in params]
+    bounds = _int_bounds(params)
     attempts = 0
     notes: list[str] = []
-    for values in dyadic_schedule(family.params, depth):
+    for values in dyadic_schedule(params, depth):
         attempts += 1
-        try:
-            b = family._boundary_at(values)
-        except FamilyViolation as exc:
-            notes.append(str(exc))
+        vals = [values[name] for name in names]
+        q = math.lcm(*[v.denominator for v in vals])
+        point = [q, *[v.numerator * (q // v.denominator) for v in vals]]
+        p = _outside(params, bounds, point)
+        if p is not None:
+            notes.append(f"{p.name} = {values[p.name]} outside ({p.lo}, {p.hi})")
             continue
-        m = [expr.evaluate(values) for expr in family._m_class]
-        nef = []
-        for row in nef_rows:
-            nef.append(pair(m, row))
-            if nef[-1] < 0:
-                break
-        if nef[-1] < 0:
+        scale = family._den * q  # each compiled form's value is its integer over scale
+        b = [_dot(row, point) for row in family._boundary_rows]
+        if not all(0 <= x < scale for x in b):
+            notes.append(f"boundary coefficients leave [0, 1) at {dict(values)}")
             continue
-        m2 = sum(x * pair(m, gram_row) for x, gram_row in zip(m, family._gram_rows))
+        m = [_dot(row, point) for row in family._m_rows]
+        if any(_dot(m, row) < 0 for row in nef_rows):
+            continue
+        m2 = sum(x * _dot(m, row) for x, row in zip(m, family._gram_rows))
         if m2 <= 0:
             continue
-        verdict = decide(b, m, m2, nef, values)
+        verdict = decide(
+            [Fraction(x, scale) for x in b],
+            [Fraction(x, scale) for x in m],
+            Fraction(m2, scale * scale * family._gram_den),
+            [Fraction(_dot(m, row), scale * r) for row, r in zip(nef_rows, nef_scales)],
+            values,
+        )
         if verdict.established:
             return SearchReport(True, values, verdict, attempts, tuple(notes))
     return SearchReport(False, {}, None, attempts, tuple(notes))

@@ -37,17 +37,30 @@ def run_cli(*args, stdin=None):
     return proc
 
 
-@pytest.mark.parametrize("args, status", [(("--max-n", "2"), 0), (("--max-n", "1", "--depth", "1"), 1)])
-def test_claim_sweep_script_exits_one_when_a_claim_fails(args, status):
-    proc = subprocess.run(
+def run_claims(*args):
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "run_claims.py"), *args],
         capture_output=True,
         text=True,
         timeout=120,
         env=CHILD_ENV,
     )
+
+
+@pytest.mark.parametrize("args, status", [(("--max-n", "2"), 0), (("--max-n", "1", "--depth", "1"), 1)])
+def test_claim_sweep_script_exits_one_when_a_claim_fails(args, status):
+    proc = run_claims(*args)
     assert proc.returncode == status, proc.stderr
     assert (" NO " in proc.stdout) == bool(status)
+
+
+@pytest.mark.parametrize("args", [("--depth", "0"), ("--depth", "-3"), ("--depth", "65"), ("--max-n", "0")])
+def test_claim_sweep_script_rejects_out_of_range_arguments(args):
+    proc = run_claims(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "usage: run_claims.py" in proc.stderr
+    assert f"error: {args[0]} must be" in proc.stderr
 
 
 def test_version_flag():

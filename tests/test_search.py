@@ -12,6 +12,8 @@ from qreider import search
 from qreider.cones import ConeGenerator, DegreeFilter, FiniteGenerators, HirzebruchFamily, degree_classes, nef_lines
 from qreider.criteria import BetaWitness, CriterionVerdict, TraceLine
 from qreider.search import (
+    DEFAULT_DEPTH,
+    MAX_DEPTH,
     AffineExpr,
     Degrees,
     FamilyViolation,
@@ -110,6 +112,25 @@ def test_dyadic_schedule_is_nested_and_in_domain():
         assert values["b"] <= values["a"] / 2
     # first candidate follows the coupling order
     assert seen[0] == {"a": F(1, 4), "b": F(1, 8)}
+
+
+_ENDPOINTS = st.sampled_from([F(-1, 3), F(0), F(1, 64), F(1, 7), F(2, 7), F(1, 2), F(1), F(5, 3)])
+
+
+@given(st.lists(st.tuples(_ENDPOINTS, _ENDPOINTS), max_size=2), st.integers(0, 9))
+def test_dyadic_schedule_keeps_exactly_the_values_in_each_domain(domains, depth):
+    params = [Param(name, lo, hi) for name, (lo, hi) in zip("ab", domains)]
+
+    def expected(i, prev):
+        if i == len(params):
+            yield {}
+            return
+        for e in range(2 if i == 0 else 1, depth + 1):
+            value = prev / 2**e
+            if params[i].contains(value):
+                yield from ({params[i].name: value, **rest} for rest in expected(i + 1, value))
+
+    assert list(dyadic_schedule(params, depth)) == list(expected(0, F(1)))
 
 
 def test_freeness_search_succeeds_early_with_the_stated_witness():
@@ -494,9 +515,13 @@ def cones_on(draw, n, lattice):
     if draw(st.booleans()):
         return HirzebruchFamily(n, lattice)
     g, f, corner = (lattice.divisor_class(v) for v in ((1, 0), (0, 1), (1, n)))
+    # a class with fractional coefficients, so that nef rows carry denominators:
+    # for n = 3, (1/2)G + (7/3)F pairs as (5/6, 1/2)
+    a = draw(st.builds(F, st.integers(0, 6), st.sampled_from([1, 2])))
+    third = lattice.divisor_class((a, draw(st.builds(F, st.integers(-6, 9 * n), st.sampled_from([1, 3])))))
     gens = [ConeGenerator(corner, through_p=True, contains_z=True)]
-    for cls in (g, f, lattice.divisor_class((draw(st.integers(0, 3)), draw(st.integers(-2, 3 * n))))):
-        if draw(st.booleans()):
+    for cls in (g, f, third):
+        if cls is third or draw(st.booleans()):
             through_p = draw(st.booleans())
             gens.append(ConeGenerator(cls, through_p, through_p and draw(st.booleans())))
     return FiniteGenerators(tuple(draw(st.permutations(gens))))
@@ -511,7 +536,8 @@ def goals_on(draw, cone):
     if kind in ("free", "very-ample") and draw(st.booleans()):
         witness = BetaWitness.single(3, F(3, 2), role="at-p")
     elif kind == "separate" and draw(st.booleans()):
-        witness = lambda v: BetaWitness.pair(F(3, 2), F(3, 2), 1 + v["e"] / 2, 1 + v["e"] / 2)  # noqa: E731
+        beta1 = lambda v: 1 + v.get("e", F(0)) / 2  # noqa: E731
+        witness = lambda v: BetaWitness.pair(F(3, 2), F(3, 2), beta1(v), beta1(v))  # noqa: E731
     return Goal(kind, cone, at, degrees, witness, label=draw(st.sampled_from(["", "part"])))
 
 
@@ -520,9 +546,9 @@ def search_cases(draw):
     n = draw(st.integers(1, 6))
     model = hz.hirzebruch_model(n)
     params = []
-    for name in _PARAM_NAMES[: draw(st.integers(1, 2))]:
-        lo = draw(st.sampled_from([F(0), F(1, 64)]))
-        params.append(Param(name, lo, draw(st.sampled_from([F(1), F(1, 2), F(1, 8)]))))
+    for name in _PARAM_NAMES[: draw(st.integers(0, 2))]:  # no parameter: one attempt
+        lo = draw(st.sampled_from([F(0), F(1, 64), F(-1, 3), F(1, 7)]))
+        params.append(Param(name, lo, draw(st.sampled_from([F(1), F(1, 2), F(1, 8), F(2, 7), F(5, 3)]))))
     a = draw(st.integers(0, 3))
     target = {"G": a, "F": max(0, n * a + draw(st.integers(-2, 4)))}  # M.G near 0, so nefness turns on e and f
     boundary = {}
@@ -573,6 +599,88 @@ def test_search_matches_the_build_every_candidate_reference(case, stub, k):
     assert report.attempts == expected.attempts
     assert report.notes == expected.notes
     assert report.verdict == expected.verdict  # rule, trace, witness and note
+
+
+def fiber_family(n, alpha):
+    """Boundary (1-eps)G + (1-alpha)F with positive part (2+eps)G + (2n+1+alpha)F."""
+    model = hz.hirzebruch_model(n)
+    return model, ParamFamily(
+        surface=model,
+        params=(Param("eps"), alpha),
+        boundary={"G": AffineExpr(1, {"eps": -1}), "F": AffineExpr(1, {alpha.name: -1})},
+        positive={"G": AffineExpr(2, {"eps": 1}), "F": AffineExpr(2 * n + 1, {alpha.name: 1})},
+    )
+
+
+def separation_goal(model, cone):
+    off = Degrees("off the section", (model.curves["F"].cls, model.lattice.divisor_class((1, cone.n))))
+    beta1 = lambda v: 1 + v["eps"] / 2  # noqa: E731
+    witness = lambda v: BetaWitness.pair(2, 2, beta1(v), beta1(v))  # noqa: E731
+    return Goal("separate", cone, (hz.POINT_ON_F, hz.POINT_ON_F2), (off, off, off), witness)
+
+
+def matches_the_reference(family, goal, depth):
+    """With checkers that never establish, the search and ``reference_search``
+    agree on every checker call and on the report."""
+    with stubbed_checkers(True, None) as expected_calls:
+        expected = reference_search(family, goal, depth)
+    with stubbed_checkers(True, None) as calls:
+        report = search_params(family, goal, depth)
+    assert calls == expected_calls
+    assert report == expected
+    return report, calls
+
+
+def test_non_dyadic_values_reach_the_decider_as_the_reference_reads_them():
+    """Values with denominators 3, 5, 7 and 9, scaled by the lcm of each
+    candidate's; the domain (-1/3, 2/7) of alpha has a negative end, and
+    alpha = -1/5 puts the boundary coefficient on F at 6/5."""
+    model, family = fiber_family(2, Param("alpha", F(-1, 3), F(2, 7)))
+    cone = HirzebruchFamily(2, model.lattice)
+    schedule = [
+        {"eps": F(1, 3), "alpha": F(2, 5)},  # alpha above its domain
+        {"eps": F(4, 3), "alpha": F(1, 5)},  # eps above its domain
+        {"eps": F(1, 3), "alpha": F(-2, 5)},  # alpha below its domain
+        {"eps": F(2, 5), "alpha": F(-1, 5)},  # the boundary on F leaves [0, 1)
+        {"eps": F(1, 3), "alpha": F(1, 5)},
+        {"eps": F(2, 5), "alpha": F(1, 7)},
+        {"eps": F(1, 7), "alpha": F(2, 9)},
+    ]
+    with mock.patch.object(search, "dyadic_schedule", lambda params, depth: iter(schedule)):
+        with mock.patch.dict(globals(), {"dyadic_schedule": lambda params, depth: iter(schedule)}):
+            report, calls = matches_the_reference(family, separation_goal(model, cone), DEFAULT_DEPTH)
+    assert report.notes == (
+        "alpha = 2/5 outside (-1/3, 2/7)",
+        "eps = 4/3 outside (0, 1)",
+        "alpha = -2/5 outside (-1/3, 2/7)",
+        "boundary coefficients leave [0, 1) at {'eps': Fraction(2, 5), 'alpha': Fraction(-1, 5)}",
+    )
+    assert not report.found and report.attempts == 7 and len(calls) == 3
+    # eps = 1/3, alpha = 1/5: both points lie on F only, where B = (2/3)G + (4/5)F has
+    # coefficient 4/5, and M = (7/3)G + (26/5)F
+    assert calls[0][:3] == (F(4, 5), F(4, 5), -2 * F(7, 3) ** 2 + 2 * F(7, 3) * F(26, 5))
+
+
+def test_a_two_parameter_search_at_the_depth_ceiling_matches_the_reference():
+    """At depth 64 alpha reaches 2**-128, just above the lower end 3**-81 of
+    its domain.  M is nef and big at every candidate, so all 63 * 64 reach
+    the checker, whose first argument is the boundary coefficient 1 - alpha."""
+    model, family = fiber_family(1, Param("alpha", F(1, 3**81), F(2, 7)))
+    cone = HirzebruchFamily(1, model.lattice)
+    report, calls = matches_the_reference(family, separation_goal(model, cone), MAX_DEPTH)
+    assert report.attempts == len(calls) == 63 * 64
+    assert max(call[0].denominator for call in calls) == 1 << 128
+
+
+@pytest.mark.parametrize("depth", [0, -3, MAX_DEPTH + 1])
+def test_search_depth_is_bounded(depth):
+    model, family = section_family(1)
+    cone = HirzebruchFamily(1, model.lattice)
+    goal = Goal("very-ample", cone, (), (all_curves(cone),))
+    with pytest.raises(ValueError, match=r"1\.\.64"):
+        search_params(family, goal, depth)
+    with pytest.raises(ValueError, match=r"1\.\.64"):
+        hirzebruch_claim(1, 2, depth=depth)
 
 
 def test_the_claim_search_builds_no_divisor():
