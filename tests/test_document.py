@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -358,3 +359,223 @@ def documents(draw):
 @settings(max_examples=150, deadline=None)
 def test_render_round_trips_generated_documents(doc):
     assert parse(render(doc)) == doc
+
+
+# -- the expression evaluator against a reference built on AffineExpr ---------
+#
+# The reference scans and evaluates an expression as the library first did:
+# one AffineExpr per scalar and one per divisor coefficient, combined with
+# AffineExpr's own operators.  Shares nothing with the library's evaluator.
+
+_REF_TOKEN = re.compile(r"\s*(?:([0-9]+(?:/[0-9]+)?)|([A-Za-z_][A-Za-z0-9_]*)|(\S))")
+
+
+def _ref_scan(text, line, col_offset):
+    tokens = []
+    for m in _REF_TOKEN.finditer(text):
+        kind = ("num", "name", "sym")[m.lastindex - 1]
+        tok, col = m.group(m.lastindex), col_offset + m.start(m.lastindex) + 1
+        if kind == "sym" and tok not in "+-*()[],:":
+            raise ParseError(f"unexpected character {tok!r}", line, col)
+        tokens.append((kind, tok, col))
+    return tokens
+
+
+class _RefParser:
+    def __init__(self, tokens, line, resolve, undefined):
+        self.tokens, self.line, self.pos, self.resolve, self.undefined = tokens, line, 0, resolve, undefined
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self):
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of expression", self.line)
+        self.pos += 1
+        return tok
+
+    def error(self, message):
+        tok = self.peek()
+        return ParseError(message, self.line, tok[2] if tok else None)
+
+    def parse(self):
+        value = self.additive()
+        if self.peek() is not None:
+            raise self.error(f"unexpected token {self.peek()[1]!r} (expected '+', '-' or end)")
+        if value[0] == "vec":
+            return dict(value[1])
+        if value[1] == AffineExpr():
+            return {}
+        raise ParseError("expected a divisor expression, got a plain number", self.line)
+
+    def additive(self):
+        value = self.signed_term()
+        while (tok := self.peek()) is not None and tok[1] in "+-":
+            self.take()
+            rhs = self.term()
+            value = self.add(value, rhs if tok[1] == "+" else _ref_negate(rhs))
+        return value
+
+    def signed_term(self):
+        sign = 1
+        while (tok := self.peek()) is not None and tok[0] == "sym" and tok[1] in "+-":
+            self.take()
+            sign = -sign if tok[1] == "-" else sign
+        value = self.term()
+        return _ref_negate(value) if sign < 0 else value
+
+    def term(self):
+        value = self.factor()
+        while (tok := self.peek()) is not None and (tok[0] in ("num", "name") or tok[1] in ("(", "*")):
+            if tok[1] == "*":
+                self.take()
+            value = self.mul(value, self.factor())
+        return value
+
+    def factor(self):
+        kind, text, col = self.take()
+        if kind == "num":
+            num, _, den = text.partition("/")
+            if den and int(den) == 0:
+                raise ParseError(f"zero denominator in {text!r}", self.line, col)
+            return ("scalar", AffineExpr.constant(F(int(num), int(den or 1))))
+        if kind == "name":
+            value = self.resolve(text)
+            if value is None:
+                raise ParseError(self.undefined.format(text), self.line, col)
+            return value
+        if text == "(":
+            value = self.additive()
+            closing = self.take()
+            if closing[1] != ")":
+                raise ParseError("expected ')'", self.line, closing[2])
+            return value
+        raise ParseError(f"unexpected token {text!r} (expected a number, name or '(')", self.line, col)
+
+    def add(self, a, b):
+        if a[0] == b[0] == "scalar":
+            return ("scalar", a[1] + b[1])
+        if a[0] == b[0] == "vec":
+            merged = dict(a[1])
+            for name, expr in b[1].items():
+                merged[name] = merged.get(name, AffineExpr()) + expr
+            return ("vec", merged)
+        scalar, vec = (a, b) if a[0] == "scalar" else (b, a)
+        if scalar[1] == AffineExpr():
+            return vec
+        raise self.error("cannot add a number to a divisor expression")
+
+    def mul(self, a, b):
+        if a[0] == b[0] == "vec":
+            raise self.error("cannot multiply two divisor expressions")
+        scalar, other = (a, b) if a[0] == "scalar" else (b, a)
+        try:
+            if other[0] == "scalar":
+                return ("scalar", scalar[1] * other[1])
+            return ("vec", {name: scalar[1] * expr for name, expr in other[1].items()})
+        except ValueError as exc:
+            raise self.error(str(exc)) from None
+
+
+def _ref_negate(value):
+    if value[0] == "scalar":
+        return ("scalar", -value[1])
+    return ("vec", {name: -expr for name, expr in value[1].items()})
+
+
+def _ref_outcome(evaluate):
+    """("ok", the value of ``evaluate()``), or ("error", message, line, col) for its ParseError."""
+    try:
+        return ("ok", evaluate())
+    except ParseError as exc:
+        return ("error", exc.message, exc.line, exc.col)
+
+
+EXPR_DOC = (
+    "basis = G F\ngram = [[-3, 1], [1, 0]]\nK = -2G - 5F\nchi_O = 1\n"
+    "curves\nG = G\nF = F\nC = G + 3F\n"
+    "params\ne = (0, 1)\nf = (-1/2, 2)\n"
+    "divisors\nD = (1 - e)G + 2/3 F\nE = e C - 1/2 F\nZ = 0\nW = G - G\n"
+)
+EXPR_NAMES = ("G", "F", "C", "D", "E", "Z", "W", "e", "f", "x", "G2")
+EXPR_ATOMS = st.one_of(
+    st.sampled_from(EXPR_NAMES),
+    st.sampled_from(("G", "F", "C", "D", "e", "f")),  # the names that most often evaluate
+    st.integers(0, 12).map(str),
+    st.tuples(st.integers(0, 9), st.integers(0, 6)).map(lambda t: f"{t[0]}/{t[1]}"),
+)
+
+
+def _expr_forms(children):
+    joiners = st.sampled_from([" + ", " - ", "+", "-", " * ", "*", " ", ""])  # "" and " " juxtapose
+    signs = st.sampled_from(["-", "--", "+-", "- + ", "+"])
+    return st.one_of(
+        st.tuples(children, joiners, children).map("".join),
+        children.map(lambda s: f"({s})"),
+        st.tuples(signs, children).map("".join),
+    )
+
+
+def _garble(args):
+    """Insert, or drop, one character: unbalanced parentheses, stray operators and symbols."""
+    text, at, ch = args
+    at %= len(text) + 1
+    return text[:at] + text[at + 1 :] if ch == "" else text[:at] + ch + text[at:]
+
+
+EXPR_TEXTS = st.recursive(EXPR_ATOMS, _expr_forms, max_leaves=8)
+EXPR_INPUTS = st.one_of(
+    EXPR_TEXTS,
+    st.tuples(EXPR_TEXTS, st.integers(0, 60), st.sampled_from(list("()+-*/,:.$[]0 ") + [""])).map(_garble),
+    st.just(""),
+)
+
+
+def _as_items(coeffs):
+    """Ordered (name, const, terms) of a coefficient dict, every number checked exact."""
+    for expr in coeffs.values():
+        assert all(type(q) is F for q in (expr.const, *expr.terms.values()))
+    return [(name, expr.const, dict(expr.terms)) for name, expr in coeffs.items()]
+
+
+@given(EXPR_INPUTS, st.integers(1, 40), st.integers(0, 30))
+@settings(max_examples=400, deadline=None)
+def test_divisor_expressions_evaluate_as_the_affine_reference(text, line, col):
+    doc = parse(EXPR_DOC)
+
+    def resolve(name):
+        decl = doc.symbols.get(name)
+        if isinstance(decl, CurveDecl):
+            return ("vec", {name: AffineExpr.constant(1)})
+        if isinstance(decl, DivisorDecl):
+            return ("vec", dict(decl.coeffs))
+        if isinstance(decl, Param):
+            return ("scalar", AffineExpr.parameter(name))
+        return None
+
+    undefined = "undefined name {!r} (not a curve, divisor, or parameter)"
+    expected = _ref_outcome(lambda: _RefParser(_ref_scan(text, line, col), line, resolve, undefined).parse())
+    got = _ref_outcome(lambda: doc.divisor_expr(text, line, col))
+    if got[0] == expected[0] == "ok":
+        assert _as_items(got[1]) == _as_items(expected[1])
+    else:
+        assert got == expected
+
+
+@given(EXPR_INPUTS)
+@settings(max_examples=300, deadline=None)
+def test_class_expressions_evaluate_as_the_affine_reference(text):
+    rhs = text.strip()
+    basis = {label: ("vec", {label: AffineExpr.constant(1)}) for label in ("G", "F")}
+
+    def reference():
+        tokens = _ref_scan(rhs, 3, len("K = "))
+        vec = _RefParser(tokens, 3, basis.get, "undefined basis label {!r}").parse()
+        return tuple(vec.get(label, AffineExpr()).const for label in basis)
+
+    expected = _ref_outcome(reference)
+    got = _ref_outcome(lambda: parse(f"basis = G F\ngram = [[-3, 1], [1, 0]]\nK = {rhs}\nchi_O = 1\n").surface.canonical)
+    assert got == expected
+    if got[0] == "ok":
+        assert all(type(q) is F for q in got[1])
