@@ -3,7 +3,10 @@
 The format is line-oriented.  Bare section headers (``surface``, ``curves``,
 ``cone``, ``points``, ``tangents``, ``params``, ``divisors``, ``queries``)
 switch context; ``#`` starts a comment; ``;`` separates statements on one
-line.  Rational literals are integers or ``p/q``.  Before the first header,
+line.  Numbers are ASCII: a rational literal is ``p/q`` or an integer over
+the digits 0-9, with an optional sign where it stands alone (``chi_O``, a
+parameter domain's ends); ``hirzebruch``, multiplicities and tangent orders
+are integers with an optional ``-``.  Before the first header,
 surface-level keys are accepted directly, so a fragment like
 
     gram = [[-3, 1], [1, 0]]; K = -2G - 5F; chi_O = 1
@@ -22,10 +25,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .cones import ConeDescription, ConeGenerator, FiniteGenerators, HirzebruchFamily
-from .lattice import IntersectionLattice
+from .lattice import IntersectionLattice, as_fraction
 from .search import AffineExpr, Param
 from .surface import Curve, PointSpec, QDivisor, SurfaceModel, TangentSpec, check_tangent
 
@@ -221,60 +224,64 @@ class Document:
 # expression scanner and parser
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # num | name | sym
+class _Token(NamedTuple):
+    kind: str  # num | name | sym | end
     text: str
-    col: int
+    col: Optional[int]  # 1-based column in the line; None for the end of input
 
 
-_NUM_RE = re.compile(r"\d+(?:/\d+)?")
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_NAME_RE = re.compile(_NAME)
+# one group per token kind; "bad" is any other character that is not whitespace
+_TOKEN_RE = re.compile(rf"(?P<num>[0-9]+(?:/[0-9]+)?)|(?P<name>{_NAME})|(?P<sym>[-+*()\[\],:])|(?P<bad>\S)")
 _WORD_RE = re.compile(r"\S+")
-_SYMS = set("+-*()[],:")
+_RATIONAL_RE = re.compile(r"[-+]?[0-9]+(?:/[0-9]+)?")
+_INTEGER_RE = re.compile(r"-?[0-9]+")
+_END = _Token("end", "", None)
 
 
 def _scan(text: str, line: int, col_offset: int = 0) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        col = col_offset + pos + 1
-        m = _NUM_RE.match(text, pos)
-        if m:
-            tokens.append(_Token("num", m.group(), col))
-            pos = m.end()
-            continue
-        m = _NAME_RE.match(text, pos)
-        if m:
-            tokens.append(_Token("name", m.group(), col))
-            pos = m.end()
-            continue
-        if ch in _SYMS:
-            tokens.append(_Token("sym", ch, col))
-            pos += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
+    """The tokens of ``text``, which starts at 0-based column ``col_offset``."""
+    tokens = [_Token(m.lastgroup, m.group(), col_offset + m.start() + 1) for m in _TOKEN_RE.finditer(text)]
+    for tok in tokens:
+        if tok.kind == "bad":
+            raise ParseError(f"unexpected character {tok.text!r}", line, tok.col)
     return tokens
 
 
-def _number(text: str, line: int, col: Optional[int] = None) -> Fraction:
-    """The value of a rational literal; anything else is a positioned ParseError."""
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ParseError(f"zero denominator in {text!r}", line, col) from None
-    except ValueError:
-        raise ParseError(f"expected a rational number, got {text!r}", line, col) from None
+def _number(text: str, line: int, col: Optional[int] = None) -> Union[int, Fraction]:
+    """The exact value of an ASCII literal, ``[sign]p/q`` or ``[sign]integer``
+    (an int for an integer); anything else is a positioned ParseError."""
+    if _RATIONAL_RE.fullmatch(text):
+        num, _, den = text.partition("/")
+        try:
+            return Fraction(int(num), int(den)) if den else int(num)
+        except ZeroDivisionError:
+            raise ParseError(f"zero denominator in {text!r}", line, col) from None
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ParseError(f"expected a rational number, got {text!r}", line, col)
 
 
-# expression values: ("scalar", AffineExpr) or ("vec", {name: AffineExpr})
-_Value = tuple[str, object]
+def _integer(text: str, message: str, line: int, col: int) -> int:
+    """ASCII digits with an optional '-' as an int; anything else raises ``message`` at ``line``, ``col``."""
+    if _INTEGER_RE.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ParseError(message.format(text), line, col)
 
-_ONE = AffineExpr.constant(1)
+
+# Expression values hold plain exact numbers, an int or a Fraction, and are
+# never changed once built: ("scalar", {param or None: number}) is
+# const + sum(coeff * param) with the constant under None, and
+# ("vec", {name: scalar dict}) is a divisor.  An AffineExpr is built only for
+# a finished expression.
+_Scalar = dict[Optional[str], Union[int, Fraction]]
+_Value = tuple[str, dict]
+
+_ONE: _Scalar = {None: 1}
 
 # The value a name stands for, or None for a name that is not defined.
 Resolver = Callable[[str], Optional[_Value]]
@@ -284,72 +291,61 @@ class _ExprParser:
     """Parses one divisor expression; ``undefined`` formats the error for an unresolved name."""
 
     def __init__(self, tokens: Sequence[_Token], line: int, resolve: Resolver, undefined: str):
-        self.tokens = list(tokens)
+        self.tokens = [*tokens, _END]
         self.line = line
         self.pos = 0
         self.resolve = resolve
         self.undefined = undefined
 
-    def peek(self) -> Optional[_Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
     def take(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
+        tok = self.tokens[self.pos]
+        if tok is _END:
             raise ParseError("unexpected end of expression", self.line)
         self.pos += 1
         return tok
 
     def error(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, self.line, tok.col if tok else None)
+        return ParseError(message, self.line, self.tokens[self.pos].col)
 
-    def parse(self) -> dict[str, AffineExpr]:
+    def parse(self) -> dict[str, _Scalar]:
         value = self.additive()
-        if self.peek() is not None:
-            raise self.error(f"unexpected token {self.peek().text!r} (expected '+', '-' or end)")
+        tok = self.tokens[self.pos]
+        if tok is not _END:
+            raise self.error(f"unexpected token {tok.text!r} (expected '+', '-' or end)")
         if value[0] == "vec":
-            return dict(value[1])
-        if _is_zero_scalar(value):
+            return value[1]
+        if not any(value[1].values()):
             return {}
         raise ParseError("expected a divisor expression, got a plain number", self.line)
 
     def additive(self) -> _Value:
         value = self.signed_term()
-        while True:
-            tok = self.peek()
-            if tok is None or tok.text not in "+-":
-                return value
-            self.take()
+        while (op := self.tokens[self.pos].text) in ("+", "-"):
+            self.pos += 1
             rhs = self.term()
-            if tok.text == "-":
-                rhs = _negate(rhs)
-            value = self._add(value, rhs)
+            value = self._add(value, _negate(rhs) if op == "-" else rhs)
         return value
 
     def signed_term(self) -> _Value:
-        sign = 1
-        while (tok := self.peek()) is not None and tok.kind == "sym" and tok.text in "+-":
-            self.take()
-            if tok.text == "-":
-                sign = -sign
+        negative = False
+        while (op := self.tokens[self.pos].text) in ("+", "-"):
+            self.pos += 1
+            negative ^= op == "-"
         value = self.term()
-        return _negate(value) if sign < 0 else value
+        return _negate(value) if negative else value
 
     def term(self) -> _Value:
         value = self.factor()
-        while (tok := self.peek()) is not None and (
-            tok.kind in ("num", "name") or tok.text in ("(", "*")
-        ):
+        while (tok := self.tokens[self.pos]).kind in ("num", "name") or tok.text in ("(", "*"):
             if tok.text == "*":
-                self.take()
+                self.pos += 1
             value = self._mul(value, self.factor())
         return value
 
     def factor(self) -> _Value:
         tok = self.take()
         if tok.kind == "num":
-            return ("scalar", AffineExpr.constant(_number(tok.text, self.line, tok.col)))
+            return ("scalar", {None: _number(tok.text, self.line, tok.col)})
         if tok.kind == "name":
             value = self.resolve(tok.text)
             if value is None:
@@ -365,14 +361,14 @@ class _ExprParser:
 
     def _add(self, a: _Value, b: _Value) -> _Value:
         if a[0] == "scalar" and b[0] == "scalar":
-            return ("scalar", a[1] + b[1])
+            return ("scalar", _sum(a[1], b[1]))
         if a[0] == "vec" and b[0] == "vec":
             merged = dict(a[1])
-            for name, expr in b[1].items():
-                merged[name] = merged.get(name, AffineExpr()) + expr
+            for name, scalar in b[1].items():
+                merged[name] = _sum(merged[name], scalar) if name in merged else scalar
             return ("vec", merged)
         a, b = (a, b) if a[0] == "scalar" else (b, a)
-        if _is_zero_scalar(a):
+        if not any(a[1].values()):
             return b
         raise self.error("cannot add a number to a divisor expression")
 
@@ -382,22 +378,40 @@ class _ExprParser:
         if a[0] == "vec":
             a, b = b, a
         scalar = a[1]
-        try:
-            if b[0] == "scalar":
-                return ("scalar", scalar * b[1])
-            return ("vec", {name: scalar * expr for name, expr in b[1].items()})
-        except ValueError as exc:
-            raise self.error(str(exc)) from None
+        if b[0] == "scalar":
+            return ("scalar", self._product(scalar, b[1]))
+        return ("vec", {name: self._product(scalar, s) for name, s in b[1].items()})
+
+    def _product(self, a: _Scalar, b: _Scalar) -> _Scalar:
+        """a * b, which is affine only when one of them is constant."""
+        if _is_constant(b):
+            a, b = b, a
+        elif not _is_constant(a):
+            raise self.error("product of two non-constant parameter expressions is not affine")
+        q = a.get(None, 0)
+        return b if q == 1 else {key: q * coeff for key, coeff in b.items()}
+
+
+def _sum(a: _Scalar, b: _Scalar) -> _Scalar:
+    merged = dict(a)
+    for key, coeff in b.items():
+        merged[key] = merged.get(key, 0) + coeff
+    return merged
+
+
+def _is_constant(scalar: _Scalar) -> bool:
+    return not any(coeff for key, coeff in scalar.items() if key is not None)
 
 
 def _negate(value: _Value) -> _Value:
     if value[0] == "scalar":
-        return ("scalar", -value[1])
-    return ("vec", {name: -expr for name, expr in value[1].items()})
+        return ("scalar", {key: -coeff for key, coeff in value[1].items()})
+    return ("vec", {name: {key: -coeff for key, coeff in s.items()} for name, s in value[1].items()})
 
 
-def _is_zero_scalar(value: _Value) -> bool:
-    return value[0] == "scalar" and value[1].is_constant() and value[1].const == 0
+def _affine(scalar: _Scalar) -> AffineExpr:
+    terms = dict(scalar)
+    return AffineExpr(terms.pop(None, 0), terms)
 
 
 def _divisor_coeffs(symbols: Mapping[str, object], tokens: Sequence[_Token], line: int) -> dict[str, AffineExpr]:
@@ -408,12 +422,13 @@ def _divisor_coeffs(symbols: Mapping[str, object], tokens: Sequence[_Token], lin
         if isinstance(decl, CurveDecl):
             return ("vec", {name: _ONE})
         if isinstance(decl, DivisorDecl):
-            return ("vec", dict(decl.coeffs))
+            return ("vec", {curve: {None: expr.const, **expr.terms} for curve, expr in decl.coeffs})
         if isinstance(decl, Param):
-            return ("scalar", AffineExpr.parameter(name))
+            return ("scalar", {name: 1})
         return None
 
-    return _ExprParser(tokens, line, resolve, "undefined name {!r} (not a curve, divisor, or parameter)").parse()
+    vec = _ExprParser(tokens, line, resolve, "undefined name {!r} (not a curve, divisor, or parameter)").parse()
+    return {curve: _affine(scalar) for curve, scalar in vec.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +470,7 @@ def _parse_matrix(tokens: list[_Token], line: int) -> tuple[tuple[Fraction, ...]
         tok = take()
         if tok.kind != "num":
             raise ParseError(f"expected a number, got {tok.text!r}", line, tok.col)
-        return sign * _number(tok.text, line, tok.col)
+        return Fraction(sign * _number(tok.text, line, tok.col))
 
     take("[")
     rows = []
@@ -510,7 +525,7 @@ class _DocBuilder:
 
     def class_coeffs(self, tokens: list[_Token], line: int) -> tuple[Fraction, ...]:
         vec = _ExprParser(tokens, line, self.basis.get, "undefined basis label {!r}").parse()
-        return tuple(vec.get(label, AffineExpr()).const for label in self.basis)
+        return tuple(as_fraction(vec.get(label, {}).get(None, 0)) for label in self.basis)
 
     def declare(self, decl, line: int) -> None:
         if not _NAME_RE.fullmatch(decl.name):
@@ -559,7 +574,7 @@ class _DocBuilder:
         elif key == "K":
             value = _scan(rhs, line, offset)
         else:
-            value = _number(rhs, line)
+            value = Fraction(_number(rhs, line, offset + 1))
         self.surface_keys[key] = (value, line)
 
     def feed_curves(self, line: int, key: str, rhs: Optional[str], offset: int) -> None:
@@ -573,10 +588,7 @@ class _DocBuilder:
                 raise ParseError("cone already declared with generators", line)
             if rhs is None:
                 raise ParseError("expected 'hirzebruch = n'", line)
-            try:
-                self.hirzebruch_n = int(rhs)
-            except ValueError:
-                raise ParseError(f"expected an integer, got {rhs!r}", line) from None
+            self.hirzebruch_n = _integer(rhs, "expected an integer, got {!r}", line, offset + 1)
         elif key == "generator":
             if self.hirzebruch_n is not None:
                 raise ParseError("cone already declared as hirzebruch", line)
@@ -599,33 +611,29 @@ class _DocBuilder:
 
     def feed_points(self, line: int, key: str, rhs: Optional[str], offset: int) -> None:
         entries: list[tuple[str, int]] = []
-        for token in (rhs or "").split():
-            name, _, mult = token.partition(":")
+        for word in _WORD_RE.finditer(rhs or ""):
+            name, _, mult = word.group().partition(":")
             if not mult:
-                raise ParseError(f"point entry {token!r} must look like curve:mult", line)
+                raise ParseError(f"point entry {word.group()!r} must look like curve:mult", line)
             self.known(name, CurveDecl, "curve", line)
-            try:
-                entries.append((name, int(mult)))
-            except ValueError:
-                raise ParseError(f"multiplicity {mult!r} is not an integer", line) from None
+            col = offset + word.start() + len(name) + 2
+            entries.append((name, _integer(mult, "multiplicity {!r} is not an integer", line, col)))
         self.declare(PointDecl(key, tuple(entries), line), line)
 
     def feed_tangents(self, line: int, key: str, rhs: Optional[str], offset: int) -> None:
-        tokens = (rhs or "").split()
-        if not tokens:
+        words = list(_WORD_RE.finditer(rhs or ""))
+        if not words:
             raise ParseError("tangent declaration needs 'name = point curve:order[:z] ...'", line)
-        at = tokens[0]
+        at = words[0].group()
         self.known(at, PointDecl, "point", line)
         entries: list[tuple[str, int, bool]] = []
-        for token in tokens[1:]:
-            parts = token.split(":")
+        for word in words[1:]:
+            parts = word.group().split(":")
             if len(parts) not in (2, 3):
-                raise ParseError(f"tangent entry {token!r} must look like curve:order[:z]", line)
+                raise ParseError(f"tangent entry {word.group()!r} must look like curve:order[:z]", line)
             self.known(parts[0], CurveDecl, "curve", line)
-            try:
-                order = int(parts[1])
-            except ValueError:
-                raise ParseError(f"order {parts[1]!r} is not an integer", line) from None
+            col = offset + word.start() + len(parts[0]) + 2
+            order = _integer(parts[1], "order {!r} is not an integer", line, col)
             in_cone = len(parts) == 3
             if in_cone and parts[2] != "z":
                 raise ParseError(f"unknown tangent marker {parts[2]!r} (only ':z')", line)
@@ -639,7 +647,7 @@ class _DocBuilder:
         m = re.fullmatch(r"\(\s*([^,\s]+)\s*,\s*([^)\s]+)\s*\)", rhs)
         if not m:
             raise ParseError("parameter domain must look like (lo, hi)", line)
-        lo, hi = _number(m.group(1), line), _number(m.group(2), line)
+        lo, hi = (_number(m.group(i), line, offset + m.start(i) + 1) for i in (1, 2))
         if lo >= hi:
             raise ParseError(f"parameter domain ({lo}, {hi}) is empty", line)
         self.declare(Param(key, lo, hi), line)

@@ -175,6 +175,29 @@ def test_zero_denominator_is_a_positioned_parse_error(text, line, col):
     assert "zero denominator" in err.value.message
 
 
+@pytest.mark.parametrize(
+    "text,line,col,message",
+    [
+        (SURFACE + "curves\nC = \u0663 G\n", 3, 5, "unexpected character '\u0663'"),
+        (SURFACE + "curves\nG = G\nF = F\ndivisors\nD = \uff12 G + F\n", 6, 5, "unexpected character '\uff12'"),
+        ("gram = [[-\u0663, 1], [1, 0]]; K = -2G - 5F; chi_O = 1\n", 1, 11, "unexpected character '\u0663'"),
+        ("gram = [[-3, 1], [1, 0]]; K = -2G - 5F; chi_O = 1.5\n", 1, 49, "expected a rational number, got '1.5'"),
+        (SURFACE + "params\ne = (0, 1e-3)\n", 3, 9, "expected a rational number, got '1e-3'"),
+        (SURFACE + "curves\nG = G\ncone\nhirzebruch = 1_0\n", 5, 14, "expected an integer, got '1_0'"),
+        (SURFACE + "curves\nG = G\npoints\np = G:1_0\n", 5, 7, "multiplicity '1_0' is not an integer"),
+        (SURFACE + "curves\nG = G\npoints\np = G:\u0663\n", 5, 7, "multiplicity '\u0663' is not an integer"),
+        (SURFACE + "curves\nG = G\npoints\np = G:+1\n", 5, 7, "multiplicity '+1' is not an integer"),
+        (SURFACE + "curves\nG = G\npoints\np = G:1\ntangents\nv = p G:\u0663\n", 7, 9, "order '\u0663' is not an integer"),
+        (SURFACE + "curves\nG = G\npoints\np = G:-1\n", 5, None, "negative multiplicity for 'G' at 'p'"),
+    ],
+    ids=["curve", "divisor", "gram", "chi_O", "domain", "hirzebruch", "mult", "mult-digit", "mult-sign", "order", "negative"],
+)
+def test_literals_are_ascii_integers_or_rationals(text, line, col, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.message, err.value.line, err.value.col) == (message, line, col)
+
+
 def test_zero_denominator_in_an_inline_query_expression_is_a_query_error():
     from qreider.report import run_document
 
