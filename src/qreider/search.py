@@ -37,10 +37,6 @@ DEFAULT_DEPTH = 24  # finest dyadic level of the parameter schedule
 MAX_DEPTH = 64  # keeps a k-parameter search within about 64**k candidates
 
 
-class FamilyViolation(ValueError):
-    """A candidate parameter value broke a family invariant."""
-
-
 # ---------------------------------------------------------------------------
 # affine parameter expressions
 
@@ -531,13 +527,6 @@ def hirzebruch_claim(n: int, part: int, m: Optional[int] = None, depth: int = DE
         boundary={"G": AffineExpr(1, {"eps": -1})},
         positive={"G": AffineExpr(2, {"eps": 1}), "F": AffineExpr.constant(m + n + 2)},
     )
-    fiber_boundary = ParamFamily(
-        surface=model,
-        params=(eps, Param("alpha")),
-        boundary={"G": AffineExpr(1, {"eps": -1}), "F": AffineExpr(1, {"alpha": -1})},
-        positive={"G": AffineExpr(2, {"eps": 1}), "F": AffineExpr(m + n + 1, {"alpha": 1})},
-    )
-
     def searched(name, shown, family, kind, at, keys, witness, label):
         """A check as in ``searches``, its degree sources named by CLAIM_FAMILIES keys."""
         return name, shown, family, Goal(kind, cone, at, tuple(fam[key] for key in keys), witness, label)
@@ -554,6 +543,12 @@ def hirzebruch_claim(n: int, part: int, m: Optional[int] = None, depth: int = DE
     searches = [("freeness", f"{fam['off'].description}; {fam['on'].description}", section_boundary, freeness_goal)]
     if part == 2:
         half, two = Fraction(3, 2), Fraction(2)
+        fiber_boundary = ParamFamily(
+            surface=model,
+            params=(eps, Param("alpha")),
+            boundary={"G": AffineExpr(1, {"eps": -1}), "F": AffineExpr(1, {"alpha": -1})},
+            positive={"G": AffineExpr(2, {"eps": 1}), "F": AffineExpr(m + n + 1, {"alpha": 1})},
+        )
         searches += [
             searched(
                 "separation on a fiber off the section",

@@ -16,7 +16,6 @@ from qreider.search import (
     MAX_DEPTH,
     AffineExpr,
     Degrees,
-    FamilyViolation,
     Goal,
     MultiGoal,
     Param,
@@ -428,6 +427,10 @@ def test_a_conjunction_needs_a_goal_and_one_cone():
 
 # ---------------------------------------------------------------------------
 # the candidate loop against a reference that builds and evaluates every candidate
+
+
+class FamilyViolation(ValueError):
+    """A candidate parameter value broke a family invariant."""
 
 
 def reference_instantiate(family, values):
