@@ -281,7 +281,8 @@ def _integer(text: str, message: str, line: int, col: int) -> int:
 _Scalar = dict[Optional[str], Union[int, Fraction]]
 _Value = tuple[str, dict]
 
-_ONE: _Scalar = {None: 1}
+_ONE: _Scalar = {None: Fraction(1)}
+_ZERO = Fraction(0)
 
 # The value a name stands for, or None for a name that is not defined.
 Resolver = Callable[[str], Optional[_Value]]
@@ -525,7 +526,7 @@ class _DocBuilder:
 
     def class_coeffs(self, tokens: list[_Token], line: int) -> tuple[Fraction, ...]:
         vec = _ExprParser(tokens, line, self.basis.get, "undefined basis label {!r}").parse()
-        return tuple(as_fraction(vec.get(label, {}).get(None, 0)) for label in self.basis)
+        return tuple(as_fraction(vec.get(label, {}).get(None, _ZERO)) for label in self.basis)
 
     def declare(self, decl, line: int) -> None:
         if not _NAME_RE.fullmatch(decl.name):
