@@ -386,9 +386,9 @@ def test_render_round_trips_generated_documents(doc):
 
 # -- the expression evaluator against a reference built on AffineExpr ---------
 #
-# The reference scans and evaluates an expression as the library first did:
-# one AffineExpr per scalar and one per divisor coefficient, combined with
-# AffineExpr's own operators.  Shares nothing with the library's evaluator.
+# The reference has its own scanner and evaluates with one AffineExpr per
+# scalar and per divisor coefficient, combined by AffineExpr's operators.  It
+# shares nothing with the library's evaluator.
 
 _REF_TOKEN = re.compile(r"\s*(?:([0-9]+(?:/[0-9]+)?)|([A-Za-z_][A-Za-z0-9_]*)|(\S))")
 
