@@ -13,13 +13,19 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .document import Document, ParseError, QueryDecl, parse
+from .document import Document, ParseError, QueryDecl, _integer, parse
 from .report import render_text, report_to_json, run_document
 from .search import DEFAULT_DEPTH
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INTERNAL = 2
+
+
+def integer(text: str) -> int:
+    """A flag's value as a .surf integer literal; argparse names this
+    function in its usage error ("invalid integer value: '1_0'")."""
+    return _integer(text, "{!r} is not an integer", None, None)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -35,11 +41,11 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--json", action="store_true", help="emit the machine-readable report")
 
     hz = sub.add_parser("hirzebruch", help="verify one part of the ruled-surface claim")
-    hz.add_argument("--n", type=int, required=True)
-    hz.add_argument("--part", type=int, choices=(1, 2), required=True)
-    hz.add_argument("--m", type=int, default=None)
+    hz.add_argument("--n", type=integer, required=True)
+    hz.add_argument("--part", type=integer, choices=(1, 2), required=True)
+    hz.add_argument("--m", type=integer, default=None)
     hz.add_argument("--json", action="store_true")
-    hz.add_argument("--depth", type=int, default=DEFAULT_DEPTH, help="the claim query's depth=")
+    hz.add_argument("--depth", type=integer, default=DEFAULT_DEPTH, help="the claim query's depth=")
     return parser
 
 

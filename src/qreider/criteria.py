@@ -647,9 +647,10 @@ def very_ampleness(
         lines.append(check("min degree > 2 (forced by 2*beta1 > 2)", deg, ">", 2))
         return _verdict("very-ample/witness", lines, note="no admissible (beta2, beta1) exists")
     b2, b1 = witness.beta2[0], witness.beta1[0]
-    lines = [
-        check("beta2 >= 2", b2, ">=", 2),
-        check("beta1 >= beta2/(beta2 - 1)", b1, ">=", b2 / (b2 - 1)),
+    lines = [check("beta2 >= 2", b2, ">=", 2)]
+    if b2 >= 2:  # below 2 the witness fails, and beta2/(beta2 - 1) is undefined at 1
+        lines.append(check("beta1 >= beta2/(beta2 - 1)", b1, ">=", b2 / (b2 - 1)))
+    lines += [
         check("M^2 > 2*beta2^2", sq, ">", 2 * b2 * b2),
         check("min degree >= 2*beta1", deg, ">=", 2 * b1),
     ]

@@ -6,8 +6,11 @@ switch context; ``#`` starts a comment; ``;`` separates statements on one
 line.  Numbers are ASCII: a rational literal is ``p/q`` or an integer over
 the digits 0-9, with an optional sign where it stands alone (``chi_O``, a
 parameter domain's ends); ``hirzebruch``, multiplicities and tangent orders
-are integers with an optional ``-``.  Before the first header,
-surface-level keys are accepted directly, so a fragment like
+are integers with an optional ``-``.  ``_number`` and ``_integer`` are the
+only way from typed text to a number: query arguments (``m2=``, ``beta2=``,
+``n=``, ...) and the ``qreider hirzebruch`` flags are read by them too.
+Before the first header, surface-level keys are accepted directly, so a
+fragment like
 
     gram = [[-3, 1], [1, 0]]; K = -2G - 5F; chi_O = 1
 
@@ -263,7 +266,7 @@ def _number(text: str, line: int, col: Optional[int] = None) -> Union[int, Fract
     raise ParseError(f"expected a rational number, got {text!r}", line, col)
 
 
-def _integer(text: str, message: str, line: int, col: int) -> int:
+def _integer(text: str, message: str, line: Optional[int], col: Optional[int]) -> int:
     """ASCII digits with an optional '-' as an int; anything else raises ``message`` at ``line``, ``col``."""
     if _INTEGER_RE.fullmatch(text):
         try:

@@ -1,7 +1,9 @@
 """Exact-rational intersection lattices and divisor classes.
 
 Every number in this module is a ``fractions.Fraction``; no floating point
-enters any computation.  Lattices compare by identity: classes built on two
+enters any computation.  No text is read here either: ``as_fraction`` takes
+exact numbers only, and typed numbers go through the ``.surf`` literal grammar
+in ``qreider.document``.  Lattices compare by identity: classes built on two
 separately constructed lattices never interoperate, even if the Gram data
 happens to coincide.
 """
@@ -11,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
-RationalLike = Union[int, str, Fraction, Rational]
+RationalLike = Union[int, Fraction, Rational]
 
 
 class LatticeMismatchError(ValueError):
@@ -21,10 +23,11 @@ class LatticeMismatchError(ValueError):
 
 
 def as_fraction(x: RationalLike) -> Fraction:
-    """Coerce ints, rational strings like ``'-3/4'``, and Fractions exactly."""
+    """Coerce ints, Fractions and other exact rationals exactly; a str is a
+    TypeError (text is read by the ``.surf`` literal grammar)."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str, Rational)):
+    if isinstance(x, (int, Rational)):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
 
@@ -74,15 +77,9 @@ class IntersectionLattice:
         coeffs = tuple(Fraction(int(j == i)) for j in range(self.rank))
         return DivisorClass(self, coeffs)
 
-    def divisor_class(self, coeffs: Union[Sequence[RationalLike], Mapping[str, RationalLike]]) -> "DivisorClass":
-        """Build a class from a coefficient vector or a {label: coeff} mapping."""
-        if isinstance(coeffs, Mapping):
-            vec = [Fraction(0)] * self.rank
-            for label, value in coeffs.items():
-                vec[self.index(label)] = as_fraction(value)
-            return DivisorClass(self, tuple(vec))
-        vec = tuple(as_fraction(x) for x in coeffs)
-        return DivisorClass(self, vec)
+    def divisor_class(self, coeffs: Sequence[RationalLike]) -> "DivisorClass":
+        """Build a class from its coefficient vector in basis order."""
+        return DivisorClass(self, tuple(as_fraction(x) for x in coeffs))
 
     def __repr__(self) -> str:
         return f"IntersectionLattice(basis={list(self.basis_labels)})"

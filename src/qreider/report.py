@@ -29,7 +29,7 @@ from .criteria import (
     threshold_very_ampleness,
     very_ampleness,
 )
-from .document import Document, ParseError, QueryDecl
+from .document import _INTEGER_RE, Document, ParseError, QueryDecl, _number
 from .search import DEFAULT_DEPTH, MAX_DEPTH, Degrees, Goal, ParamFamily, SearchReport, hirzebruch_claim, search_params
 
 T = TypeVar("T")
@@ -87,23 +87,20 @@ def _divisor(doc: Document, q: QueryDecl, key: Union[int, str], concrete: bool =
 
 
 def _rational_arg(q: QueryDecl, key: str) -> Optional[Fraction]:
+    """Argument ``key`` as a .surf rational literal, or None when it is absent;
+    a bad value is a ParseError at the value's column."""
     raw = q.arg(key)
-    if raw is None:
-        return None
-    try:
-        return Fraction(raw)
-    except (ValueError, ZeroDivisionError):
-        raise QueryError(f"argument {key}={raw!r} is not a rational") from None
+    return None if raw is None else Fraction(_number(raw, q.line, q.col(key) + 1))
 
 
 def _int_arg(q: QueryDecl, key: str, lo: int, hi: Optional[int] = None, required: bool = False) -> Optional[int]:
-    """Argument ``key`` as ASCII decimal digits naming an integer in lo..hi
-    (with no upper end when hi is None), or None when it is absent."""
+    """Argument ``key`` as a .surf integer literal in lo..hi (with no upper
+    end when hi is None), or None when it is absent."""
     raw = _require(q, key) if required else q.arg(key)
     if raw is None:
         return None
     try:
-        value = int(raw) if raw.isascii() and raw.isdigit() else None
+        value = int(raw) if _INTEGER_RE.fullmatch(raw) else None
     except ValueError:  # more digits than int() converts
         value = None
     if value is None or value < lo or (hi is not None and value > hi):
@@ -121,9 +118,30 @@ def _choice_arg(q: QueryDecl, key: str, choices: Mapping[str, T], default: str) 
     return choices[raw.lower()]
 
 
+# the witness keys of each rule -> the BetaWitness their values build
+_FREE_WITNESS = ("beta2", "beta1")
+_SEPARATE_WITNESS = ("beta2_p", "beta2_q", "beta1_p", "beta1_q")
+_TANGENT_WITNESS = ("beta2_p", "beta2_V", "beta1")
+_WITNESSES = {
+    _FREE_WITNESS: lambda b2, b1: BetaWitness.single(b2, b1, role="at-p"),
+    _SEPARATE_WITNESS: BetaWitness.pair,
+    _TANGENT_WITNESS: lambda b2_p, b2_v, b1: BetaWitness((b2_p, b2_v), (b1,), ("at-p", "at-V"), ("global",)),
+}
+
+
+def _witness_arg(q: QueryDecl, keys: tuple[str, ...]) -> Optional[BetaWitness]:
+    """The witness that the arguments ``keys`` give all together, or None
+    when none of them is given (as always for no keys)."""
+    values = [_rational_arg(q, key) for key in keys]
+    if all(v is None for v in values):
+        return None
+    if None in values:
+        raise QueryError(f"give all of {', '.join(key + '=' for key in keys)}, or none")
+    return _WITNESSES[keys](*values)
+
+
 _WEAK = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 _THRESHOLD_MODES = {mode.value: mode for mode in ThresholdMode}
-_DEGREE_FILTERS = {filt.value: filt for filt in DegreeFilter}
 
 
 def _depth(q: QueryDecl) -> int:
@@ -186,15 +204,6 @@ def _run_chi(doc: Document, q: QueryDecl, result: QueryResult) -> None:
     result.values["chi"] = value
 
 
-def _freeness_witness_args(q: QueryDecl) -> Optional[BetaWitness]:
-    b2, b1 = _rational_arg(q, "beta2"), _rational_arg(q, "beta1")
-    if b2 is None and b1 is None:
-        return None
-    if b2 is None or b1 is None:
-        raise QueryError("give both beta2= and beta1=, or neither")
-    return BetaWitness.single(b2, b1, role="at-p")
-
-
 def _decomposition(doc: Document, q: QueryDecl):
     """The boundary B=, the class of the positive part M=, and M^2."""
     boundary = _divisor(doc, q, "B")
@@ -207,10 +216,9 @@ def _run_check_free(doc: Document, q: QueryDecl, result: QueryResult) -> None:
     point = _require(q, "point")
     boundary, m_cls, m2 = _decomposition(doc, q)
     mu = boundary.ord_at(point)
-    filt = _choice_arg(q, "filter", _DEGREE_FILTERS, "through-p")
-    deg = _mindeg(doc, m_cls, filt, _rational_arg(q, "mindeg"))
+    deg = _mindeg(doc, m_cls, DegreeFilter.THROUGH_POINT, _rational_arg(q, "mindeg"))
     result.values.update({"mu": mu, "M2": m2, "mindeg": deg})
-    _from_verdict(result, freeness_at(mu, m2, deg, _freeness_witness_args(q)))
+    _from_verdict(result, freeness_at(mu, m2, deg, _witness_arg(q, _FREE_WITNESS)))
 
 
 def _run_check_separate(doc: Document, q: QueryDecl, result: QueryResult) -> None:
@@ -221,12 +229,7 @@ def _run_check_separate(doc: Document, q: QueryDecl, result: QueryResult) -> Non
     deg_p = _mindeg(doc, m_cls, DegreeFilter.ALL, _rational_arg(q, "mindeg_p"))
     deg_q = _mindeg(doc, m_cls, DegreeFilter.ALL, _rational_arg(q, "mindeg_q"))
     deg_pq = _mindeg(doc, m_cls, DegreeFilter.ALL, _rational_arg(q, "mindeg_pq"))
-    witness = None
-    parts = [_rational_arg(q, k) for k in ("beta2_p", "beta2_q", "beta1_p", "beta1_q")]
-    if any(v is not None for v in parts):
-        if any(v is None for v in parts):
-            raise QueryError("give all of beta2_p=, beta2_q=, beta1_p=, beta1_q=, or none")
-        witness = BetaWitness.pair(*parts)
+    witness = _witness_arg(q, _SEPARATE_WITNESS)
     result.values.update(
         {"mu_p": mu_p, "mu_q": mu_q, "M2": m2, "mindeg_p": deg_p, "mindeg_q": deg_q, "mindeg_pq": deg_pq}
     )
@@ -240,14 +243,7 @@ def _run_check_tangent(doc: Document, q: QueryDecl, result: QueryResult) -> None
     orders = boundary.ord_tangential(tangent)
     deg_p = _mindeg(doc, m_cls, DegreeFilter.THROUGH_POINT, _rational_arg(q, "mindeg_p"))
     deg_z = _mindeg(doc, m_cls, DegreeFilter.CONTAINING_Z, _rational_arg(q, "mindeg_Z"))
-    witness = None
-    parts = [_rational_arg(q, k) for k in ("beta2_p", "beta2_V", "beta1")]
-    if any(v is not None for v in parts):
-        if any(v is None for v in parts):
-            raise QueryError("give all of beta2_p=, beta2_V=, beta1=, or none")
-        witness = BetaWitness(
-            (parts[0], parts[1]), (parts[2],), ("at-p", "at-V"), ("global",)
-        )
+    witness = _witness_arg(q, _TANGENT_WITNESS)
     result.values.update(
         {
             "mu_p": orders.at_point,
@@ -276,7 +272,7 @@ def _run_check_global(doc: Document, q: QueryDecl, result: QueryResult) -> None:
             deg = _mindeg(doc, m_cls, DegreeFilter.ALL, None)
     result.values.update({"M2": m2, "mindeg": deg})
     if q.kind == "check-very-ample":
-        verdict = very_ampleness(m2, deg, _freeness_witness_args(q))
+        verdict = very_ampleness(m2, deg, _witness_arg(q, _FREE_WITNESS))
     else:
         verdict = threshold_very_ampleness(m2, deg)
     _from_verdict(result, verdict)
@@ -308,13 +304,12 @@ def _run_plc_threshold(doc: Document, q: QueryDecl, result: QueryResult) -> None
 
 
 # search goal= kind -> (query keys naming the marked data, degree filter of each minimal degree,
-# the witness keys beta2=/beta1= if the goal takes them)
-_WITNESS_KEYS = ("beta2", "beta1")
+# the witness keys beta2=/beta1= if the goal takes them, else none)
 _SEARCH_GOALS = {
-    "free": (("point",), (DegreeFilter.THROUGH_POINT,), _WITNESS_KEYS),
+    "free": (("point",), (DegreeFilter.THROUGH_POINT,), _FREE_WITNESS),
     "separate": (("p", "q"), (DegreeFilter.ALL,) * 3, ()),
     "tangent": (("tangent",), (DegreeFilter.THROUGH_POINT, DegreeFilter.CONTAINING_Z), ()),
-    "very-ample": ((), (DegreeFilter.ALL,), _WITNESS_KEYS),
+    "very-ample": ((), (DegreeFilter.ALL,), _FREE_WITNESS),
 }
 
 
@@ -334,7 +329,7 @@ def _run_search(doc: Document, q: QueryDecl, result: QueryResult) -> None:
         cone,
         tuple(_require(q, key) for key in keys),
         tuple(Degrees(f"cone filter {f.value}", degree_classes(cone, f)) for f in filters),
-        _freeness_witness_args(q) if witness_keys else None,
+        _witness_arg(q, witness_keys),
     )
     _from_search(result, search_params(family, goal, depth))
 
@@ -377,13 +372,13 @@ def _run_hirzebruch_claim(doc: Document, q: QueryDecl, result: QueryResult) -> N
 # query kind -> (runner, the argument keys it reads; a search also reads its goal's keys)
 _RUNNERS = {
     "chi": (_run_chi, ("H",)),
-    "check-free": (_run_check_free, ("point", "B", "M", "filter", "mindeg") + _WITNESS_KEYS),
+    "check-free": (_run_check_free, ("point", "B", "M", "mindeg") + _FREE_WITNESS),
     "check-separate": (
         _run_check_separate,
-        ("p", "q", "B", "M", "mindeg_p", "mindeg_q", "mindeg_pq", "beta2_p", "beta2_q", "beta1_p", "beta1_q"),
+        ("p", "q", "B", "M", "mindeg_p", "mindeg_q", "mindeg_pq") + _SEPARATE_WITNESS,
     ),
-    "check-tangent": (_run_check_tangent, ("tangent", "B", "M", "mindeg_p", "mindeg_Z", "beta2_p", "beta2_V", "beta1")),
-    "check-very-ample": (_run_check_global, ("M", "m2", "mindeg") + _WITNESS_KEYS),
+    "check-tangent": (_run_check_tangent, ("tangent", "B", "M", "mindeg_p", "mindeg_Z") + _TANGENT_WITNESS),
+    "check-very-ample": (_run_check_global, ("M", "m2", "mindeg") + _FREE_WITNESS),
     "check-corollary2": (_run_check_global, ("M", "m2", "mindeg")),
     "plc-threshold": (_run_plc_threshold, ("point", "B", "D", "mode", "weak", "c0")),
     "search": (_run_search, ("goal", "B", "M", "depth")),

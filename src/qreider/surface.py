@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Union
+from typing import Mapping, NamedTuple
 
 from .lattice import DivisorClass, IntersectionLattice, RationalLike, as_fraction
 
@@ -168,25 +168,17 @@ class SurfaceModel:
         except KeyError:
             raise UnknownCurveError(f"no curve named {name!r}") from None
 
-    def point(self, name_or_spec: Union[str, PointSpec]) -> PointSpec:
-        name = name_or_spec.name if isinstance(name_or_spec, PointSpec) else name_or_spec
+    def point(self, name: str) -> PointSpec:
         try:
-            found = self.points[name]
+            return self.points[name]
         except KeyError:
             raise UnknownPointError(f"no point named {name!r}") from None
-        if isinstance(name_or_spec, PointSpec) and found != name_or_spec:
-            raise UnknownPointError(f"point {name!r} differs from the declared one")
-        return found
 
-    def tangent(self, name_or_spec: Union[str, TangentSpec]) -> TangentSpec:
-        name = name_or_spec.name if isinstance(name_or_spec, TangentSpec) else name_or_spec
+    def tangent(self, name: str) -> TangentSpec:
         try:
-            found = self.tangents[name]
+            return self.tangents[name]
         except KeyError:
             raise UnknownTangentError(f"no tangent named {name!r}") from None
-        if isinstance(name_or_spec, TangentSpec) and found != name_or_spec:
-            raise UnknownTangentError(f"tangent {name!r} differs from the declared one")
-        return found
 
     def divisor(self, coeffs: Mapping[str, RationalLike] | None = None) -> "QDivisor":
         return QDivisor(self, dict(coeffs or {}))
@@ -266,13 +258,14 @@ class QDivisor:
             total = total + value * self.surface.curves[name].cls
         return total
 
-    def ord_at(self, point: Union[str, PointSpec]) -> Fraction:
-        """Multiplicity of the divisor at a marked point: sum of coeff * mult."""
+    def ord_at(self, point: str) -> Fraction:
+        """Multiplicity of the divisor at the marked point named ``point``: sum of coeff * mult."""
         spec = self.surface.point(point)
         return sum((v * spec.mult(n) for n, v in self.coeffs.items()), Fraction(0))
 
-    def ord_tangential(self, tangent: Union[str, TangentSpec]) -> TangentialOrder:
-        """Orders at the point, at the infinitely-near point, and their sum."""
+    def ord_tangential(self, tangent: str) -> TangentialOrder:
+        """Orders at the point and at the infinitely-near point of the tangent
+        named ``tangent``, and their sum."""
         spec = self.surface.tangent(tangent)
         at_point = self.ord_at(spec.at)
         near = sum((v * spec.mult_V(n) for n, v in self.coeffs.items()), Fraction(0))
@@ -326,8 +319,8 @@ def _fresh_name(base: str, taken: set[str]) -> str:
     return name
 
 
-def blow_up(surface: SurfaceModel, point: Union[str, PointSpec]) -> tuple[SurfaceModel, PullbackMap]:
-    """Blow up a marked point.
+def blow_up(surface: SurfaceModel, point: str) -> tuple[SurfaceModel, PullbackMap]:
+    """Blow up the marked point named ``point``.
 
     The target lattice extends the source by one basis element E with
     E*E = -1, orthogonal to all pulled-back classes.  Declared curves become
@@ -368,12 +361,12 @@ def verify_adjoint_blowup_identity(
     surface: SurfaceModel,
     boundary: QDivisor,
     positive: QDivisor,
-    point: Union[str, PointSpec],
+    point: str,
 ) -> bool:
     """Check the round-up identity for the adjoint divisor under one blow-up.
 
     With B the boundary, M the positive part and mu the multiplicity of B at
-    the point, the identity states
+    the marked point named ``point``, the identity states
 
         K_target + ceil(f*M)  =  f*(K + B + M) - (floor(mu) - 1) E.
 
@@ -389,9 +382,8 @@ def verify_adjoint_blowup_identity(
     if not total.is_integral():
         raise ValueError("boundary plus positive part must be integral")
 
-    spec = surface.point(point)
-    mu = boundary.ord_at(spec)
-    target, pb = blow_up(surface, spec)
+    mu = boundary.ord_at(point)
+    target, pb = blow_up(surface, point)
 
     canonical_ok = target.canonical == pb.pull_class(surface.canonical) + pb.exceptional_class()
 

@@ -70,15 +70,31 @@ def test_version_flag():
 
 
 @pytest.mark.parametrize(
-    "args",
-    [("check",), ("hirzebruch", "--n", "x", "--part", "1"), ("check", str(GOLDEN), "--depth", "8"), ("bogus",)],
-    ids=["check-without-file", "non-integer-n", "check-depth-flag", "unknown-command"],
+    "args, message",
+    [
+        (("check",), "the following arguments are required: file"),
+        (("hirzebruch", "--n", "x", "--part", "1"), "argument --n: invalid integer value: 'x'"),
+        (("hirzebruch", "--n", "1_0", "--part", "1"), "argument --n: invalid integer value: '1_0'"),
+        (("hirzebruch", "--n", "\u0663", "--part", "1"), "argument --n: invalid integer value: '\u0663'"),
+        (("hirzebruch", "--n", "3", "--part", "+1"), "argument --part: invalid integer value: '+1'"),
+        (("check", str(GOLDEN), "--depth", "8"), "unrecognized arguments: --depth 8"),
+        (("bogus",), "argument command: invalid choice: 'bogus'"),
+    ],
+    ids=[
+        "check-without-file",
+        "non-integer-n",
+        "underscore-n",
+        "arabic-indic-n",
+        "signed-part",
+        "check-depth-flag",
+        "unknown-command",
+    ],
 )
-def test_usage_errors_exit_one(args):
+def test_usage_errors_exit_one(args, message):
     proc = run_cli(*args)
     assert proc.returncode == 1
     assert "usage: qreider" in proc.stderr
-    assert "error: " in proc.stderr
+    assert f"error: {message}" in proc.stderr
 
 
 def test_check_help_exits_zero_and_offers_no_depth_flag():
@@ -333,6 +349,30 @@ def test_claim_integer_arguments_accept_plain_digits(capsys, monkeypatch):
     assert "   n = 2\n" in out and "   m = 10\n" in out and "   ok: yes\n" in out
 
 
+def test_a_very_ample_witness_with_beta2_one_is_not_established(capsys, monkeypatch):
+    queries = (
+        "check-very-ample m2=20 mindeg=5 beta2=1 beta1=1\n"
+        "search goal=very-ample B=Bfam M=Mfam beta2=1 beta1=1 depth=3\n"
+    )
+    monkeypatch.setattr("sys.stdin", io.StringIO(GOLDEN.read_text() + queries))
+    assert main(["check", "-"]) == 0
+    out = capsys.readouterr().out
+    check, search = out.split("== check-very-ample m2=20")[1].split("== search goal=very-ample")
+    assert check == (
+        " mindeg=5 beta2=1 beta1=1\n"
+        "   status: not-established   rule: very-ample/witness\n"
+        "   M2 = 20\n"
+        "   mindeg = 5\n"
+        "   witness: beta2 = 1 [at-p]; beta1 = 1 [at-p]\n"
+        "   beta2 >= 2: 1 >= 2  [FAILS]\n"
+        "   M^2 > 2*beta2^2: 20 > 2  [ok]\n"
+        "   min degree >= 2*beta1: 5 >= 2  [ok]\n"
+    )
+    assert search == (
+        " B=Bfam M=Mfam beta2=1 beta1=1 depth=3\n   status: not-established\n   search: found=False attempts=2\n"
+    )
+
+
 CHOICE_DOC = """gram = [[-3, 1], [1, 0]]; K = -2G - 5F; chi_O = 1
 curves
 G = G
@@ -358,7 +398,6 @@ WEAK_SPELLINGS = "must be one of 1, true, yes, 0, false, no"
         ("plc-threshold point=p B=B D=D mode=prime c0=F weak=maybe", f"weak='maybe' {WEAK_SPELLINGS}"),
         ("plc-threshold point=p B=B D=D mode=prime c0=F weak=", f"weak='' {WEAK_SPELLINGS}"),
         ("plc-threshold point=p B=B D=D mode=bogus", "mode='bogus' must be one of basic, cap3, prime"),
-        ("check-free point=p B=B M=M filter=bogus", "filter='bogus' must be one of all, through-p, containing-z"),
     ],
 )
 def test_choice_arguments_name_the_key_and_the_accepted_values(query, message, capsys, monkeypatch):

@@ -273,6 +273,18 @@ def test_very_ampleness_explicit_witness():
     assert verdict.established
 
 
+@pytest.mark.parametrize("beta2", [1, F(1, 2), F(3, 2)])
+def test_very_ampleness_witness_with_beta2_below_two_fails_without_the_beta1_bound(beta2):
+    # beta2/(beta2 - 1) is undefined at beta2 = 1, so its line is built only for beta2 >= 2
+    verdict = very_ampleness(20, 5, BetaWitness.single(beta2, 1))
+    assert not verdict.established
+    assert [(l.text, l.holds) for l in verdict.trace] == [
+        ("beta2 >= 2", False),
+        ("M^2 > 2*beta2^2", True),
+        ("min degree >= 2*beta1", True),
+    ]
+
+
 def test_very_ampleness_boundary_square_infeasible():
     verdict = very_ampleness(8, 1000)
     assert not verdict.established

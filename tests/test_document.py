@@ -224,6 +224,37 @@ def test_errors_inside_a_query_value_carry_the_column_of_the_line(line, col):
     assert error.startswith(f"line {text.count(chr(10))}, col {col}: ")
 
 
+# number texts with no whitespace, '#', ';' or '=': ASCII p/q and integers (zero
+# denominators among them), decimals, exponents, '_' separators, and non-ASCII digits
+NUMBER_TEXTS = st.one_of(
+    st.from_regex(r"[-+]?[0-9]{1,4}(/[0-9]{1,3})?", fullmatch=True),
+    st.from_regex(r"[-+]?[0-9]{1,3}/0{1,2}", fullmatch=True),
+    st.from_regex(r"[-+]?[0-9]{0,3}\.[0-9]{0,3}", fullmatch=True),
+    st.from_regex(r"[-+]?[0-9]{1,3}(\.[0-9])?[eE][-+]?[0-9]{1,2}", fullmatch=True),
+    st.from_regex(r"[-+]?[0-9]{1,2}(_[0-9]{1,2})+(/[0-9_]{1,3})?", fullmatch=True),
+    st.lists(st.sampled_from("0123456789+-/._e\u0663\uff12"), min_size=1, max_size=6).map("".join),
+)
+
+
+@given(NUMBER_TEXTS)
+@settings(max_examples=300, deadline=None)
+def test_a_query_number_reads_as_a_document_number(t):
+    from qreider.report import run_document
+
+    prefix = "gram = [[-3, 1], [1, 0]]; K = -2G - 5F; chi_O = "
+    try:
+        document = ("ok", parse(prefix + t + "\n").surface.chi_o)
+    except ParseError as exc:
+        assert (exc.line, exc.col) == (1, len(prefix) + 1)
+        document = ("error", exc.message)
+    query = "check-very-ample m2=" + t + " mindeg=3"
+    result = run_document(parse("queries\n" + query + "\n")).results[0]
+    if document[0] == "ok":
+        assert (result.error, result.values["M2"]) == ("", document[1])
+    else:
+        assert result.error == f"line 2, col {len('check-very-ample m2=') + 1}: {document[1]}"
+
+
 @pytest.mark.parametrize("domain", ["(1, 0)", "(1/2, 1/2)"])
 def test_empty_parameter_domain_is_rejected(domain):
     with pytest.raises(ParseError) as err:
@@ -272,6 +303,8 @@ def test_query_values_may_contain_spaces():
     [
         ("search goal=free point=p B=Bfam M=Mfam bogus=1", "bogus"),
         ("search goal=separate p=p q=p B=Bfam M=Mfam beta2_p=3", "beta2_p"),
+        # check-free reads its degree over the curves through p, or takes mindeg=
+        ("check-free point=p B=0 M=G + 10F filter=containing-z", "filter"),
     ],
 )
 def test_unknown_query_arguments_are_query_errors(query, key):

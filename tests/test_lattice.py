@@ -8,6 +8,7 @@ from qreider.lattice import (
     DivisorClass,
     IntersectionLattice,
     LatticeMismatchError,
+    as_fraction,
     hirzebruch_lattice,
 )
 
@@ -82,6 +83,14 @@ def test_mismatched_lattices_never_coerce():
         x.intersect(y)
     with pytest.raises(LatticeMismatchError):
         x + y
+
+
+def test_text_and_mappings_are_not_coefficients():
+    # numbers are read from text only by the .surf literal grammar
+    with pytest.raises(TypeError):
+        as_fraction("1/2")
+    with pytest.raises(TypeError):
+        hirzebruch_lattice(3).divisor_class({"G": 1})
 
 
 def test_gram_must_be_symmetric():
