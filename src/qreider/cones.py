@@ -6,7 +6,8 @@ the caller's responsibility) or the builtin family of curve classes on the
 rank-2 (G, F) lattice with G*G = -n, F*F = 0, G*F = 1, whose irreducible
 classes are G, the F-class, and a*G + b*F with a >= 1, b >= n*a.  Each cone
 builds its nef test once, as pairing rows, so that testing a class is one dot
-product per row.
+product per row, and every minimal degree is a ``Degrees.minimum`` over
+pairing rows in the same way.
 """
 
 from __future__ import annotations
@@ -159,20 +160,44 @@ def is_big(m: DivisorClass, cone: ConeDescription) -> bool:
     return is_nef(m, cone) and m.self_intersection() > 0
 
 
-def degree_classes(cone: ConeDescription, filt: DegreeFilter = DegreeFilter.ALL) -> tuple[DivisorClass, ...]:
+@dataclass(frozen=True)
+class Degrees:
+    """A declared family of candidate curve classes for a degree minimum.
+
+    Each class is kept as its pairing row, so that M's minimal degree is a
+    minimum of dot products with M's coefficient vector.
+    """
+
+    description: str
+    classes: tuple[DivisorClass, ...]
+    rows: tuple[PairingRow, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "classes", tuple(self.classes))
+        if not self.classes:
+            raise ValueError("degree family needs at least one class")
+        object.__setattr__(self, "rows", tuple(pairing_row(c) for c in self.classes))
+
+    def minimum(self, coeffs: Sequence[Fraction]) -> Fraction:
+        """min M.C over the classes, for M's coefficient vector."""
+        return min(pair(coeffs, row) for row in self.rows)
+
+
+def cone_degrees(cone: ConeDescription, filt: DegreeFilter = DegreeFilter.ALL) -> Degrees:
     """The declared classes a nef class's minimal degree over the filter is taken on."""
     if isinstance(cone, FiniteGenerators):
         classes = tuple(g.cls for g in cone.generators if g.matches(filt))
         if not classes:
             raise ValueError(f"no cone generator matches filter {filt.value!r}")
-        return classes
-    if filt is DegreeFilter.CONTAINING_Z:
-        return (cone.g_class, cone.family_corner())
-    return (cone.g_class, cone.family_corner(), cone.f_class)
+    elif filt is DegreeFilter.CONTAINING_Z:
+        classes = (cone.g_class, cone.family_corner())
+    else:
+        classes = (cone.g_class, cone.family_corner(), cone.f_class)
+    return Degrees(f"cone filter {filt.value}", classes)
 
 
 def min_degree(m: DivisorClass, cone: ConeDescription, filt: DegreeFilter = DegreeFilter.ALL) -> Fraction:
     """Minimal pairing of a nef class against the declared curves in the filter."""
     if not is_nef(m, cone):
         raise NotNefError("minimal degree is only defined for nef classes")
-    return min(m.intersect(c) for c in degree_classes(cone, filt))
+    return cone_degrees(cone, filt).minimum(m.coeffs)

@@ -24,7 +24,7 @@ from itertools import islice
 from math import isqrt
 from typing import Iterable, Optional, Union
 
-from .lattice import DivisorClass, RationalLike, as_fraction
+from .lattice import DivisorClass, RationalLike, as_fraction, as_int
 
 _WITNESS_DEPTH = 24  # finest dyadic level of the one-parameter witness searches
 _PAIR_DEPTH = 12  # per-axis refinement depth for two-parameter searches
@@ -156,7 +156,7 @@ def jet_separation(mu: RationalLike, s: int) -> CriterionVerdict:
     m = as_fraction(mu)
     if m < 0:
         raise DomainError("multiplicity must be non-negative")
-    s = int(s)
+    s = as_int(s)
     if s < 0:
         raise DomainError("jet order must be non-negative")
     line = check("boundary multiplicity >= s + 2", m, ">=", s + 2)
@@ -715,7 +715,7 @@ class LocalCurveData:
     def __post_init__(self):
         object.__setattr__(self, "b", as_fraction(self.b))
         object.__setattr__(self, "d", as_fraction(self.d))
-        object.__setattr__(self, "mult_p", int(self.mult_p))
+        object.__setattr__(self, "mult_p", as_int(self.mult_p))
         if not 0 <= self.b < 1:
             raise ValueError(f"boundary coefficient of {self.name!r} must be in [0, 1)")
         if self.d < 0:
@@ -723,7 +723,7 @@ class LocalCurveData:
         if self.mult_p < 1:
             raise ValueError(f"{self.name!r} is listed through the point, so mult_p >= 1")
         if self.mult_V is not None:
-            object.__setattr__(self, "mult_V", int(self.mult_V))
+            object.__setattr__(self, "mult_V", as_int(self.mult_V))
             if not 0 <= self.mult_V <= self.mult_p:
                 raise ValueError(f"infinitely-near order of {self.name!r} must be in [0, mult_p]")
 

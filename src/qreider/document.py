@@ -714,10 +714,6 @@ def parse(text: str) -> Document:
 # rendering
 
 
-def _render_rational(q: Fraction) -> str:
-    return str(q)
-
-
 def _render_class(coeffs: Sequence[Fraction], labels: Sequence[str]) -> str:
     parts: list[str] = []
     for coeff, label in zip(coeffs, labels):
@@ -738,17 +734,17 @@ def _render_class(coeffs: Sequence[Fraction], labels: Sequence[str]) -> str:
 
 def _render_affine(expr: AffineExpr) -> str:
     if expr.is_constant():
-        return _render_rational(expr.const)
+        return str(expr.const)
     parts = []
     if expr.const:
-        parts.append(_render_rational(expr.const))
+        parts.append(str(expr.const))
     for name, coeff in sorted(expr.terms.items()):
         if coeff == 1:
             term = name
         elif coeff == -1:
             term = f"-{name}"
         else:
-            term = f"{_render_rational(coeff)} {name}"
+            term = f"{coeff!s} {name}"
         if parts and not term.startswith("-"):
             parts.append(f"+ {term}")
         elif parts:
@@ -765,10 +761,10 @@ def render(doc: Document) -> str:
         s = doc.surface
         lines.append("surface")
         lines.append("basis = " + " ".join(s.basis))
-        rows = ", ".join("[" + ", ".join(_render_rational(x) for x in row) + "]" for row in s.gram)
+        rows = ", ".join("[" + ", ".join(str(x) for x in row) + "]" for row in s.gram)
         lines.append(f"gram = [{rows}]")
         lines.append("K = " + _render_class(s.canonical, s.basis))
-        lines.append(f"chi_O = {_render_rational(s.chi_o)}")
+        lines.append(f"chi_O = {s.chi_o!s}")
     if doc.curves:
         lines.append("")
         lines.append("curves")
@@ -801,7 +797,7 @@ def render(doc: Document) -> str:
         lines.append("")
         lines.append("params")
         for p in doc.params:
-            lines.append(f"{p.name} = ({_render_rational(p.lo)}, {_render_rational(p.hi)})")
+            lines.append(f"{p.name} = ({p.lo!s}, {p.hi!s})")
     if doc.divisors:
         lines.append("")
         lines.append("divisors")

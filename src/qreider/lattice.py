@@ -2,10 +2,10 @@
 
 Every number in this module is a ``fractions.Fraction``; no floating point
 enters any computation.  No text is read here either: ``as_fraction`` takes
-exact numbers only, and typed numbers go through the ``.surf`` literal grammar
-in ``qreider.document``.  Lattices compare by identity: classes built on two
-separately constructed lattices never interoperate, even if the Gram data
-happens to coincide.
+exact numbers only, ``as_int`` takes ``int``s only, and typed numbers go
+through the ``.surf`` literal grammar in ``qreider.document``.  Lattices
+compare by identity: classes built on two separately constructed lattices
+never interoperate, even if the Gram data happens to coincide.
 """
 
 from __future__ import annotations
@@ -30,6 +30,14 @@ def as_fraction(x: RationalLike) -> Fraction:
     if isinstance(x, (int, Rational)):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
+
+
+def as_int(x: int) -> int:
+    """An ``int`` as it is; a bool, float, str, Fraction or anything else is a
+    TypeError, so that no value is truncated or read as text."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise TypeError(f"not an integer: {x!r}")
 
 
 @dataclass(frozen=True, eq=False)

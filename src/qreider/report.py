@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, TypeVar, Union
 
 from . import __version__
-from .cones import DegreeFilter, degree_classes, min_degree
+from .cones import DegreeFilter, cone_degrees, min_degree
 from .criteria import (
     BetaWitness,
     CriterionVerdict,
@@ -30,7 +30,7 @@ from .criteria import (
     very_ampleness,
 )
 from .document import _INTEGER_RE, Document, ParseError, QueryDecl, _number
-from .search import DEFAULT_DEPTH, MAX_DEPTH, Degrees, Goal, ParamFamily, SearchReport, hirzebruch_claim, search_params
+from .search import DEFAULT_DEPTH, MAX_DEPTH, Goal, ParamFamily, SearchReport, hirzebruch_claim, search_params
 
 T = TypeVar("T")
 
@@ -326,12 +326,11 @@ def _run_search(doc: Document, q: QueryDecl, result: QueryResult) -> None:
     keys, filters, witness_keys = _SEARCH_GOALS[goal_kind]
     goal = Goal(
         goal_kind,
-        cone,
         tuple(_require(q, key) for key in keys),
-        tuple(Degrees(f"cone filter {f.value}", degree_classes(cone, f)) for f in filters),
+        tuple(cone_degrees(cone, f) for f in filters),
         _witness_arg(q, witness_keys),
     )
-    _from_search(result, search_params(family, goal, depth))
+    _from_search(result, search_params(family, cone, (goal,), depth))
 
 
 def _claim_to_result(claim) -> list[QueryResult]:

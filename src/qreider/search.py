@@ -8,11 +8,11 @@ parameter a dyadic fraction of its predecessor, honoring the intended
 the parameters, so each is compiled once: the boundary coefficients and M's
 class as integer rows over one common denominator per family, the
 multiplicities at the marked data as rows over the boundary coefficients,
-and the nef tests and degree sources as pairing rows against M's class.  A
-candidate is then one exact pass: the family invariants, M's nef pairings
-and the sign of M^2 on integers, and for an M that is nef and big the
-requested checker on ``Fraction``s.  No divisor is built.  The first
-established candidate wins.
+and the search cone's nef test and the goals' degree sources as pairing rows
+against M's class.  A candidate is then one exact pass: the family
+invariants, M's nef pairings and the sign of M^2 on integers, and for an M
+that is nef and big each goal's checker on ``Fraction``s.  No divisor is
+built.  The first candidate that every goal establishes wins.
 
 The drivers at the bottom reproduce the two positivity claims for the
 standard ruled-surface model end to end.
@@ -28,9 +28,9 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 from . import criteria
 from . import hirzebruch as hz
-from .cones import ConeDescription, HirzebruchFamily, PairingRow, is_nef, pair, pairing_row
+from .cones import ConeDescription, Degrees, HirzebruchFamily, is_nef, pair
 from .criteria import BetaWitness, CriterionVerdict, TraceLine, check, riemann_roch_chi
-from .lattice import DivisorClass, RationalLike, as_fraction
+from .lattice import RationalLike, as_fraction
 from .surface import QDivisor, SurfaceModel
 
 DEFAULT_DEPTH = 24  # finest dyadic level of the parameter schedule
@@ -196,26 +196,7 @@ class ParamFamily:
 
 
 # ---------------------------------------------------------------------------
-# degree sources and goals
-
-
-@dataclass(frozen=True)
-class Degrees:
-    """A declared family of candidate curve classes for a degree minimum.
-
-    Each class is kept as its pairing row (see ``cones.pairing_row``), so
-    that M's minimal degree is a minimum of dot products with M's class.
-    """
-
-    description: str
-    classes: tuple[DivisorClass, ...]
-    rows: tuple[PairingRow, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "classes", tuple(self.classes))
-        if not self.classes:
-            raise ValueError("degree family needs at least one class")
-        object.__setattr__(self, "rows", tuple(pairing_row(c) for c in self.classes))
+# goals
 
 
 WitnessProvider = Union[BetaWitness, Callable[[Mapping[str, Fraction]], BetaWitness], None]
@@ -244,11 +225,10 @@ class Goal:
     (separate), one tangent direction (tangent) or nothing (very-ample).
     ``degrees`` gives one source per minimal degree, in the checker's
     argument order.  The search hands the checker only candidates whose M
-    passes the cone's nef test and has M^2 > 0.
+    passes the search cone's nef test and has M^2 > 0.
     """
 
     kind: str
-    cone: ConeDescription
     at: tuple[str, ...]
     degrees: tuple[Degrees, ...]
     witness: WitnessProvider = None
@@ -258,14 +238,12 @@ class Goal:
         if self.kind not in _GOAL_KINDS:
             raise ValueError(f"unknown search goal {self.kind!r}")
 
-    def _decider(self, surface: SurfaceModel, curves: Sequence[str]):
+    def _decider(self, surface: SurfaceModel, curves: Sequence[str], nef_texts: Sequence[str]):
         """The verdict as a function of one candidate whose M is nef and big:
         its boundary coefficients on ``curves``, M's class vector, M^2, the
-        pairings of the cone's nef rows and the parameter values.  The cone's
-        lattice and the marked names are checked here, before any candidate;
-        each multiplicity becomes a row over those coefficients."""
-        if self.cone.lattice is not surface.lattice:
-            raise ValueError("class does not live on the cone's lattice")
+        pairings of the cone's nef rows, whose texts are ``nef_texts``, and the
+        parameter values.  The marked names are checked here, before any
+        candidate; each multiplicity becomes a row over those coefficients."""
         checker = _GOAL_KINDS[self.kind]
         if self.kind == "tangent":
             spec = surface.tangent(self.at[0])
@@ -273,13 +251,12 @@ class Goal:
         else:
             weights = tuple(surface.point(name).mult for name in self.at)
         mult_rows = tuple(tuple((i, w(c)) for i, c in enumerate(curves) if w(c)) for w in weights)
-        nef_texts = tuple(text for text, _ in self.cone.nef_rows)
 
         def decide(b, m, m2, nef, values) -> CriterionVerdict:
             ambient = [check(text, v, ">=", 0) for text, v in zip(nef_texts, nef)]
             ambient.append(check("M^2 > 0 (big)", m2, ">", 0))
             mus = [pair(b, row) for row in mult_rows]
-            degrees = [min(pair(m, row) for row in d.rows) for d in self.degrees]
+            degrees = [d.minimum(m) for d in self.degrees]
             witness = self.witness(values) if callable(self.witness) else self.witness
             # looked up at call time, so a wrapped checker is the one that runs
             verdict = getattr(criteria, checker)(*mus, m2, *degrees, witness)
@@ -289,33 +266,18 @@ class Goal:
         return decide
 
 
-@dataclass(frozen=True)
-class MultiGoal:
-    """Conjunction of goals on one cone; established only when every part is."""
-
-    goals: tuple
-    rule: str = "composite"
-
-    def __post_init__(self):
-        if not self.goals or any(goal.cone != self.goals[0].cone for goal in self.goals):
-            raise ValueError("a conjunction needs at least one goal, and all its goals on one cone")
-
-    @property
-    def cone(self) -> ConeDescription:
-        return self.goals[0].cone
-
-    def _decider(self, surface: SurfaceModel, curves: Sequence[str]):
-        """Every part's decider (see ``Goal._decider``), run in turn on one candidate."""
-        parts = [goal._decider(surface, curves) for goal in self.goals]
-
-        def decide(*candidate) -> CriterionVerdict:
-            verdicts = [part(*candidate) for part in parts]
-            lines = tuple(line for verdict in verdicts for line in verdict.trace)
-            witnesses = [verdict.witness for verdict in verdicts]
-            witness = witnesses[0] if all(w == witnesses[0] for w in witnesses) else None
-            return CriterionVerdict(all(v.established for v in verdicts), self.rule, lines, witness)
-
-        return decide
+def _conjunction(verdicts: Sequence[CriterionVerdict]) -> CriterionVerdict:
+    """The verdict of a tuple of goals on one candidate: established when every
+    part is, with every part's trace in turn, the parts' rules each once, and
+    the witness and note that all parts share (else none)."""
+    first = verdicts[0]
+    return CriterionVerdict(
+        all(v.established for v in verdicts),
+        " & ".join(dict.fromkeys(v.rule for v in verdicts)),
+        tuple(line for v in verdicts for line in v.trace),
+        first.witness if all(v.witness == first.witness for v in verdicts) else None,
+        first.note if all(v.note == first.note for v in verdicts) else "",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -380,28 +342,36 @@ def _outside(params: Sequence[Param], bounds, point: Sequence[int]) -> Optional[
     return None
 
 
-def search_params(family: ParamFamily, goal: Union[Goal, MultiGoal], depth: int = DEFAULT_DEPTH) -> SearchReport:
+def search_params(
+    family: ParamFamily, cone: ConeDescription, goals: Sequence[Goal], depth: int = DEFAULT_DEPTH
+) -> SearchReport:
     """First parameter values along the dyadic schedule whose decomposition
-    makes the goal's checker fire; exact verification at every candidate.
+    makes every goal's checker fire; exact verification at every candidate.
 
     ``depth`` must be an integer in 1..MAX_DEPTH.  Each candidate is one
     integer pass on the family's compiled rows: its values are scaled by the
     lcm q of their denominators, and the family invariants (each parameter
     in its domain, in parameter order, then the boundary in [0, 1)), M's
     nef pairings up to the first negative one and the sign of M^2 are
-    integer products and sign tests.  A candidate whose M fails the goal's
+    integer products and sign tests.  A candidate whose M fails the cone's
     nef test, or has M^2 <= 0, is turned down there: no goal can establish
-    it.  Only the others are read as ``Fraction``s and go to the goal's
-    decider, compiled once before the first candidate."""
+    it.  Only the others are read as ``Fraction``s and go to each goal's
+    decider, compiled once before the first candidate, and the first
+    candidate that every goal establishes wins (see ``_conjunction``)."""
     if not (isinstance(depth, int) and 1 <= depth <= MAX_DEPTH):
         raise ValueError(f"depth must be an integer in 1..{MAX_DEPTH}, not {depth!r}")
+    if not goals:
+        raise ValueError("a search needs at least one goal")
+    if cone.lattice is not family.surface.lattice:
+        raise ValueError("the cone does not live on the family's lattice")
     # each nef row, dense, times a positive integer r, which keeps the sign of every pairing
     nef_scales, nef_rows = [], []
-    for _, row in goal.cone.nef_rows:
+    for _, row in cone.nef_rows:
         r, (dense,) = _integer_rows([[dict(row).get(i, 0) for i in range(family.surface.lattice.rank)]])
         nef_scales.append(r)
         nef_rows.append(dense)
-    decide = goal._decider(family.surface, tuple(family.boundary))
+    nef_texts = tuple(text for text, _ in cone.nef_rows)
+    deciders = [goal._decider(family.surface, tuple(family.boundary), nef_texts) for goal in goals]
     params = family.params
     names = [p.name for p in params]
     bounds = _int_bounds(params)
@@ -427,15 +397,16 @@ def search_params(family: ParamFamily, goal: Union[Goal, MultiGoal], depth: int 
         m2 = sum(x * _dot(m, row) for x, row in zip(m, family._gram_rows))
         if m2 <= 0:
             continue
-        verdict = decide(
+        candidate = (
             [Fraction(x, scale) for x in b],
             [Fraction(x, scale) for x in m],
             Fraction(m2, scale * scale * family._gram_den),
             [Fraction(_dot(m, row), scale * r) for row, r in zip(nef_rows, nef_scales)],
             values,
         )
-        if verdict.established:
-            return SearchReport(True, values, verdict, attempts, tuple(notes))
+        verdicts = [decide(*candidate) for decide in deciders]
+        if all(v.established for v in verdicts):
+            return SearchReport(True, values, _conjunction(verdicts), attempts, tuple(notes))
     return SearchReport(False, {}, None, attempts, tuple(notes))
 
 
@@ -529,18 +500,15 @@ def hirzebruch_claim(n: int, part: int, m: Optional[int] = None, depth: int = DE
     )
     def searched(name, shown, family, kind, at, keys, witness, label):
         """A check as in ``searches``, its degree sources named by CLAIM_FAMILIES keys."""
-        return name, shown, family, Goal(kind, cone, at, tuple(fam[key] for key in keys), witness, label)
+        return name, shown, family, (Goal(kind, at, tuple(fam[key] for key in keys), witness, label),)
 
     free_witness = BetaWitness.single(Fraction(3), Fraction(3, 2), role="at-p")
-    freeness_goal = MultiGoal(
-        (
-            Goal("free", cone, (hz.POINT_GENERIC,), (fam["off"],), free_witness, label="off the section"),
-            Goal("free", cone, (hz.POINT_ON_G,), (fam["on"],), free_witness, label="on the section"),
-        ),
-        rule="freeness/degree-bound",
+    freeness_goals = (
+        Goal("free", (hz.POINT_GENERIC,), (fam["off"],), free_witness, label="off the section"),
+        Goal("free", (hz.POINT_ON_G,), (fam["on"],), free_witness, label="on the section"),
     )
-    # (check name, families shown, decomposition, goal) for every searched check
-    searches = [("freeness", f"{fam['off'].description}; {fam['on'].description}", section_boundary, freeness_goal)]
+    # (check name, families shown, decomposition, goals) for every searched check
+    searches = [("freeness", f"{fam['off'].description}; {fam['on'].description}", section_boundary, freeness_goals)]
     if part == 2:
         half, two = Fraction(3, 2), Fraction(2)
         fiber_boundary = ParamFamily(
@@ -601,7 +569,7 @@ def hirzebruch_claim(n: int, part: int, m: Optional[int] = None, depth: int = DE
                 "tangent to the section at the fiber-section point",
             ),
         ]
-    checks = [ClaimCheck(name, text, search_params(family, goal, depth)) for name, text, family, goal in searches]
+    checks = [ClaimCheck(name, text, search_params(family, cone, goals, depth)) for name, text, family, goals in searches]
 
     return ClaimReport(
         n=n,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from .lattice import DivisorClass, IntersectionLattice, RationalLike, as_fraction
+from .lattice import DivisorClass, IntersectionLattice, RationalLike, as_fraction, as_int
 
 
 class UnknownCurveError(ValueError):
@@ -58,7 +58,7 @@ class PointSpec:
     def __post_init__(self):
         cleaned = {}
         for curve, m in dict(self.mults).items():
-            m = int(m)
+            m = as_int(m)
             if m < 0:
                 raise ValueError(f"negative multiplicity for {curve!r} at {self.name!r}")
             if m:
@@ -88,7 +88,7 @@ class TangentSpec:
     def __post_init__(self):
         cleaned = {}
         for curve, m in dict(self.mults_V).items():
-            m = int(m)
+            m = as_int(m)
             if m < 0:
                 raise ValueError(f"negative infinitely-near order for {curve!r} at {self.name!r}")
             if m:

@@ -11,6 +11,7 @@ from qreider.cones import (
     FiniteGenerators,
     HirzebruchFamily,
     NotNefError,
+    cone_degrees,
     is_big,
     is_nef,
     min_degree,
@@ -120,19 +121,39 @@ def test_filters_shrink_candidates(rng):
         assert d_z >= d_p >= d_all
 
 
+@st.composite
+def finite_generators(draw, lat, n):
+    """G + nF, through the point and containing Z, and a class aG + bF with
+    a, b >= 0 and denominators up to 3, so that its pairing row carries
+    denominators and every class nef on the builtin family stays nef."""
+    a, b = (draw(st.fractions(min_value=0, max_value=hi, max_denominator=3)) for hi in (3, 9))
+    through_p = draw(st.booleans())
+    gens = [
+        ConeGenerator(lat.divisor_class((1, n)), through_p=True, contains_z=True),
+        ConeGenerator(lat.divisor_class((a, b)), through_p, through_p and draw(st.booleans())),
+    ]
+    return FiniteGenerators(tuple(draw(st.permutations(gens))))
+
+
 @given(
     q=st.fractions(min_value="1/8", max_value=9, max_denominator=8),
     n=st.integers(min_value=1, max_value=5),
+    finite=st.booleans(),
     data=st.data(),
 )
 @settings(max_examples=120)
-def test_min_degree_positively_homogeneous(q, n, data):
+def test_min_degree_positively_homogeneous(q, n, finite, data):
+    """Also: the minimum over pairing rows is the minimum of the lattice's
+    intersections with the filter's classes, on either kind of cone."""
     lat, cone = family(n)
+    if finite:
+        cone = data.draw(finite_generators(lat, n))
     x = data.draw(st.fractions(min_value=0, max_value=4, max_denominator=6))
     extra = data.draw(st.fractions(min_value=0, max_value=6, max_denominator=6))
     m = lat.divisor_class((x, n * x + extra))
     for filt in DegreeFilter:
         assert min_degree(q * m, cone, filt) == q * min_degree(m, cone, filt)
+        assert min_degree(m, cone, filt) == min(m.intersect(c) for c in cone_degrees(cone, filt).classes)
 
 
 def test_finite_generators_filters():

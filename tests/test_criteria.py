@@ -60,6 +60,13 @@ def test_jet_separation_rejects_negative_inputs():
         jet_separation(1, -1)
 
 
+@pytest.mark.parametrize("s", [F(3, 2), 1.5, 1.0, "1", True])
+def test_jet_order_is_an_int(s):
+    """jet_separation(3, 1.5) used to check s = 1 and hold."""
+    with pytest.raises(TypeError, match="not an integer"):
+        jet_separation(3, s)
+
+
 # ---------------------------------------------------------------------------
 # the degree-bound minimum
 
@@ -403,6 +410,13 @@ def test_local_curve_data_validation():
         LocalCurveData("C", 0, 1, 0)
     with pytest.raises(ValueError):
         LocalCurveData("C", 0, 1, 1, mult_V=2)
+
+
+@pytest.mark.parametrize("mults", [(1.9, None), ("1", None), (True, None), (F(1), None), (1, 0.0), (1, False)])
+def test_local_curve_multiplicities_are_ints(mults):
+    mult_p, mult_V = mults
+    with pytest.raises(TypeError, match="not an integer"):
+        LocalCurveData("C", 0, 1, mult_p, mult_V)
 
 
 # ---------------------------------------------------------------------------

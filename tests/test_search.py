@@ -9,15 +9,13 @@ from hypothesis import strategies as st
 from qreider import criteria
 from qreider import hirzebruch as hz
 from qreider import search
-from qreider.cones import ConeGenerator, DegreeFilter, FiniteGenerators, HirzebruchFamily, degree_classes, nef_lines
+from qreider.cones import ConeGenerator, DegreeFilter, Degrees, FiniteGenerators, HirzebruchFamily, cone_degrees, nef_lines
 from qreider.criteria import BetaWitness, CriterionVerdict, TraceLine
 from qreider.search import (
     DEFAULT_DEPTH,
     MAX_DEPTH,
     AffineExpr,
-    Degrees,
     Goal,
-    MultiGoal,
     Param,
     ParamFamily,
     SearchReport,
@@ -38,10 +36,6 @@ def section_family(n, m=None, model=None):
         boundary={"G": AffineExpr(1, {"eps": -1})},
         positive={"G": AffineExpr(2, {"eps": 1}), "F": AffineExpr.constant(m + n + 2)},
     )
-
-
-def all_curves(cone):
-    return Degrees("cone filter all", degree_classes(cone, DegreeFilter.ALL))
 
 
 def test_affine_expr_arithmetic():
@@ -79,12 +73,12 @@ def test_family_rejects_non_integral_target():
         )
 
 
-def decided_at(family, goal, schedule):
+def decided_at(family, cone, goals, schedule):
     """The search when the schedule offers only ``schedule``, with every
     checker replaced by one that establishes and records its arguments."""
     with mock.patch.object(search, "dyadic_schedule", lambda params, depth: iter(schedule)):
         with stubbed_checkers(True, 1) as calls:
-            report = search_params(family, goal)
+            report = search_params(family, cone, goals)
     return report, calls
 
 
@@ -92,8 +86,8 @@ def test_family_invariants_are_checked_before_the_checker_runs():
     model, family = section_family(1)
     assert family.target == model.divisor({"G": 3, "F": 4})
     cone = HirzebruchFamily(1, model.lattice)
-    goal = Goal("free", cone, (hz.POINT_ON_G,), (Degrees("G", (cone.g_class,)),))
-    report, calls = decided_at(family, goal, [{"eps": F(3, 2)}, {"eps": F(1, 8)}])
+    goal = Goal("free", (hz.POINT_ON_G,), (Degrees("G", (cone.g_class,)),))
+    report, calls = decided_at(family, cone, (goal,), [{"eps": F(3, 2)}, {"eps": F(1, 8)}])
     assert report.notes == ("eps = 3/2 outside (0, 1)",)
     assert report.found and report.attempts == 2 and report.params == {"eps": F(1, 8)}
     # mu is B's coefficient 7/8 on G; M = L - B = (17/8)G + 4F has M^2 = 799/64 and M.G = 15/8
@@ -136,14 +130,8 @@ def test_freeness_search_succeeds_early_with_the_stated_witness():
     n = 1
     model, family = section_family(n)
     cone = HirzebruchFamily(n, model.lattice)
-    goal = Goal(
-        "free",
-        cone,
-        (hz.POINT_GENERIC,),
-        (all_curves(cone),),
-        BetaWitness.single(3, F(3, 2), role="at-p"),
-    )
-    report = search_params(family, goal, depth=24)
+    goal = Goal("free", (hz.POINT_GENERIC,), (cone_degrees(cone),), BetaWitness.single(3, F(3, 2), role="at-p"))
+    report = search_params(family, cone, (goal,), depth=24)
     assert report.found
     eps = report.params["eps"]
     assert eps.denominator & (eps.denominator - 1) == 0  # dyadic
@@ -162,8 +150,8 @@ def test_degenerate_family_reports_zero_attempts():
         positive={"G": AffineExpr(2, {"eps": 1}), "F": AffineExpr.constant(4)},
     )
     cone = HirzebruchFamily(1, model.lattice)
-    goal = Goal("free", cone, (hz.POINT_GENERIC,), (all_curves(cone),))
-    report = search_params(family, goal)
+    goal = Goal("free", (hz.POINT_GENERIC,), (cone_degrees(cone),))
+    report = search_params(family, cone, (goal,))
     assert not report.found
     assert report.attempts == 0
 
@@ -181,14 +169,13 @@ def test_two_parameter_separation_search():
     fam_off = Degrees("off the section", (model.curves["F"].cls, model.lattice.divisor_class((1, n))))
     goal = Goal(
         "separate",
-        cone,
         (hz.POINT_ON_F, hz.POINT_ON_F2),
         (fam_off, fam_off, fam_off),
         witness=lambda v: BetaWitness.pair(
             F(3, 2), F(3, 2), 1 + v["eps"] / 2, 1 + v["eps"] / 2
         ),
     )
-    report = search_params(family, goal)
+    report = search_params(family, cone, (goal,))
     assert report.found
     eps, alpha = report.params["eps"], report.params["alpha"]
     assert alpha <= eps / 2  # the coupling order
@@ -200,11 +187,11 @@ def test_search_reports_replay():
     n = 2
     model, family = section_family(n)
     cone = HirzebruchFamily(n, model.lattice)
-    goal = Goal("free", cone, (hz.POINT_ON_G,), (all_curves(cone),))
-    report = search_params(family, goal)
+    goal = Goal("free", (hz.POINT_ON_G,), (cone_degrees(cone),))
+    report = search_params(family, cone, (goal,))
     assert report.found
     b, m = reference_instantiate(family, report.params)
-    replay = reference_evaluate(goal, b, m, report.params)
+    replay = reference_evaluate(cone, (goal,), b, m, report.params)
     assert replay.established
     assert replay.trace == report.verdict.trace
 
@@ -213,16 +200,10 @@ def test_monotone_depth_nesting():
     n = 6
     model, family = section_family(n)
     cone = HirzebruchFamily(n, model.lattice)
-    goal = Goal(
-        "free",
-        cone,
-        (hz.POINT_ON_G,),
-        (all_curves(cone),),
-        BetaWitness.single(3, F(3, 2), role="at-p"),
-    )
+    goal = Goal("free", (hz.POINT_ON_G,), (cone_degrees(cone),), BetaWitness.single(3, F(3, 2), role="at-p"))
     first = None
     for depth in (6, 8, 12, 24):
-        report = search_params(family, goal, depth=depth)
+        report = search_params(family, cone, (goal,), depth=depth)
         assert report.found
         if first is None:
             first = report.params
@@ -395,14 +376,14 @@ def test_search_notes_each_violation_in_order():
     cone = HirzebruchFamily(3, model.lattice)
     classes = {"G": cone.g_class, "F": cone.f_class, "G+3F": cone.family_corner()}
     degrees = tuple(Degrees(text, (cls,)) for text, cls in classes.items())
-    goal = Goal("separate", cone, (hz.POINT_ON_G, hz.POINT_ON_F), degrees)
+    goal = Goal("separate", (hz.POINT_ON_G, hz.POINT_ON_F), degrees)
     schedule = [
         {"e": F(3, 4), "f": F(2)},  # e is checked, and fails, before f
         {"e": F(1, 2), "f": F(1, 2)},
         {"e": F(1, 16), "f": F(1, 2)},
         {"e": F(1, 8), "f": F(1, 16)},
     ]
-    report, calls = decided_at(family, goal, schedule)
+    report, calls = decided_at(family, cone, (goal,), schedule)
     assert report.notes == (
         "e = 3/4 outside (0, 1/2)",
         "e = 1/2 outside (0, 1/2)",
@@ -413,16 +394,31 @@ def test_search_notes_each_violation_in_order():
     assert calls == [(F(1, 4), F(3, 4), F(451, 16), F(1), F(11, 4), F(37, 4), None)]
 
 
-def test_a_conjunction_needs_a_goal_and_one_cone():
-    model = hz.hirzebruch_model(3)
+def test_a_search_needs_a_goal_and_a_cone_on_the_family_lattice():
+    model, family = section_family(3)
     cone = HirzebruchFamily(3, model.lattice)
-    other = FiniteGenerators((ConeGenerator(cone.g_class), ConeGenerator(cone.f_class)))
-    goals = [Goal("very-ample", c, (), (Degrees("G", (cone.g_class,)),)) for c in (cone, other)]
+    goal = Goal("very-ample", (), (Degrees("G", (cone.g_class,)),))
     with pytest.raises(ValueError, match="at least one goal"):
-        MultiGoal(())
-    with pytest.raises(ValueError, match="one cone"):
-        MultiGoal(tuple(goals))
-    assert MultiGoal((goals[1], goals[1])).cone is other
+        search_params(family, cone, ())
+    elsewhere = HirzebruchFamily(3, hz.hirzebruch_model(3).lattice)
+    with pytest.raises(ValueError, match="family's lattice"):
+        search_params(family, elsewhere, (goal,))
+
+
+def test_a_conjunction_lists_each_rule_once_and_keeps_what_all_goals_share():
+    """Stubbed checkers rule and note by their own name, and give no trace."""
+    model, family = section_family(1)
+    cone = HirzebruchFamily(1, model.lattice)
+    degrees = (Degrees("G", (cone.g_class,)),)
+    free, ample = Goal("free", (hz.POINT_ON_G,), degrees, label="free"), Goal("very-ample", (), degrees)
+    alone, _ = decided_at(family, cone, (free,), [{"eps": F(1, 8)}])
+    assert (alone.verdict.rule, alone.verdict.note) == ("freeness_at", "freeness_at")
+    both, calls = decided_at(family, cone, (free, ample, free), [{"eps": F(1, 8)}])
+    assert both.found and len(calls) == 3
+    assert (both.verdict.rule, both.verdict.note, both.verdict.witness) == ("freeness_at & very_ampleness", "", None)
+    nef_and_big = ["M.G >= 0 (nef)", "M.F >= 0 (nef)", "M^2 > 0 (big)"]
+    free_lines = [f"free: {text}" for text in nef_and_big]
+    assert [line.text for line in both.verdict.trace] == free_lines + nef_and_big + free_lines
 
 
 # ---------------------------------------------------------------------------
@@ -455,20 +451,33 @@ _CHECKERS = {
 }
 
 
-def reference_evaluate(goal, boundary, positive, values):
-    """A goal's verdict read off built divisors: the nef and big lines of the
-    goal's cone, then the checker on the multiplicities of the boundary and
-    the minimal degrees of M over each degree source's classes.  A MultiGoal
-    is the conjunction of its parts."""
-    if isinstance(goal, MultiGoal):
-        verdicts = [reference_evaluate(part, boundary, positive, values) for part in goal.goals]
-        witnesses = [v.witness for v in verdicts]
-        witness = witnesses[0] if all(w == witnesses[0] for w in witnesses) else None
-        lines = tuple(line for v in verdicts for line in v.trace)
-        return CriterionVerdict(all(v.established for v in verdicts), goal.rule, lines, witness)
+def reference_evaluate(cone, goals, boundary, positive, values):
+    """The verdict of a tuple of goals read off built divisors.  It is
+    established when every goal's is, its trace is theirs in turn, its rule
+    lists the goals' distinct rules in order, and its witness and note are
+    the goals' when they all agree (else none)."""
+    verdicts = [reference_goal(cone, goal, boundary, positive, values) for goal in goals]
+    rules = []
+    for v in verdicts:
+        if v.rule not in rules:
+            rules.append(v.rule)
+    witnesses, notes = {v.witness for v in verdicts}, {v.note for v in verdicts}
+    return CriterionVerdict(
+        all(v.established for v in verdicts),
+        " & ".join(rules),
+        tuple(line for v in verdicts for line in v.trace),
+        witnesses.pop() if len(witnesses) == 1 else None,
+        notes.pop() if len(notes) == 1 else "",
+    )
+
+
+def reference_goal(cone, goal, boundary, positive, values):
+    """One goal's verdict read off built divisors: the nef and big lines of
+    the cone, then the checker on the multiplicities of the boundary and the
+    minimal degrees of M over each degree source's classes."""
     m_cls = positive.divisor_class()
     m2 = m_cls.self_intersection()
-    ambient = nef_lines(m_cls, goal.cone) + [criteria.check("M^2 > 0 (big)", m2, ">", 0)]
+    ambient = nef_lines(m_cls, cone) + [criteria.check("M^2 > 0 (big)", m2, ">", 0)]
     if not all(line.holds for line in ambient):
         return CriterionVerdict(False, "not nef and big", ())
     if goal.kind == "tangent":
@@ -484,7 +493,7 @@ def reference_evaluate(goal, boundary, positive, values):
     return CriterionVerdict(verdict.established, verdict.rule, lines, verdict.witness, verdict.note)
 
 
-def reference_search(family, goal, depth):
+def reference_search(family, cone, goals, depth):
     """search_params without compiled forms: every admitted candidate is
     built and evaluated from its divisors."""
     attempts = 0
@@ -496,7 +505,7 @@ def reference_search(family, goal, depth):
         except FamilyViolation as exc:
             notes.append(str(exc))
             continue
-        verdict = reference_evaluate(goal, boundary, positive, values)
+        verdict = reference_evaluate(cone, goals, boundary, positive, values)
         if verdict.established:
             return SearchReport(True, values, verdict, attempts, tuple(notes))
     return SearchReport(False, {}, None, attempts, tuple(notes))
@@ -534,14 +543,14 @@ def cones_on(draw, n, lattice):
 def goals_on(draw, cone):
     kind = draw(st.sampled_from(sorted(_GOAL_SHAPES)))
     at, filters = _GOAL_SHAPES[kind]
-    degrees = tuple(Degrees(f"filter {f.value}", degree_classes(cone, f)) for f in filters)
+    degrees = tuple(cone_degrees(cone, f) for f in filters)
     witness = None
     if kind in ("free", "very-ample") and draw(st.booleans()):
         witness = BetaWitness.single(3, F(3, 2), role="at-p")
     elif kind == "separate" and draw(st.booleans()):
         beta1 = lambda v: 1 + v.get("e", F(0)) / 2  # noqa: E731
         witness = lambda v: BetaWitness.pair(F(3, 2), F(3, 2), beta1(v), beta1(v))  # noqa: E731
-    return Goal(kind, cone, at, degrees, witness, label=draw(st.sampled_from(["", "part"])))
+    return Goal(kind, at, degrees, witness, label=draw(st.sampled_from(["", "part"])))
 
 
 @st.composite
@@ -562,40 +571,42 @@ def search_cases(draw):
     positive = {c: AffineExpr.constant(t) - boundary.get(c, AffineExpr()) for c, t in target.items()}
     family = ParamFamily(model, tuple(params), boundary, positive)
     cone = draw(cones_on(n, model.lattice))
-    if draw(st.booleans()):
-        goal = draw(goals_on(cone))
-    else:
-        goal = MultiGoal((draw(goals_on(cone)), draw(goals_on(cone))), rule="both")
-    return family, goal, draw(st.integers(2, 7))
+    goals = tuple(draw(st.lists(goals_on(cone), min_size=1, max_size=2)))
+    return family, cone, goals, draw(st.integers(2, 7))
 
 
 @contextlib.contextmanager
 def stubbed_checkers(stub, k):
     """With ``stub`` set, every goal checker is replaced by a pure one that
     records its arguments and establishes when their hash is a multiple of k
-    (never if k is None), so the calls show which candidates reach a checker."""
+    (never if k is None), so the calls show which candidates reach a checker.
+    Its rule and note name the checker, so that goals of two kinds disagree
+    on both."""
     calls = []
     if not stub:
         yield calls
         return
 
-    def checker(*args):
-        calls.append(args)
-        return CriterionVerdict(k is not None and hash(args) % k == 0, "stub", ())
+    def checker(name):
+        def stubbed(*args):
+            calls.append(args)
+            return CriterionVerdict(k is not None and hash(args) % k == 0, name, (), note=name)
 
-    stubs = dict.fromkeys(("freeness_at", "separation", "tangent_separation", "very_ampleness"), checker)
-    with mock.patch.multiple(criteria, **stubs):
+        return stubbed
+
+    names = ("freeness_at", "separation", "tangent_separation", "very_ampleness")
+    with mock.patch.multiple(criteria, **{name: checker(name) for name in names}):
         yield calls
 
 
 @given(search_cases(), st.booleans(), st.one_of(st.none(), st.integers(1, 6)))
 @settings(max_examples=200, deadline=None)
 def test_search_matches_the_build_every_candidate_reference(case, stub, k):
-    family, goal, depth = case
+    family, cone, goals, depth = case
     with stubbed_checkers(stub, k) as expected_calls:
-        expected = reference_search(family, goal, depth)
+        expected = reference_search(family, cone, goals, depth)
     with stubbed_checkers(stub, k) as calls:
-        report = search_params(family, goal, depth)
+        report = search_params(family, cone, goals, depth)
     assert calls == expected_calls  # the checkers run on exactly the nef and big candidates
     assert report.found == expected.found
     assert report.params == expected.params
@@ -619,16 +630,16 @@ def separation_goal(model, cone):
     off = Degrees("off the section", (model.curves["F"].cls, model.lattice.divisor_class((1, cone.n))))
     beta1 = lambda v: 1 + v["eps"] / 2  # noqa: E731
     witness = lambda v: BetaWitness.pair(2, 2, beta1(v), beta1(v))  # noqa: E731
-    return Goal("separate", cone, (hz.POINT_ON_F, hz.POINT_ON_F2), (off, off, off), witness)
+    return Goal("separate", (hz.POINT_ON_F, hz.POINT_ON_F2), (off, off, off), witness)
 
 
-def matches_the_reference(family, goal, depth):
+def matches_the_reference(family, cone, goals, depth):
     """With checkers that never establish, the search and ``reference_search``
     agree on every checker call and on the report."""
     with stubbed_checkers(True, None) as expected_calls:
-        expected = reference_search(family, goal, depth)
+        expected = reference_search(family, cone, goals, depth)
     with stubbed_checkers(True, None) as calls:
-        report = search_params(family, goal, depth)
+        report = search_params(family, cone, goals, depth)
     assert calls == expected_calls
     assert report == expected
     return report, calls
@@ -651,7 +662,7 @@ def test_non_dyadic_values_reach_the_decider_as_the_reference_reads_them():
     ]
     with mock.patch.object(search, "dyadic_schedule", lambda params, depth: iter(schedule)):
         with mock.patch.dict(globals(), {"dyadic_schedule": lambda params, depth: iter(schedule)}):
-            report, calls = matches_the_reference(family, separation_goal(model, cone), DEFAULT_DEPTH)
+            report, calls = matches_the_reference(family, cone, (separation_goal(model, cone),), DEFAULT_DEPTH)
     assert report.notes == (
         "alpha = 2/5 outside (-1/3, 2/7)",
         "eps = 4/3 outside (0, 1)",
@@ -670,7 +681,7 @@ def test_a_two_parameter_search_at_the_depth_ceiling_matches_the_reference():
     the checker, whose first argument is the boundary coefficient 1 - alpha."""
     model, family = fiber_family(1, Param("alpha", F(1, 3**81), F(2, 7)))
     cone = HirzebruchFamily(1, model.lattice)
-    report, calls = matches_the_reference(family, separation_goal(model, cone), MAX_DEPTH)
+    report, calls = matches_the_reference(family, cone, (separation_goal(model, cone),), MAX_DEPTH)
     assert report.attempts == len(calls) == 63 * 64
     assert max(call[0].denominator for call in calls) == 1 << 128
 
@@ -679,9 +690,9 @@ def test_a_two_parameter_search_at_the_depth_ceiling_matches_the_reference():
 def test_search_depth_is_bounded(depth):
     model, family = section_family(1)
     cone = HirzebruchFamily(1, model.lattice)
-    goal = Goal("very-ample", cone, (), (all_curves(cone),))
+    goal = Goal("very-ample", (), (cone_degrees(cone),))
     with pytest.raises(ValueError, match=r"1\.\.64"):
-        search_params(family, goal, depth)
+        search_params(family, cone, (goal,), depth)
     with pytest.raises(ValueError, match=r"1\.\.64"):
         hirzebruch_claim(1, 2, depth=depth)
 

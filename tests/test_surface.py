@@ -130,6 +130,15 @@ def test_ord_tangential_node_missing_direction():
     assert d.ord_tangential("v") == (2, 0, 2)
 
 
+@pytest.mark.parametrize("m", [1.9, "1_0", True, F(1), None])
+def test_point_and_tangent_multiplicities_are_ints(m):
+    """PointSpec('p', {'G': 1.9}).mults was {'G': 1}, and '1_0' read as 10."""
+    with pytest.raises(TypeError, match="not an integer"):
+        PointSpec("p", {"G": m})
+    with pytest.raises(TypeError, match="not an integer"):
+        TangentSpec("v", "p", {"G": m})
+
+
 @given(x=rationals, y=rationals, c1=rationals, c2=rationals)
 @settings(max_examples=150)
 def test_ord_linear(x, y, c1, c2):
