@@ -1,4 +1,4 @@
-"""Byte-for-byte golden output of three reports, as text and as JSON.
+"""Byte-for-byte golden output of four reports, as text and as JSON.
 
 The JSON comparison drops ``elapsed_ms``, the only field that varies from
 run to run.  The expected files live in ``tests/golden/``.
@@ -15,10 +15,50 @@ from qreider.report import render_text, report_to_json, run_document
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
+# Three two-parameter searches on the n = 3 model: M.F < 0 on the whole box, so
+# all 552 candidates are turned down; a boundary whose G coefficient 4e is 1 on
+# the first level of e; and M.G = 2 - 12e + f, negative on the first level and
+# then nef, before a separation is established.
+SEARCH_TWO_PARAM = """surface
+basis = G F
+gram = [[-3, 1], [1, 0]]
+K = -2G - 5F
+chi_O = 1
+
+curves
+G = G
+F = F
+
+cone
+hirzebruch = 3
+
+points
+p = G:1 F:1
+q = F:1
+
+params
+e = (0, 1)
+f = (0, 1)
+
+divisors
+Bnone = (1 - 1/2 e)G + (1 - 1/4 f)F
+Mnone = 3F - Bnone
+Bout = 4e G + (1 - 4f)F
+Mout = 3G + 10F - Bout
+B = (1 - 4e)G + (1 - f)F
+M = 3G + 9F - B
+
+queries
+search goal=free point=p B=Bnone M=Mnone
+search goal=free point=p B=Bout M=Mout depth=4
+search goal=separate p=p q=q B=B M=M
+"""
+
 CASES = {
     "hirzebruch_n3": ("docs/hirzebruch_n3.surf", (ROOT / "docs" / "hirzebruch_n3.surf").read_text()),
     "claim_n2_part2": ("hirzebruch-claim n=2 part=2", "queries\nhirzebruch-claim n=2 part=2\n"),
     "claim_n12_part2": ("hirzebruch-claim n=12 part=2", "queries\nhirzebruch-claim n=12 part=2\n"),
+    "search_two_param": ("search_two_param.surf", SEARCH_TWO_PARAM),
 }
 
 
