@@ -6,13 +6,17 @@ nested dyadic schedule (the first parameter takes values 2**-k, each later
 parameter a dyadic fraction of its predecessor, honoring the intended
 "much smaller than" coupling).  Every checker input has degree at most 2 in
 the parameters, so each is compiled once: the boundary coefficients and M's
-class as integer rows over one common denominator per family, the
-multiplicities at the marked data as rows over the boundary coefficients,
-and the search cone's nef test and the goals' degree sources as pairing rows
-against M's class.  A candidate is then one exact pass: the family
-invariants, M's nef pairings and the sign of M^2 on integers, and for an M
-that is nef and big each goal's checker on ``Fraction``s.  No divisor is
-built.  The first candidate that every goal establishes wins.
+class as integer rows over one common denominator per family, M^2 as an
+integer quadratic form, the multiplicities at the marked data as rows over
+the boundary coefficients, the search cone's nef rows composed with M's
+rows, and the goals' degree sources as pairing rows against M's class.  A
+candidate is an integer
+point (q, P_1, ..., P_k), parameter i at P_i / q, and only the schedule
+enforces the parameter domains.  Each candidate is then one exact pass of
+sign tests on integer forms in the point: the boundary in [0, 1), M's nef
+pairings and M^2.  Only for an M that is nef and big are M's class, the
+``Fraction``s and the parameter values made, for each goal's checker.  No
+divisor is built.  The first candidate that every goal establishes wins.
 
 The drivers at the bottom reproduce the two positivity claims for the
 standard ruled-surface model end to end.
@@ -30,7 +34,7 @@ from . import criteria
 from . import hirzebruch as hz
 from .cones import ConeDescription, Degrees, HirzebruchFamily, is_nef, pair
 from .criteria import BetaWitness, CriterionVerdict, TraceLine, check, riemann_roch_chi
-from .lattice import RationalLike, as_fraction
+from .lattice import RationalLike, as_fraction, as_int
 from .surface import QDivisor, SurfaceModel
 
 DEFAULT_DEPTH = 24  # finest dyadic level of the parameter schedule
@@ -123,6 +127,15 @@ class Param:
         return self.lo < value < self.hi
 
 
+def _compose(row: Sequence[int], rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The combination sum(row[i] * rows[i]) of equal-length integer rows."""
+    return tuple(_dot(row, col) for col in zip(*rows))
+
+
+def _dot(xs: Sequence[int], ys: Sequence[int]) -> int:
+    return sum(map(operator.mul, xs, ys))
+
+
 def _integer_rows(rows: Sequence[Sequence[RationalLike]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """The least positive common denominator d of the rationals in ``rows``,
     and the rows times d, as integers."""
@@ -141,8 +154,9 @@ class ParamFamily:
 
     Construction also compiles the boundary coefficients and the class of M
     (one affine form per lattice coordinate) into integer rows over one
-    positive common denominator, and the gram matrix into integer rows over
-    its own, so that a candidate is decided on integers and builds no divisor.
+    positive common denominator, and M^2 into an integer quadratic form over
+    that denominator squared times the gram matrix's own, so that a candidate
+    is decided on integers and builds no divisor.
     """
 
     surface: SurfaceModel
@@ -186,9 +200,11 @@ class ParamFamily:
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_boundary_rows", rows[: len(self.boundary)])
         object.__setattr__(self, "_m_rows", rows[len(self.boundary) :])
+        # M^2 = m . gram . m for m = (M's rows) . point, so its rows are (M's rows)^T gram (M's rows)
         gram_den, gram_rows = _integer_rows(self.surface.lattice.gram)
+        gram_m = [_compose(row, self._m_rows) for row in gram_rows]
         object.__setattr__(self, "_gram_den", gram_den)
-        object.__setattr__(self, "_gram_rows", gram_rows)
+        object.__setattr__(self, "_square", tuple(_compose(col, gram_m) for col in zip(*self._m_rows)))
 
     @property
     def target(self) -> QDivisor:
@@ -300,46 +316,28 @@ class SearchReport:
 
 
 def dyadic_schedule(params: Sequence[Param], depth: int):
-    """Nested dyadic parameter candidates, outermost parameter first.
+    """Nested dyadic parameter candidates, outermost parameter first, each as
+    the integer point (q, P_1, ..., P_k) at which parameter i is P_i / q.
 
     The first parameter runs through 2**-k for k = 2..depth; each
     later parameter through (previous parameter's value) * 2**-j for
-    j = 1..depth.  Candidates outside a parameter's open domain are dropped.
+    j = 1..depth, and q is 2**e for the innermost value 2**-e.  Candidates
+    outside a parameter's open domain are dropped here, by integer shift
+    tests; nothing downstream tests a domain again.
     """
     params = tuple(params)
-    bounds = _int_bounds(params)
+    bounds = [(p.lo.numerator, p.lo.denominator, p.hi.numerator, p.hi.denominator) for p in params]
 
-    def rec(i: int, acc: dict, prev: int):
+    def rec(i: int, point: tuple[int, ...], prev: int):
         if i == len(params):
-            yield dict(acc)
+            yield point
             return
         lo_num, lo_den, hi_num, hi_den = bounds[i]
         for e in range(prev + (2 if i == 0 else 1), prev + depth + 1):
             if lo_num << e < lo_den and hi_num << e > hi_den:  # lo < 1/2**e < hi
-                acc[params[i].name] = Fraction(1, 1 << e)
-                yield from rec(i + 1, acc, e)
-                del acc[params[i].name]
+                yield from rec(i + 1, (*[x << (e - prev) for x in point], 1), e)
 
-    yield from rec(0, {}, 0)
-
-
-def _int_bounds(params: Sequence[Param]) -> list[tuple[int, int, int, int]]:
-    """Each parameter's open domain (lo, hi) as (lo.num, lo.den, hi.num, hi.den)."""
-    return [(p.lo.numerator, p.lo.denominator, p.hi.numerator, p.hi.denominator) for p in params]
-
-
-def _dot(xs: Sequence[int], ys: Sequence[int]) -> int:
-    return sum(map(operator.mul, xs, ys))
-
-
-def _outside(params: Sequence[Param], bounds, point: Sequence[int]) -> Optional[Param]:
-    """The first parameter whose value point[i + 1] / point[0] leaves its
-    domain, given by ``_int_bounds``."""
-    q = point[0]
-    for p, x, (lo_num, lo_den, hi_num, hi_den) in zip(params, point[1:], bounds):
-        if not (lo_num * q < x * lo_den and x * hi_den < hi_num * q):
-            return p
-    return None
+    yield from rec(0, (1,), 0)
 
 
 def search_params(
@@ -348,66 +346,67 @@ def search_params(
     """First parameter values along the dyadic schedule whose decomposition
     makes every goal's checker fire; exact verification at every candidate.
 
-    ``depth`` must be an integer in 1..MAX_DEPTH.  Each candidate is one
-    integer pass on the family's compiled rows: its values are scaled by the
-    lcm q of their denominators, and the family invariants (each parameter
-    in its domain, in parameter order, then the boundary in [0, 1)), M's
-    nef pairings up to the first negative one and the sign of M^2 are
-    integer products and sign tests.  A candidate whose M fails the cone's
-    nef test, or has M^2 <= 0, is turned down there: no goal can establish
-    it.  Only the others are read as ``Fraction``s and go to each goal's
-    decider, compiled once before the first candidate, and the first
-    candidate that every goal establishes wins (see ``_conjunction``)."""
-    if not (isinstance(depth, int) and 1 <= depth <= MAX_DEPTH):
+    ``depth`` must be an integer in 1..MAX_DEPTH.  Each candidate is the
+    schedule's integer point, already in every parameter's domain, and one
+    pass of integer forms in it, compiled once per search: the boundary rows
+    (each coefficient in [0, 1), else a note), the cone's nef rows composed
+    with M's rows, up to the first negative pairing, and M^2 as a quadratic
+    form.  A candidate whose M fails the cone's nef test, or has M^2 <= 0, is
+    turned down there: no goal can establish it.  Only for the others are
+    M's class, the nef pairings and the parameter values made, as
+    ``Fraction``s, for each goal's decider, compiled once before the first
+    candidate, and the first candidate that every goal establishes wins (see
+    ``_conjunction``)."""
+    if not (isinstance(depth, int) and not isinstance(depth, bool) and 1 <= depth <= MAX_DEPTH):
         raise ValueError(f"depth must be an integer in 1..{MAX_DEPTH}, not {depth!r}")
     if not goals:
         raise ValueError("a search needs at least one goal")
-    if cone.lattice is not family.surface.lattice:
+    lattice = family.surface.lattice
+    if cone.lattice is not lattice:
         raise ValueError("the cone does not live on the family's lattice")
-    # each nef row, dense, times a positive integer r, which keeps the sign of every pairing
-    nef_scales, nef_rows = [], []
+    if any(c.lattice is not lattice for goal in goals for d in goal.degrees for c in d.classes):
+        raise ValueError("a goal's degree classes do not live on the family's lattice")
+    # each nef row, dense, times a positive integer r, which keeps the sign of every pairing,
+    # and composed with M's rows, so that its pairing with M is a form in the point
+    nef_scales, nef_forms = [], []
     for _, row in cone.nef_rows:
-        r, (dense,) = _integer_rows([[dict(row).get(i, 0) for i in range(family.surface.lattice.rank)]])
+        r, (dense,) = _integer_rows([[dict(row).get(i, 0) for i in range(lattice.rank)]])
         nef_scales.append(r)
-        nef_rows.append(dense)
+        nef_forms.append(_compose(dense, family._m_rows))
     nef_texts = tuple(text for text, _ in cone.nef_rows)
     deciders = [goal._decider(family.surface, tuple(family.boundary), nef_texts) for goal in goals]
-    params = family.params
-    names = [p.name for p in params]
-    bounds = _int_bounds(params)
+    names = [p.name for p in family.params]
     attempts = 0
     notes: list[str] = []
-    for values in dyadic_schedule(params, depth):
+    for point in dyadic_schedule(family.params, depth):
         attempts += 1
-        vals = [values[name] for name in names]
-        q = math.lcm(*[v.denominator for v in vals])
-        point = [q, *[v.numerator * (q // v.denominator) for v in vals]]
-        p = _outside(params, bounds, point)
-        if p is not None:
-            notes.append(f"{p.name} = {values[p.name]} outside ({p.lo}, {p.hi})")
-            continue
-        scale = family._den * q  # each compiled form's value is its integer over scale
+        scale = family._den * point[0]  # each compiled form's value is its integer over scale
         b = [_dot(row, point) for row in family._boundary_rows]
         if not all(0 <= x < scale for x in b):
-            notes.append(f"boundary coefficients leave [0, 1) at {dict(values)}")
+            notes.append(f"boundary coefficients leave [0, 1) at {_values(names, point)}")
             continue
-        m = [_dot(row, point) for row in family._m_rows]
-        if any(_dot(m, row) < 0 for row in nef_rows):
+        if any(_dot(row, point) < 0 for row in nef_forms):
             continue
-        m2 = sum(x * _dot(m, row) for x, row in zip(m, family._gram_rows))
+        m2 = sum(x * _dot(row, point) for x, row in zip(point, family._square))
         if m2 <= 0:
             continue
+        values = _values(names, point)
         candidate = (
             [Fraction(x, scale) for x in b],
-            [Fraction(x, scale) for x in m],
+            [Fraction(_dot(row, point), scale) for row in family._m_rows],
             Fraction(m2, scale * scale * family._gram_den),
-            [Fraction(_dot(m, row), scale * r) for row, r in zip(nef_rows, nef_scales)],
+            [Fraction(_dot(row, point), scale * r) for row, r in zip(nef_forms, nef_scales)],
             values,
         )
         verdicts = [decide(*candidate) for decide in deciders]
         if all(v.established for v in verdicts):
             return SearchReport(True, values, _conjunction(verdicts), attempts, tuple(notes))
     return SearchReport(False, {}, None, attempts, tuple(notes))
+
+
+def _values(names: Sequence[str], point: Sequence[int]) -> dict[str, Fraction]:
+    """The parameter values at the point (q, P_1, ..., P_k): name i at P_i / q."""
+    return {name: Fraction(x, point[0]) for name, x in zip(names, point[1:])}
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +464,10 @@ def hirzebruch_claim(n: int, part: int, m: Optional[int] = None, depth: int = DE
     contraction degrees.  Part 2 (m >= n+1, default n+1): freeness, point
     separation in the four marked configurations, and tangent separation at
     the fiber-section point.  Every sub-check is a parameter search over a
-    boundary decomposition; failures are reported, never raised.
+    boundary decomposition; failures are reported, never raised.  ``n``,
+    ``part`` and ``m`` must be ``int``s (see ``lattice.as_int``).
     """
+    n, part, m = as_int(n), as_int(part), None if m is None else as_int(m)
     if n < 1:
         raise ValueError("n must be a positive integer")
     if part not in (1, 2):

@@ -1,4 +1,5 @@
 import contextlib
+import math
 from fractions import Fraction as F
 from unittest import mock
 
@@ -11,6 +12,7 @@ from qreider import hirzebruch as hz
 from qreider import search
 from qreider.cones import ConeGenerator, DegreeFilter, Degrees, FiniteGenerators, HirzebruchFamily, cone_degrees, nef_lines
 from qreider.criteria import BetaWitness, CriterionVerdict, TraceLine
+from qreider.lattice import hirzebruch_lattice
 from qreider.search import (
     DEFAULT_DEPTH,
     MAX_DEPTH,
@@ -73,12 +75,38 @@ def test_family_rejects_non_integral_target():
         )
 
 
+def as_points(params, schedule):
+    """Each dict of parameter values in ``schedule`` as the integer point
+    (q, P_1, ..., P_k) that ``dyadic_schedule`` yields, parameter i at P_i / q,
+    with q the lcm of the values' denominators."""
+    points = []
+    for values in schedule:
+        vals = [F(values[p.name]) for p in params]
+        q = math.lcm(*(v.denominator for v in vals))
+        points.append((q, *(v.numerator * (q // v.denominator) for v in vals)))
+    return points
+
+
+def values_at(params, point):
+    """The parameter values at an integer point of the schedule."""
+    return {p.name: F(x, point[0]) for p, x in zip(params, point[1:])}
+
+
+@contextlib.contextmanager
+def scheduled(params, schedule):
+    """``dyadic_schedule``, in the search and here, yields the points of the
+    value dicts in ``schedule`` and nothing else."""
+    points = as_points(params, schedule)
+    fake = lambda params, depth: iter(points)  # noqa: E731
+    with mock.patch.object(search, "dyadic_schedule", fake), mock.patch.dict(globals(), {"dyadic_schedule": fake}):
+        yield
+
+
 def decided_at(family, cone, goals, schedule):
     """The search when the schedule offers only ``schedule``, with every
     checker replaced by one that establishes and records its arguments."""
-    with mock.patch.object(search, "dyadic_schedule", lambda params, depth: iter(schedule)):
-        with stubbed_checkers(True, 1) as calls:
-            report = search_params(family, cone, goals)
+    with scheduled(family.params, schedule), stubbed_checkers(True, 1) as calls:
+        report = search_params(family, cone, goals)
     return report, calls
 
 
@@ -87,24 +115,25 @@ def test_family_invariants_are_checked_before_the_checker_runs():
     assert family.target == model.divisor({"G": 3, "F": 4})
     cone = HirzebruchFamily(1, model.lattice)
     goal = Goal("free", (hz.POINT_ON_G,), (Degrees("G", (cone.g_class,)),))
-    report, calls = decided_at(family, cone, (goal,), [{"eps": F(3, 2)}, {"eps": F(1, 8)}])
-    assert report.notes == ("eps = 3/2 outside (0, 1)",)
-    assert report.found and report.attempts == 2 and report.params == {"eps": F(1, 8)}
+    report, calls = decided_at(family, cone, (goal,), [{"eps": F(1, 8)}])
+    assert report.notes == ()
+    assert report.found and report.attempts == 1 and report.params == {"eps": F(1, 8)}
     # mu is B's coefficient 7/8 on G; M = L - B = (17/8)G + 4F has M^2 = 799/64 and M.G = 15/8
     assert calls == [(F(7, 8), F(799, 64), F(15, 8), None)]
 
 
 def test_dyadic_schedule_is_nested_and_in_domain():
     params = (Param("a"), Param("b"))
-    seen = list(dyadic_schedule(params, depth=4))
-    assert seen  # non-empty
-    prev_a = None
-    for values in seen:
+    points = list(dyadic_schedule(params, depth=4))
+    assert points  # non-empty
+    for point in points:
+        values = values_at(params, point)
         assert 0 < values["a"] < 1 and values["a"] <= F(1, 4)
         assert 0 < values["b"] < 1
         assert values["b"] <= values["a"] / 2
-    # first candidate follows the coupling order
-    assert seen[0] == {"a": F(1, 4), "b": F(1, 8)}
+        assert point[-1] == 1 and point[0] == values["b"].denominator  # q is the innermost level
+    # first candidate follows the coupling order: a = 2/8, b = 1/8
+    assert points[0] == (8, 2, 1)
 
 
 _ENDPOINTS = st.sampled_from([F(-1, 3), F(0), F(1, 64), F(1, 7), F(2, 7), F(1, 2), F(1), F(5, 3)])
@@ -123,7 +152,7 @@ def test_dyadic_schedule_keeps_exactly_the_values_in_each_domain(domains, depth)
             if params[i].contains(value):
                 yield from ({params[i].name: value, **rest} for rest in expected(i + 1, value))
 
-    assert list(dyadic_schedule(params, depth)) == list(expected(0, F(1)))
+    assert list(dyadic_schedule(params, depth)) == as_points(params, expected(0, F(1)))
 
 
 def test_freeness_search_succeeds_early_with_the_stated_witness():
@@ -237,6 +266,14 @@ def test_claim_part_two_with_larger_degree():
     assert report.chi == 2 * 5 - 2 + 2
 
 
+@pytest.mark.parametrize(
+    "args", [(True, 1), (2.0, 1), (F(2), 1), (2, 1.0), (2, True), (2, 2, 3.0), (2, 2, True)]
+)
+def test_claim_numbers_are_ints(args):
+    with pytest.raises(TypeError, match="not an integer"):
+        hirzebruch_claim(*args)
+
+
 def test_claim_argument_validation():
     with pytest.raises(ValueError):
         hirzebruch_claim(0, 1)
@@ -278,8 +315,6 @@ search goal=free point=p B=B M=M depth=4
 """
 
 VIOLATION_NOTES = [
-    "e = 3/4 outside (0, 1/2)",
-    "f = 2 outside (0, 1)",
     "boundary coefficients leave [0, 1) at {'e': Fraction(1, 4), 'f': Fraction(1, 8)}",
     "boundary coefficients leave [0, 1) at {'e': Fraction(1, 4), 'f': Fraction(1, 16)}",
     "boundary coefficients leave [0, 1) at {'e': Fraction(1, 4), 'f': Fraction(1, 32)}",
@@ -289,7 +324,7 @@ VIOLATION_NOTES = [
 VIOLATION_TEXT = """report for <stdin>
 == search goal=free point=p B=B M=M depth=4
    status: established   rule: freeness/degree-bound
-   search: found=True attempts=7 at e = 1/8 (approx 0.125), f = 1/16 (approx 0.0625)
+   search: found=True attempts=5 at e = 1/8 (approx 0.125), f = 1/16 (approx 0.0625)
    witness: beta2 = 5 [at-p]; beta1 = 1 [at-p]
    M.G >= 0 (nef): 1 >= 0  [ok]
    M.F >= 0 (nef): 11/4 (approx 2.75) >= 0  [ok]
@@ -328,31 +363,20 @@ VIOLATION_JSON = {
     "witness": {"beta2": [_json_q(5)], "beta1": [_json_q(1)], "beta2_roles": ["at-p"], "beta1_roles": ["at-p"]},
     "found": True,
     "params": {"e": _json_q(1, 8), "f": _json_q(1, 16)},
-    "attempts": 7,
+    "attempts": 5,
     "notes": VIOLATION_NOTES + ["witness found by search"],
 }
 
 
 def test_search_notes_pin_the_family_violation_texts(monkeypatch, capsys):
-    """Two schedule values outside the domain (both parameters out, then only
-    the second), then the e = 1/4 candidates, whose boundary coefficient on G
-    is 1, then a success.  The domain is checked in parameter order, before
-    the boundary.  A round-up that misses the target cannot occur here: with
-    B in [0, 1) and B + M integral, the round-up of M is B + M."""
+    """The e = 1/4 candidates, whose boundary coefficient on G is 1, then a
+    success.  A round-up that misses the target cannot occur here: with B in
+    [0, 1) and B + M integral, the round-up of M is B + M."""
     import io
     import json
 
-    from qreider import search
     from qreider.cli import main
 
-    real = search.dyadic_schedule
-
-    def schedule(params, depth):
-        yield {"e": F(3, 4), "f": F(2)}
-        yield {"e": F(1, 8), "f": F(2)}
-        yield from real(params, depth)
-
-    monkeypatch.setattr(search, "dyadic_schedule", schedule)
     monkeypatch.setattr("sys.stdin", io.StringIO(VIOLATION_DOC))
     assert main(["check", "-"]) == 0
     assert capsys.readouterr().out == VIOLATION_TEXT
@@ -378,18 +402,12 @@ def test_search_notes_each_violation_in_order():
     degrees = tuple(Degrees(text, (cls,)) for text, cls in classes.items())
     goal = Goal("separate", (hz.POINT_ON_G, hz.POINT_ON_F), degrees)
     schedule = [
-        {"e": F(3, 4), "f": F(2)},  # e is checked, and fails, before f
-        {"e": F(1, 2), "f": F(1, 2)},
         {"e": F(1, 16), "f": F(1, 2)},
         {"e": F(1, 8), "f": F(1, 16)},
     ]
     report, calls = decided_at(family, cone, (goal,), schedule)
-    assert report.notes == (
-        "e = 3/4 outside (0, 1/2)",
-        "e = 1/2 outside (0, 1/2)",
-        "boundary coefficients leave [0, 1) at {'e': Fraction(1, 16), 'f': Fraction(1, 2)}",
-    )
-    assert report.found and report.attempts == 4 and report.params == schedule[-1]
+    assert report.notes == ("boundary coefficients leave [0, 1) at {'e': Fraction(1, 16), 'f': Fraction(1, 2)}",)
+    assert report.found and report.attempts == 2 and report.params == schedule[-1]
     # B = (1/4)G + (3/4)F, and M = (11/4)G + (37/4)F has M^2 = 451/16, M.G = 1, M.F = 11/4, M.(G+3F) = 37/4
     assert calls == [(F(1, 4), F(3, 4), F(451, 16), F(1), F(11, 4), F(37, 4), None)]
 
@@ -403,6 +421,16 @@ def test_a_search_needs_a_goal_and_a_cone_on_the_family_lattice():
     elsewhere = HirzebruchFamily(3, hz.hirzebruch_model(3).lattice)
     with pytest.raises(ValueError, match="family's lattice"):
         search_params(family, elsewhere, (goal,))
+
+
+def test_a_goals_degree_classes_live_on_the_family_lattice():
+    """A degree class of another lattice would pair M with that lattice's gram."""
+    model, family = section_family(1)
+    cone = HirzebruchFamily(1, model.lattice)
+    foreign = Degrees("G", (cone.g_class, hirzebruch_lattice(5).basis_class("G")))
+    goals = (Goal("free", (hz.POINT_GENERIC,), (cone_degrees(cone),)), Goal("free", (hz.POINT_ON_G,), (foreign,)))
+    with pytest.raises(ValueError, match="degree classes do not live on the family's lattice"):
+        search_params(family, cone, goals)
 
 
 def test_a_conjunction_lists_each_rule_once_and_keeps_what_all_goals_share():
@@ -431,9 +459,6 @@ class FamilyViolation(ValueError):
 
 def reference_instantiate(family, values):
     """The candidate's boundary and positive part, built as divisors."""
-    for p in family.params:
-        if not p.contains(values[p.name]):
-            raise FamilyViolation(f"{p.name} = {values[p.name]} outside ({p.lo}, {p.hi})")
     b = family.surface.divisor({c: e.evaluate(values) for c, e in family.boundary.items()})
     m = family.surface.divisor({c: e.evaluate(values) for c, e in family.positive.items()})
     if not b.is_boundary():
@@ -494,12 +519,13 @@ def reference_goal(cone, goal, boundary, positive, values):
 
 
 def reference_search(family, cone, goals, depth):
-    """search_params without compiled forms: every admitted candidate is
-    built and evaluated from its divisors."""
+    """search_params without compiled forms: every candidate point is read as
+    parameter values, built and evaluated from its divisors."""
     attempts = 0
     notes = []
-    for values in dyadic_schedule(family.params, depth):
+    for point in dyadic_schedule(family.params, depth):
         attempts += 1
+        values = values_at(family.params, point)
         try:
             boundary, positive = reference_instantiate(family, values)
         except FamilyViolation as exc:
@@ -563,10 +589,13 @@ def search_cases(draw):
         params.append(Param(name, lo, draw(st.sampled_from([F(1), F(1, 2), F(1, 8), F(2, 7), F(5, 3)]))))
     a = draw(st.integers(0, 3))
     target = {"G": a, "F": max(0, n * a + draw(st.integers(-2, 4)))}  # M.G near 0, so nefness turns on e and f
+    # with every parameter on both curves, M's class has each parameter on both
+    # lattice coordinates, and M^2 a cross term in every pair of parameters
+    full = draw(st.booleans())
     boundary = {}
     for curve in ("G", "F"):
-        if draw(st.booleans()):
-            terms = {p.name: draw(_small) for p in params if draw(st.booleans())}
+        if full or draw(st.booleans()):
+            terms = {p.name: draw(_small.filter(bool)) for p in params if full or draw(st.booleans())}
             boundary[curve] = AffineExpr(draw(st.sampled_from([F(0), F(1, 2), F(9, 10), F(1)])), terms)
     positive = {c: AffineExpr.constant(t) - boundary.get(c, AffineExpr()) for c, t in target.items()}
     family = ParamFamily(model, tuple(params), boundary, positive)
@@ -646,30 +675,23 @@ def matches_the_reference(family, cone, goals, depth):
 
 
 def test_non_dyadic_values_reach_the_decider_as_the_reference_reads_them():
-    """Values with denominators 3, 5, 7 and 9, scaled by the lcm of each
-    candidate's; the domain (-1/3, 2/7) of alpha has a negative end, and
-    alpha = -1/5 puts the boundary coefficient on F at 6/5."""
+    """Points whose q is 5, 15, 35 and 63, the lcm of the denominators of
+    their values; the domain (-1/3, 2/7) of alpha has a negative
+    end, and alpha = -1/5 puts the boundary coefficient on F at 6/5."""
     model, family = fiber_family(2, Param("alpha", F(-1, 3), F(2, 7)))
     cone = HirzebruchFamily(2, model.lattice)
     schedule = [
-        {"eps": F(1, 3), "alpha": F(2, 5)},  # alpha above its domain
-        {"eps": F(4, 3), "alpha": F(1, 5)},  # eps above its domain
-        {"eps": F(1, 3), "alpha": F(-2, 5)},  # alpha below its domain
         {"eps": F(2, 5), "alpha": F(-1, 5)},  # the boundary on F leaves [0, 1)
         {"eps": F(1, 3), "alpha": F(1, 5)},
         {"eps": F(2, 5), "alpha": F(1, 7)},
         {"eps": F(1, 7), "alpha": F(2, 9)},
     ]
-    with mock.patch.object(search, "dyadic_schedule", lambda params, depth: iter(schedule)):
-        with mock.patch.dict(globals(), {"dyadic_schedule": lambda params, depth: iter(schedule)}):
-            report, calls = matches_the_reference(family, cone, (separation_goal(model, cone),), DEFAULT_DEPTH)
+    with scheduled(family.params, schedule):
+        report, calls = matches_the_reference(family, cone, (separation_goal(model, cone),), DEFAULT_DEPTH)
     assert report.notes == (
-        "alpha = 2/5 outside (-1/3, 2/7)",
-        "eps = 4/3 outside (0, 1)",
-        "alpha = -2/5 outside (-1/3, 2/7)",
         "boundary coefficients leave [0, 1) at {'eps': Fraction(2, 5), 'alpha': Fraction(-1, 5)}",
     )
-    assert not report.found and report.attempts == 7 and len(calls) == 3
+    assert not report.found and report.attempts == 4 and len(calls) == 3
     # eps = 1/3, alpha = 1/5: both points lie on F only, where B = (2/3)G + (4/5)F has
     # coefficient 4/5, and M = (7/3)G + (26/5)F
     assert calls[0][:3] == (F(4, 5), F(4, 5), -2 * F(7, 3) ** 2 + 2 * F(7, 3) * F(26, 5))
@@ -686,7 +708,7 @@ def test_a_two_parameter_search_at_the_depth_ceiling_matches_the_reference():
     assert max(call[0].denominator for call in calls) == 1 << 128
 
 
-@pytest.mark.parametrize("depth", [0, -3, MAX_DEPTH + 1])
+@pytest.mark.parametrize("depth", [0, -3, MAX_DEPTH + 1, True, False])
 def test_search_depth_is_bounded(depth):
     model, family = section_family(1)
     cone = HirzebruchFamily(1, model.lattice)
