@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from .criteria import TraceLine, check
 from .lattice import DivisorClass, IntersectionLattice
@@ -136,7 +136,7 @@ class HirzebruchFamily:
         return self.lattice.divisor_class((1, self.n))
 
 
-ConeDescription = Union[FiniteGenerators, HirzebruchFamily]
+ConeDescription = FiniteGenerators | HirzebruchFamily
 
 
 def _require_lattice(m: DivisorClass, cone: ConeDescription) -> None:

@@ -20,14 +20,13 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import islice
 from math import isqrt
 from typing import Iterable, Optional, Union
 
 from .lattice import DivisorClass, RationalLike, as_fraction, as_int
 
 _WITNESS_DEPTH = 24  # finest dyadic level of the one-parameter witness searches
-_PAIR_DEPTH = 12  # per-axis refinement depth for two-parameter searches
+_PAIR_DEPTH = 12  # the pair and tangent searches take each point below a square root at level 2**-12
 
 
 class DomainError(ValueError):
@@ -183,22 +182,16 @@ def min_formula(mu: RationalLike, beta2: RationalLike) -> Fraction:
     return min(2 - m, ratio)
 
 
-def _dyadic_below_sqrt(value: Fraction, depth: int) -> list[Fraction]:
-    """For k = 0..depth, the largest multiple of 2**-k whose square is < value."""
-    out: list[Fraction] = []
-    if value <= 0:
-        return out
-    for k in range(depth + 1):
-        scale = 1 << k
-        bound = value * scale * scale
-        a = isqrt(bound.numerator // bound.denominator)
-        while a >= 0 and Fraction(a, scale) ** 2 >= value:
-            a -= 1
-        while Fraction(a + 1, scale) ** 2 < value:
-            a += 1
-        if a > 0:
-            out.append(Fraction(a, scale))
-    return out
+def _numerator_below_sqrt(value: Fraction, k: int) -> int:
+    """The largest integer a with a^2 < value * 4**k, for value > 0."""
+    return isqrt(((value.numerator << 2 * k) - 1) // value.denominator)
+
+
+def _dyadic_below_sqrt(value: Fraction, depth: int) -> Optional[Fraction]:
+    """The largest positive multiple of 2**-depth whose square is below value,
+    or None if there is none (then no coarser dyadic level has one either)."""
+    a = _numerator_below_sqrt(value, depth) if value > 0 else 0
+    return Fraction(a, 1 << depth) if a else None
 
 
 def _dedupe(values: Iterable[Fraction]) -> list[Fraction]:
@@ -229,9 +222,9 @@ def _dyadic_witness(value: Fraction, floor: Fraction) -> Fraction:
     """For the first level k = 0.._WITNESS_DEPTH where it is >= floor, the largest
     multiple of 2**-k whose square is below ``value``; else floor itself."""
     for k in range(_WITNESS_DEPTH + 1 if value > 0 else 0):
-        a = isqrt(((value.numerator << 2 * k) - 1) // value.denominator)  # largest a with a^2 < value * 4**k
-        if Fraction(a, 1 << k) >= floor:
-            return Fraction(a, 1 << k)
+        below = Fraction(_numerator_below_sqrt(value, k), 1 << k)
+        if below >= floor:
+            return below
     return floor
 
 
@@ -358,19 +351,15 @@ def separation_witness(
     corner_q = _degree_corner(mq, dq)
     if corner_p is None or corner_q is None:
         return None
-    room_p = sq - corner_q * corner_q
-    tops = _dyadic_below_sqrt(room_p, _PAIR_DEPTH)
-    if not tops:
+    top = _dyadic_below_sqrt(sq - corner_q * corner_q, _PAIR_DEPTH)
+    if top is None:
         return None
-    xs = _dyadic_grid(corner_p, tops[-1], levels=6) if tops[-1] >= corner_p else []
-    for b2p in xs:
+    for b2p in _dyadic_grid(corner_p, top, levels=6):
         bound_p = min_formula(mp, b2p)
         if bound_p > dp:
             continue
-        room = sq - b2p * b2p
-        ys = _dedupe(_dyadic_below_sqrt(room, _PAIR_DEPTH)[-1:] + [corner_q])
-        for b2q in ys:
-            if b2q < corner_q or b2p * b2p + b2q * b2q >= sq:
+        for b2q in (_dyadic_below_sqrt(sq - b2p * b2p, _PAIR_DEPTH), corner_q):
+            if b2q is None or b2q < corner_q or b2p * b2p + b2q * b2q >= sq:
                 continue
             bound_q = min_formula(mq, b2q)
             if bound_q > dq or bound_p + bound_q > dpq:
@@ -512,14 +501,12 @@ def tangent_witness(
     if cap <= 0:
         return None
     lower_p, lower_v = 2 - mp, 2 - mv_
-    tops = _dyadic_below_sqrt(sq - lower_v * lower_v, _PAIR_DEPTH)
-    if not tops or tops[-1] < lower_p:
+    top = _dyadic_below_sqrt(sq - lower_v * lower_v, _PAIR_DEPTH)
+    if top is None:
         return None
-    for b2p in _dyadic_grid(lower_p, tops[-1], levels=6):
-        room = sq - b2p * b2p
-        ys = _dedupe(_dyadic_below_sqrt(room, _PAIR_DEPTH)[-1:] + [lower_v])
-        for b2v in ys:
-            if b2v < lower_v or b2p * b2p + b2v * b2v >= sq:
+    for b2p in _dyadic_grid(lower_p, top, levels=6):
+        for b2v in (_dyadic_below_sqrt(sq - b2p * b2p, _PAIR_DEPTH), lower_v):
+            if b2v is None or b2v < lower_v or b2p * b2p + b2v * b2v >= sq:
                 continue
             bound = tangent_beta1_bound(mp, mv_, b2p, b2v)
             if bound > cap or bound <= 0:
@@ -671,8 +658,8 @@ def threshold_very_ampleness(m2: RationalLike, mindeg_all: RationalLike) -> Crit
 
     Requires M^2 > 6 + 4*sqrt(2) and min degree > 2 + sqrt(2); both are
     decided over the rationals by exact square comparisons.  On success the
-    verdict carries an explicit witness for the two-parameter rule, obtained
-    from continued-fraction approximations of sqrt(2) from below.
+    verdict carries an explicit witness for the two-parameter rule: beta2 = 1 + c
+    for the first lower convergent c of sqrt(2) that fits.
     """
     sq, deg = as_fraction(m2), as_fraction(mindeg_all)
     lines = [
@@ -683,17 +670,15 @@ def threshold_very_ampleness(m2: RationalLike, mindeg_all: RationalLike) -> Crit
     ]
     if not all(l.holds for l in lines):
         return _verdict("very-ample/threshold", lines)
-    witness = None
-    for conv in islice(_sqrt2_lower_convergents(), 200):
+    # The comparisons above put 1 + sqrt(2) inside [deg/(deg - 2), sqrt(M^2/2)),
+    # the beta2 range of the rule, so a convergent lands in it after a number of
+    # steps linear in the bit size of the input.
+    for conv in _sqrt2_lower_convergents():  # each conv >= 1, so beta2 >= 2
         b2 = 1 + conv
-        if b2 < 2:
-            continue
         b1 = b2 / (b2 - 1)
         if sq > 2 * b2 * b2 and deg >= 2 * b1:
             witness = BetaWitness.single(b2, b1)
             break
-    if witness is None:  # unreachable once the threshold comparisons hold
-        raise AssertionError("threshold passed but no rational witness materialized")
     return _verdict("very-ample/threshold", lines, witness, note="witness from sqrt(2) convergents")
 
 

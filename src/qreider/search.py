@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Optional, Union
 
 from . import criteria
 from . import hirzebruch as hz
@@ -215,7 +216,7 @@ class ParamFamily:
 # goals
 
 
-WitnessProvider = Union[BetaWitness, Callable[[Mapping[str, Fraction]], BetaWitness], None]
+WitnessProvider = BetaWitness | Callable[[Mapping[str, Fraction]], BetaWitness] | None
 
 # goal kind -> checker in the criteria module
 _GOAL_KINDS = {

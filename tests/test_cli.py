@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction as F
+from math import isqrt
 from pathlib import Path
 
 import jsonschema
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from qreider import __version__
 from qreider.cli import main
+from qreider.criteria import BetaWitness, very_ampleness
 from qreider.document import parse
 from qreider.report import report_to_json, run_document
 
@@ -347,6 +349,19 @@ def test_claim_integer_arguments_accept_plain_digits(capsys, monkeypatch):
     assert main(["check", "-"]) == 0
     out = capsys.readouterr().out
     assert "   n = 2\n" in out and "   m = 10\n" in out and "   ok: yes\n" in out
+
+
+def test_a_minimal_degree_next_to_the_corollary_threshold_is_established(capsys, monkeypatch):
+    scale = 10**400
+    deg = 2 + F(isqrt(2 * scale * scale) + 1, scale)  # about 1e-400 above 2 + sqrt(2)
+    header = GOLDEN.read_text().split("\nqueries\n")[0]
+    query = f"check-corollary2 m2=100 mindeg={deg.numerator}/{deg.denominator}"
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"{header}\nqueries\n{query}\n"))
+    assert main(["check", "-", "--json"]) == 0
+    (result,) = json.loads(capsys.readouterr().out)["queries"]
+    assert (result["status"], result["rule"]) == ("established", "very-ample/threshold")
+    (b2,), (b1,) = ([F(v["num"], v["den"]) for v in result["witness"][k]] for k in ("beta2", "beta1"))
+    assert very_ampleness(100, deg, BetaWitness.single(b2, b1)).established
 
 
 def test_a_very_ample_witness_with_beta2_one_is_not_established(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 from hypothesis import assume, given, settings
@@ -321,6 +322,18 @@ def test_threshold_very_ampleness_square_comparison():
     assert threshold_very_ampleness(F(1166, 100), F(7, 2)).established  # 11.66 > 6 + 4*sqrt(2)
 
 
+S = 10**400
+NEAR_DEGREE = 2 + F(isqrt(2 * S * S) + 1, S)  # about 1e-400 above 2 + sqrt(2)
+NEAR_SQUARE = 6 + F(isqrt(32 * S * S) + 1, S)  # about 1e-400 above 6 + 4*sqrt(2)
+
+
+@pytest.mark.parametrize("m2, deg", [(100, NEAR_DEGREE), (NEAR_SQUARE, 4), (NEAR_SQUARE, NEAR_DEGREE)])
+def test_threshold_very_ampleness_finds_a_convergent_next_to_the_threshold(m2, deg):
+    verdict = threshold_very_ampleness(m2, deg)
+    assert verdict.established and verdict.witness is not None
+    assert very_ampleness(m2, deg, verdict.witness).established
+
+
 # ---------------------------------------------------------------------------
 # thresholds at a point
 
@@ -640,13 +653,18 @@ def _first_candidate(candidates, feasible):
     return next((b2 for b2 in candidates if feasible(b2)), None)
 
 
+def _reference_corner(mu, deg):
+    """The least beta2 whose degree bound fits under deg, or None."""
+    if deg >= 2 - mu:
+        return 2 - mu
+    if mu < 1 and deg > 1:
+        return max((1 - mu) * deg / (deg - 1), 2 - mu)
+    return None
+
+
 def _freeness_rule(mu, m2, deg):
     """The dyadic levels, then 2 - mu, then the degree corner; the first feasible beta2."""
-    corner = None
-    if deg >= 2 - mu:
-        corner = 2 - mu
-    elif mu < 1 and deg > 1:
-        corner = max((1 - mu) * deg / (deg - 1), 2 - mu)
+    corner = _reference_corner(mu, deg)
     candidates = [c for c in _levels_below_sqrt(m2) if c >= 2 - mu] + [2 - mu]
     if corner is not None:
         candidates.append(corner)
@@ -722,13 +740,17 @@ def _separation_holds(mu_p, mu_q, m2, dp, dq, dpq, w):
     )
 
 
-def _tangent_holds(mu_p, mu_V, m2, dp, dz, w):
-    (b2p, b2v), (b1,) = w.beta2, w.beta1
-    mu_v = mu_p + mu_V
+def _tangent_bound(mu_v, s):
+    """(4 - mu_v)/2, relaxed to s/(s - (2 - mu_v)) below total multiplicity 2."""
     bound = (4 - mu_v) / 2
-    s = b2p + b2v
     if mu_v < 2 and s > 2 - mu_v:
         bound = min(bound, s / (s - (2 - mu_v)))
+    return bound
+
+
+def _tangent_holds(mu_p, mu_V, m2, dp, dz, w):
+    (b2p, b2v), (b1,) = w.beta2, w.beta1
+    bound = _tangent_bound(mu_p + mu_V, b2p + b2v)
     return (
         b2p >= 2 - mu_p
         and b2v >= 2 - mu_V
@@ -756,3 +778,113 @@ def test_established_tangent_degree_bounds_carry_a_reverifying_witness(mu_p, mu_
     if verdict.established and verdict.rule == "tangent/degree-bounds":
         assert verdict.witness is not None
         assert _tangent_holds(mu_p, mu_V, 4 * m2, dp, 2 * dz, verdict.witness)
+
+
+# ---------------------------------------------------------------------------
+# the two-point and tangent searches against the thirteen-level walk they replace
+
+
+def _reference_grid(lo, hi):
+    """lo, then lo + (hi - lo) * j/2**k for odd j and k = 1..6, then hi; repeats dropped."""
+    if hi < lo:
+        return []
+    inner = [lo + (hi - lo) * F(j, 2**k) for k in range(1, 7) for j in range(1, 2**k, 2)]
+    return list(dict.fromkeys([lo, *inner, hi]))
+
+
+def _reference_separation(mu_p, mu_q, m2, dp, dq, dpq):
+    """The grid walk over all thirteen levels k = 0..12 below each square root, reading the finest."""
+    corner_p, corner_q = _reference_corner(mu_p, dp), _reference_corner(mu_q, dq)
+    if corner_p is None or corner_q is None:
+        return None
+    tops = _levels_below_sqrt(m2 - corner_q**2, levels=12)
+    if not tops:
+        return None
+    for b2p in _reference_grid(corner_p, tops[-1]):
+        bound_p = _bound_at(mu_p, b2p)
+        if bound_p > dp:
+            continue
+        for b2q in dict.fromkeys(_levels_below_sqrt(m2 - b2p**2, levels=12)[-1:] + [corner_q]):
+            if b2q < corner_q or b2p**2 + b2q**2 >= m2:
+                continue
+            bound_q = _bound_at(mu_q, b2q)
+            if bound_q <= dq and bound_p + bound_q <= dpq:
+                return (b2p, b2q), (bound_p, bound_q)
+    return None
+
+
+def _reference_tangent(mu_p, mu_V, m2, dp, dz):
+    cap, lower_p, lower_v = min(dp, dz / 2), 2 - mu_p, 2 - mu_V
+    if cap <= 0:
+        return None
+    tops = _levels_below_sqrt(m2 - lower_v**2, levels=12)
+    if not tops:
+        return None
+    for b2p in _reference_grid(lower_p, tops[-1]):
+        for b2v in dict.fromkeys(_levels_below_sqrt(m2 - b2p**2, levels=12)[-1:] + [lower_v]):
+            if b2v < lower_v or b2p**2 + b2v**2 >= m2:
+                continue
+            bound = _tangent_bound(mu_p + mu_V, b2p + b2v)
+            if 0 < bound <= cap:
+                return (b2p, b2v), (bound,)
+    return None
+
+
+def _pair(witness):
+    return None if witness is None else (witness.beta2, witness.beta1)
+
+
+# How M^2 is drawn from the two lowest admissible beta2 values lo_1 and lo_2:
+# freely; next to lo_1^2 + lo_2^2, where the searches start to find witnesses;
+# or as lo_2^2 + (a/2**12)^2 or lo_1^2 + (a/2**12)^2, so that the top square
+# root, or the first inner one, is exactly a multiple of 2**-12 and the strict
+# "square below" must step one down from it.
+shapes = st.sampled_from(["free", "near-critical", "square-top", "square-inner"])
+slacks = st.sampled_from([F(0), F(1, 10**12), -F(1, 10**12), F(1, 2**24), F(1, 4**12)]) | st.fractions(
+    min_value=-1, max_value=4, max_denominator=1000
+)
+level_12 = st.integers(min_value=1, max_value=3 * 2**12).map(lambda a: F(a, 2**12) ** 2)
+
+
+def _square(shape, free, lo_1, lo_2, slack, level_square):
+    if shape == "free":
+        return free
+    if shape == "near-critical":
+        return lo_1**2 + lo_2**2 + slack
+    return (lo_2 if shape == "square-top" else lo_1) ** 2 + level_square
+
+
+@given(
+    mu_p=mus,
+    mu_q=mus,
+    dp=small_pos,
+    dq=small_pos,
+    dpq=st.fractions(min_value=0, max_value=16, max_denominator=12),
+    shape=shapes,
+    free=st.fractions(min_value=-1, max_value=40, max_denominator=1000),
+    slack=slacks,
+    level_square=level_12,
+)
+@settings(max_examples=150, deadline=None)
+def test_separation_witness_equals_the_thirteen_level_walk(mu_p, mu_q, dp, dq, dpq, shape, free, slack, level_square):
+    corner_p, corner_q = _reference_corner(mu_p, dp), _reference_corner(mu_q, dq)
+    assume(shape == "free" or (corner_p is not None and corner_q is not None))
+    m2 = _square(shape, free, corner_p, corner_q, slack, level_square)
+    assert _pair(separation_witness(mu_p, mu_q, m2, dp, dq, dpq)) == _reference_separation(mu_p, mu_q, m2, dp, dq, dpq)
+
+
+@given(
+    mu_p=mus,
+    mu_V=mus,
+    dp=small_pos,
+    dz=st.fractions(min_value=-1, max_value=16, max_denominator=12),
+    shape=shapes,
+    free=st.fractions(min_value=-1, max_value=40, max_denominator=1000),
+    slack=slacks,
+    level_square=level_12,
+)
+@settings(max_examples=150, deadline=None)
+def test_tangent_witness_equals_the_thirteen_level_walk(mu_p, mu_V, dp, dz, shape, free, slack, level_square):
+    mu_p, mu_V = max(mu_p, mu_V), min(mu_p, mu_V)
+    m2 = _square(shape, free, 2 - mu_p, 2 - mu_V, slack, level_square)
+    assert _pair(tangent_witness(mu_p, mu_V, m2, dp, dz)) == _reference_tangent(mu_p, mu_V, m2, dp, dz)
