@@ -652,9 +652,7 @@ class _DocBuilder:
         if not m:
             raise ParseError("parameter domain must look like (lo, hi)", line)
         lo, hi = (_number(m.group(i), line, offset + m.start(i) + 1) for i in (1, 2))
-        if lo >= hi:
-            raise ParseError(f"parameter domain ({lo}, {hi}) is empty", line)
-        self.declare(Param(key, lo, hi), line)
+        self.declare(_at(line, Param, key, lo, hi), line)
 
     def feed_divisors(self, line: int, key: str, rhs: Optional[str], offset: int) -> None:
         if rhs is None:

@@ -10,13 +10,17 @@ class as integer rows over one common denominator per family, M^2 as an
 integer quadratic form, the multiplicities at the marked data as rows over
 the boundary coefficients, the search cone's nef rows composed with M's
 rows, and the goals' degree sources as pairing rows against M's class.  A
-candidate is an integer
-point (q, P_1, ..., P_k), parameter i at P_i / q, and only the schedule
-enforces the parameter domains.  Each candidate is then one exact pass of
-sign tests on integer forms in the point: the boundary in [0, 1), M's nef
-pairings and M^2.  Only for an M that is nef and big are M's class, the
-``Fraction``s and the parameter values made, for each goal's checker.  No
-divisor is built.  The first candidate that every goal establishes wins.
+candidate is an integer point (q, P_1, ..., P_k), parameter i at P_i / q, and
+only the schedule enforces the parameter domains.  The schedule comes in
+levels: on a level every parameter but the innermost is fixed, and its
+candidates are (P << d, 1) for one outer point P.  The search splits each
+form into its part on P, computed once per level, and the innermost
+coefficient, so a candidate's sign tests (the boundary in [0, 1), then M's
+nef pairings) cost one shift and one add per form.  Only a candidate that
+leaves [0, 1) (for its note) or passes the nef test is built as a point;
+only for an M that is also big are M's class, the ``Fraction``s and the
+parameter values made, for each goal's checker.  No divisor is built.  The
+first candidate that every goal establishes wins.
 
 The drivers at the bottom reproduce the two positivity claims for the
 standard ruled-surface model end to end.
@@ -29,7 +33,7 @@ import operator
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from . import criteria
 from . import hirzebruch as hz
@@ -114,7 +118,7 @@ class AffineExpr:
 
 @dataclass(frozen=True)
 class Param:
-    """A named rational unknown with an open interval domain."""
+    """A named rational unknown with a non-empty open interval domain."""
 
     name: str
     lo: Fraction = Fraction(0)
@@ -123,6 +127,8 @@ class Param:
     def __post_init__(self):
         object.__setattr__(self, "lo", as_fraction(self.lo))
         object.__setattr__(self, "hi", as_fraction(self.hi))
+        if self.lo >= self.hi:
+            raise ValueError(f"parameter domain ({self.lo}, {self.hi}) is empty")
 
     def contains(self, value: Fraction) -> bool:
         return self.lo < value < self.hi
@@ -316,6 +322,61 @@ class SearchReport:
             raise AssertionError("search reported success without an established verdict")
 
 
+class Level(NamedTuple):
+    """The candidates (*(x << d for x in outer), inner) for d in ``shifts``,
+    in that order: every parameter but the innermost is fixed on a level."""
+
+    outer: tuple[int, ...]
+    inner: int
+    shifts: range
+
+
+def _exponents(param: Param, stop: int) -> range:
+    """The e in 0..stop-1 with lo < 2**-e < hi; a range, as 2**-e falls with e.
+    The bit lengths of the ends' numerators and denominators place each bound
+    to within one, and one shift test settles it."""
+    lo, hi = param.lo, param.hi
+    if hi <= 0:
+        return range(0)
+    first = max(0, hi.denominator.bit_length() - hi.numerator.bit_length())
+    if hi.numerator << first <= hi.denominator:
+        first += 1
+    if lo > 0:
+        last = lo.denominator.bit_length() - lo.numerator.bit_length()
+        if last >= 0 and lo.numerator << last >= lo.denominator:
+            last -= 1
+        stop = min(stop, last + 1)
+    return range(first, stop)
+
+
+def dyadic_levels(params: Sequence[Param], depth: int):
+    """The points of ``dyadic_schedule``, one ``Level`` at a time, in order.
+
+    A level's outer point is (q', P_1, ..., P_{k-1}) with q' = 2**e' for the
+    value 2**-e' of the parameter before the innermost, or (1,) for one
+    parameter; its inner coordinate is 1, and its shifts are the d for which
+    2**-(e' + d) lies in the innermost parameter's domain, a range.  With no
+    parameter the one level is the point (1,).
+    """
+    params = tuple(params)
+    if not params:
+        yield Level((), 1, range(1))
+        return
+    windows = [_exponents(p, len(params) * depth + 1) for p in params]
+
+    def rec(i: int, point: tuple[int, ...], prev: int):
+        window = windows[i]
+        es = range(max(prev + (2 if i == 0 else 1), window.start), min(prev + depth + 1, window.stop))
+        if i == len(params) - 1:
+            if es:
+                yield Level(point, 1, range(es.start - prev, es.stop - prev))
+            return
+        for e in es:
+            yield from rec(i + 1, (*[x << (e - prev) for x in point], 1), e)
+
+    yield from rec(0, (1,), 0)
+
+
 def dyadic_schedule(params: Sequence[Param], depth: int):
     """Nested dyadic parameter candidates, outermost parameter first, each as
     the integer point (q, P_1, ..., P_k) at which parameter i is P_i / q.
@@ -323,22 +384,14 @@ def dyadic_schedule(params: Sequence[Param], depth: int):
     The first parameter runs through 2**-k for k = 2..depth; each
     later parameter through (previous parameter's value) * 2**-j for
     j = 1..depth, and q is 2**e for the innermost value 2**-e.  Candidates
-    outside a parameter's open domain are dropped here, by integer shift
-    tests; nothing downstream tests a domain again.
+    outside a parameter's open domain are dropped, by integer shift tests on
+    the ends of each domain; nothing downstream tests a domain again.  This is
+    the one definition of the schedule's points: those of ``dyadic_levels``,
+    level by level.
     """
-    params = tuple(params)
-    bounds = [(p.lo.numerator, p.lo.denominator, p.hi.numerator, p.hi.denominator) for p in params]
-
-    def rec(i: int, point: tuple[int, ...], prev: int):
-        if i == len(params):
-            yield point
-            return
-        lo_num, lo_den, hi_num, hi_den = bounds[i]
-        for e in range(prev + (2 if i == 0 else 1), prev + depth + 1):
-            if lo_num << e < lo_den and hi_num << e > hi_den:  # lo < 1/2**e < hi
-                yield from rec(i + 1, (*[x << (e - prev) for x in point], 1), e)
-
-    yield from rec(0, (1,), 0)
+    for outer, inner, shifts in dyadic_levels(params, depth):
+        for d in shifts:
+            yield (*(x << d for x in outer), inner)
 
 
 def search_params(
@@ -347,17 +400,22 @@ def search_params(
     """First parameter values along the dyadic schedule whose decomposition
     makes every goal's checker fire; exact verification at every candidate.
 
-    ``depth`` must be an integer in 1..MAX_DEPTH.  Each candidate is the
-    schedule's integer point, already in every parameter's domain, and one
-    pass of integer forms in it, compiled once per search: the boundary rows
-    (each coefficient in [0, 1), else a note), the cone's nef rows composed
-    with M's rows, up to the first negative pairing, and M^2 as a quadratic
-    form.  A candidate whose M fails the cone's nef test, or has M^2 <= 0, is
-    turned down there: no goal can establish it.  Only for the others are
-    M's class, the nef pairings and the parameter values made, as
-    ``Fraction``s, for each goal's decider, compiled once before the first
-    candidate, and the first candidate that every goal establishes wins (see
-    ``_conjunction``)."""
+    ``depth`` must be an integer in 1..MAX_DEPTH.  The search walks the
+    schedule level by level (``dyadic_levels``); every candidate is visited
+    and counted, in the schedule's order, and is already in every parameter's
+    domain.  The integer forms are compiled once per search: the boundary
+    rows (each coefficient in [0, 1), else a note), the cone's nef rows
+    composed with M's rows, tested up to the first negative pairing, and M^2
+    as a quadratic form.  On each level a form R's part on the outer point P,
+    A = R[:-1].P, and its innermost term C are computed once, so that at the
+    candidate (P << d, inner) its value is (A << d) + C and a boundary
+    coefficient is in [0, 1) when that value is in [0, (den * P[0]) << d).
+    The point is built only for a candidate that gets a note or passes the
+    nef test.  One whose M fails the nef test, or has M^2 <= 0, is turned
+    down there: no goal can establish it.  Only for the others are M's class,
+    the nef pairings and the parameter values made, as ``Fraction``s, for
+    each goal's decider, compiled once before the first candidate, and the
+    first candidate that every goal establishes wins (see ``_conjunction``)."""
     if not (isinstance(depth, int) and not isinstance(depth, bool) and 1 <= depth <= MAX_DEPTH):
         raise ValueError(f"depth must be an integer in 1..{MAX_DEPTH}, not {depth!r}")
     if not goals:
@@ -377,31 +435,47 @@ def search_params(
     nef_texts = tuple(text for text, _ in cone.nef_rows)
     deciders = [goal._decider(family.surface, tuple(family.boundary), nef_texts) for goal in goals]
     names = [p.name for p in family.params]
-    attempts = 0
-    notes: list[str] = []
-    for point in dyadic_schedule(family.params, depth):
-        attempts += 1
+
+    def verdicts_at(point: tuple[int, ...]) -> Optional[list[CriterionVerdict]]:
+        """Each goal's verdict at a candidate whose M passes the nef test, or
+        None when M^2 <= 0: no goal can establish it."""
         scale = family._den * point[0]  # each compiled form's value is its integer over scale
-        b = [_dot(row, point) for row in family._boundary_rows]
-        if not all(0 <= x < scale for x in b):
-            notes.append(f"boundary coefficients leave [0, 1) at {_values(names, point)}")
-            continue
-        if any(_dot(row, point) < 0 for row in nef_forms):
-            continue
         m2 = sum(x * _dot(row, point) for x, row in zip(point, family._square))
         if m2 <= 0:
-            continue
-        values = _values(names, point)
+            return None
         candidate = (
-            [Fraction(x, scale) for x in b],
+            [Fraction(_dot(row, point), scale) for row in family._boundary_rows],
             [Fraction(_dot(row, point), scale) for row in family._m_rows],
             Fraction(m2, scale * scale * family._gram_den),
             [Fraction(_dot(row, point), scale * r) for row, r in zip(nef_forms, nef_scales)],
-            values,
+            _values(names, point),
         )
-        verdicts = [decide(*candidate) for decide in deciders]
-        if all(v.established for v in verdicts):
-            return SearchReport(True, values, _conjunction(verdicts), attempts, tuple(notes))
+        return [decide(*candidate) for decide in deciders]
+
+    attempts = 0
+    notes: list[str] = []
+    for outer, inner, shifts in dyadic_levels(family.params, depth):
+        # (A, C) per form: its value at the candidate (outer << d, inner) is (A << d) + C
+        b_parts = [(_dot(row[:-1], outer), row[-1] * inner) for row in family._boundary_rows]
+        nef_parts = [(_dot(row[:-1], outer), row[-1] * inner) for row in nef_forms]
+        unit = family._den * (outer[0] if outer else inner)  # den * q at d = 0; no parameter: q = inner
+        for d in shifts:
+            attempts += 1
+            scale = unit << d
+            for a, c in b_parts:
+                if not 0 <= (a << d) + c < scale:
+                    point = (*(x << d for x in outer), inner)
+                    notes.append(f"boundary coefficients leave [0, 1) at {_values(names, point)}")
+                    break
+            else:
+                for a, c in nef_parts:
+                    if (a << d) + c < 0:
+                        break
+                else:
+                    point = (*(x << d for x in outer), inner)
+                    verdicts = verdicts_at(point)
+                    if verdicts and all(v.established for v in verdicts):
+                        return SearchReport(True, _values(names, point), _conjunction(verdicts), attempts, tuple(notes))
     return SearchReport(False, {}, None, attempts, tuple(notes))
 
 

@@ -260,7 +260,7 @@ def test_empty_parameter_domain_is_rejected(domain):
     with pytest.raises(ParseError) as err:
         parse(SURFACE + f"params\ne = {domain}\n")
     assert err.value.line == 3
-    assert "is empty" in err.value.message
+    assert err.value.message == f"parameter domain {domain} is empty"
 
 
 CURVES = SURFACE + "curves\nG = G\nF = F\n"

@@ -94,12 +94,20 @@ def values_at(params, point):
 
 @contextlib.contextmanager
 def scheduled(params, schedule):
-    """``dyadic_schedule``, in the search and here, yields the points of the
-    value dicts in ``schedule`` and nothing else."""
-    points = as_points(params, schedule)
-    fake = lambda params, depth: iter(points)  # noqa: E731
-    with mock.patch.object(search, "dyadic_schedule", fake), mock.patch.dict(globals(), {"dyadic_schedule": fake}):
+    """The schedule's levels, which the search walks and ``dyadic_schedule``
+    reads, are one per value dict in ``schedule``: its point, with the
+    innermost coordinate carried by the level and a shift of 0.  The block
+    must walk them."""
+    levels = [search.Level(point[:-1], point[-1], range(1)) for point in as_points(params, schedule)]
+    walks = []
+
+    def fake(params, depth):
+        walks.append(depth)
+        return iter(levels)
+
+    with mock.patch.object(search, "dyadic_levels", fake):
         yield
+    assert walks, "the injected levels were never walked"
 
 
 def decided_at(family, cone, goals, schedule):
@@ -136,10 +144,11 @@ def test_dyadic_schedule_is_nested_and_in_domain():
     assert points[0] == (8, 2, 1)
 
 
-_ENDPOINTS = st.sampled_from([F(-1, 3), F(0), F(1, 64), F(1, 7), F(2, 7), F(1, 2), F(1), F(5, 3)])
+_ENDPOINTS = [F(-1, 3), F(0), F(1, 64), F(1, 7), F(2, 7), F(1, 2), F(1), F(5, 3)]
+_DOMAINS = st.sampled_from([(lo, hi) for lo in _ENDPOINTS for hi in _ENDPOINTS if lo < hi])
 
 
-@given(st.lists(st.tuples(_ENDPOINTS, _ENDPOINTS), max_size=2), st.integers(0, 9))
+@given(st.lists(_DOMAINS, max_size=2), st.integers(0, 9))
 def test_dyadic_schedule_keeps_exactly_the_values_in_each_domain(domains, depth):
     params = [Param(name, lo, hi) for name, (lo, hi) in zip("ab", domains)]
 
@@ -170,11 +179,17 @@ def test_freeness_search_succeeds_early_with_the_stated_witness():
     assert report.verdict.witness == BetaWitness.single(3, F(3, 2), role="at-p")
 
 
+@pytest.mark.parametrize("lo,hi", [(1, 0), (0, 0), (F(1, 2), F(1, 2))])
+def test_a_parameter_domain_must_not_be_empty(lo, hi):
+    with pytest.raises(ValueError, match=rf"^parameter domain \({F(lo)}, {F(hi)}\) is empty$"):
+        Param("e", lo, hi)
+
+
 def test_degenerate_family_reports_zero_attempts():
     model = hz.hirzebruch_model(1)
     family = ParamFamily(
         surface=model,
-        params=(Param("eps", F(1, 2), F(1, 2)),),  # empty open interval
+        params=(Param("eps", F(1, 2), F(1)),),  # the schedule's values 2**-k, k >= 2, all miss it
         boundary={"G": AffineExpr(1, {"eps": -1})},
         positive={"G": AffineExpr(2, {"eps": 1}), "F": AffineExpr.constant(4)},
     )
@@ -443,6 +458,7 @@ def test_a_conjunction_lists_each_rule_once_and_keeps_what_all_goals_share():
     assert (alone.verdict.rule, alone.verdict.note) == ("freeness_at", "freeness_at")
     both, calls = decided_at(family, cone, (free, ample, free), [{"eps": F(1, 8)}])
     assert both.found and len(calls) == 3
+    assert alone.params == both.params == {"eps": F(1, 8)}
     assert (both.verdict.rule, both.verdict.note, both.verdict.witness) == ("freeness_at & very_ampleness", "", None)
     nef_and_big = ["M.G >= 0 (nef)", "M.F >= 0 (nef)", "M^2 > 0 (big)"]
     free_lines = [f"free: {text}" for text in nef_and_big]
@@ -586,7 +602,8 @@ def search_cases(draw):
     params = []
     for name in _PARAM_NAMES[: draw(st.integers(0, 2))]:  # no parameter: one attempt
         lo = draw(st.sampled_from([F(0), F(1, 64), F(-1, 3), F(1, 7)]))
-        params.append(Param(name, lo, draw(st.sampled_from([F(1), F(1, 2), F(1, 8), F(2, 7), F(5, 3)]))))
+        hi = draw(st.sampled_from([hi for hi in (F(1), F(1, 2), F(1, 8), F(2, 7), F(5, 3)) if hi > lo]))
+        params.append(Param(name, lo, hi))
     a = draw(st.integers(0, 3))
     target = {"G": a, "F": max(0, n * a + draw(st.integers(-2, 4)))}  # M.G near 0, so nefness turns on e and f
     # with every parameter on both curves, M's class has each parameter on both
@@ -601,7 +618,7 @@ def search_cases(draw):
     family = ParamFamily(model, tuple(params), boundary, positive)
     cone = draw(cones_on(n, model.lattice))
     goals = tuple(draw(st.lists(goals_on(cone), min_size=1, max_size=2)))
-    return family, cone, goals, draw(st.integers(2, 7))
+    return family, cone, goals, draw(st.integers(2, 10))
 
 
 @contextlib.contextmanager
@@ -695,6 +712,31 @@ def test_non_dyadic_values_reach_the_decider_as_the_reference_reads_them():
     # eps = 1/3, alpha = 1/5: both points lie on F only, where B = (2/3)G + (4/5)F has
     # coefficient 4/5, and M = (7/3)G + (26/5)F
     assert calls[0][:3] == (F(4, 5), F(4, 5), -2 * F(7, 3) ** 2 + 2 * F(7, 3) * F(26, 5))
+
+
+def test_one_level_holds_notes_nef_rejections_and_checker_calls():
+    """The domain of e admits only e = 1/4, so the schedule is one level, f =
+    2**-(2 + d) for d = 1..8.  B's coefficient on G, 5/12 + (56/3)f, leaves
+    [0, 1) for f >= 1/32 (it is 1 at f = 1/32); M.G = -1/12 + (32/3)f is
+    negative for f < 1/128 (it is 0 at f = 1/128); the candidates f = 1/64
+    and 1/128 between them reach the checker, whose first argument is B's
+    coefficient 1/2 + 8f on F."""
+    model = hz.hirzebruch_model(1)
+    family = ParamFamily(
+        surface=model,
+        params=(Param("e", F(1, 5), F(1, 3)), Param("f")),
+        boundary={"G": AffineExpr(F(5, 12), {"f": F(56, 3)}), "F": AffineExpr(F(1, 2), {"f": 8})},
+        positive={"G": AffineExpr(F(19, 12), {"f": F(-56, 3)}), "F": AffineExpr(F(3, 2), {"f": -8})},
+    )
+    cone = HirzebruchFamily(1, model.lattice)
+    (level,) = search.dyadic_levels(family.params, 8)
+    assert level == ((4, 1), 1, range(1, 9))
+    goal = Goal("free", (hz.POINT_ON_F,), (cone_degrees(cone),))
+    report, calls = matches_the_reference(family, cone, (goal,), 8)
+    assert report.attempts == 8
+    at = "boundary coefficients leave [0, 1) at {{'e': Fraction(1, 4), 'f': Fraction(1, {})}}"
+    assert report.notes == tuple(at.format(q) for q in (8, 16, 32))
+    assert [call[0] for call in calls] == [F(5, 8), F(9, 16)]  # three candidates are turned down on M.G
 
 
 def test_a_two_parameter_search_at_the_depth_ceiling_matches_the_reference():
