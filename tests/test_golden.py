@@ -1,4 +1,4 @@
-"""Byte-for-byte golden output of four reports, as text and as JSON.
+"""Byte-for-byte golden output of five reports, as text and as JSON.
 
 The JSON comparison drops ``elapsed_ms``, the only field that varies from
 run to run.  The expected files live in ``tests/golden/``.
@@ -57,6 +57,7 @@ search goal=separate p=p q=q B=B M=M
 CASES = {
     "hirzebruch_n3": ("docs/hirzebruch_n3.surf", (ROOT / "docs" / "hirzebruch_n3.surf").read_text()),
     "claim_n2_part2": ("hirzebruch-claim n=2 part=2", "queries\nhirzebruch-claim n=2 part=2\n"),
+    "claim_n12_part1": ("hirzebruch-claim n=12 part=1", "queries\nhirzebruch-claim n=12 part=1\n"),
     "claim_n12_part2": ("hirzebruch-claim n=12 part=2", "queries\nhirzebruch-claim n=12 part=2\n"),
     "search_two_param": ("search_two_param.surf", SEARCH_TWO_PARAM),
 }
