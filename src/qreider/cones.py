@@ -6,19 +6,26 @@ the caller's responsibility) or the builtin family of curve classes on the
 rank-2 (G, F) lattice with G*G = -n, F*F = 0, G*F = 1, whose irreducible
 classes are G, the F-class, and a*G + b*F with a >= 1, b >= n*a.  Each cone
 builds its nef test once, as pairing rows, so that testing a class is one dot
-product per row, and every minimal degree is a ``Degrees.minimum`` over
-pairing rows in the same way.
+product per row.  Pairings are computed on integers: ``_integer_pairing_rows``
+puts the gram matrix and a set of classes over common denominators and takes
+integer dot products, and ``pairing_row`` makes a ``Fraction`` only for each
+non-zero entry.  A ``Degrees`` source keeps its classes as one set of integer
+pairing rows over one positive denominator; ``Degrees.minimum`` and the
+parameter search both read them, so a minimal degree is the least integer dot
+product over that denominator.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
 from .criteria import TraceLine, check
-from .lattice import DivisorClass, IntersectionLattice
+from .lattice import DivisorClass, IntersectionLattice, as_int
 
 
 # A pairing row is gram . C, with its zero entries dropped as (index, value)
@@ -28,9 +35,39 @@ PairingRow = tuple[tuple[int, Fraction], ...]
 NefRow = tuple[str, PairingRow]
 
 
+def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The least positive common denominator d of the rationals in ``rows``,
+    and the rows times d, as integers."""
+    d = math.lcm(*[x.denominator for row in rows for x in row])
+    if d == 1:
+        return 1, tuple([tuple([x.numerator for x in row]) for row in rows])
+    return d, tuple([tuple([x.numerator * (d // x.denominator) for x in row]) for row in rows])
+
+
+def _dot(xs: Sequence[int], ys: Sequence[int]) -> int:
+    return sum(map(operator.mul, xs, ys))
+
+
+def _integer_pairing_rows(classes: Sequence[DivisorClass]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """A positive common denominator d and, for each class C, the dense row
+    d * (gram . C) as integers, with the gram matrix of C's lattice: integer
+    dot products of the gram rows and C's coefficients, each put over its
+    least common denominator."""
+    grams = {lattice: _integer_rows(lattice.gram) for lattice in {c.lattice for c in classes}}
+    gram_den = math.lcm(*[den for den, _ in grams.values()])
+    class_den, coeffs = _integer_rows([c.coeffs for c in classes])
+    rows = []
+    for c, x in zip(classes, coeffs):
+        den, gram = grams[c.lattice]
+        rows.append(tuple([_dot(g, x) * (gram_den // den) for g in gram]))
+    return gram_den * class_den, tuple(rows)
+
+
 def pairing_row(c: DivisorClass) -> PairingRow:
-    row = (sum((g * x for g, x in zip(gram_row, c.coeffs)), Fraction(0)) for gram_row in c.lattice.gram)
-    return tuple((i, v) for i, v in enumerate(row) if v)
+    """gram . C with its zero entries dropped, each entry one ``Fraction`` of
+    an integer dot product over a common denominator."""
+    den, (row,) = _integer_pairing_rows((c,))
+    return tuple((i, Fraction(v, den)) for i, v in enumerate(row) if v)
 
 
 def pair(coeffs: Sequence[Fraction], row) -> Fraction:
@@ -116,6 +153,7 @@ class HirzebruchFamily:
     nef_rows: tuple[NefRow, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        as_int(self.n)  # a bool, float or Fraction is a TypeError, not a truncated n
         if self.n < 1:
             raise ValueError("n must be a positive integer")
         if self.lattice.rank != 2:
@@ -164,23 +202,32 @@ def is_big(m: DivisorClass, cone: ConeDescription) -> bool:
 class Degrees:
     """A declared family of candidate curve classes for a degree minimum.
 
-    Each class is kept as its pairing row, so that M's minimal degree is a
-    minimum of dot products with M's coefficient vector.
+    The classes are kept as one set of integer pairing rows over one positive
+    denominator ``den`` (``_integer_pairing_rows``), so that M.C is a dot
+    product with M's coefficient vector over ``den``, and M's minimal degree
+    is the least such integer.  The parameter search composes the same rows
+    with its compiled class of M.
     """
 
     description: str
     classes: tuple[DivisorClass, ...]
-    rows: tuple[PairingRow, ...] = field(init=False, repr=False, compare=False)
+    den: int = field(init=False, repr=False, compare=False)
+    rows: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "classes", tuple(self.classes))
         if not self.classes:
             raise ValueError("degree family needs at least one class")
-        object.__setattr__(self, "rows", tuple(pairing_row(c) for c in self.classes))
+        den, rows = _integer_pairing_rows(self.classes)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "rows", rows)
 
     def minimum(self, coeffs: Sequence[Fraction]) -> Fraction:
-        """min M.C over the classes, for M's coefficient vector."""
-        return min(pair(coeffs, row) for row in self.rows)
+        """min M.C over the classes, for M's coefficient vector: the least
+        integer dot product with M's coefficients over their common
+        denominator, over that denominator times ``den``."""
+        d, (m,) = _integer_rows((coeffs,))
+        return Fraction(min(_dot(m, row) for row in self.rows), d * self.den)
 
 
 def cone_degrees(cone: ConeDescription, filt: DegreeFilter = DegreeFilter.ALL) -> Degrees:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .lattice import DivisorClass, hirzebruch_lattice
+from .lattice import DivisorClass, as_int, hirzebruch_lattice
 from .surface import Curve, PointSpec, SurfaceModel, TangentSpec
 
 # marked-point names used by the claim drivers
@@ -25,6 +25,8 @@ TANGENT_G = "vG"  # direction of G at POINT_FG
 
 
 def hirzebruch_model(n: int) -> SurfaceModel:
+    """The n-th model; ``n`` must be a positive ``int`` (see ``lattice.as_int``)."""
+    n = as_int(n)
     lat = hirzebruch_lattice(n)
     g = lat.basis_class("G")
     f = lat.basis_class("F")

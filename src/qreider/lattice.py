@@ -155,7 +155,9 @@ class DivisorClass:
 
 
 def hirzebruch_lattice(n: int) -> IntersectionLattice:
-    """Rank-2 lattice with basis (G, F), G*G = -n, F*F = 0, G*F = 1."""
+    """Rank-2 lattice with basis (G, F), G*G = -n, F*F = 0, G*F = 1; ``n``
+    must be a positive ``int`` (see ``as_int``)."""
+    n = as_int(n)
     if n < 1:
         raise ValueError("n must be a positive integer")
     return IntersectionLattice(("G", "F"), ((Fraction(-n), Fraction(1)), (Fraction(1), Fraction(0))))

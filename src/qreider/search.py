@@ -5,22 +5,28 @@ with coefficients affine in named rational parameters.  The search walks a
 nested dyadic schedule (the first parameter takes values 2**-k, each later
 parameter a dyadic fraction of its predecessor, honoring the intended
 "much smaller than" coupling).  Every checker input has degree at most 2 in
-the parameters, so each is compiled once: the boundary coefficients and M's
-class as integer rows over one common denominator per family, M^2 as an
-integer quadratic form, the multiplicities at the marked data as rows over
-the boundary coefficients, the search cone's nef rows composed with M's
-rows, and the goals' degree sources as pairing rows against M's class.  A
-candidate is an integer point (q, P_1, ..., P_k), parameter i at P_i / q, and
-only the schedule enforces the parameter domains.  The schedule comes in
+the parameters, so each is compiled once into an integer form in the
+candidate point: the boundary coefficients and M's class as integer rows
+over one common denominator per family (M's class as integer products of
+the positive part's rows with the curve classes), M^2 as an integer
+quadratic form, and the search cone's nef rows composed with M's rows.  A
+candidate is an integer point (q, P_1, ..., P_k), parameter i at P_i / q,
+and only the schedule enforces the parameter domains.  The schedule comes in
 levels: on a level every parameter but the innermost is fixed, and its
 candidates are (P << d, 1) for one outer point P.  The search splits each
 form into its part on P, computed once per level, and the innermost
 coefficient, so a candidate's sign tests (the boundary in [0, 1), then M's
 nef pairings) cost one shift and one add per form.  Only a candidate that
-leaves [0, 1) (for its note) or passes the nef test is built as a point;
-only for an M that is also big are M's class, the ``Fraction``s and the
-parameter values made, for each goal's checker.  No divisor is built.  The
-first candidate that every goal establishes wins.
+leaves [0, 1) (for its note) or passes the nef test is built as a point.
+At the first one whose M is also big, each goal's multiplicities (rows over
+the boundary coefficients) and degree sources (their integer pairing rows
+composed with M's rows) are compiled into integer forms too; at every such
+candidate, each goal's checker gets ``Fraction``s made only for its
+arguments: the multiplicities, M^2, the degree minima (each the least
+integer of a source's forms over one denominator) and, for a witness, the
+parameter values.  A checker's verdict alone decides; the nef values, the
+nef and big trace lines and the goal labels are made only for the first
+candidate that every goal establishes, which wins.  No divisor is built.
 
 The drivers at the bottom reproduce the two positivity claims for the
 standard ruled-surface model end to end.
@@ -29,7 +35,6 @@ standard ruled-surface model end to end.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,7 +42,7 @@ from typing import NamedTuple, Optional, Union
 
 from . import criteria
 from . import hirzebruch as hz
-from .cones import ConeDescription, Degrees, HirzebruchFamily, is_nef, pair
+from .cones import ConeDescription, Degrees, HirzebruchFamily, _dot, _integer_rows, is_nef
 from .criteria import BetaWitness, CriterionVerdict, TraceLine, check, riemann_roch_chi
 from .lattice import RationalLike, as_fraction, as_int
 from .surface import QDivisor, SurfaceModel
@@ -139,17 +144,6 @@ def _compose(row: Sequence[int], rows: Sequence[Sequence[int]]) -> tuple[int, ..
     return tuple(_dot(row, col) for col in zip(*rows))
 
 
-def _dot(xs: Sequence[int], ys: Sequence[int]) -> int:
-    return sum(map(operator.mul, xs, ys))
-
-
-def _integer_rows(rows: Sequence[Sequence[RationalLike]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """The least positive common denominator d of the rationals in ``rows``,
-    and the rows times d, as integers."""
-    d = math.lcm(*(x.denominator for row in rows for x in row))
-    return d, tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in rows)
-
-
 @dataclass(frozen=True)
 class ParamFamily:
     """A parametric decomposition target = boundary + positive part.
@@ -159,11 +153,13 @@ class ParamFamily:
     boundary lies in [0, 1).  That range is checked at each candidate, not
     symbolically.
 
-    Construction also compiles the boundary coefficients and the class of M
-    (one affine form per lattice coordinate) into integer rows over one
-    positive common denominator, and M^2 into an integer quadratic form over
-    that denominator squared times the gram matrix's own, so that a candidate
-    is decided on integers and builds no divisor.
+    Construction compiles both parts into integer rows: the sum is checked
+    on them, the boundary coefficients and the class of M (one form per
+    lattice coordinate, the integer products of the positive part's rows
+    with the curves' classes) are put over one positive common denominator,
+    and M^2 becomes an integer quadratic form over that denominator squared
+    times the gram matrix's own, so that a candidate is decided on integers
+    and builds no divisor.
     """
 
     surface: SurfaceModel
@@ -186,32 +182,42 @@ class ParamFamily:
         used = {n for coeffs in (self.boundary, self.positive) for expr in coeffs.values() for n in expr.terms}
         if not used <= declared:
             raise ValueError(f"undeclared parameters in family: {sorted(used - declared)}")
-        target = {}
-        for curve in set(self.boundary) | set(self.positive):
-            total = self.boundary.get(curve, AffineExpr()) + self.positive.get(curve, AffineExpr())
-            if not total.is_constant():
-                raise ValueError(f"boundary + positive part is not parameter-free on {curve!r}")
-            if total.const.denominator != 1:
-                raise ValueError(f"target coefficient on {curve!r} is not an integer")
-            target[curve] = total.const
-        object.__setattr__(self, "_target", self.surface.divisor(target))
-        classes = [self.surface.curves[curve].cls.coeffs for curve in self.positive]
-        m_class = tuple(
-            sum((expr * cls[i] for expr, cls in zip(self.positive.values(), classes)), AffineExpr())
-            for i in range(self.surface.lattice.rank)
-        )
         # A form const + sum(c_i p_i) becomes the integer row den * (const, c_1, ..., c_k), so
         # that at p_i = P_i / q its value is row . (q, P_1, ..., P_k) / (den * q).
-        forms = [*self.boundary.values(), *m_class]
-        den, rows = _integer_rows([(e.const, *(e.terms.get(p.name, 0) for p in self.params)) for e in forms])
+        b_den, b_rows = _integer_rows([self._row(e) for e in self.boundary.values()])
+        p_den, p_rows = _integer_rows([self._row(e) for e in self.positive.values()])
+        # L = B + M on each curve, as an integer row over b_den * p_den
+        width = len(self.params) + 1
+        zero = (0,) * width
+        b_of, p_of = dict(zip(self.boundary, b_rows)), dict(zip(self.positive, p_rows))
+        target = {}
+        for curve in set(self.boundary) | set(self.positive):
+            total = [b * p_den + p * b_den for b, p in zip(b_of.get(curve, zero), p_of.get(curve, zero))]
+            if any(total[1:]):
+                raise ValueError(f"boundary + positive part is not parameter-free on {curve!r}")
+            if total[0] % (b_den * p_den):
+                raise ValueError(f"target coefficient on {curve!r} is not an integer")
+            target[curve] = Fraction(total[0] // (b_den * p_den))
+        object.__setattr__(self, "_target", self.surface.divisor(target))
+        c_den, classes = _integer_rows([self.surface.curves[curve].cls.coeffs for curve in self.positive])
+        # M's class on lattice coordinate i is sum(class_i * positive row) over the curves, over p_den * c_den
+        m_rows = [
+            tuple(sum(cls[i] * row[j] for cls, row in zip(classes, p_rows)) for j in range(width))
+            for i in range(self.surface.lattice.rank)
+        ]
+        den = math.lcm(b_den, p_den * c_den)
         object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_boundary_rows", rows[: len(self.boundary)])
-        object.__setattr__(self, "_m_rows", rows[len(self.boundary) :])
+        object.__setattr__(self, "_boundary_rows", tuple(tuple(x * (den // b_den) for x in row) for row in b_rows))
+        object.__setattr__(self, "_m_rows", tuple(tuple(x * (den // (p_den * c_den)) for x in row) for row in m_rows))
         # M^2 = m . gram . m for m = (M's rows) . point, so its rows are (M's rows)^T gram (M's rows)
         gram_den, gram_rows = _integer_rows(self.surface.lattice.gram)
         gram_m = [_compose(row, self._m_rows) for row in gram_rows]
         object.__setattr__(self, "_gram_den", gram_den)
         object.__setattr__(self, "_square", tuple(_compose(col, gram_m) for col in zip(*self._m_rows)))
+
+    def _row(self, expr: AffineExpr) -> tuple[Fraction, ...]:
+        """(const, c_1, ..., c_k) for the form const + sum(c_i p_i)."""
+        return (expr.const, *(expr.terms.get(p.name, 0) for p in self.params))
 
     @property
     def target(self) -> QDivisor:
@@ -224,12 +230,12 @@ class ParamFamily:
 
 WitnessProvider = BetaWitness | Callable[[Mapping[str, Fraction]], BetaWitness] | None
 
-# goal kind -> checker in the criteria module
+# goal kind -> (checker in the criteria module, number of marked names, number of degree sources)
 _GOAL_KINDS = {
-    "free": "freeness_at",
-    "separate": "separation",
-    "tangent": "tangent_separation",
-    "very-ample": "very_ampleness",
+    "free": ("freeness_at", 1, 1),
+    "separate": ("separation", 2, 3),
+    "tangent": ("tangent_separation", 1, 2),
+    "very-ample": ("very_ampleness", 0, 1),
 }
 
 
@@ -247,8 +253,12 @@ class Goal:
     the marked data the checker reads: one point (free), two points
     (separate), one tangent direction (tangent) or nothing (very-ample).
     ``degrees`` gives one source per minimal degree, in the checker's
-    argument order.  The search hands the checker only candidates whose M
-    passes the search cone's nef test and has M^2 > 0.
+    argument order: one for free and very-ample, three for separate (each
+    point, then both) and two for tangent (the point, then the scheme).
+    Other counts are a ``ValueError``.  The search compiles each
+    multiplicity and each degree source into integer forms in the candidate
+    point, and hands the checker only candidates whose M passes the search
+    cone's nef test and has M^2 > 0.
     """
 
     kind: str
@@ -260,31 +270,41 @@ class Goal:
     def __post_init__(self):
         if self.kind not in _GOAL_KINDS:
             raise ValueError(f"unknown search goal {self.kind!r}")
+        _, names, sources = _GOAL_KINDS[self.kind]
+        if len(self.at) != names:
+            raise ValueError(f"search goal {self.kind!r} takes {names} marked names, not {len(self.at)}")
+        if len(self.degrees) != sources:
+            raise ValueError(f"search goal {self.kind!r} takes {sources} degree sources, not {len(self.degrees)}")
 
-    def _decider(self, surface: SurfaceModel, curves: Sequence[str], nef_texts: Sequence[str]):
-        """The verdict as a function of one candidate whose M is nef and big:
-        its boundary coefficients on ``curves``, M's class vector, M^2, the
-        pairings of the cone's nef rows, whose texts are ``nef_texts``, and the
-        parameter values.  The marked names are checked here, before any
-        candidate; each multiplicity becomes a row over those coefficients."""
-        checker = _GOAL_KINDS[self.kind]
+    def _weights(self, surface: SurfaceModel, curves: Sequence[str]) -> tuple[tuple[int, ...], ...]:
+        """Each multiplicity the checker reads, as its weights on the boundary
+        curves ``curves``; looking them up checks the marked names."""
         if self.kind == "tangent":
             spec = surface.tangent(self.at[0])
             weights = (surface.point(spec.at).mult, spec.mult_V)
         else:
             weights = tuple(surface.point(name).mult for name in self.at)
-        mult_rows = tuple(tuple((i, w(c)) for i, c in enumerate(curves) if w(c)) for w in weights)
+        return tuple(tuple(w(c) for c in curves) for w in weights)
 
-        def decide(b, m, m2, nef, values) -> CriterionVerdict:
-            ambient = [check(text, v, ">=", 0) for text, v in zip(nef_texts, nef)]
-            ambient.append(check("M^2 > 0 (big)", m2, ">", 0))
-            mus = [pair(b, row) for row in mult_rows]
-            degrees = [d.minimum(m) for d in self.degrees]
-            witness = self.witness(values) if callable(self.witness) else self.witness
+    def _decider(self, family: ParamFamily, weights: Sequence[Sequence[int]]):
+        """The checker's verdict as a function of a candidate point whose M is
+        nef and big, the scale of the family's forms there and M^2.  Each
+        multiplicity becomes an integer form (its weights composed with the
+        boundary rows), and each degree source one form per class (its integer
+        pairing row composed with M's rows), so that only the checker's
+        arguments are made as ``Fraction``s: a degree minimum is the least of
+        its forms' integers, over the scale times the source's denominator."""
+        checker = _GOAL_KINDS[self.kind][0]
+        names = [p.name for p in family.params]
+        mult_forms = [_compose(w, family._boundary_rows) for w in weights]
+        degree_forms = [(d.den, [_compose(row, family._m_rows) for row in d.rows]) for d in self.degrees]
+
+        def decide(point: tuple[int, ...], scale: int, m2: Fraction) -> CriterionVerdict:
+            mus = [Fraction(_dot(form, point), scale) for form in mult_forms]
+            degrees = [Fraction(min(_dot(form, point) for form in forms), scale * den) for den, forms in degree_forms]
+            witness = self.witness(_values(names, point)) if callable(self.witness) else self.witness
             # looked up at call time, so a wrapped checker is the one that runs
-            verdict = getattr(criteria, checker)(*mus, m2, *degrees, witness)
-            lines = _prefixed(self.label, ambient + list(verdict.trace))
-            return CriterionVerdict(verdict.established, verdict.rule, tuple(lines), verdict.witness, verdict.note)
+            return getattr(criteria, checker)(*mus, m2, *degrees, witness)
 
         return decide
 
@@ -412,10 +432,14 @@ def search_params(
     coefficient is in [0, 1) when that value is in [0, (den * P[0]) << d).
     The point is built only for a candidate that gets a note or passes the
     nef test.  One whose M fails the nef test, or has M^2 <= 0, is turned
-    down there: no goal can establish it.  Only for the others are M's class,
-    the nef pairings and the parameter values made, as ``Fraction``s, for
-    each goal's decider, compiled once before the first candidate, and the
-    first candidate that every goal establishes wins (see ``_conjunction``)."""
+    down there: no goal can establish it.  The goals' marked names are
+    checked before the first candidate; their multiplicity and degree forms
+    are compiled at the first candidate whose M is nef and big.  At every
+    such candidate each goal's checker runs, in goal order, on ``Fraction``s
+    made for its arguments alone, and its verdict alone decides.  The first
+    candidate that every goal establishes wins: only for it are the nef
+    values, the nef and big trace lines and the goal labels made, and the
+    goals' verdicts joined (see ``_conjunction``)."""
     if not (isinstance(depth, int) and not isinstance(depth, bool) and 1 <= depth <= MAX_DEPTH):
         raise ValueError(f"depth must be an integer in 1..{MAX_DEPTH}, not {depth!r}")
     if not goals:
@@ -433,24 +457,36 @@ def search_params(
         nef_scales.append(r)
         nef_forms.append(_compose(dense, family._m_rows))
     nef_texts = tuple(text for text, _ in cone.nef_rows)
-    deciders = [goal._decider(family.surface, tuple(family.boundary), nef_texts) for goal in goals]
+    weights = [goal._weights(family.surface, tuple(family.boundary)) for goal in goals]
+    deciders = None  # compiled at the first candidate whose M is nef and big
     names = [p.name for p in family.params]
 
-    def verdicts_at(point: tuple[int, ...]) -> Optional[list[CriterionVerdict]]:
-        """Each goal's verdict at a candidate whose M passes the nef test, or
-        None when M^2 <= 0: no goal can establish it."""
-        scale = family._den * point[0]  # each compiled form's value is its integer over scale
+    def established_at(point: tuple[int, ...], scale: int) -> Optional[CriterionVerdict]:
+        """The goals' conjunction at a candidate whose M passes the nef test,
+        when M^2 > 0 and every goal's checker establishes; else None.  Every
+        goal's checker runs at every such candidate with M^2 > 0."""
+        nonlocal deciders
         m2 = sum(x * _dot(row, point) for x, row in zip(point, family._square))
         if m2 <= 0:
             return None
-        candidate = (
-            [Fraction(_dot(row, point), scale) for row in family._boundary_rows],
-            [Fraction(_dot(row, point), scale) for row in family._m_rows],
-            Fraction(m2, scale * scale * family._gram_den),
-            [Fraction(_dot(row, point), scale * r) for row, r in zip(nef_forms, nef_scales)],
-            _values(names, point),
+        if deciders is None:
+            deciders = [goal._decider(family, w) for goal, w in zip(goals, weights)]
+        m2 = Fraction(m2, scale * scale * family._gram_den)
+        verdicts = [decide(point, scale, m2) for decide in deciders]
+        if not all(v.established for v in verdicts):
+            return None
+        # the nef and big lines, which hold here, lead each goal's trace under its label
+        ambient = [
+            check(text, Fraction(_dot(row, point), scale * r), ">=", 0)
+            for text, row, r in zip(nef_texts, nef_forms, nef_scales)
+        ]
+        ambient.append(check("M^2 > 0 (big)", m2, ">", 0))
+        return _conjunction(
+            [
+                CriterionVerdict(v.established, v.rule, tuple(_prefixed(goal.label, ambient + list(v.trace))), v.witness, v.note)
+                for goal, v in zip(goals, verdicts)
+            ]
         )
-        return [decide(*candidate) for decide in deciders]
 
     attempts = 0
     notes: list[str] = []
@@ -473,9 +509,9 @@ def search_params(
                         break
                 else:
                     point = (*(x << d for x in outer), inner)
-                    verdicts = verdicts_at(point)
-                    if verdicts and all(v.established for v in verdicts):
-                        return SearchReport(True, _values(names, point), _conjunction(verdicts), attempts, tuple(notes))
+                    verdict = established_at(point, scale)
+                    if verdict is not None:
+                        return SearchReport(True, _values(names, point), verdict, attempts, tuple(notes))
     return SearchReport(False, {}, None, attempts, tuple(notes))
 
 

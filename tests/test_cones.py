@@ -16,7 +16,9 @@ from qreider.cones import (
     is_nef,
     min_degree,
     nef_lines,
+    pairing_row,
 )
+from qreider.hirzebruch import hirzebruch_model
 from qreider.lattice import IntersectionLattice, hirzebruch_lattice
 
 
@@ -218,3 +220,41 @@ def test_nef_rows_pair_as_the_lattice_intersects(rng):
             ("M.F >= 0 (nef)", m.intersect(lat.basis_class("F"))),
         ]
         assert cone.g_class is cone.g_class  # built once, with the cone
+
+
+_rationals = st.builds(F, st.integers(-30, 30), st.sampled_from([1, 2, 3, 4, 6, 9, 10]))
+
+
+@st.composite
+def lattices_and_classes(draw):
+    rank = draw(st.integers(1, 4))
+    gram = [[F(0)] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i, rank):
+            gram[i][j] = gram[j][i] = draw(st.one_of(st.just(F(0)), _rationals))
+    lattice = IntersectionLattice([f"e{i}" for i in range(rank)], gram)
+    return lattice.divisor_class([draw(st.one_of(st.just(F(0)), _rationals)) for _ in range(rank)])
+
+
+@given(lattices_and_classes())
+@settings(max_examples=300, deadline=None)
+def test_pairing_row_is_the_gram_product_with_zero_entries_dropped(c):
+    """Rational grams and classes with denominators other than 1, and zeros
+    in both, so that some entries cancel or vanish."""
+    row = (sum((g * x for g, x in zip(gram_row, c.coeffs)), F(0)) for gram_row in c.lattice.gram)
+    expected = tuple((i, v) for i, v in enumerate(row) if v)
+    got = pairing_row(c)
+    assert got == expected
+    assert all(type(v) is F for _, v in got)
+
+
+@pytest.mark.parametrize("n", [True, 2.0, F(2)])
+def test_the_ruled_surface_builders_take_an_int_n(n):
+    """A bool, float or Fraction n is a TypeError, neither truncated nor read
+    deep inside the model."""
+    with pytest.raises(TypeError, match="not an integer"):
+        hirzebruch_lattice(n)
+    with pytest.raises(TypeError, match="not an integer"):
+        hirzebruch_model(n)
+    with pytest.raises(TypeError, match="not an integer"):
+        HirzebruchFamily(n, hirzebruch_lattice(1))

@@ -289,6 +289,47 @@ def test_claim_numbers_are_ints(args):
         hirzebruch_claim(*args)
 
 
+@pytest.mark.parametrize(
+    "kind, at, sources",
+    [
+        ("separate", ("pG",), 0),
+        ("separate", ("pG", "q"), 2),
+        ("free", ("pG", "q"), 2),
+        ("free", (), 1),
+        ("tangent", ("vG",), 3),
+        ("very-ample", ("pG",), 1),
+        ("very-ample", (), 2),
+    ],
+)
+def test_a_goal_takes_its_kinds_numbers_of_marked_names_and_degree_sources(kind, at, sources):
+    """free 1/1, separate 2/3, tangent 1/2 and very-ample 0/1; any other
+    count is a ValueError when the goal is made, not a TypeError from inside
+    the checker, nor a search that never calls it."""
+    cone = HirzebruchFamily(1, hirzebruch_lattice(1))
+    with pytest.raises(ValueError, match=f"search goal {kind!r} takes"):
+        Goal(kind, at, (cone_degrees(cone),) * sources)
+
+
+def test_the_claims_make_the_big_line_once_per_goal_of_the_winning_candidate():
+    """At n = 12 losing candidates reach the checkers (part 2 makes 14 checker
+    calls, part 1 six), but only the winner's goals get the nef and big lines
+    in their traces: the part 2 searches have seven goals between them, part
+    1 two."""
+
+    def counted(part):
+        names = ("freeness_at", "separation", "tangent_separation")
+        wrapped = {name: mock.Mock(wraps=getattr(criteria, name)) for name in names}
+        with mock.patch.object(TraceLine, "__init__", autospec=True, side_effect=TraceLine.__init__) as made:
+            with mock.patch.multiple(criteria, **wrapped):
+                report = hirzebruch_claim(12, part)
+        assert report.ok
+        big = sum(call.args[1].endswith(": M^2 > 0 (big)") for call in made.call_args_list)
+        return sum(checker.call_count for checker in wrapped.values()), big
+
+    assert counted(2) == (14, 7)
+    assert counted(1) == (6, 2)
+
+
 def test_claim_argument_validation():
     with pytest.raises(ValueError):
         hirzebruch_claim(0, 1)
