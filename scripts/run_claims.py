@@ -13,6 +13,7 @@ import argparse
 import sys
 from fractions import Fraction
 
+from qreider.cli import integer
 from qreider.search import DEFAULT_DEPTH, MAX_DEPTH, hirzebruch_claim
 
 
@@ -22,8 +23,8 @@ def fmt(q: Fraction) -> str:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-n", type=int, default=10)
-    parser.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
+    parser.add_argument("--max-n", type=integer, default=10)
+    parser.add_argument("--depth", type=integer, default=DEFAULT_DEPTH)
     args = parser.parse_args()
     if args.max_n < 1:
         parser.error(f"--max-n must be at least 1, not {args.max_n}")

@@ -20,6 +20,8 @@ def main() -> None:
     parser.add_argument("--stop", type=Fraction, default=Fraction(346, 100))
     parser.add_argument("--step", type=Fraction, default=Fraction(1, 100))
     args = parser.parse_args()
+    if args.step <= 0:
+        parser.error(f"--step must be positive, not {args.step}")
 
     deg = args.start
     print(f"M^2 = {args.m2}; threshold sits strictly between 341/100 and 342/100")

@@ -13,19 +13,16 @@ from .cones import (
     FiniteGenerators,
     HirzebruchFamily,
     NotNefError,
-    is_big,
     is_nef,
     min_degree,
 )
 from .criteria import (
     BetaWitness,
     CriterionVerdict,
-    CurveAdjoint,
     DomainError,
     LocalConfig,
     LocalCurveData,
     ThresholdResult,
-    curve_adjoint_check,
     freeness_at,
     freeness_witness,
     jet_separation,

@@ -1,18 +1,18 @@
-"""Nefness, bigness, and minimal curve degrees over declared curve families.
+"""Nefness and minimal curve degrees over declared curve families.
 
 A cone description is either a finite list of generator classes (trusted to
 exhaust the degrees of irreducible curves; correctness of that declaration is
 the caller's responsibility) or the builtin family of curve classes on the
 rank-2 (G, F) lattice with G*G = -n, F*F = 0, G*F = 1, whose irreducible
-classes are G, the F-class, and a*G + b*F with a >= 1, b >= n*a.  Each cone
-builds its nef test once, as pairing rows, so that testing a class is one dot
-product per row.  Pairings are computed on integers: ``_integer_pairing_rows``
-puts the gram matrix and a set of classes over common denominators and takes
-integer dot products, and ``pairing_row`` makes a ``Fraction`` only for each
-non-zero entry.  A ``Degrees`` source keeps its classes as one set of integer
-pairing rows over one positive denominator; ``Degrees.minimum`` and the
-parameter search both read them, so a minimal degree is the least integer dot
-product over that denominator.
+classes are G, the F-class, and a*G + b*F with a >= 1, b >= n*a.  Every
+pairing is read from one representation: a ``Degrees`` keeps a set of
+classes as integer pairing rows over one positive denominator
+(``_integer_pairings`` puts the gram matrix and the classes over common
+denominators and takes integer dot products), so that M.C is an integer dot
+product with M's coefficients over that denominator.  Each cone builds its
+nef test once, as a ``Degrees`` over its nef classes with the trace text of
+each row alongside; the nef test, ``Degrees.minimum`` and the parameter
+search all read such rows.
 """
 
 from __future__ import annotations
@@ -28,13 +28,6 @@ from .criteria import TraceLine, check
 from .lattice import DivisorClass, IntersectionLattice, as_int
 
 
-# A pairing row is gram . C, with its zero entries dropped as (index, value)
-# pairs, so that m.C is a dot product with m's coefficients.  A nef test is
-# (trace text, pairing row).
-PairingRow = tuple[tuple[int, Fraction], ...]
-NefRow = tuple[str, PairingRow]
-
-
 def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """The least positive common denominator d of the rationals in ``rows``,
     and the rows times d, as integers."""
@@ -48,7 +41,7 @@ def _dot(xs: Sequence[int], ys: Sequence[int]) -> int:
     return sum(map(operator.mul, xs, ys))
 
 
-def _integer_pairing_rows(classes: Sequence[DivisorClass]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+def _integer_pairings(classes: Sequence[DivisorClass]) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """A positive common denominator d and, for each class C, the dense row
     d * (gram . C) as integers, with the gram matrix of C's lattice: integer
     dot products of the gram rows and C's coefficients, each put over its
@@ -61,22 +54,6 @@ def _integer_pairing_rows(classes: Sequence[DivisorClass]) -> tuple[int, tuple[t
         den, gram = grams[c.lattice]
         rows.append(tuple([_dot(g, x) * (gram_den // den) for g in gram]))
     return gram_den * class_den, tuple(rows)
-
-
-def pairing_row(c: DivisorClass) -> PairingRow:
-    """gram . C with its zero entries dropped, each entry one ``Fraction`` of
-    an integer dot product over a common denominator."""
-    den, (row,) = _integer_pairing_rows((c,))
-    return tuple((i, Fraction(v, den)) for i, v in enumerate(row) if v)
-
-
-def pair(coeffs: Sequence[Fraction], row) -> Fraction:
-    """m.C for m's coefficient vector and C's ``pairing_row``."""
-    total = Fraction(0)
-    for i, v in row:
-        product = coeffs[i] * v
-        total = total + product if total else product  # a sum with zero is skipped
-    return total
 
 
 class NotNefError(ValueError):
@@ -118,7 +95,9 @@ class ConeGenerator:
 @dataclass(frozen=True)
 class FiniteGenerators:
     generators: tuple[ConeGenerator, ...]
-    nef_rows: tuple[NefRow, ...] = field(init=False, repr=False, compare=False)
+    # the nef test: M.C >= 0 on every generator, with one trace text per row
+    nef: Degrees = field(init=False, repr=False, compare=False)
+    nef_texts: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gens = tuple(self.generators)
@@ -128,8 +107,8 @@ class FiniteGenerators:
         if any(g.cls.lattice is not lat for g in gens):
             raise ValueError("all generators must live on one lattice")
         object.__setattr__(self, "generators", gens)
-        rows = tuple((f"M.C_{i} >= 0 (nef)", pairing_row(g.cls)) for i, g in enumerate(gens))
-        object.__setattr__(self, "nef_rows", rows)
+        object.__setattr__(self, "nef", Degrees("nef test", tuple(g.cls for g in gens)))
+        object.__setattr__(self, "nef_texts", tuple(f"M.C_{i} >= 0 (nef)" for i in range(len(gens))))
 
     @property
     def lattice(self) -> IntersectionLattice:
@@ -150,7 +129,8 @@ class HirzebruchFamily:
     lattice: IntersectionLattice
     g_class: DivisorClass = field(init=False, repr=False, compare=False)
     f_class: DivisorClass = field(init=False, repr=False, compare=False)
-    nef_rows: tuple[NefRow, ...] = field(init=False, repr=False, compare=False)
+    nef: Degrees = field(init=False, repr=False, compare=False)
+    nef_texts: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         as_int(self.n)  # a bool, float or Fraction is a TypeError, not a truncated n
@@ -166,8 +146,8 @@ class HirzebruchFamily:
         object.__setattr__(self, "g_class", g_class)
         object.__setattr__(self, "f_class", f_class)
         # m.(aG+bF) = a*(m.G) + b*(m.F) >= a*(m.G + n*m.F) >= 0 once both signs check out
-        rows = (("M.G >= 0 (nef)", pairing_row(g_class)), ("M.F >= 0 (nef)", pairing_row(f_class)))
-        object.__setattr__(self, "nef_rows", rows)
+        object.__setattr__(self, "nef", Degrees("nef test", (g_class, f_class)))
+        object.__setattr__(self, "nef_texts", ("M.G >= 0 (nef)", "M.F >= 0 (nef)"))
 
     def family_corner(self) -> DivisorClass:
         """G + n*F, the minimizing member of the a >= 1, b >= n*a family."""
@@ -185,25 +165,23 @@ def _require_lattice(m: DivisorClass, cone: ConeDescription) -> None:
 def nef_lines(m: DivisorClass, cone: ConeDescription) -> list[TraceLine]:
     """One ``M.C >= 0 (nef)`` line per row of the cone's nef test."""
     _require_lattice(m, cone)
-    return [check(text, pair(m.coeffs, row), ">=", 0) for text, row in cone.nef_rows]
+    d, (x,) = _integer_rows((m.coeffs,))
+    den = d * cone.nef.den
+    return [check(text, Fraction(_dot(x, row), den), ">=", 0) for text, row in zip(cone.nef_texts, cone.nef.rows)]
 
 
 def is_nef(m: DivisorClass, cone: ConeDescription) -> bool:
     """True iff the class meets every declared curve class non-negatively."""
-    return all(line.holds for line in nef_lines(m, cone))
-
-
-def is_big(m: DivisorClass, cone: ConeDescription) -> bool:
-    """Certify bigness for nef classes only: nef together with positive square."""
-    return is_nef(m, cone) and m.self_intersection() > 0
+    _require_lattice(m, cone)
+    return cone.nef.minimum(m.coeffs) >= 0
 
 
 @dataclass(frozen=True)
 class Degrees:
-    """A declared family of candidate curve classes for a degree minimum.
+    """A declared family of curve classes, for a degree minimum or a nef test.
 
     The classes are kept as one set of integer pairing rows over one positive
-    denominator ``den`` (``_integer_pairing_rows``), so that M.C is a dot
+    denominator ``den`` (``_integer_pairings``), so that M.C is a dot
     product with M's coefficient vector over ``den``, and M's minimal degree
     is the least such integer.  The parameter search composes the same rows
     with its compiled class of M.
@@ -218,7 +196,7 @@ class Degrees:
         object.__setattr__(self, "classes", tuple(self.classes))
         if not self.classes:
             raise ValueError("degree family needs at least one class")
-        den, rows = _integer_pairing_rows(self.classes)
+        den, rows = _integer_pairings(self.classes)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "rows", rows)
 

@@ -131,23 +131,7 @@ def _verdict(rule: str, lines: Iterable[TraceLine], witness: Optional[BetaWitnes
 
 
 # ---------------------------------------------------------------------------
-# curve-level criterion and jets
-
-
-class CurveAdjoint(str, Enum):
-    NONE = "none"
-    BASE_POINT_FREE = "base-point-free"
-    VERY_AMPLE = "very-ample"
-
-
-def curve_adjoint_check(deg: RationalLike) -> CurveAdjoint:
-    """Positivity of the adjoint of a divisor of the given degree on a curve."""
-    d = as_fraction(deg)
-    if d >= 3:
-        return CurveAdjoint.VERY_AMPLE
-    if d >= 2:
-        return CurveAdjoint.BASE_POINT_FREE
-    return CurveAdjoint.NONE
+# jets
 
 
 def jet_separation(mu: RationalLike, s: int) -> CriterionVerdict:

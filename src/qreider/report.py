@@ -205,9 +205,14 @@ def _run_chi(doc: Document, q: QueryDecl, result: QueryResult) -> None:
 
 
 def _decomposition(doc: Document, q: QueryDecl):
-    """The boundary B=, the class of the positive part M=, and M^2."""
+    """The boundary B=, the class of the positive part M=, and M^2, for a boundary B with B + M integral."""
     boundary = _divisor(doc, q, "B")
-    m_cls = _divisor(doc, q, "M").divisor_class()
+    positive = _divisor(doc, q, "M")
+    if not boundary.is_boundary():
+        raise QueryError("B= is not a boundary: its coefficients must lie in [0, 1)")
+    if not (boundary + positive).is_integral():
+        raise QueryError("B + M is not integral")
+    m_cls = positive.divisor_class()
     return boundary, m_cls, m_cls.self_intersection()
 
 
@@ -224,6 +229,8 @@ def _run_check_free(doc: Document, q: QueryDecl, result: QueryResult) -> None:
 def _run_check_separate(doc: Document, q: QueryDecl, result: QueryResult) -> None:
     _need_model(doc)
     p, qq = _require(q, "p"), _require(q, "q")
+    if p == qq:
+        raise QueryError(f"p= and q= name the same point {p!r}; separation needs two points")
     boundary, m_cls, m2 = _decomposition(doc, q)
     mu_p, mu_q = boundary.ord_at(p), boundary.ord_at(qq)
     deg_p = _mindeg(doc, m_cls, DegreeFilter.ALL, _rational_arg(q, "mindeg_p"))

@@ -135,9 +135,6 @@ class Param:
         if self.lo >= self.hi:
             raise ValueError(f"parameter domain ({self.lo}, {self.hi}) is empty")
 
-    def contains(self, value: Fraction) -> bool:
-        return self.lo < value < self.hi
-
 
 def _compose(row: Sequence[int], rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """The combination sum(row[i] * rows[i]) of equal-length integer rows."""
@@ -255,10 +252,11 @@ class Goal:
     ``degrees`` gives one source per minimal degree, in the checker's
     argument order: one for free and very-ample, three for separate (each
     point, then both) and two for tangent (the point, then the scheme).
-    Other counts are a ``ValueError``.  The search compiles each
-    multiplicity and each degree source into integer forms in the candidate
-    point, and hands the checker only candidates whose M passes the search
-    cone's nef test and has M^2 > 0.
+    Other counts, or one point named twice for separate, are a
+    ``ValueError``.  The search compiles each multiplicity and each degree
+    source into integer forms in the candidate point, and hands the checker
+    only candidates whose M passes the search cone's nef test and has
+    M^2 > 0.
     """
 
     kind: str
@@ -275,6 +273,8 @@ class Goal:
             raise ValueError(f"search goal {self.kind!r} takes {names} marked names, not {len(self.at)}")
         if len(self.degrees) != sources:
             raise ValueError(f"search goal {self.kind!r} takes {sources} degree sources, not {len(self.degrees)}")
+        if self.kind == "separate" and self.at[0] == self.at[1]:
+            raise ValueError(f"search goal 'separate' needs two different points, not {self.at[0]!r} twice")
 
     def _weights(self, surface: SurfaceModel, curves: Sequence[str]) -> tuple[tuple[int, ...], ...]:
         """Each multiplicity the checker reads, as its weights on the boundary
@@ -370,7 +370,15 @@ def _exponents(param: Param, stop: int) -> range:
 
 
 def dyadic_levels(params: Sequence[Param], depth: int):
-    """The points of ``dyadic_schedule``, one ``Level`` at a time, in order.
+    """Nested dyadic parameter candidates, outermost parameter first, one
+    ``Level`` at a time, in order.  A candidate is the integer point
+    (q, P_1, ..., P_k) at which parameter i is P_i / q.
+
+    The first parameter runs through 2**-k for k = 2..depth; each later
+    parameter through (previous parameter's value) * 2**-j for j = 1..depth,
+    and q is 2**e for the innermost value 2**-e.  Candidates outside a
+    parameter's open domain are dropped, by integer shift tests on the ends
+    of each domain; nothing downstream tests a domain again.
 
     A level's outer point is (q', P_1, ..., P_{k-1}) with q' = 2**e' for the
     value 2**-e' of the parameter before the innermost, or (1,) for one
@@ -395,23 +403,6 @@ def dyadic_levels(params: Sequence[Param], depth: int):
             yield from rec(i + 1, (*[x << (e - prev) for x in point], 1), e)
 
     yield from rec(0, (1,), 0)
-
-
-def dyadic_schedule(params: Sequence[Param], depth: int):
-    """Nested dyadic parameter candidates, outermost parameter first, each as
-    the integer point (q, P_1, ..., P_k) at which parameter i is P_i / q.
-
-    The first parameter runs through 2**-k for k = 2..depth; each
-    later parameter through (previous parameter's value) * 2**-j for
-    j = 1..depth, and q is 2**e for the innermost value 2**-e.  Candidates
-    outside a parameter's open domain are dropped, by integer shift tests on
-    the ends of each domain; nothing downstream tests a domain again.  This is
-    the one definition of the schedule's points: those of ``dyadic_levels``,
-    level by level.
-    """
-    for outer, inner, shifts in dyadic_levels(params, depth):
-        for d in shifts:
-            yield (*(x << d for x in outer), inner)
 
 
 def search_params(
@@ -449,14 +440,8 @@ def search_params(
         raise ValueError("the cone does not live on the family's lattice")
     if any(c.lattice is not lattice for goal in goals for d in goal.degrees for c in d.classes):
         raise ValueError("a goal's degree classes do not live on the family's lattice")
-    # each nef row, dense, times a positive integer r, which keeps the sign of every pairing,
-    # and composed with M's rows, so that its pairing with M is a form in the point
-    nef_scales, nef_forms = [], []
-    for _, row in cone.nef_rows:
-        r, (dense,) = _integer_rows([[dict(row).get(i, 0) for i in range(lattice.rank)]])
-        nef_scales.append(r)
-        nef_forms.append(_compose(dense, family._m_rows))
-    nef_texts = tuple(text for text, _ in cone.nef_rows)
+    # the cone's nef rows composed with M's rows: each pairing with M is a form in the point
+    nef_forms = [_compose(row, family._m_rows) for row in cone.nef.rows]
     weights = [goal._weights(family.surface, tuple(family.boundary)) for goal in goals]
     deciders = None  # compiled at the first candidate whose M is nef and big
     names = [p.name for p in family.params]
@@ -476,10 +461,8 @@ def search_params(
         if not all(v.established for v in verdicts):
             return None
         # the nef and big lines, which hold here, lead each goal's trace under its label
-        ambient = [
-            check(text, Fraction(_dot(row, point), scale * r), ">=", 0)
-            for text, row, r in zip(nef_texts, nef_forms, nef_scales)
-        ]
+        den = scale * cone.nef.den
+        ambient = [check(text, Fraction(_dot(row, point), den), ">=", 0) for text, row in zip(cone.nef_texts, nef_forms)]
         ambient.append(check("M^2 > 0 (big)", m2, ">", 0))
         return _conjunction(
             [

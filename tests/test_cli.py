@@ -56,13 +56,42 @@ def test_claim_sweep_script_exits_one_when_a_claim_fails(args, status):
     assert (" NO " in proc.stdout) == bool(status)
 
 
-@pytest.mark.parametrize("args", [("--depth", "0"), ("--depth", "-3"), ("--depth", "65"), ("--max-n", "0")])
-def test_claim_sweep_script_rejects_out_of_range_arguments(args):
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("--depth", "0"), "--depth must be in 1..64, not 0"),
+        (("--depth", "-3"), "--depth must be in 1..64, not -3"),
+        (("--depth", "65"), "--depth must be in 1..64, not 65"),
+        (("--max-n", "0"), "--max-n must be at least 1, not 0"),
+        # integers are read as by ``qreider hirzebruch --n``: int() would run n = 1..11 for 1_1
+        (("--max-n", "1_1"), "argument --max-n: invalid integer value: '1_1'"),
+        (("--max-n", "\u0663"), "argument --max-n: invalid integer value: '\u0663'"),
+        (("--depth", "2_4"), "argument --depth: invalid integer value: '2_4'"),
+        (("--depth", "+8"), "argument --depth: invalid integer value: '+8'"),
+    ],
+)
+def test_claim_sweep_script_rejects_out_of_range_arguments(args, message):
     proc = run_claims(*args)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "usage: run_claims.py" in proc.stderr
-    assert f"error: {args[0]} must be" in proc.stderr
+    assert f"error: {message}" in proc.stderr
+
+
+@pytest.mark.parametrize("step", ["0", "-1/100", "0/7"])
+def test_threshold_scan_rejects_a_step_that_is_not_positive(step):
+    """A step <= 0 never reaches --stop; it is a usage error, not an endless loop."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "threshold_scan.py"), f"--step={step}"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=CHILD_ENV,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "usage: threshold_scan.py" in proc.stderr
+    assert f"error: --step must be positive, not {F(step)}" in proc.stderr
 
 
 def test_version_flag():
@@ -246,6 +275,45 @@ def test_check_separate_query():
     assert defaulted.status in ("established", "not-established")
     assert overridden.values["mindeg_pq"] == F(7, 2)
     assert overridden.status == "established"
+
+
+# p has multiplicity 2 on G and on F, so B gives it mu = 18/5, enough for the
+# high-multiplicity rules: p named twice would be "separated" from itself
+TWO_POINT_DOCUMENT = """gram = [[-1, 1], [1, 0]]; K = -2G - 3F; chi_O = 1
+curves
+G = G
+F = F
+cone
+hirzebruch = 1
+points
+p = G:2 F:2
+q = F:1
+tangents
+v = p G:1:z
+divisors
+L = 3G + 12F
+B = 9/10 G + 9/10 F
+M = L - B
+queries
+"""
+
+
+@pytest.mark.parametrize(
+    "query, message",
+    [
+        ("check-free point=p B=5 G M=M", "B= is not a boundary: its coefficients must lie in [0, 1)"),
+        ("check-free point=p B=-1/2 G M=7/2 G + 12F", "B= is not a boundary: its coefficients must lie in [0, 1)"),
+        ("check-separate p=p q=q B=G M=2G + 12F", "B= is not a boundary: its coefficients must lie in [0, 1)"),
+        ("check-tangent tangent=v B=1/3 G M=M", "B + M is not integral"),
+        ("check-free point=p B=B M=M + 1/2 F", "B + M is not integral"),
+        ("check-separate p=p q=p B=B M=M", "p= and q= name the same point 'p'; separation needs two points"),
+        ("search goal=separate p=p q=p B=B M=M", "search goal 'separate' needs two different points, not 'p' twice"),
+    ],
+    ids=["free-coefficient-5", "free-negative", "separate-coefficient-1", "tangent-sum", "free-sum", "check-same-point", "search-same-point"],
+)
+def test_check_queries_need_a_boundary_with_integral_sum_and_two_points(query, message):
+    (result,) = run_document(parse(TWO_POINT_DOCUMENT + query + "\n")).results
+    assert (result.status, result.error) == ("error", message)
 
 
 @pytest.mark.parametrize(

@@ -8,15 +8,14 @@ from conftest import grid_is_nef, grid_min_degree, random_class, random_lattice,
 from qreider.cones import (
     ConeGenerator,
     DegreeFilter,
+    Degrees,
     FiniteGenerators,
     HirzebruchFamily,
     NotNefError,
     cone_degrees,
-    is_big,
     is_nef,
     min_degree,
     nef_lines,
-    pairing_row,
 )
 from qreider.hirzebruch import hirzebruch_model
 from qreider.lattice import IntersectionLattice, hirzebruch_lattice
@@ -25,6 +24,11 @@ from qreider.lattice import IntersectionLattice, hirzebruch_lattice
 def family(n):
     lat = hirzebruch_lattice(n)
     return lat, HirzebruchFamily(n, lat)
+
+
+def is_big(m, cone):
+    """Bigness as the search certifies it: nef together with positive square."""
+    return is_nef(m, cone) and m.self_intersection() > 0
 
 
 def test_adjoint_difference_not_nef_for_steep_models():
@@ -238,14 +242,43 @@ def lattices_and_classes(draw):
 
 @given(lattices_and_classes())
 @settings(max_examples=300, deadline=None)
-def test_pairing_row_is_the_gram_product_with_zero_entries_dropped(c):
+def test_degrees_rows_over_den_are_the_gram_product(c):
     """Rational grams and classes with denominators other than 1, and zeros
     in both, so that some entries cancel or vanish."""
-    row = (sum((g * x for g, x in zip(gram_row, c.coeffs)), F(0)) for gram_row in c.lattice.gram)
-    expected = tuple((i, v) for i, v in enumerate(row) if v)
-    got = pairing_row(c)
-    assert got == expected
-    assert all(type(v) is F for _, v in got)
+    expected = [sum((g * x for g, x in zip(gram_row, c.coeffs)), F(0)) for gram_row in c.lattice.gram]
+    degrees = Degrees("c", (c,))
+    (row,) = degrees.rows
+    assert [F(v, degrees.den) for v in row] == expected
+    assert degrees.den > 0 and all(type(v) is int for v in row)
+
+
+@st.composite
+def cones_and_classes(draw):
+    """A class M and a cone on M's lattice: finite generators drawn like M on
+    a random rational lattice, or the builtin family with M's coefficients
+    drawn near its nef boundary y = n * x."""
+    if draw(st.booleans()):
+        m = draw(lattices_and_classes())
+        coeff = st.one_of(st.just(F(0)), _rationals)
+        gens = [[draw(coeff) for _ in range(m.lattice.rank)] for _ in range(draw(st.integers(1, 4)))]
+        return m, FiniteGenerators(tuple(ConeGenerator(m.lattice.divisor_class(g)) for g in gens))
+    n = draw(st.integers(1, 6))
+    lat, cone = family(n)
+    x = draw(st.one_of(st.just(F(0)), _rationals))
+    y = n * x + draw(st.one_of(st.just(F(0)), st.builds(F, st.integers(-3, 3), st.sampled_from([1, 2, 3]))))
+    return lat.divisor_class((x, y)), cone
+
+
+@given(cones_and_classes())
+@settings(max_examples=300, deadline=None)
+def test_is_nef_is_the_conjunction_of_the_nef_lines(case):
+    """Both read the cone's one set of nef rows: the test and its trace agree,
+    and each line's value is the lattice's intersection number."""
+    m, cone = case
+    lines = nef_lines(m, cone)
+    assert is_nef(m, cone) == all(line.holds for line in lines)
+    classes = cone.nef.classes
+    assert [line.lhs for line in lines] == [m.intersect(c) for c in classes]
 
 
 @pytest.mark.parametrize("n", [True, 2.0, F(2)])

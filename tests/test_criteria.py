@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 
 from qreider.criteria import (
     BetaWitness,
-    CurveAdjoint,
     DomainError,
     LocalConfig,
     LocalCurveData,
     PLCContextWarning,
     ThresholdResult,
-    curve_adjoint_check,
     freeness_at,
     freeness_witness,
     jet_separation,
@@ -36,16 +34,7 @@ small_pos = st.fractions(min_value="1/8", max_value=8, max_denominator=12)
 
 
 # ---------------------------------------------------------------------------
-# curve criterion and jets
-
-
-@pytest.mark.parametrize(
-    "deg,expected",
-    [(3, CurveAdjoint.VERY_AMPLE), (2, CurveAdjoint.BASE_POINT_FREE), (1, CurveAdjoint.NONE),
-     (F(7, 2), CurveAdjoint.VERY_AMPLE), (F(5, 2), CurveAdjoint.BASE_POINT_FREE)],
-)
-def test_curve_adjoint_check(deg, expected):
-    assert curve_adjoint_check(deg) == expected
+# jets
 
 
 def test_jet_separation_freeness_threshold():

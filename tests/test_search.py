@@ -21,7 +21,6 @@ from qreider.search import (
     Param,
     ParamFamily,
     SearchReport,
-    dyadic_schedule,
     hirzebruch_claim,
     search_params,
 )
@@ -77,7 +76,7 @@ def test_family_rejects_non_integral_target():
 
 def as_points(params, schedule):
     """Each dict of parameter values in ``schedule`` as the integer point
-    (q, P_1, ..., P_k) that ``dyadic_schedule`` yields, parameter i at P_i / q,
+    (q, P_1, ..., P_k) that ``schedule_points`` yields, parameter i at P_i / q,
     with q the lcm of the values' denominators."""
     points = []
     for values in schedule:
@@ -87,6 +86,15 @@ def as_points(params, schedule):
     return points
 
 
+def schedule_points(params, depth):
+    """The schedule's candidate points in order: the flattening of the levels
+    that ``search.dyadic_levels`` yields, read at call time so that
+    ``scheduled`` can replace them."""
+    for outer, inner, shifts in search.dyadic_levels(params, depth):
+        for d in shifts:
+            yield (*(x << d for x in outer), inner)
+
+
 def values_at(params, point):
     """The parameter values at an integer point of the schedule."""
     return {p.name: F(x, point[0]) for p, x in zip(params, point[1:])}
@@ -94,7 +102,7 @@ def values_at(params, point):
 
 @contextlib.contextmanager
 def scheduled(params, schedule):
-    """The schedule's levels, which the search walks and ``dyadic_schedule``
+    """The schedule's levels, which the search walks and ``schedule_points``
     reads, are one per value dict in ``schedule``: its point, with the
     innermost coordinate carried by the level and a shift of 0.  The block
     must walk them."""
@@ -132,7 +140,7 @@ def test_family_invariants_are_checked_before_the_checker_runs():
 
 def test_dyadic_schedule_is_nested_and_in_domain():
     params = (Param("a"), Param("b"))
-    points = list(dyadic_schedule(params, depth=4))
+    points = list(schedule_points(params, depth=4))
     assert points  # non-empty
     for point in points:
         values = values_at(params, point)
@@ -158,10 +166,10 @@ def test_dyadic_schedule_keeps_exactly_the_values_in_each_domain(domains, depth)
             return
         for e in range(2 if i == 0 else 1, depth + 1):
             value = prev / 2**e
-            if params[i].contains(value):
+            if params[i].lo < value < params[i].hi:
                 yield from ({params[i].name: value, **rest} for rest in expected(i + 1, value))
 
-    assert list(dyadic_schedule(params, depth)) == as_points(params, expected(0, F(1)))
+    assert list(schedule_points(params, depth)) == as_points(params, expected(0, F(1)))
 
 
 def test_freeness_search_succeeds_early_with_the_stated_witness():
@@ -308,6 +316,15 @@ def test_a_goal_takes_its_kinds_numbers_of_marked_names_and_degree_sources(kind,
     cone = HirzebruchFamily(1, hirzebruch_lattice(1))
     with pytest.raises(ValueError, match=f"search goal {kind!r} takes"):
         Goal(kind, at, (cone_degrees(cone),) * sources)
+
+
+def test_a_separate_goal_needs_two_different_points():
+    """A point is not separated from itself; the same name twice is a
+    ValueError when the goal is made, and two names are accepted."""
+    degrees = (cone_degrees(HirzebruchFamily(1, hirzebruch_lattice(1))),) * 3
+    with pytest.raises(ValueError, match="search goal 'separate' needs two different points, not 'pG' twice"):
+        Goal("separate", ("pG", "pG"), degrees)
+    assert Goal("separate", ("pG", "q"), degrees).at == ("pG", "q")
 
 
 def test_the_claims_make_the_big_line_once_per_goal_of_the_winning_candidate():
@@ -580,7 +597,7 @@ def reference_search(family, cone, goals, depth):
     parameter values, built and evaluated from its divisors."""
     attempts = 0
     notes = []
-    for point in dyadic_schedule(family.params, depth):
+    for point in schedule_points(family.params, depth):
         attempts += 1
         values = values_at(family.params, point)
         try:
