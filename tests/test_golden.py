@@ -1,4 +1,5 @@
-"""Byte-for-byte golden output of five reports, as text and as JSON.
+"""Byte-for-byte golden output of five reports, as text and as JSON, and of
+the console's two n = 12 claims.
 
 The JSON comparison drops ``elapsed_ms``, the only field that varies from
 run to run.  The expected files live in ``tests/golden/``.
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from qreider.cli import main
 from qreider.document import parse
 from qreider.report import render_text, report_to_json, run_document
 
@@ -83,3 +85,9 @@ def test_golden_text_and_json(name):
     text, payload = render_case(name)
     assert text == (GOLDEN_DIR / f"{name}.txt").read_text()
     assert payload == (GOLDEN_DIR / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("part", [1, 2])
+def test_the_console_claim_matches_its_golden(part, capsys):
+    assert main(["hirzebruch", "--n", "12", "--part", str(part)]) == 0
+    assert capsys.readouterr().out == (GOLDEN_DIR / f"hirzebruch_n12_part{part}_cli.txt").read_text()
