@@ -4,21 +4,23 @@
 Walks rational degree values in small exact steps across 2 + sqrt(2) and
 prints the verdict together with the emitted rational witness.  The flip
 between consecutive rationals shows the decision is exact, not a float
-comparison.
+comparison.  Each flag takes an exact rational, ``p/q`` or an integer, as
+in a ``.surf`` document; anything else is a usage error (exit status 2).
 """
 
 import argparse
 from fractions import Fraction
 
+from qreider.cli import rational
 from qreider.criteria import threshold_very_ampleness
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--m2", type=Fraction, default=Fraction(12))
-    parser.add_argument("--start", type=Fraction, default=Fraction(338, 100))
-    parser.add_argument("--stop", type=Fraction, default=Fraction(346, 100))
-    parser.add_argument("--step", type=Fraction, default=Fraction(1, 100))
+    parser.add_argument("--m2", type=rational, default=Fraction(12))
+    parser.add_argument("--start", type=rational, default=Fraction(338, 100))
+    parser.add_argument("--stop", type=rational, default=Fraction(346, 100))
+    parser.add_argument("--step", type=rational, default=Fraction(1, 100))
     args = parser.parse_args()
     if args.step <= 0:
         parser.error(f"--step must be positive, not {args.step}")

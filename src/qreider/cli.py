@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .document import Document, ParseError, QueryDecl, _integer, parse
+from .document import Document, ParseError, QueryDecl, _integer, _number, parse
 from .report import render_text, report_to_json, run_document
 from .search import DEFAULT_DEPTH
 
@@ -26,6 +27,13 @@ def integer(text: str) -> int:
     """A flag's value as a .surf integer literal; argparse names this
     function in its usage error ("invalid integer value: '1_0'")."""
     return _integer(text, "{!r} is not an integer", None, None)
+
+
+def rational(text: str) -> Fraction:
+    """A flag's value as a .surf rational literal, ``[sign]p/q`` or an
+    integer; argparse names this function in its usage error ("invalid
+    rational value: '3.4'")."""
+    return Fraction(_number(text, None))
 
 
 def _build_parser() -> argparse.ArgumentParser:

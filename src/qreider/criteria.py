@@ -5,6 +5,17 @@ inequalities that were evaluated.  Verdicts are one-sided: ``established``
 certifies the property through one of the implemented sufficient rules, while
 ``not-established`` only means no implemented rule fired on the given data.
 
+Each of the four degree-bound checkers (``freeness_at``, ``separation``,
+``tangent_separation``, ``very_ampleness``) is written once, as a rule
+(``freeness_rule``, ``separation_rule``, ``tangent_rule``,
+``very_ample_rule``) that checks its inputs, picks its branch (high
+multiplicity, a given, searched or missing witness) and returns an
+:class:`Evaluation`: its conditions ``(text, lhs, rel, rhs, holds)`` in trace
+order, each computed only when it is read.  A checker reads them all
+(:func:`explain`); the parameter search reads them only up to the first that
+fails (:func:`holding`), and turns them into trace lines only at the
+candidate that wins.
+
 Every witness is verified exactly.  The freeness and very-ample searches are
 complete: they prefer a dyadic rational (denominator ``2**k``) and fall back to
 the exact corner of the feasible region, so they find a witness whenever the
@@ -20,8 +31,9 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from math import isqrt
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .lattice import DivisorClass, RationalLike, as_fraction, as_int
 
@@ -74,13 +86,13 @@ class BetaWitness:
     beta1_roles: tuple[str, ...] = ()
 
     def __post_init__(self):
-        b2 = tuple(as_fraction(x) for x in self.beta2)
-        b1 = tuple(as_fraction(x) for x in self.beta1)
+        b2 = tuple(map(as_fraction, self.beta2))
+        b1 = tuple(map(as_fraction, self.beta1))
         r2 = tuple(self.beta2_roles) or ("global",) * len(b2)
         r1 = tuple(self.beta1_roles) or ("global",) * len(b1)
         if len(r2) != len(b2) or len(r1) != len(b1):
             raise ValueError("witness role labels must match the value counts")
-        if any(x <= 0 for x in b2 + b1):
+        if any(x.numerator <= 0 for x in b2 + b1):  # a Fraction's sign is its numerator's
             raise ValueError("witness values must be positive")
         object.__setattr__(self, "beta2", b2)
         object.__setattr__(self, "beta1", b1)
@@ -89,7 +101,7 @@ class BetaWitness:
 
     @classmethod
     def single(cls, beta2: RationalLike, beta1: RationalLike, role: str = "global") -> "BetaWitness":
-        return cls((as_fraction(beta2),), (as_fraction(beta1),), (role,), (role,))
+        return cls((beta2,), (beta1,), (role,), (role,))
 
     @classmethod
     def pair(
@@ -100,12 +112,7 @@ class BetaWitness:
         beta1_second: RationalLike,
         roles: tuple[str, str] = ("at-p", "at-q"),
     ) -> "BetaWitness":
-        return cls(
-            (as_fraction(beta2_first), as_fraction(beta2_second)),
-            (as_fraction(beta1_first), as_fraction(beta1_second)),
-            roles,
-            roles,
-        )
+        return cls((beta2_first, beta2_second), (beta1_first, beta1_second), roles, roles)
 
 
 @dataclass(frozen=True)
@@ -128,6 +135,62 @@ class CriterionVerdict:
 def _verdict(rule: str, lines: Iterable[TraceLine], witness: Optional[BetaWitness] = None, note: str = "") -> CriterionVerdict:
     trace = tuple(lines)
     return CriterionVerdict(all(l.holds for l in trace), rule, trace, witness, note)
+
+
+# One condition of a rule: (text, lhs, rel, rhs, holds), holds being ``lhs rel rhs``.
+Condition = tuple[str, RationalLike, str, RationalLike, bool]
+
+
+class Evaluation(NamedTuple):
+    """One rule applied to one input, its conditions not yet read.
+
+    ``conditions`` yields them in trace order and computes each only when it
+    is read; it is an iterator, read once.  ``sufficient`` is False for the
+    lines shown when no witness exists, which are necessary conditions only:
+    then nothing is established, whatever they read.
+    """
+
+    rule: str
+    conditions: Iterator[Condition]
+    witness: Optional[BetaWitness] = None
+    note: str = ""
+    sufficient: bool = True
+
+
+def trace_lines(conditions: Iterable[Condition], prefix: str = "") -> tuple[TraceLine, ...]:
+    """The conditions as trace lines, each text after ``prefix``."""
+    return tuple(
+        TraceLine(prefix + text, as_fraction(lhs), rel, as_fraction(rhs), holds)
+        for text, lhs, rel, rhs, holds in conditions
+    )
+
+
+def explain(evaluation: Evaluation) -> CriterionVerdict:
+    """The verdict of an evaluation, every condition read into its trace."""
+    trace = trace_lines(evaluation.conditions)
+    established = evaluation.sufficient and all(line.holds for line in trace)
+    return CriterionVerdict(established, evaluation.rule, trace, evaluation.witness, evaluation.note)
+
+
+def holding(evaluation: Evaluation) -> Optional[list[Condition]]:
+    """The conditions of an evaluation that establishes, in order; None when
+    it does not, reading none past the first that fails."""
+    if not evaluation.sufficient:
+        return None
+    held = []
+    for condition in evaluation.conditions:
+        if not condition[4]:
+            return None
+        held.append(condition)
+    return held
+
+
+def _ge(text: str, lhs: RationalLike, rhs: RationalLike) -> Condition:
+    return text, lhs, ">=", rhs, lhs >= rhs
+
+
+def _gt(text: str, lhs: RationalLike, rhs: RationalLike) -> Condition:
+    return text, lhs, ">", rhs, lhs > rhs
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +225,12 @@ def min_formula(mu: RationalLike, beta2: RationalLike) -> Fraction:
         raise DomainError(f"multiplicity must satisfy 0 <= mu < 2, got {m}")
     if b2 < 2 - m:
         raise DomainError(f"beta2 must be at least 2 - mu = {2 - m}, got {b2}")
-    ratio = b2 / (b2 - (1 - m))
-    return min(2 - m, ratio)
+    return _least_beta1(m, b2)
+
+
+def _least_beta1(mu: Fraction, b2: Fraction) -> Fraction:
+    """:func:`min_formula` on inputs that meet its preconditions."""
+    return min(2 - mu, b2 / (b2 - (1 - mu)))
 
 
 def _numerator_below_sqrt(value: Fraction, k: int) -> int:
@@ -247,38 +314,53 @@ def freeness_witness(mu: RationalLike, m2: RationalLike, mindeg_p: RationalLike)
     return BetaWitness.single(b2, min_formula(m, b2), role="at-p")
 
 
-def _degree_bound_lines(
-    mu: Fraction, m2: Fraction, mindeg: Fraction, b2: Fraction, b1: Fraction, where: str
-) -> list[TraceLine]:
-    lines = [
-        check(f"M^2 > beta2{where}^2", m2, ">", b2 * b2),
-        check(f"min degree{where} >= beta1{where}", mindeg, ">=", b1),
-        check(f"beta2{where} >= 2 - mu{where}", b2, ">=", 2 - mu),
-    ]
+def _degree_bound(mu: Fraction, m2: Fraction, mindeg: Fraction, b2: Fraction, b1: Fraction) -> Iterator[Condition]:
+    """The one-point degree-bound rule with the witness (b2, b1)."""
+    yield _gt("M^2 > beta2^2", m2, b2 * b2)
+    yield _ge("min degree >= beta1", mindeg, b1)
+    yield _ge("beta2 >= 2 - mu", b2, 2 - mu)
     if b2 >= 2 - mu:
-        lines.append(
-            check(
-                f"beta1{where} >= min(2 - mu{where}, beta2{where}/(beta2{where} - (1 - mu{where})))",
-                b1,
-                ">=",
-                min_formula(mu, b2),
-            )
-        )
-    return lines
+        yield _ge("beta1 >= min(2 - mu, beta2/(beta2 - (1 - mu)))", b1, _least_beta1(mu, b2))
 
 
-def _infeasible_lines(mu: Fraction, m2: Fraction, mindeg: Fraction, where: str) -> list[TraceLine]:
+def _infeasible(mu: Fraction, m2: Fraction, mindeg: Fraction, where: str) -> Iterator[Condition]:
+    """Necessary conditions of the one-point rule at ``where`` ("", "_p" or "_q")."""
     corner = _degree_corner(mu, mindeg)
-    lines = []
     if corner is not None:
-        lines.append(check(f"M^2 > (minimal admissible beta2{where})^2", m2, ">", corner * corner))
+        yield _gt(f"M^2 > (minimal admissible beta2{where})^2", m2, corner * corner)
     else:
-        lines.append(check(f"M^2 > (2 - mu{where})^2", m2, ">", (2 - mu) ** 2))
+        yield _gt(f"M^2 > (2 - mu{where})^2", m2, (2 - mu) ** 2)
     if mu < 1:
-        lines.append(check(f"min degree{where} > 1 (forced when mu{where} < 1)", mindeg, ">", 1))
+        yield _gt(f"min degree{where} > 1 (forced when mu{where} < 1)", mindeg, 1)
     else:
-        lines.append(check(f"min degree{where} >= 2 - mu{where}", mindeg, ">=", 2 - mu))
-    return lines
+        yield _ge(f"min degree{where} >= 2 - mu{where}", mindeg, 2 - mu)
+
+
+_SEARCHED = "witness found by search"  # the note of a degree-bound rule whose witness was searched for
+
+
+def freeness_rule(
+    mu: RationalLike,
+    m2: RationalLike,
+    mindeg_p: RationalLike,
+    witness: Optional[BetaWitness] = None,
+) -> Evaluation:
+    """The evaluation that :func:`freeness_at` explains; same inputs and errors."""
+    m, sq, deg = as_fraction(mu), as_fraction(m2), as_fraction(mindeg_p)
+    if m < 0:
+        raise DomainError("multiplicity must be non-negative")
+    if m >= 2:
+        return Evaluation("freeness/high-multiplicity", iter((_ge("mu >= 2", m, 2),)))
+    found = freeness_witness(m, sq, deg) if witness is None else witness
+    if found is None:
+        return Evaluation(
+            "freeness/degree-bound",
+            _infeasible(m, sq, deg, ""),
+            note="no admissible (beta2, beta1) exists",
+            sufficient=False,
+        )
+    conditions = _degree_bound(m, sq, deg, found.beta2[0], found.beta1[0])
+    return Evaluation("freeness/degree-bound", conditions, found, _SEARCHED if witness is None else "")
 
 
 def freeness_at(
@@ -292,24 +374,7 @@ def freeness_at(
     High multiplicity (mu >= 2) establishes freeness outright; otherwise the
     degree-bound rule runs with the supplied witness, or with a searched one.
     """
-    m, sq, deg = as_fraction(mu), as_fraction(m2), as_fraction(mindeg_p)
-    if m < 0:
-        raise DomainError("multiplicity must be non-negative")
-    if m >= 2:
-        return _verdict("freeness/high-multiplicity", [check("mu >= 2", m, ">=", 2)])
-
-    searched = witness is None
-    if witness is None:
-        witness = freeness_witness(m, sq, deg)
-    if witness is None:
-        return _verdict(
-            "freeness/degree-bound",
-            _infeasible_lines(m, sq, deg, ""),
-            note="no admissible (beta2, beta1) exists",
-        )
-    b2, b1 = witness.beta2[0], witness.beta1[0]
-    note = "witness found by search" if searched else ""
-    return _verdict("freeness/degree-bound", _degree_bound_lines(m, sq, deg, b2, b1, ""), witness, note)
+    return explain(freeness_rule(mu, m2, mindeg_p, witness))
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +426,84 @@ def _witness_for_side(witness: Optional[BetaWitness], side: int) -> Optional[Bet
     return BetaWitness.single(witness.beta2[i], witness.beta1[j], role="at-p")
 
 
+def _pair_degree_bounds(
+    mp: Fraction, mq: Fraction, m2: Fraction, dp: Fraction, dq: Fraction, dpq: Fraction, witness: BetaWitness
+) -> Iterator[Condition]:
+    """The two-point degree-bound rule with a two-sided witness."""
+    b2p, b2q = witness.beta2[0], witness.beta2[1]
+    b1p, b1q = witness.beta1[0], witness.beta1[1]
+    yield _gt("M^2 > beta2_p^2 + beta2_q^2", m2, b2p * b2p + b2q * b2q)
+    yield _ge("min degree at p >= beta1_p", dp, b1p)
+    yield _ge("min degree at q >= beta1_q", dq, b1q)
+    yield _ge("min degree through both >= beta1_p + beta1_q", dpq, b1p + b1q)
+    yield _ge("beta2_p >= 2 - mu_p", b2p, 2 - mp)
+    yield _ge("beta2_q >= 2 - mu_q", b2q, 2 - mq)
+    if b2p >= 2 - mp:
+        yield _ge("beta1_p >= degree-bound minimum at p", b1p, _least_beta1(mp, b2p))
+    if b2q >= 2 - mq:
+        yield _ge("beta1_q >= degree-bound minimum at q", b1q, _least_beta1(mq, b2q))
+
+
+def _pair_infeasible(mp: Fraction, mq: Fraction, m2: Fraction, dp: Fraction, dq: Fraction) -> Iterator[Condition]:
+    yield from _infeasible(mp, m2, dp, "_p")
+    yield from _infeasible(mq, m2, dq, "_q")
+    yield _gt("M^2 > (2 - mu_p)^2 + (2 - mu_q)^2", m2, (2 - mp) ** 2 + (2 - mq) ** 2)
+
+
+def separation_rule(
+    mu_p: RationalLike,
+    mu_q: RationalLike,
+    m2: RationalLike,
+    mindeg_p: RationalLike,
+    mindeg_q: RationalLike,
+    mindeg_pq: RationalLike,
+    witness: Optional[BetaWitness] = None,
+) -> Evaluation:
+    """The evaluation that :func:`separation` explains; same inputs and errors."""
+    mp, mq = as_fraction(mu_p), as_fraction(mu_q)
+    sq = as_fraction(m2)
+    dp, dq, dpq = as_fraction(mindeg_p), as_fraction(mindeg_q), as_fraction(mindeg_pq)
+    if mp < 0 or mq < 0:
+        raise DomainError("multiplicities must be non-negative")
+
+    if mp >= 2 and mq >= 2:
+        return Evaluation("separation/both-high-multiplicity", iter((_ge("mu_p >= 2", mp, 2), _ge("mu_q >= 2", mq, 2))))
+
+    if mp >= 2 or mq >= 2:
+        # run the one-point degree bound at the low-multiplicity point
+        if mp >= 2:
+            high_text, high = "mu_p >= 2", mp
+            low, low_deg, side = mq, dq, 1
+        else:
+            high_text, high = "mu_q >= 2", mq
+            low, low_deg, side = mp, dp, 0
+        given = _witness_for_side(witness, side)
+        sub = freeness_witness(low, sq, low_deg) if given is None else given
+        high_line = _ge(high_text, high, 2)
+        if sub is None:
+            return Evaluation(
+                "separation/one-high-multiplicity",
+                chain((high_line,), _infeasible(low, sq, low_deg, "")),
+                note="no admissible witness at the low point",
+                sufficient=False,
+            )
+        conditions = chain((high_line,), _degree_bound(low, sq, low_deg, sub.beta2[0], sub.beta1[0]))
+        return Evaluation("separation/one-high-multiplicity", conditions, sub, _SEARCHED if given is None else "")
+
+    found = separation_witness(mp, mq, sq, dp, dq, dpq) if witness is None else witness
+    if found is None:
+        return Evaluation(
+            "separation/degree-bounds",
+            _pair_infeasible(mp, mq, sq, dp, dq),
+            note="no admissible witness pair found",
+            sufficient=False,
+        )
+    if len(found.beta2) < 2 or len(found.beta1) < 2:
+        raise DomainError("two-point separation needs beta values for both points")
+    conditions = _pair_degree_bounds(mp, mq, sq, dp, dq, dpq, found)
+    return Evaluation("separation/degree-bounds", conditions, found, _SEARCHED if witness is None else "")
+
+
 def separation(
     mu_p: RationalLike,
     mu_q: RationalLike,
@@ -375,69 +518,10 @@ def separation(
     Both multiplicities >= 2 establish separation outright.  With exactly one
     high multiplicity, the freeness-style degree bound runs at the other
     point.  With both below 2, the two-sided degree bounds run, including the
-    joint bound for curves through both points.
+    joint bound for curves through both points; when no witness pair is
+    given or found, the trace shows necessary conditions only.
     """
-    mp, mq = as_fraction(mu_p), as_fraction(mu_q)
-    sq = as_fraction(m2)
-    dp, dq, dpq = as_fraction(mindeg_p), as_fraction(mindeg_q), as_fraction(mindeg_pq)
-    if mp < 0 or mq < 0:
-        raise DomainError("multiplicities must be non-negative")
-
-    if mp >= 2 and mq >= 2:
-        lines = [check("mu_p >= 2", mp, ">=", 2), check("mu_q >= 2", mq, ">=", 2)]
-        return _verdict("separation/both-high-multiplicity", lines)
-
-    if mp >= 2 or mq >= 2:
-        # run the one-point degree bound at the low-multiplicity point
-        if mp >= 2:
-            high_text, high = "mu_p >= 2", mp
-            low, low_deg, side = mq, dq, 1
-        else:
-            high_text, high = "mu_q >= 2", mq
-            low, low_deg, side = mp, dp, 0
-        sub = _witness_for_side(witness, side)
-        searched = sub is None
-        if sub is None:
-            sub = freeness_witness(low, sq, low_deg)
-        lines = [check(high_text, high, ">=", 2)]
-        if sub is None:
-            lines += _infeasible_lines(low, sq, low_deg, "")
-            return _verdict("separation/one-high-multiplicity", lines, note="no admissible witness at the low point")
-        lines += _degree_bound_lines(low, sq, low_deg, sub.beta2[0], sub.beta1[0], "")
-        note = "witness found by search" if searched else ""
-        return _verdict("separation/one-high-multiplicity", lines, sub, note)
-
-    searched = witness is None
-    if witness is None:
-        witness = separation_witness(mp, mq, sq, dp, dq, dpq)
-    if witness is None:
-        lines = _infeasible_lines(mp, sq, dp, "_p") + _infeasible_lines(mq, sq, dq, "_q")
-        lines.append(
-            check("M^2 > (2 - mu_p)^2 + (2 - mu_q)^2", sq, ">", (2 - mp) ** 2 + (2 - mq) ** 2)
-        )
-        # the lines are necessary conditions only: without a witness nothing is established
-        return CriterionVerdict(
-            False, "separation/degree-bounds", tuple(lines), note="no admissible witness pair found"
-        )
-
-    if len(witness.beta2) < 2 or len(witness.beta1) < 2:
-        raise DomainError("two-point separation needs beta values for both points")
-    b2p, b2q = witness.beta2[0], witness.beta2[1]
-    b1p, b1q = witness.beta1[0], witness.beta1[1]
-    lines = [check("M^2 > beta2_p^2 + beta2_q^2", sq, ">", b2p * b2p + b2q * b2q)]
-    lines += [
-        check("min degree at p >= beta1_p", dp, ">=", b1p),
-        check("min degree at q >= beta1_q", dq, ">=", b1q),
-        check("min degree through both >= beta1_p + beta1_q", dpq, ">=", b1p + b1q),
-        check("beta2_p >= 2 - mu_p", b2p, ">=", 2 - mp),
-        check("beta2_q >= 2 - mu_q", b2q, ">=", 2 - mq),
-    ]
-    if b2p >= 2 - mp:
-        lines.append(check("beta1_p >= degree-bound minimum at p", b1p, ">=", min_formula(mp, b2p)))
-    if b2q >= 2 - mq:
-        lines.append(check("beta1_q >= degree-bound minimum at q", b1q, ">=", min_formula(mq, b2q)))
-    note = "witness found by search" if searched else ""
-    return _verdict("separation/degree-bounds", lines, witness, note)
+    return explain(separation_rule(mu_p, mu_q, m2, mindeg_p, mindeg_q, mindeg_pq, witness))
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +585,79 @@ def tangent_witness(
     return None
 
 
+def _tangent_degree_bounds(
+    mp: Fraction, mv_: Fraction, m2: Fraction, dp: Fraction, dz: Fraction, witness: BetaWitness
+) -> Iterator[Condition]:
+    """The tangent degree-bound rule with the witness (beta2_p, beta2_V; beta1)."""
+    b2p, b2v = witness.beta2[0], witness.beta2[1]
+    b1 = witness.beta1[0]
+    yield _gt("M^2 > beta2_p^2 + beta2_V^2", m2, b2p * b2p + b2v * b2v)
+    yield _ge("min degree at p >= beta1", dp, b1)
+    yield _ge("min degree on Z >= 2*beta1", dz, 2 * b1)
+    yield _ge("beta2_p >= 2 - mu_p", b2p, 2 - mp)
+    yield _ge("beta2_V >= 2 - mu_V", b2v, 2 - mv_)
+    yield _ge("beta1 >= tangent degree-bound minimum", b1, tangent_beta1_bound(mp, mv_, b2p, b2v))
+
+
+def _tangent_intermediate(
+    m2: Fraction, mp: Fraction, mu_v: Fraction, dp: Fraction, dz: Fraction
+) -> Iterator[Condition]:
+    yield _ge("2 <= mu_p", mp, 2)
+    yield _gt("M^2 > (4 - mu_v)^2", m2, (4 - mu_v) ** 2)
+    yield _ge("min degree at p >= (4 - mu_v)/2", dp, (4 - mu_v) / 2)
+    yield _ge("min degree on Z >= 4 - mu_v", dz, 4 - mu_v)
+
+
+def _tangent_infeasible(mp: Fraction, mv_: Fraction, m2: Fraction, dp: Fraction, dz: Fraction) -> Iterator[Condition]:
+    yield _gt("M^2 > (2 - mu_p)^2 + (2 - mu_V)^2", m2, (2 - mp) ** 2 + (2 - mv_) ** 2)
+    mu_v = mp + mv_
+    if mu_v >= 2:
+        yield _ge("min degree at p >= (4 - mu_v)/2", dp, (4 - mu_v) / 2)
+        yield _ge("min degree on Z >= 4 - mu_v", dz, 4 - mu_v)
+    else:
+        yield _gt("min degree at p > 1 (forced when mu_v < 2)", dp, 1)
+        yield _gt("min degree on Z > 2 (forced when mu_v < 2)", dz, 2)
+
+
+def tangent_rule(
+    mu_p: RationalLike,
+    mu_V: RationalLike,
+    m2: RationalLike,
+    mindeg_p: RationalLike,
+    mindeg_Z: RationalLike,
+    witness: Optional[BetaWitness] = None,
+) -> Evaluation:
+    """The evaluation that :func:`tangent_separation` explains; same inputs and errors."""
+    mp, mv_ = as_fraction(mu_p), as_fraction(mu_V)
+    sq = as_fraction(m2)
+    dp, dz = as_fraction(mindeg_p), as_fraction(mindeg_Z)
+    if mp < 0 or mv_ < 0:
+        raise DomainError("multiplicities must be non-negative")
+    if mv_ > mp:
+        raise DomainError("the infinitely-near order cannot exceed the order at the point")
+    mu_v = mp + mv_
+
+    if mp >= 3:
+        return Evaluation("tangent/high-multiplicity", iter((_ge("mu_p >= 3", mp, 3),)))
+    if mu_v >= 4:
+        return Evaluation("tangent/high-multiplicity", iter((_ge("mu_v >= 4", mu_v, 4),)))
+    if mp >= 2:
+        return Evaluation("tangent/intermediate-multiplicity", _tangent_intermediate(sq, mp, mu_v, dp, dz))
+
+    found = tangent_witness(mp, mv_, sq, dp, dz) if witness is None else witness
+    if found is None:
+        return Evaluation(
+            "tangent/degree-bounds",
+            _tangent_infeasible(mp, mv_, sq, dp, dz),
+            note="no admissible witness found",
+            sufficient=False,
+        )
+    if len(found.beta2) < 2:
+        raise DomainError("tangent separation needs beta2 values at the point and at V")
+    conditions = _tangent_degree_bounds(mp, mv_, sq, dp, dz, found)
+    return Evaluation("tangent/degree-bounds", conditions, found, _SEARCHED if witness is None else "")
+
+
 def tangent_separation(
     mu_p: RationalLike,
     mu_V: RationalLike,
@@ -517,65 +674,7 @@ def tangent_separation(
     containing the length-2 scheme (through the point, tangent to the
     direction).
     """
-    mp, mv_ = as_fraction(mu_p), as_fraction(mu_V)
-    sq = as_fraction(m2)
-    dp, dz = as_fraction(mindeg_p), as_fraction(mindeg_Z)
-    if mp < 0 or mv_ < 0:
-        raise DomainError("multiplicities must be non-negative")
-    if mv_ > mp:
-        raise DomainError("the infinitely-near order cannot exceed the order at the point")
-    mu_v = mp + mv_
-
-    if mp >= 3 or mu_v >= 4:
-        if mp >= 3:
-            lines = [check("mu_p >= 3", mp, ">=", 3)]
-        else:
-            lines = [check("mu_v >= 4", mu_v, ">=", 4)]
-        return _verdict("tangent/high-multiplicity", lines)
-
-    if mp >= 2:
-        lines = [
-            check("2 <= mu_p", mp, ">=", 2),
-            check("M^2 > (4 - mu_v)^2", sq, ">", (4 - mu_v) ** 2),
-            check("min degree at p >= (4 - mu_v)/2", dp, ">=", (4 - mu_v) / 2),
-            check("min degree on Z >= 4 - mu_v", dz, ">=", 4 - mu_v),
-        ]
-        return _verdict("tangent/intermediate-multiplicity", lines)
-
-    searched = witness is None
-    if witness is None:
-        witness = tangent_witness(mp, mv_, sq, dp, dz)
-    if witness is None:
-        lines = [
-            check("M^2 > (2 - mu_p)^2 + (2 - mu_V)^2", sq, ">", (2 - mp) ** 2 + (2 - mv_) ** 2)
-        ]
-        if mu_v >= 2:
-            lines += [
-                check("min degree at p >= (4 - mu_v)/2", dp, ">=", (4 - mu_v) / 2),
-                check("min degree on Z >= 4 - mu_v", dz, ">=", 4 - mu_v),
-            ]
-        else:
-            lines += [
-                check("min degree at p > 1 (forced when mu_v < 2)", dp, ">", 1),
-                check("min degree on Z > 2 (forced when mu_v < 2)", dz, ">", 2),
-            ]
-        # the lines are necessary conditions only: without a witness nothing is established
-        return CriterionVerdict(False, "tangent/degree-bounds", tuple(lines), note="no admissible witness found")
-
-    if len(witness.beta2) < 2:
-        raise DomainError("tangent separation needs beta2 values at the point and at V")
-    b2p, b2v = witness.beta2[0], witness.beta2[1]
-    b1 = witness.beta1[0]
-    lines = [
-        check("M^2 > beta2_p^2 + beta2_V^2", sq, ">", b2p * b2p + b2v * b2v),
-        check("min degree at p >= beta1", dp, ">=", b1),
-        check("min degree on Z >= 2*beta1", dz, ">=", 2 * b1),
-        check("beta2_p >= 2 - mu_p", b2p, ">=", 2 - mp),
-        check("beta2_V >= 2 - mu_V", b2v, ">=", 2 - mv_),
-        check("beta1 >= tangent degree-bound minimum", b1, ">=", tangent_beta1_bound(mp, mv_, b2p, b2v)),
-    ]
-    note = "witness found by search" if searched else ""
-    return _verdict("tangent/degree-bounds", lines, witness, note)
+    return explain(tangent_rule(mu_p, mu_V, m2, mindeg_p, mindeg_Z, witness))
 
 
 # ---------------------------------------------------------------------------
@@ -598,35 +697,49 @@ def very_ampleness_witness(m2: RationalLike, mindeg_all: RationalLike) -> Option
     return BetaWitness.single(b2, b2 / (b2 - 1))
 
 
+def _global_degree_bound(m2: Fraction, deg: Fraction, b2: Fraction, b1: Fraction) -> Iterator[Condition]:
+    """The very-ample rule with the witness (b2, b1)."""
+    yield _ge("beta2 >= 2", b2, 2)
+    if b2 >= 2:  # below 2 the witness fails, and beta2/(beta2 - 1) is undefined at 1
+        yield _ge("beta1 >= beta2/(beta2 - 1)", b1, b2 / (b2 - 1))
+    yield _gt("M^2 > 2*beta2^2", m2, 2 * b2 * b2)
+    yield _ge("min degree >= 2*beta1", deg, 2 * b1)
+
+
+def _global_infeasible(m2: Fraction, deg: Fraction) -> Iterator[Condition]:
+    yield _gt("M^2 > 2*beta2^2 with beta2 >= 2 (forces M^2 > 8)", m2, 8)
+    if deg > 2:
+        corner = max(Fraction(2), deg / (deg - 2))
+        yield _gt("M^2 > 2*(minimal admissible beta2)^2", m2, 2 * corner * corner)
+    yield _gt("min degree > 2 (forced by 2*beta1 > 2)", deg, 2)
+
+
+def very_ample_rule(
+    m2: RationalLike,
+    mindeg_all: RationalLike,
+    witness: Optional[BetaWitness] = None,
+) -> Evaluation:
+    """The evaluation that :func:`very_ampleness` explains; same inputs and errors."""
+    sq, deg = as_fraction(m2), as_fraction(mindeg_all)
+    found = very_ampleness_witness(sq, deg) if witness is None else witness
+    if found is None:
+        return Evaluation(
+            "very-ample/witness",
+            _global_infeasible(sq, deg),
+            note="no admissible (beta2, beta1) exists",
+            sufficient=False,
+        )
+    conditions = _global_degree_bound(sq, deg, found.beta2[0], found.beta1[0])
+    return Evaluation("very-ample/witness", conditions, found, _SEARCHED if witness is None else "")
+
+
 def very_ampleness(
     m2: RationalLike,
     mindeg_all: RationalLike,
     witness: Optional[BetaWitness] = None,
 ) -> CriterionVerdict:
     """Very ampleness of the adjoint system from global degree data."""
-    sq, deg = as_fraction(m2), as_fraction(mindeg_all)
-    searched = witness is None
-    if witness is None:
-        witness = very_ampleness_witness(sq, deg)
-    if witness is None:
-        lines = [check("M^2 > 2*beta2^2 with beta2 >= 2 (forces M^2 > 8)", sq, ">", 8)]
-        if deg > 2:
-            corner = max(Fraction(2), deg / (deg - 2))
-            lines.append(
-                check("M^2 > 2*(minimal admissible beta2)^2", sq, ">", 2 * corner * corner)
-            )
-        lines.append(check("min degree > 2 (forced by 2*beta1 > 2)", deg, ">", 2))
-        return _verdict("very-ample/witness", lines, note="no admissible (beta2, beta1) exists")
-    b2, b1 = witness.beta2[0], witness.beta1[0]
-    lines = [check("beta2 >= 2", b2, ">=", 2)]
-    if b2 >= 2:  # below 2 the witness fails, and beta2/(beta2 - 1) is undefined at 1
-        lines.append(check("beta1 >= beta2/(beta2 - 1)", b1, ">=", b2 / (b2 - 1)))
-    lines += [
-        check("M^2 > 2*beta2^2", sq, ">", 2 * b2 * b2),
-        check("min degree >= 2*beta1", deg, ">=", 2 * b1),
-    ]
-    note = "witness found by search" if searched else ""
-    return _verdict("very-ample/witness", lines, witness, note)
+    return explain(very_ample_rule(m2, mindeg_all, witness))
 
 
 def _sqrt2_lower_convergents() -> Iterable[Fraction]:

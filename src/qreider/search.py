@@ -4,7 +4,7 @@ Given an integral target divisor L, a family writes L = B(params) + M(params)
 with coefficients affine in named rational parameters.  The search walks a
 nested dyadic schedule (the first parameter takes values 2**-k, each later
 parameter a dyadic fraction of its predecessor, honoring the intended
-"much smaller than" coupling).  Every checker input has degree at most 2 in
+"much smaller than" coupling).  Every rule input has degree at most 2 in
 the parameters, so each is compiled once into an integer form in the
 candidate point: the boundary coefficients and M's class as integer rows
 over one common denominator per family (M's class as integer products of
@@ -21,12 +21,15 @@ leaves [0, 1) (for its note) or passes the nef test is built as a point.
 At the first one whose M is also big, each goal's multiplicities (rows over
 the boundary coefficients) and degree sources (their integer pairing rows
 composed with M's rows) are compiled into integer forms too; at every such
-candidate, each goal's checker gets ``Fraction``s made only for its
-arguments: the multiplicities, M^2, the degree minima (each the least
-integer of a source's forms over one denominator) and, for a witness, the
-parameter values.  A checker's verdict alone decides; the nef values, the
-nef and big trace lines and the goal labels are made only for the first
-candidate that every goal establishes, which wins.  No divisor is built.
+candidate, each goal's rule (``criteria.freeness_rule`` and its kin) gets
+``Fraction``s made only for its arguments: the multiplicities, M^2, the
+degree minima (each the least integer of a source's forms over one
+denominator) and, for a witness, the parameter values.  Its conditions are
+read only up to the first that fails, and no trace text is made for them.
+The first candidate that every goal establishes wins; only for it are the
+nef values made, and the conditions already read turned into trace lines,
+once, after the nef and big lines and under the goal labels.  No divisor is
+built.
 
 The drivers at the bottom reproduce the two positivity claims for the
 standard ruled-surface model end to end.
@@ -43,7 +46,7 @@ from typing import NamedTuple, Optional, Union
 from . import criteria
 from . import hirzebruch as hz
 from .cones import ConeDescription, Degrees, HirzebruchFamily, _dot, _integer_rows, is_nef
-from .criteria import BetaWitness, CriterionVerdict, TraceLine, check, riemann_roch_chi
+from .criteria import BetaWitness, CriterionVerdict, riemann_roch_chi
 from .lattice import RationalLike, as_fraction, as_int
 from .surface import QDivisor, SurfaceModel
 
@@ -227,19 +230,13 @@ class ParamFamily:
 
 WitnessProvider = BetaWitness | Callable[[Mapping[str, Fraction]], BetaWitness] | None
 
-# goal kind -> (checker in the criteria module, number of marked names, number of degree sources)
+# goal kind -> (rule in the criteria module, number of marked names, number of degree sources)
 _GOAL_KINDS = {
-    "free": ("freeness_at", 1, 1),
-    "separate": ("separation", 2, 3),
-    "tangent": ("tangent_separation", 1, 2),
-    "very-ample": ("very_ampleness", 0, 1),
+    "free": ("freeness_rule", 1, 1),
+    "separate": ("separation_rule", 2, 3),
+    "tangent": ("tangent_rule", 1, 2),
+    "very-ample": ("very_ample_rule", 0, 1),
 }
-
-
-def _prefixed(label: str, lines: Sequence[TraceLine]) -> list[TraceLine]:
-    if not label:
-        return list(lines)
-    return [TraceLine(f"{label}: {l.text}", l.lhs, l.rel, l.rhs, l.holds) for l in lines]
 
 
 @dataclass(frozen=True)
@@ -247,14 +244,14 @@ class Goal:
     """One Reider-type check of the positive part M at each candidate.
 
     ``kind`` is a ``search goal=`` name (see ``_GOAL_KINDS``).  ``at`` names
-    the marked data the checker reads: one point (free), two points
+    the marked data the rule reads: one point (free), two points
     (separate), one tangent direction (tangent) or nothing (very-ample).
-    ``degrees`` gives one source per minimal degree, in the checker's
+    ``degrees`` gives one source per minimal degree, in the rule's
     argument order: one for free and very-ample, three for separate (each
     point, then both) and two for tangent (the point, then the scheme).
     Other counts, or one point named twice for separate, are a
     ``ValueError``.  The search compiles each multiplicity and each degree
-    source into integer forms in the candidate point, and hands the checker
+    source into integer forms in the candidate point, and hands the rule
     only candidates whose M passes the search cone's nef test and has
     M^2 > 0.
     """
@@ -277,7 +274,7 @@ class Goal:
             raise ValueError(f"search goal 'separate' needs two different points, not {self.at[0]!r} twice")
 
     def _weights(self, surface: SurfaceModel, curves: Sequence[str]) -> tuple[tuple[int, ...], ...]:
-        """Each multiplicity the checker reads, as its weights on the boundary
+        """Each multiplicity the rule reads, as its weights on the boundary
         curves ``curves``; looking them up checks the marked names."""
         if self.kind == "tangent":
             spec = surface.tangent(self.at[0])
@@ -287,24 +284,24 @@ class Goal:
         return tuple(tuple(w(c) for c in curves) for w in weights)
 
     def _decider(self, family: ParamFamily, weights: Sequence[Sequence[int]]):
-        """The checker's verdict as a function of a candidate point whose M is
-        nef and big, the scale of the family's forms there and M^2.  Each
+        """The goal's rule applied at a candidate point whose M is nef and
+        big, given the scale of the family's forms there and M^2.  Each
         multiplicity becomes an integer form (its weights composed with the
         boundary rows), and each degree source one form per class (its integer
-        pairing row composed with M's rows), so that only the checker's
+        pairing row composed with M's rows), so that only the rule's
         arguments are made as ``Fraction``s: a degree minimum is the least of
         its forms' integers, over the scale times the source's denominator."""
-        checker = _GOAL_KINDS[self.kind][0]
+        rule = _GOAL_KINDS[self.kind][0]
         names = [p.name for p in family.params]
         mult_forms = [_compose(w, family._boundary_rows) for w in weights]
         degree_forms = [(d.den, [_compose(row, family._m_rows) for row in d.rows]) for d in self.degrees]
 
-        def decide(point: tuple[int, ...], scale: int, m2: Fraction) -> CriterionVerdict:
+        def decide(point: tuple[int, ...], scale: int, m2: Fraction) -> criteria.Evaluation:
             mus = [Fraction(_dot(form, point), scale) for form in mult_forms]
             degrees = [Fraction(min(_dot(form, point) for form in forms), scale * den) for den, forms in degree_forms]
             witness = self.witness(_values(names, point)) if callable(self.witness) else self.witness
-            # looked up at call time, so a wrapped checker is the one that runs
-            return getattr(criteria, checker)(*mus, m2, *degrees, witness)
+            # looked up at call time, so a wrapped rule is the one that runs
+            return getattr(criteria, rule)(*mus, m2, *degrees, witness)
 
         return decide
 
@@ -409,7 +406,7 @@ def search_params(
     family: ParamFamily, cone: ConeDescription, goals: Sequence[Goal], depth: int = DEFAULT_DEPTH
 ) -> SearchReport:
     """First parameter values along the dyadic schedule whose decomposition
-    makes every goal's checker fire; exact verification at every candidate.
+    makes every goal's rule establish; exact verification at every candidate.
 
     ``depth`` must be an integer in 1..MAX_DEPTH.  The search walks the
     schedule level by level (``dyadic_levels``); every candidate is visited
@@ -426,11 +423,13 @@ def search_params(
     down there: no goal can establish it.  The goals' marked names are
     checked before the first candidate; their multiplicity and degree forms
     are compiled at the first candidate whose M is nef and big.  At every
-    such candidate each goal's checker runs, in goal order, on ``Fraction``s
-    made for its arguments alone, and its verdict alone decides.  The first
-    candidate that every goal establishes wins: only for it are the nef
-    values, the nef and big trace lines and the goal labels made, and the
-    goals' verdicts joined (see ``_conjunction``)."""
+    such candidate each goal's rule is applied, in goal order, on
+    ``Fraction``s made for its arguments alone, and its conditions are read
+    up to the first that fails (``criteria.holding``).  The first candidate
+    that every goal establishes wins: only for it are the nef values made,
+    the conditions already read turned into trace lines after the nef and
+    big lines and under each goal's label, once, and the goals' verdicts
+    joined (see ``_conjunction``).  No rule is applied again there."""
     if not (isinstance(depth, int) and not isinstance(depth, bool) and 1 <= depth <= MAX_DEPTH):
         raise ValueError(f"depth must be an integer in 1..{MAX_DEPTH}, not {depth!r}")
     if not goals:
@@ -448,8 +447,9 @@ def search_params(
 
     def established_at(point: tuple[int, ...], scale: int) -> Optional[CriterionVerdict]:
         """The goals' conjunction at a candidate whose M passes the nef test,
-        when M^2 > 0 and every goal's checker establishes; else None.  Every
-        goal's checker runs at every such candidate with M^2 > 0."""
+        when M^2 > 0 and every goal's rule establishes; else None.  Every
+        goal's rule is applied at every such candidate with M^2 > 0, and its
+        conditions are read up to the first that fails."""
         nonlocal deciders
         m2 = sum(x * _dot(row, point) for x, row in zip(point, family._square))
         if m2 <= 0:
@@ -457,17 +457,27 @@ def search_params(
         if deciders is None:
             deciders = [goal._decider(family, w) for goal, w in zip(goals, weights)]
         m2 = Fraction(m2, scale * scale * family._gram_den)
-        verdicts = [decide(point, scale, m2) for decide in deciders]
-        if not all(v.established for v in verdicts):
-            return None
+        evaluations = [decide(point, scale, m2) for decide in deciders]
+        held = []
+        for evaluation in evaluations:
+            conditions = criteria.holding(evaluation)
+            if conditions is None:
+                return None
+            held.append(conditions)
         # the nef and big lines, which hold here, lead each goal's trace under its label
         den = scale * cone.nef.den
-        ambient = [check(text, Fraction(_dot(row, point), den), ">=", 0) for text, row in zip(cone.nef_texts, nef_forms)]
-        ambient.append(check("M^2 > 0 (big)", m2, ">", 0))
+        ambient = [(text, Fraction(_dot(row, point), den), ">=", 0, True) for text, row in zip(cone.nef_texts, nef_forms)]
+        ambient.append(("M^2 > 0 (big)", m2, ">", 0, True))
         return _conjunction(
             [
-                CriterionVerdict(v.established, v.rule, tuple(_prefixed(goal.label, ambient + list(v.trace))), v.witness, v.note)
-                for goal, v in zip(goals, verdicts)
+                CriterionVerdict(
+                    True,
+                    e.rule,
+                    criteria.trace_lines(ambient + conditions, f"{goal.label}: " if goal.label else ""),
+                    e.witness,
+                    e.note,
+                )
+                for goal, e, conditions in zip(goals, evaluations, held)
             ]
         )
 
@@ -605,7 +615,12 @@ def hirzebruch_claim(n: int, part: int, m: Optional[int] = None, depth: int = DE
     # (check name, families shown, decomposition, goals) for every searched check
     searches = [("freeness", f"{fam['off'].description}; {fam['on'].description}", section_boundary, freeness_goals)]
     if part == 2:
-        half, two = Fraction(3, 2), Fraction(2)
+        one, half, two = Fraction(1), Fraction(3, 2), Fraction(2)
+
+        def twin(beta2, beta1):
+            """The same bounds at both points."""
+            return BetaWitness.pair(beta2, beta2, beta1, beta1)
+
         fiber_boundary = ParamFamily(
             surface=model,
             params=(eps, Param("alpha")),
@@ -620,7 +635,7 @@ def hirzebruch_claim(n: int, part: int, m: Optional[int] = None, depth: int = DE
                 "separate",
                 (hz.POINT_ON_F, hz.POINT_ON_F2),
                 ("off", "off", "joint-fiber"),
-                lambda v: BetaWitness.pair(half, half, 1 + v["eps"] / 2, 1 + v["eps"] / 2),
+                lambda v: twin(half, 1 + v["eps"] / 2),
                 "two points on one fiber, off the section",
             ),
             searched(
@@ -630,7 +645,7 @@ def hirzebruch_claim(n: int, part: int, m: Optional[int] = None, depth: int = DE
                 "separate",
                 (hz.POINT_ON_G, hz.POINT_ON_G2),
                 ("on", "on", "joint-section"),
-                lambda v: BetaWitness.pair(2, 2, two / (2 - v["eps"]), two / (2 - v["eps"])),
+                lambda v: twin(two, two / (2 - v["eps"])),
                 "two points on the section",
             ),
             searched(
@@ -640,7 +655,7 @@ def hirzebruch_claim(n: int, part: int, m: Optional[int] = None, depth: int = DE
                 "separate",
                 (hz.POINT_FG, hz.POINT_ON_F),
                 ("on", "off", "joint-fiber"),
-                lambda v: BetaWitness.pair(1, 2, v["eps"] + v["alpha"], two / (2 - v["alpha"])),
+                lambda v: BetaWitness.pair(one, two, v["eps"] + v["alpha"], two / (2 - v["alpha"])),
                 "fiber-section point with a fiber point",
             ),
             searched(
@@ -650,7 +665,7 @@ def hirzebruch_claim(n: int, part: int, m: Optional[int] = None, depth: int = DE
                 "separate",
                 (hz.POINT_ON_G, hz.POINT_GENERIC),
                 ("on", "off", "joint-generic"),
-                lambda v: BetaWitness.pair(2, 2, two / (2 - v["eps"]), 2),
+                lambda v: BetaWitness.pair(two, two, two / (2 - v["eps"]), two),
                 "section point with a general point",
             ),
             searched(

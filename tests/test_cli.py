@@ -94,6 +94,23 @@ def test_threshold_scan_rejects_a_step_that_is_not_positive(step):
     assert f"error: --step must be positive, not {F(step)}" in proc.stderr
 
 
+@pytest.mark.parametrize("flag, value", [("--m2", "1/0"), ("--start", "3.4"), ("--step", "1e-2"), ("--stop", "1_0")])
+def test_threshold_scan_reads_its_flags_as_exact_rationals(flag, value):
+    """The flags take .surf rationals: a zero denominator, a decimal or an
+    exponent is a usage error, not a traceback or a float read exactly."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "threshold_scan.py"), flag, value],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=CHILD_ENV,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "usage: threshold_scan.py" in proc.stderr
+    assert f"error: argument {flag}: invalid rational value: '{value}'" in proc.stderr
+
+
 def test_version_flag():
     proc = run_cli("--version")
     assert proc.returncode == 0

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction as F
 from math import isqrt
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qreider import criteria
 from qreider.criteria import (
     BetaWitness,
     DomainError,
@@ -877,3 +879,59 @@ def test_tangent_witness_equals_the_thirteen_level_walk(mu_p, mu_V, dp, dz, shap
     mu_p, mu_V = max(mu_p, mu_V), min(mu_p, mu_V)
     m2 = _square(shape, free, 2 - mu_p, 2 - mu_V, slack, level_square)
     assert _pair(tangent_witness(mu_p, mu_V, m2, dp, dz)) == _reference_tangent(mu_p, mu_V, m2, dp, dz)
+
+
+# ---------------------------------------------------------------------------
+# one evaluation, read to the end or up to the first failure
+
+_RELATIONS = {">": operator.gt, ">=": operator.ge}
+_positive = st.fractions(min_value="1/8", max_value=6, max_denominator=8)
+# the branch points of the rules (mu at 0, 1, 2 and 3) and values between them
+_mus = st.one_of(
+    st.sampled_from([F(0), F(1), F(2), F(3)]), st.fractions(min_value=0, max_value="7/2", max_denominator=4)
+)
+_degrees = st.one_of(st.sampled_from([F(1), F(2)]), st.fractions(min_value=-1, max_value=8, max_denominator=4))
+
+
+@st.composite
+def rule_inputs(draw):
+    """(rule, arguments) for one of the four rules, with no witness, or with
+    one whose beta2 may sit exactly on its floor 2 - mu (beta2 = 1 for the
+    very-ample rule, where beta2/(beta2 - 1) is undefined)."""
+    kind = draw(st.sampled_from(["free", "separate", "tangent", "very-ample"]))
+    m2 = draw(st.fractions(min_value=-1, max_value=40, max_denominator=4))
+    given = draw(st.booleans())
+
+    def beta2(mu):
+        return draw(st.one_of(st.just(2 - mu), _positive)) if mu < 2 else draw(_positive)
+
+    if kind == "free":
+        mu = draw(_mus)
+        witness = BetaWitness.single(beta2(mu), draw(_positive), role="at-p") if given else None
+        return criteria.freeness_rule, (mu, m2, draw(_degrees), witness)
+    if kind == "separate":
+        mp, mq = draw(_mus), draw(_mus)
+        witness = BetaWitness.pair(beta2(mp), beta2(mq), draw(_positive), draw(_positive)) if given else None
+        return criteria.separation_rule, (mp, mq, m2, draw(_degrees), draw(_degrees), draw(_degrees), witness)
+    if kind == "tangent":
+        mp, mv = sorted((draw(_mus), draw(_mus)), reverse=True)
+        witness = BetaWitness((beta2(mp), beta2(mv)), (draw(_positive),)) if given else None
+        return criteria.tangent_rule, (mp, mv, m2, draw(_degrees), draw(_degrees), witness)
+    b2 = draw(st.one_of(st.sampled_from([F(1), F(2)]), _positive))
+    witness = BetaWitness.single(b2, draw(_positive)) if given else None
+    return criteria.very_ample_rule, (m2, draw(_degrees), witness)
+
+
+@given(rule_inputs())
+@settings(max_examples=400, deadline=None)
+def test_reading_up_to_the_first_failure_decides_as_the_whole_trace(case):
+    """``holding`` stops at the first failing condition; it establishes
+    exactly when ``explain`` does, and then read every condition that
+    ``explain`` traces.  Each condition's ``holds`` is its relation."""
+    rule, args = case
+    verdict = criteria.explain(rule(*args))
+    held = criteria.holding(rule(*args))
+    assert (held is not None) == verdict.established
+    assert all(line.holds == _RELATIONS[line.rel](line.lhs, line.rhs) for line in verdict.trace)
+    if held is not None:
+        assert criteria.trace_lines(held) == verdict.trace

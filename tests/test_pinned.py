@@ -40,10 +40,6 @@ def claim_hashes() -> dict[str, str]:
     return {f"n={n} part={part}": _sha(repr(hirzebruch_claim(n, part))) for n in CLAIM_NS for part in (1, 2)}
 
 
-def _pair(b2p, b2q, b1p, b1q):
-    return BetaWitness.pair(b2p, b2q, b1p, b1q)
-
-
 def _tangent(b2p, b2v, b1):
     return BetaWitness((b2p, b2v), (b1,), ("at-p", "at-V"), ("global",))
 
@@ -60,10 +56,10 @@ _FREE_WITNESSES = (
 )
 _PAIR_WITNESSES = (
     None,
-    _pair(F(3, 2), F(3, 2), F(3, 2), F(3, 2)),  # beta2 = 2 - mu at mu = 1/2
-    _pair(2, 2, 2, 2),
-    _pair(F(1, 2), 3, 1, 1),
-    _pair(3, F(1, 2), F(3, 2), F(1, 2)),
+    BetaWitness.pair(F(3, 2), F(3, 2), F(3, 2), F(3, 2)),  # beta2 = 2 - mu at mu = 1/2
+    BetaWitness.pair(2, 2, 2, 2),
+    BetaWitness.pair(F(1, 2), 3, 1, 1),
+    BetaWitness.pair(3, F(1, 2), F(3, 2), F(1, 2)),
     BetaWitness.single(3, F(3, 2), role="at-p"),  # one side only
 )
 _TANGENT_WITNESSES = (

@@ -120,7 +120,7 @@ def scheduled(params, schedule):
 
 def decided_at(family, cone, goals, schedule):
     """The search when the schedule offers only ``schedule``, with every
-    checker replaced by one that establishes and records its arguments."""
+    rule replaced by one that establishes and records its arguments."""
     with scheduled(family.params, schedule), stubbed_checkers(True, 1) as calls:
         report = search_params(family, cone, goals)
     return report, calls
@@ -328,20 +328,20 @@ def test_a_separate_goal_needs_two_different_points():
 
 
 def test_the_claims_make_the_big_line_once_per_goal_of_the_winning_candidate():
-    """At n = 12 losing candidates reach the checkers (part 2 makes 14 checker
-    calls, part 1 six), but only the winner's goals get the nef and big lines
+    """At n = 12 losing candidates reach the rules (part 2 applies them 14
+    times, part 1 six), but only the winner's goals get the nef and big lines
     in their traces: the part 2 searches have seven goals between them, part
     1 two."""
 
     def counted(part):
-        names = ("freeness_at", "separation", "tangent_separation")
+        names = ("freeness_rule", "separation_rule", "tangent_rule")
         wrapped = {name: mock.Mock(wraps=getattr(criteria, name)) for name in names}
         with mock.patch.object(TraceLine, "__init__", autospec=True, side_effect=TraceLine.__init__) as made:
             with mock.patch.multiple(criteria, **wrapped):
                 report = hirzebruch_claim(12, part)
         assert report.ok
         big = sum(call.args[1].endswith(": M^2 > 0 (big)") for call in made.call_args_list)
-        return sum(checker.call_count for checker in wrapped.values()), big
+        return sum(rule.call_count for rule in wrapped.values()), big
 
     assert counted(2) == (14, 7)
     assert counted(1) == (6, 2)
@@ -507,17 +507,17 @@ def test_a_goals_degree_classes_live_on_the_family_lattice():
 
 
 def test_a_conjunction_lists_each_rule_once_and_keeps_what_all_goals_share():
-    """Stubbed checkers rule and note by their own name, and give no trace."""
+    """Stubbed rules name their rule and note after themselves, and give no trace."""
     model, family = section_family(1)
     cone = HirzebruchFamily(1, model.lattice)
     degrees = (Degrees("G", (cone.g_class,)),)
     free, ample = Goal("free", (hz.POINT_ON_G,), degrees, label="free"), Goal("very-ample", (), degrees)
     alone, _ = decided_at(family, cone, (free,), [{"eps": F(1, 8)}])
-    assert (alone.verdict.rule, alone.verdict.note) == ("freeness_at", "freeness_at")
+    assert (alone.verdict.rule, alone.verdict.note) == ("freeness_rule", "freeness_rule")
     both, calls = decided_at(family, cone, (free, ample, free), [{"eps": F(1, 8)}])
     assert both.found and len(calls) == 3
     assert alone.params == both.params == {"eps": F(1, 8)}
-    assert (both.verdict.rule, both.verdict.note, both.verdict.witness) == ("freeness_at & very_ampleness", "", None)
+    assert (both.verdict.rule, both.verdict.note, both.verdict.witness) == ("freeness_rule & very_ample_rule", "", None)
     nef_and_big = ["M.G >= 0 (nef)", "M.F >= 0 (nef)", "M^2 > 0 (big)"]
     free_lines = [f"free: {text}" for text in nef_and_big]
     assert [line.text for line in both.verdict.trace] == free_lines + nef_and_big + free_lines
@@ -681,25 +681,25 @@ def search_cases(draw):
 
 @contextlib.contextmanager
 def stubbed_checkers(stub, k):
-    """With ``stub`` set, every goal checker is replaced by a pure one that
+    """With ``stub`` set, every goal's rule is replaced by a pure one that
     records its arguments and establishes when their hash is a multiple of k
-    (never if k is None), so the calls show which candidates reach a checker.
-    Its rule and note name the checker, so that goals of two kinds disagree
-    on both."""
+    (never if k is None), so the calls show which candidates reach a rule.
+    The public checkers explain the same stubs.  A stub's rule and note name
+    the rule, so that goals of two kinds disagree on both."""
     calls = []
     if not stub:
         yield calls
         return
 
-    def checker(name):
+    def rule(name):
         def stubbed(*args):
             calls.append(args)
-            return CriterionVerdict(k is not None and hash(args) % k == 0, name, (), note=name)
+            return criteria.Evaluation(name, iter(()), note=name, sufficient=k is not None and hash(args) % k == 0)
 
         return stubbed
 
-    names = ("freeness_at", "separation", "tangent_separation", "very_ampleness")
-    with mock.patch.multiple(criteria, **{name: checker(name) for name in names}):
+    names = ("freeness_rule", "separation_rule", "tangent_rule", "very_ample_rule")
+    with mock.patch.multiple(criteria, **{name: rule(name) for name in names}):
         yield calls
 
 
@@ -711,7 +711,7 @@ def test_search_matches_the_build_every_candidate_reference(case, stub, k):
         expected = reference_search(family, cone, goals, depth)
     with stubbed_checkers(stub, k) as calls:
         report = search_params(family, cone, goals, depth)
-    assert calls == expected_calls  # the checkers run on exactly the nef and big candidates
+    assert calls == expected_calls  # the rules run on exactly the nef and big candidates
     assert report.found == expected.found
     assert report.params == expected.params
     assert report.attempts == expected.attempts
@@ -738,8 +738,8 @@ def separation_goal(model, cone):
 
 
 def matches_the_reference(family, cone, goals, depth):
-    """With checkers that never establish, the search and ``reference_search``
-    agree on every checker call and on the report."""
+    """With rules that never establish, the search and ``reference_search``
+    agree on every rule call and on the report."""
     with stubbed_checkers(True, None) as expected_calls:
         expected = reference_search(family, cone, goals, depth)
     with stubbed_checkers(True, None) as calls:
@@ -777,7 +777,7 @@ def test_one_level_holds_notes_nef_rejections_and_checker_calls():
     2**-(2 + d) for d = 1..8.  B's coefficient on G, 5/12 + (56/3)f, leaves
     [0, 1) for f >= 1/32 (it is 1 at f = 1/32); M.G = -1/12 + (32/3)f is
     negative for f < 1/128 (it is 0 at f = 1/128); the candidates f = 1/64
-    and 1/128 between them reach the checker, whose first argument is B's
+    and 1/128 between them reach the rule, whose first argument is B's
     coefficient 1/2 + 8f on F."""
     model = hz.hirzebruch_model(1)
     family = ParamFamily(
@@ -800,7 +800,7 @@ def test_one_level_holds_notes_nef_rejections_and_checker_calls():
 def test_a_two_parameter_search_at_the_depth_ceiling_matches_the_reference():
     """At depth 64 alpha reaches 2**-128, just above the lower end 3**-81 of
     its domain.  M is nef and big at every candidate, so all 63 * 64 reach
-    the checker, whose first argument is the boundary coefficient 1 - alpha."""
+    the rule, whose first argument is the boundary coefficient 1 - alpha."""
     model, family = fiber_family(1, Param("alpha", F(1, 3**81), F(2, 7)))
     cone = HirzebruchFamily(1, model.lattice)
     report, calls = matches_the_reference(family, cone, (separation_goal(model, cone),), MAX_DEPTH)
@@ -821,7 +821,7 @@ def test_search_depth_is_bounded(depth):
 
 def test_the_claim_search_builds_no_divisor():
     """The n = 12, part 2 claim walks candidates turned down on the nef test
-    and candidates that reach a checker; the only divisors it builds are the
+    and candidates that reach a rule; the only divisors it builds are the
     targets of its two decompositions, when each family is made."""
     with mock.patch.object(QDivisor, "__post_init__", autospec=True, side_effect=QDivisor.__post_init__) as built:
         report = hirzebruch_claim(12, 2)
