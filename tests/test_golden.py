@@ -1,4 +1,4 @@
-"""Byte-for-byte golden output of five reports, as text and as JSON, and of
+"""Byte-for-byte golden output of six reports, as text and as JSON, and of
 the console's two n = 12 claims.
 
 The JSON comparison drops ``elapsed_ms``, the only field that varies from
@@ -56,12 +56,85 @@ search goal=free point=p B=Bout M=Mout depth=4
 search goal=separate p=p q=q B=B M=M
 """
 
+# Witnesses given as query arguments, for each check-* kind and for the two
+# search goals that take them, then the argument errors: a witness given in
+# part, a second witness key on a search goal that takes none, one point
+# named twice, and an unknown key on every query kind and search goal.
+WITNESS_QUERIES = """surface
+basis = G F
+gram = [[-3, 1], [1, 0]]
+K = -2G - 5F
+chi_O = 1
+
+curves
+G = G
+F = F
+
+cone
+hirzebruch = 3
+
+points
+p = G:1 F:1
+q = F:1
+
+tangents
+v = p G:1:z F:0
+
+params
+e = (0, 1)
+
+divisors
+H_3 = G + 3F
+L = 3G + 8F
+B = 9/10 G
+M = L - B
+N = 3G + 12F
+D = 11/20 G + 11/20 F
+Bfam = (1 - e)G
+Mfam = L - Bfam
+Bva = e G
+Mva = 4G + 16F - Bva
+
+queries
+check-free point=p B=B M=M beta2=3 beta1=3/2
+check-free point=p B=B M=M beta2=1/2 beta1=2
+check-separate p=p q=q B=0 M=N beta2_p=3 beta2_q=3 beta1_p=3/2 beta1_q=3/2
+check-separate p=p q=q B=B M=M beta2_p=2 beta2_q=2 beta1_p=2 beta1_q=2
+check-tangent tangent=v B=0 M=N beta2_p=3 beta2_V=3 beta1=3/2
+check-tangent tangent=v B=B M=M beta2_p=2 beta2_V=2 beta1=3/2
+check-very-ample M=N beta2=3 beta1=3/2
+check-very-ample M=M beta2=3 beta1=3/2
+search goal=free point=p B=Bfam M=Mfam beta2=3 beta1=3/2
+search goal=very-ample B=Bva M=Mva beta2=3 beta1=3/2
+check-free point=p B=B M=M beta2=3
+check-separate p=p q=q B=B M=M beta2_p=3 beta1_q=1
+check-tangent tangent=v B=B M=M beta1=1
+check-very-ample M=M beta1=2
+search goal=free point=p B=Bfam M=Mfam beta2=3
+search goal=very-ample B=Bva M=Mva beta1=3/2
+search goal=separate p=p q=q B=Bfam M=Mfam beta2_p=3
+check-separate p=p q=p B=B M=M
+chi H_3 bogus=1
+check-free point=p B=B M=M bogus=1
+check-separate p=p q=q B=B M=M bogus=1
+check-tangent tangent=v B=B M=M bogus=1
+check-very-ample M=M bogus=1
+check-corollary2 m2=12 mindeg=4 bogus=1
+plc-threshold point=p B=B D=D bogus=1
+search goal=free point=p B=Bfam M=Mfam bogus=1
+search goal=separate p=p q=q B=Bfam M=Mfam bogus=1
+search goal=tangent tangent=v B=Bfam M=Mfam bogus=1
+search goal=very-ample B=Bva M=Mva bogus=1
+hirzebruch-claim n=1 part=1 bogus=1
+"""
+
 CASES = {
     "hirzebruch_n3": ("docs/hirzebruch_n3.surf", (ROOT / "docs" / "hirzebruch_n3.surf").read_text()),
     "claim_n2_part2": ("hirzebruch-claim n=2 part=2", "queries\nhirzebruch-claim n=2 part=2\n"),
     "claim_n12_part1": ("hirzebruch-claim n=12 part=1", "queries\nhirzebruch-claim n=12 part=1\n"),
     "claim_n12_part2": ("hirzebruch-claim n=12 part=2", "queries\nhirzebruch-claim n=12 part=2\n"),
     "search_two_param": ("search_two_param.surf", SEARCH_TWO_PARAM),
+    "witness_queries": ("witness_queries.surf", WITNESS_QUERIES),
 }
 
 

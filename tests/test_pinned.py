@@ -1,4 +1,4 @@
-"""Pinned sha256 hashes of the claim reports and of the four search checkers.
+"""Pinned sha256 hashes of the claim reports and of the checkers.
 
 ``tests/golden/claim_hashes.txt`` holds one hash per ``(n, part)`` of
 ``repr(hirzebruch_claim(n, part))``; ``tests/golden/checker_hashes.txt`` one
@@ -7,8 +7,10 @@ exception's type and text.  The grid reaches every branch of
 ``freeness_at``, ``separation``, ``tangent_separation`` and
 ``very_ampleness``: high multiplicities, given, searched and missing
 witnesses, witnesses with a side missing, ``beta2 = 2 - mu`` exactly and
-``very_ampleness`` with ``beta2 = 1``.  A failure lists the inputs whose
-hash moved.
+``very_ampleness`` with ``beta2 = 1``.  It also crosses the bounds of
+``jet_separation`` and ``threshold_very_ampleness``, on each side and
+exactly, with negative and non-integer inputs.  A failure lists the inputs
+whose hash moved.
 
 To rewrite both files after a deliberate change of output, run
 ``PYTHONPATH=src python tests/test_pinned.py``.
@@ -119,6 +121,14 @@ def checker_inputs():
         yield "tangent_separation", (mp, mv, m2, *degrees, witness)
     for args in itertools.product((0, 8, 9, 12, 50, 100), (2, F(5, 2), 3, F(7, 2), 4, 6), _VA_WITNESSES):
         yield "very_ampleness", args
+    for args in itertools.product((F(-1, 2), 0, 1, F(3, 2), 2, 3, F(7, 2), 4), (-1, 0, 1, 2, F(3, 2))):
+        yield "jet_separation", args
+    # around M^2 = 6 + 4*sqrt(2) (about 11.657) and min degree = 2 + sqrt(2) (about 3.414)
+    for args in itertools.product(
+        (0, 6, 11, F(233, 20), F(35, 3), 12, 50, 10**6),
+        (2, 3, F(17, 5), F(41, 12), F(7, 2), 4, 10**6),
+    ):
+        yield "threshold_very_ampleness", args
 
 
 def _outcome(name: str, args: tuple) -> str:
