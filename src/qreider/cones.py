@@ -24,7 +24,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .criteria import TraceLine, check
 from .lattice import DivisorClass, IntersectionLattice, as_int
 
 
@@ -160,14 +159,6 @@ ConeDescription = FiniteGenerators | HirzebruchFamily
 def _require_lattice(m: DivisorClass, cone: ConeDescription) -> None:
     if m.lattice is not cone.lattice:
         raise ValueError("class does not live on the cone's lattice")
-
-
-def nef_lines(m: DivisorClass, cone: ConeDescription) -> list[TraceLine]:
-    """One ``M.C >= 0 (nef)`` line per row of the cone's nef test."""
-    _require_lattice(m, cone)
-    d, (x,) = _integer_rows((m.coeffs,))
-    den = d * cone.nef.den
-    return [check(text, Fraction(_dot(x, row), den), ">=", 0) for text, row in zip(cone.nef_texts, cone.nef.rows)]
 
 
 def is_nef(m: DivisorClass, cone: ConeDescription) -> bool:

@@ -14,7 +14,9 @@ multiplicity, a given, searched or missing witness) and returns an
 order, each computed only when it is read.  A checker reads them all
 (:func:`explain`); the parameter search reads them only up to the first that
 fails (:func:`holding`), and turns them into trace lines only at the
-candidate that wins.
+candidate that wins.  ``jet_separation`` and ``threshold_very_ampleness``
+explain an evaluation too, so every trace line is made by
+:func:`trace_lines`.
 
 Every witness is verified exactly.  The freeness and very-ample searches are
 complete: they prefer a dyadic rational (denominator ``2**k``) and fall back to
@@ -26,7 +28,6 @@ decision procedure over immutable data.
 
 from __future__ import annotations
 
-import operator
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -53,15 +54,6 @@ class PLCContextWarning(UserWarning):
 # verdicts, traces, witnesses
 
 
-_REL = {
-    ">": operator.gt,
-    ">=": operator.ge,
-    "=": operator.eq,
-    "<": operator.lt,
-    "<=": operator.le,
-}
-
-
 @dataclass(frozen=True)
 class TraceLine:
     text: str
@@ -69,11 +61,6 @@ class TraceLine:
     rel: str
     rhs: Fraction
     holds: bool
-
-
-def check(text: str, lhs: RationalLike, rel: str, rhs: RationalLike) -> TraceLine:
-    left, right = as_fraction(lhs), as_fraction(rhs)
-    return TraceLine(text, left, rel, right, _REL[rel](left, right))
 
 
 @dataclass(frozen=True)
@@ -130,11 +117,6 @@ class CriterionVerdict:
     @property
     def status(self) -> str:
         return "established" if self.established else "not-established"
-
-
-def _verdict(rule: str, lines: Iterable[TraceLine], witness: Optional[BetaWitness] = None, note: str = "") -> CriterionVerdict:
-    trace = tuple(lines)
-    return CriterionVerdict(all(l.holds for l in trace), rule, trace, witness, note)
 
 
 # One condition of a rule: (text, lhs, rel, rhs, holds), holds being ``lhs rel rhs``.
@@ -205,8 +187,7 @@ def jet_separation(mu: RationalLike, s: int) -> CriterionVerdict:
     s = as_int(s)
     if s < 0:
         raise DomainError("jet order must be non-negative")
-    line = check("boundary multiplicity >= s + 2", m, ">=", s + 2)
-    return _verdict("jet-separation", [line])
+    return explain(Evaluation("jet-separation", iter((_ge("boundary multiplicity >= s + 2", m, s + 2),))))
 
 
 # ---------------------------------------------------------------------------
@@ -759,14 +740,14 @@ def threshold_very_ampleness(m2: RationalLike, mindeg_all: RationalLike) -> Crit
     for the first lower convergent c of sqrt(2) that fits.
     """
     sq, deg = as_fraction(m2), as_fraction(mindeg_all)
-    lines = [
-        check("min degree > 2", deg, ">", 2),
-        check("(min degree - 2)^2 > 2", (deg - 2) ** 2, ">", 2),
-        check("M^2 > 6", sq, ">", 6),
-        check("(M^2 - 6)^2 > 32", (sq - 6) ** 2, ">", 32),
-    ]
-    if not all(l.holds for l in lines):
-        return _verdict("very-ample/threshold", lines)
+    conditions = (
+        _gt("min degree > 2", deg, 2),
+        _gt("(min degree - 2)^2 > 2", (deg - 2) ** 2, 2),
+        _gt("M^2 > 6", sq, 6),
+        _gt("(M^2 - 6)^2 > 32", (sq - 6) ** 2, 32),
+    )
+    if not all(condition[4] for condition in conditions):
+        return explain(Evaluation("very-ample/threshold", iter(conditions)))
     # The comparisons above put 1 + sqrt(2) inside [deg/(deg - 2), sqrt(M^2/2)),
     # the beta2 range of the rule, so a convergent lands in it after a number of
     # steps linear in the bit size of the input.
@@ -776,7 +757,7 @@ def threshold_very_ampleness(m2: RationalLike, mindeg_all: RationalLike) -> Crit
         if sq > 2 * b2 * b2 and deg >= 2 * b1:
             witness = BetaWitness.single(b2, b1)
             break
-    return _verdict("very-ample/threshold", lines, witness, note="witness from sqrt(2) convergents")
+    return explain(Evaluation("very-ample/threshold", iter(conditions), witness, "witness from sqrt(2) convergents"))
 
 
 # ---------------------------------------------------------------------------
@@ -791,8 +772,6 @@ class LocalCurveData:
     b: Fraction
     d: Fraction
     mult_p: int
-    mult_V: Optional[int] = None
-    contains_Z: Optional[bool] = None
 
     def __post_init__(self):
         object.__setattr__(self, "b", as_fraction(self.b))
@@ -804,10 +783,6 @@ class LocalCurveData:
             raise ValueError(f"auxiliary coefficient of {self.name!r} must be non-negative")
         if self.mult_p < 1:
             raise ValueError(f"{self.name!r} is listed through the point, so mult_p >= 1")
-        if self.mult_V is not None:
-            object.__setattr__(self, "mult_V", as_int(self.mult_V))
-            if not 0 <= self.mult_V <= self.mult_p:
-                raise ValueError(f"infinitely-near order of {self.name!r} must be in [0, mult_p]")
 
 
 @dataclass(frozen=True)
@@ -829,14 +804,6 @@ class LocalConfig:
     @property
     def m_p(self) -> Fraction:
         return sum((c.d * c.mult_p for c in self.curves), Fraction(0))
-
-    @property
-    def mu_V(self) -> Fraction:
-        return sum((c.b * (c.mult_V or 0) for c in self.curves), Fraction(0))
-
-    @property
-    def mu_v(self) -> Fraction:
-        return self.mu + self.mu_V
 
 
 @dataclass(frozen=True)

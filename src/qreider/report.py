@@ -10,9 +10,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, TypeVar, Union
+from typing import Mapping, NamedTuple, Optional, TypeVar, Union
 
-from . import __version__
+from . import __version__, criteria
 from .cones import DegreeFilter, cone_degrees, min_degree
 from .criteria import (
     BetaWitness,
@@ -21,13 +21,9 @@ from .criteria import (
     LocalCurveData,
     ThresholdMode,
     TraceLine,
-    freeness_at,
     plc_threshold,
     riemann_roch_chi,
-    separation,
-    tangent_separation,
     threshold_very_ampleness,
-    very_ampleness,
 )
 from .document import _INTEGER_RE, Document, ParseError, QueryDecl, _number
 from .search import DEFAULT_DEPTH, MAX_DEPTH, Goal, ParamFamily, SearchReport, hirzebruch_claim, search_params
@@ -118,26 +114,64 @@ def _choice_arg(q: QueryDecl, key: str, choices: Mapping[str, T], default: str) 
     return choices[raw.lower()]
 
 
-# the witness keys of each rule -> the BetaWitness their values build
-_FREE_WITNESS = ("beta2", "beta1")
-_SEPARATE_WITNESS = ("beta2_p", "beta2_q", "beta1_p", "beta1_q")
-_TANGENT_WITNESS = ("beta2_p", "beta2_V", "beta1")
-_WITNESSES = {
-    _FREE_WITNESS: lambda b2, b1: BetaWitness.single(b2, b1, role="at-p"),
-    _SEPARATE_WITNESS: BetaWitness.pair,
-    _TANGENT_WITNESS: lambda b2_p, b2_v, b1: BetaWitness((b2_p, b2_v), (b1,), ("at-p", "at-V"), ("global",)),
+class _GoalKind(NamedTuple):
+    """What one goal kind reads, for its check-* query and for search goal=."""
+
+    checker: str  # the criteria checker, found by name when it runs, so that a wrapped one is the one called
+    marked: tuple[str, ...]  # the keys naming the marked data
+    mus: tuple[str, ...]  # the value name of each multiplicity the checker reads
+    degrees: tuple[tuple[str, DegreeFilter], ...]  # each minimal degree's value name (its check-* key) and filter
+    witness: tuple[str, ...]  # the witness keys: the beta2 values, then the beta1 values
+    beta2_roles: tuple[str, ...]  # the roles of the BetaWitness the keys build
+    beta1_roles: tuple[str, ...]
+    search_witness: bool  # whether search goal= takes the witness keys too
+
+    def query_keys(self, *others: str) -> tuple[str, ...]:
+        """The keys of this goal's check-* query, which reads ``others`` after its marked data."""
+        return self.marked + others + tuple(key for key, _ in self.degrees) + self.witness
+
+
+_THROUGH_P, _ALL = DegreeFilter.THROUGH_POINT, DegreeFilter.ALL
+_GOALS = {
+    "free": _GoalKind(
+        "freeness_at", ("point",), ("mu",), (("mindeg", _THROUGH_P),), ("beta2", "beta1"), ("at-p",), ("at-p",), True
+    ),
+    "separate": _GoalKind(
+        "separation",
+        ("p", "q"),
+        ("mu_p", "mu_q"),
+        (("mindeg_p", _ALL), ("mindeg_q", _ALL), ("mindeg_pq", _ALL)),
+        ("beta2_p", "beta2_q", "beta1_p", "beta1_q"),
+        ("at-p", "at-q"),
+        ("at-p", "at-q"),
+        False,
+    ),
+    "tangent": _GoalKind(
+        "tangent_separation",
+        ("tangent",),
+        ("mu_p", "mu_V"),
+        (("mindeg_p", _THROUGH_P), ("mindeg_Z", DegreeFilter.CONTAINING_Z)),
+        ("beta2_p", "beta2_V", "beta1"),
+        ("at-p", "at-V"),
+        ("global",),
+        False,
+    ),
+    "very-ample": _GoalKind(
+        "very_ampleness", (), (), (("mindeg", _ALL),), ("beta2", "beta1"), ("global",), ("global",), True
+    ),
 }
 
 
-def _witness_arg(q: QueryDecl, keys: tuple[str, ...]) -> Optional[BetaWitness]:
-    """The witness that the arguments ``keys`` give all together, or None
-    when none of them is given (as always for no keys)."""
-    values = [_rational_arg(q, key) for key in keys]
+def _witness_arg(q: QueryDecl, goal: _GoalKind) -> Optional[BetaWitness]:
+    """The witness that the goal's witness keys give all together, or None
+    when none of them is given."""
+    values = [_rational_arg(q, key) for key in goal.witness]
     if all(v is None for v in values):
         return None
     if None in values:
-        raise QueryError(f"give all of {', '.join(key + '=' for key in keys)}, or none")
-    return _WITNESSES[keys](*values)
+        raise QueryError(f"give all of {', '.join(key + '=' for key in goal.witness)}, or none")
+    split = len(goal.beta2_roles)
+    return BetaWitness(values[:split], values[split:], goal.beta2_roles, goal.beta1_roles)
 
 
 _WEAK = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
@@ -216,55 +250,26 @@ def _decomposition(doc: Document, q: QueryDecl):
     return boundary, m_cls, m_cls.self_intersection()
 
 
-def _run_check_free(doc: Document, q: QueryDecl, result: QueryResult) -> None:
+def _run_check_local(doc: Document, q: QueryDecl, result: QueryResult) -> None:
+    """check-free, check-separate and check-tangent: the goal's checker on the
+    boundary's multiplicities at the marked data, M^2 and M's minimal degrees,
+    each given by its value name's key or computed."""
     _need_model(doc)
-    point = _require(q, "point")
+    goal = _GOALS[q.kind.removeprefix("check-")]
+    at = [_require(q, key) for key in goal.marked]
+    if len(set(at)) < len(at):  # check-separate's p= and q=
+        raise QueryError(f"p= and q= name the same point {at[0]!r}; separation needs two points")
     boundary, m_cls, m2 = _decomposition(doc, q)
-    mu = boundary.ord_at(point)
-    deg = _mindeg(doc, m_cls, DegreeFilter.THROUGH_POINT, _rational_arg(q, "mindeg"))
-    result.values.update({"mu": mu, "M2": m2, "mindeg": deg})
-    _from_verdict(result, freeness_at(mu, m2, deg, _witness_arg(q, _FREE_WITNESS)))
-
-
-def _run_check_separate(doc: Document, q: QueryDecl, result: QueryResult) -> None:
-    _need_model(doc)
-    p, qq = _require(q, "p"), _require(q, "q")
-    if p == qq:
-        raise QueryError(f"p= and q= name the same point {p!r}; separation needs two points")
-    boundary, m_cls, m2 = _decomposition(doc, q)
-    mu_p, mu_q = boundary.ord_at(p), boundary.ord_at(qq)
-    deg_p = _mindeg(doc, m_cls, DegreeFilter.ALL, _rational_arg(q, "mindeg_p"))
-    deg_q = _mindeg(doc, m_cls, DegreeFilter.ALL, _rational_arg(q, "mindeg_q"))
-    deg_pq = _mindeg(doc, m_cls, DegreeFilter.ALL, _rational_arg(q, "mindeg_pq"))
-    witness = _witness_arg(q, _SEPARATE_WITNESS)
-    result.values.update(
-        {"mu_p": mu_p, "mu_q": mu_q, "M2": m2, "mindeg_p": deg_p, "mindeg_q": deg_q, "mindeg_pq": deg_pq}
-    )
-    _from_verdict(result, separation(mu_p, mu_q, m2, deg_p, deg_q, deg_pq, witness))
-
-
-def _run_check_tangent(doc: Document, q: QueryDecl, result: QueryResult) -> None:
-    _need_model(doc)
-    tangent = _require(q, "tangent")
-    boundary, m_cls, m2 = _decomposition(doc, q)
-    orders = boundary.ord_tangential(tangent)
-    deg_p = _mindeg(doc, m_cls, DegreeFilter.THROUGH_POINT, _rational_arg(q, "mindeg_p"))
-    deg_z = _mindeg(doc, m_cls, DegreeFilter.CONTAINING_Z, _rational_arg(q, "mindeg_Z"))
-    witness = _witness_arg(q, _TANGENT_WITNESS)
-    result.values.update(
-        {
-            "mu_p": orders.at_point,
-            "mu_V": orders.at_infinitely_near,
-            "mu_v": orders.total,
-            "M2": m2,
-            "mindeg_p": deg_p,
-            "mindeg_Z": deg_z,
-        }
-    )
-    _from_verdict(
-        result,
-        tangent_separation(orders.at_point, orders.at_infinitely_near, m2, deg_p, deg_z, witness),
-    )
+    if q.kind == "check-tangent":
+        orders = boundary.ord_tangential(at[0])
+        mus, total = orders[:2], {"mu_v": orders.total}  # the total is shown, not read by the checker
+    else:
+        mus, total = tuple(boundary.ord_at(name) for name in at), {}
+    degrees = [_mindeg(doc, m_cls, filt, _rational_arg(q, key)) for key, filt in goal.degrees]
+    witness = _witness_arg(q, goal)
+    result.values.update({**dict(zip(goal.mus, mus)), **total, "M2": m2})
+    result.values.update(zip((key for key, _ in goal.degrees), degrees))
+    _from_verdict(result, getattr(criteria, goal.checker)(*mus, m2, *degrees, witness))
 
 
 def _run_check_global(doc: Document, q: QueryDecl, result: QueryResult) -> None:
@@ -277,9 +282,11 @@ def _run_check_global(doc: Document, q: QueryDecl, result: QueryResult) -> None:
             m2 = m_cls.self_intersection()
         if deg is None:
             deg = _mindeg(doc, m_cls, DegreeFilter.ALL, None)
+    goal = _GOALS["very-ample"]
+    witness = _witness_arg(q, goal) if q.kind == "check-very-ample" else None
     result.values.update({"M2": m2, "mindeg": deg})
     if q.kind == "check-very-ample":
-        verdict = very_ampleness(m2, deg, _witness_arg(q, _FREE_WITNESS))
+        verdict = getattr(criteria, goal.checker)(m2, deg, witness)
     else:
         verdict = threshold_very_ampleness(m2, deg)
     _from_verdict(result, verdict)
@@ -310,16 +317,6 @@ def _run_plc_threshold(doc: Document, q: QueryDecl, result: QueryResult) -> None
         result.labels["achievers"] = ", ".join(outcome.achievers)
 
 
-# search goal= kind -> (query keys naming the marked data, degree filter of each minimal degree,
-# the witness keys beta2=/beta1= if the goal takes them, else none)
-_SEARCH_GOALS = {
-    "free": (("point",), (DegreeFilter.THROUGH_POINT,), _FREE_WITNESS),
-    "separate": (("p", "q"), (DegreeFilter.ALL,) * 3, ()),
-    "tangent": (("tangent",), (DegreeFilter.THROUGH_POINT, DegreeFilter.CONTAINING_Z), ()),
-    "very-ample": ((), (DegreeFilter.ALL,), _FREE_WITNESS),
-}
-
-
 def _run_search(doc: Document, q: QueryDecl, result: QueryResult) -> None:
     model = _need_model(doc)
     cone = _need_cone(doc)
@@ -328,14 +325,14 @@ def _run_search(doc: Document, q: QueryDecl, result: QueryResult) -> None:
     boundary = _divisor(doc, q, "B", concrete=False)
     positive = _divisor(doc, q, "M", concrete=False)
     family = ParamFamily(model, doc.params, boundary, positive)
-    if goal_kind not in _SEARCH_GOALS:
+    if goal_kind not in _GOALS:
         raise QueryError(f"unknown search goal {goal_kind!r}")
-    keys, filters, witness_keys = _SEARCH_GOALS[goal_kind]
+    kind = _GOALS[goal_kind]
     goal = Goal(
         goal_kind,
-        tuple(_require(q, key) for key in keys),
-        tuple(cone_degrees(cone, f) for f in filters),
-        _witness_arg(q, witness_keys),
+        tuple(_require(q, key) for key in kind.marked),
+        tuple(cone_degrees(cone, filt) for _, filt in kind.degrees),
+        _witness_arg(q, kind) if kind.search_witness else None,
     )
     _from_search(result, search_params(family, cone, (goal,), depth))
 
@@ -378,13 +375,10 @@ def _run_hirzebruch_claim(doc: Document, q: QueryDecl, result: QueryResult) -> N
 # query kind -> (runner, the argument keys it reads; a search also reads its goal's keys)
 _RUNNERS = {
     "chi": (_run_chi, ("H",)),
-    "check-free": (_run_check_free, ("point", "B", "M", "mindeg") + _FREE_WITNESS),
-    "check-separate": (
-        _run_check_separate,
-        ("p", "q", "B", "M", "mindeg_p", "mindeg_q", "mindeg_pq") + _SEPARATE_WITNESS,
-    ),
-    "check-tangent": (_run_check_tangent, ("tangent", "B", "M", "mindeg_p", "mindeg_Z") + _TANGENT_WITNESS),
-    "check-very-ample": (_run_check_global, ("M", "m2", "mindeg") + _FREE_WITNESS),
+    "check-free": (_run_check_local, _GOALS["free"].query_keys("B", "M")),
+    "check-separate": (_run_check_local, _GOALS["separate"].query_keys("B", "M")),
+    "check-tangent": (_run_check_local, _GOALS["tangent"].query_keys("B", "M")),
+    "check-very-ample": (_run_check_global, _GOALS["very-ample"].query_keys("M", "m2")),
     "check-corollary2": (_run_check_global, ("M", "m2", "mindeg")),
     "plc-threshold": (_run_plc_threshold, ("point", "B", "D", "mode", "weak", "c0")),
     "search": (_run_search, ("goal", "B", "M", "depth")),
@@ -401,10 +395,10 @@ def _check_keys(q: QueryDecl) -> None:
         raise QueryError(f"unexpected word {q.positional[kept]!r} for {q.kind!r} (it takes {takes})")
     keys = _RUNNERS[q.kind][1]
     if q.kind == "search":
-        if q.arg("goal") not in _SEARCH_GOALS:
+        if q.arg("goal") not in _GOALS:
             return  # the runner reports the missing or unknown goal
-        marked, _, witness_keys = _SEARCH_GOALS[q.arg("goal")]
-        keys += marked + witness_keys
+        goal = _GOALS[q.arg("goal")]
+        keys += goal.marked + (goal.witness if goal.search_witness else ())
     for key, _ in q.args:
         if key not in keys:
             raise QueryError(f"unknown argument {key}= for {q.kind!r} (expected {', '.join(keys)})")

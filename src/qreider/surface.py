@@ -99,9 +99,6 @@ class TangentSpec:
     def mult_V(self, curve: str) -> int:
         return self.mults_V.get(curve, 0)
 
-    def curve_contains_direction(self, curve: str) -> bool:
-        return self.contains_Z.get(curve, False)
-
 
 class TangentialOrder(NamedTuple):
     """Orders of a divisor at a point, at the infinitely-near point, and their sum."""
@@ -183,9 +180,6 @@ class SurfaceModel:
     def divisor(self, coeffs: Mapping[str, RationalLike] | None = None) -> "QDivisor":
         return QDivisor(self, dict(coeffs or {}))
 
-    def zero_divisor(self) -> "QDivisor":
-        return QDivisor(self, {})
-
 
 @dataclass(frozen=True)
 class QDivisor:
@@ -248,9 +242,6 @@ class QDivisor:
 
     def round_down(self) -> "QDivisor":
         return QDivisor(self.surface, {n: Fraction(math.floor(v)) for n, v in self.coeffs.items()})
-
-    def frac_part(self) -> "QDivisor":
-        return self - self.round_down()
 
     def divisor_class(self) -> DivisorClass:
         total = self.surface.lattice.zero()

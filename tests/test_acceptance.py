@@ -202,7 +202,7 @@ def test_criterion_5_identity_suite():
         coeffs = {c: F(rng.randint(-40, 40), rng.randint(1, 9)) for c in ("A", "B", "C")}
         d = rmodel.divisor(coeffs)
         ok = ok and d.round_up() == -((-d).round_down())
-        frac = d.frac_part()
+        frac = d - d.round_down()
         ok = ok and all(0 <= frac.coeff(c) < 1 for c in coeffs)
         ok = ok and all(
             d.round_down().coeff(c) <= d.coeff(c) <= d.round_up().coeff(c) for c in coeffs

@@ -463,7 +463,7 @@ def test_a_very_ample_witness_with_beta2_one_is_not_established(capsys, monkeypa
         "   status: not-established   rule: very-ample/witness\n"
         "   M2 = 20\n"
         "   mindeg = 5\n"
-        "   witness: beta2 = 1 [at-p]; beta1 = 1 [at-p]\n"
+        "   witness: beta2 = 1 [global]; beta1 = 1 [global]\n"
         "   beta2 >= 2: 1 >= 2  [FAILS]\n"
         "   M^2 > 2*beta2^2: 20 > 2  [ok]\n"
         "   min degree >= 2*beta1: 5 >= 2  [ok]\n"
@@ -471,6 +471,11 @@ def test_a_very_ample_witness_with_beta2_one_is_not_established(capsys, monkeypa
     assert search == (
         " B=Bfam M=Mfam beta2=1 beta1=1 depth=3\n   status: not-established\n   search: found=False attempts=2\n"
     )
+    monkeypatch.setattr("sys.stdin", io.StringIO(GOLDEN.read_text() + queries))
+    assert main(["check", "-", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    witness = next(q for q in payload["queries"] if q["query"].startswith("check-very-ample m2=20"))["witness"]
+    assert witness["beta2_roles"] == witness["beta1_roles"] == ["global"]
 
 
 CHOICE_DOC = """gram = [[-3, 1], [1, 0]]; K = -2G - 5F; chi_O = 1

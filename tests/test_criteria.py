@@ -412,15 +412,12 @@ def test_local_curve_data_validation():
         LocalCurveData("C", 0, -1, 1)
     with pytest.raises(ValueError):
         LocalCurveData("C", 0, 1, 0)
-    with pytest.raises(ValueError):
-        LocalCurveData("C", 0, 1, 1, mult_V=2)
 
 
-@pytest.mark.parametrize("mults", [(1.9, None), ("1", None), (True, None), (F(1), None), (1, 0.0), (1, False)])
-def test_local_curve_multiplicities_are_ints(mults):
-    mult_p, mult_V = mults
+@pytest.mark.parametrize("mult_p", [1.9, "1", True, F(1)])
+def test_local_curve_multiplicities_are_ints(mult_p):
     with pytest.raises(TypeError, match="not an integer"):
-        LocalCurveData("C", 0, 1, mult_p, mult_V)
+        LocalCurveData("C", 0, 1, mult_p)
 
 
 # ---------------------------------------------------------------------------

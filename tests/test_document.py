@@ -142,7 +142,7 @@ def test_bind_builds_model_and_cone():
     assert bound.cone is not None
     assert bound.model.point("p").mult("G") == 1
     tangent = bound.model.tangent("v")
-    assert tangent.mult_V("G") == 1 and tangent.curve_contains_direction("G")
+    assert tangent.mult_V("G") == 1 and tangent.contains_Z == {"G": True}
     d = bound.concrete_divisor("M")
     assert d.coeff("G") == F(21, 10)
 
@@ -313,6 +313,29 @@ def test_unknown_query_arguments_are_query_errors(query, key):
     result = run_document(parse(GOLDEN.read_text() + query + "\n")).results[-1]
     assert result.status == "error"
     assert f"unknown argument {key}=" in result.error
+
+
+@pytest.mark.parametrize(
+    "query,checker",
+    [
+        ("check-free point=p B=B M=M", "freeness_at"),
+        ("check-separate p=p q=q B=B M=M", "separation"),
+        ("check-tangent tangent=v B=B M=M", "tangent_separation"),
+        ("check-very-ample M=M", "very_ampleness"),
+    ],
+)
+def test_check_queries_call_the_checker_the_criteria_module_holds_when_they_run(query, checker, monkeypatch):
+    """A checker swapped on the criteria module after import, as a tracer
+    swaps it, is the one that the check query calls."""
+    from qreider import criteria
+    from qreider.report import run_document
+
+    calls = []
+    real = getattr(criteria, checker)
+    monkeypatch.setattr(criteria, checker, lambda *args: calls.append(args) or real(*args))
+    header = GOLDEN.read_text().split("\nqueries\n")[0].replace("p = G:1 F:1\n", "p = G:1 F:1\nq = F:1\n")
+    (result,) = run_document(parse(f"{header}\nqueries\n{query}\n")).results
+    assert result.status in ("established", "not-established") and len(calls) == 1
 
 
 @pytest.mark.parametrize(

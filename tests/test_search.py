@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qreider import criteria
 from qreider import hirzebruch as hz
 from qreider import search
-from qreider.cones import ConeGenerator, DegreeFilter, Degrees, FiniteGenerators, HirzebruchFamily, cone_degrees, nef_lines
+from qreider.cones import ConeGenerator, DegreeFilter, Degrees, FiniteGenerators, HirzebruchFamily, cone_degrees
 from qreider.criteria import BetaWitness, CriterionVerdict, TraceLine
 from qreider.lattice import hirzebruch_lattice
 from qreider.search import (
@@ -576,7 +576,9 @@ def reference_goal(cone, goal, boundary, positive, values):
     minimal degrees of M over each degree source's classes."""
     m_cls = positive.divisor_class()
     m2 = m_cls.self_intersection()
-    ambient = nef_lines(m_cls, cone) + [criteria.check("M^2 > 0 (big)", m2, ">", 0)]
+    nef = [(text, m_cls.intersect(c)) for text, c in zip(cone.nef_texts, cone.nef.classes)]
+    ambient = [TraceLine(text, d, ">=", F(0), d >= 0) for text, d in nef]
+    ambient.append(TraceLine("M^2 > 0 (big)", m2, ">", F(0), m2 > 0))
     if not all(line.holds for line in ambient):
         return CriterionVerdict(False, "not nef and big", ())
     if goal.kind == "tangent":
