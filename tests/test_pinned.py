@@ -1,9 +1,12 @@
-"""Pinned sha256 hashes of the claim reports and of the checkers.
+"""Pinned sha256 hashes of the claim reports, of the checkers and of the parser.
 
 ``tests/golden/claim_hashes.txt`` holds one hash per ``(n, part)`` of
 ``repr(hirzebruch_claim(n, part))``; ``tests/golden/checker_hashes.txt`` one
 per input of a fixed grid, of ``repr`` of the verdict or of the raised
-exception's type and text.  The grid reaches every branch of
+exception's type and text; ``tests/golden/parse_hashes.txt`` one per text of a
+seeded ``.surf`` corpus, of ``repr(parse(text))`` (which, unlike equality,
+shows every ``line`` and query ``cols``) or of the raised exception's type,
+message, line and column.  The grid reaches every branch of
 ``freeness_at``, ``separation``, ``tangent_separation`` and
 ``very_ampleness``: high multiplicities, given, searched and missing
 witnesses, witnesses with a side missing, ``beta2 = 2 - mu`` exactly and
@@ -12,7 +15,14 @@ witnesses, witnesses with a side missing, ``beta2 = 2 - mu`` exactly and
 exactly, with negative and non-integer inputs.  A failure lists the inputs
 whose hash moved.
 
-To rewrite both files after a deliberate change of output, run
+The corpus has every kind of statement: surface keys with and without a
+section header, curves, a Hirzebruch or a generated cone, points, tangents,
+parameters with and without a domain, divisors with references and parametric
+coefficients, and queries, several to a line and with comments.  Each of its
+documents is pinned whole, and once more for each line with one character
+inserted and once with one character dropped.
+
+To rewrite the files after a deliberate change of output, run
 ``PYTHONPATH=src python tests/test_pinned.py``.
 """
 
@@ -20,16 +30,19 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import random
 from fractions import Fraction as F
 from pathlib import Path
 
 from qreider import criteria
 from qreider.criteria import BetaWitness
+from qreider.document import parse
 from qreider.search import hirzebruch_claim
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 CLAIMS = GOLDEN_DIR / "claim_hashes.txt"
 CHECKERS = GOLDEN_DIR / "checker_hashes.txt"
+PARSES = GOLDEN_DIR / "parse_hashes.txt"
 
 CLAIM_NS = (*range(1, 51), 10**7)
 
@@ -142,6 +155,117 @@ def checker_hashes() -> dict[str, str]:
     return {f"{name}{args!r}": _sha(_outcome(name, args)) for name, args in checker_inputs()}
 
 
+# -- the parser's corpus --------------------------------------------------
+
+CORPUS_SIZE = 24
+GARBLE_CHARS = "()+-*/,:=;#[]0 7Gez._"
+
+
+def _coeff_text(rng: random.Random) -> str:
+    return rng.choice(("", "2", "3/2", "1/3", "2 ", "(1/2)", "3*", "10/4 "))
+
+
+def _surface_lines(rng: random.Random, n: int) -> list[str]:
+    gram = rng.choice((f"[[-{n}, 1], [1, 0]]", f"[[-{n},1],[1,0]]", f"[[ -{2 * n}/2 , +1 ], [1, -0]]"))
+    k = rng.choice((f"-2G - {n + 2}F", f"-(2G + {n + 2}F)", f"-2*G - {n + 2} * F", f"- 2 G - {2 * n + 4}/2 F"))
+    chi = rng.choice(("1", "+1", "2/2", "-1", "1/2"))
+    style = rng.randrange(3)
+    if style == 0:
+        return ["surface", "basis = G F", f"gram = {gram}", f"K = {k}", f"chi_O = {chi}"]
+    if style == 1:
+        return [f"gram = {gram}; K = {k}; chi_O = {chi}  # a fragment: the basis is read from K"]
+    return [f"K = {k}", f"gram = {gram}", "basis = G   F", f"chi_O = {chi}"]
+
+
+def corpus_document(rng: random.Random) -> str:
+    """A valid ``.surf`` document on a Hirzebruch surface, every statement kind in it."""
+    n = rng.randint(1, 4)
+    lines = ["# generated for the pinned parse hashes"] + _surface_lines(rng, n)
+    curves = ["G", "F"]
+    lines += ["", "curves", "G = G; F = F"]
+    for i in range(rng.randint(1, 4)):
+        a, b = rng.randint(0, 2), rng.randint(0, 3)
+        lines.append(f"C{i} = {a}G + {b}F" if rng.random() < 0.5 else f"C{i} = ({a} G + {b + 1}F) - F")
+        curves.append(f"C{i}")
+    if rng.random() < 0.5:
+        lines += ["", "cone", f"hirzebruch = {n}"]
+    elif rng.random() < 0.8:
+        lines += ["", "cone", "generator = G, through-p", "generator = F + 0G , through-p, contains-z"]
+    mults = {c: rng.randint(0, 2) for c in rng.sample(curves, rng.randint(1, len(curves)))}
+    lines += ["", "points", "p = " + " ".join(f"{c}:{m}" for c, m in mults.items()), "q ="]
+    lines += [f"P{i} = " + " ".join(f"{c}:{rng.randint(1, 3)}" for c in rng.sample(curves, 2)) for i in range(2)]
+    entries = [f"{c}:{rng.randint(0, m)}{':z' if m and rng.random() < 0.5 else ''}" for c, m in mults.items()]
+    lines += ["", "tangents", "v = p " + " ".join(entries), "w = q"]
+    lines += ["", "params", "e = (0, 1)", "f = ( -1/2 , 2 ); g"]
+    divisors = []
+    lines += ["", "divisors"]
+    for i in range(rng.randint(3, 7)):
+        c1, c2 = rng.sample(curves, 2)
+        form = rng.randrange(6)
+        if form == 0:
+            rhs = f"{_coeff_text(rng)}{c1} + {_coeff_text(rng)}{c2}"
+        elif form == 1:
+            rhs = f"(1 - e){c1} + (2 + e - 1/2 f) {c2}"
+        elif form == 2 and divisors:
+            rhs = f"{rng.choice(divisors)} - {_coeff_text(rng)}{c1}"
+        elif form == 3:
+            rhs = f"e {c1} - 1/2 {c2} + 2(f + 1)*{c1}"
+        elif form == 4 and divisors:
+            rhs = f"-({rng.choice(divisors)} - 3 {c2}) + g {c1}"
+        else:
+            rhs = rng.choice(("0", f"{c1} - {c1}", f"--{c1}", f"3 * {c1} * 2/3"))
+        divisors.append(f"D{i}")
+        lines.append(f"D{i} = {rhs}")
+    lines += ["", "queries", f"chi {rng.choice(divisors)}", "check-free point=p B=D0 M=D1"]
+    lines += rng.sample(
+        [
+            "check-very-ample M=3G + 9F   # a value may hold spaces",
+            "check-tangent tangent=v B=D0 M=D1; chi 3G + F",
+            "check-separate p q B=D0 M= 2G + 7F",
+            "check-corollary2 m2=12 mindeg=342/100",
+            "plc-threshold point=p B=D0 D=D1 mode=basic",
+            f"search goal=free point=p B=(1 - e)G M=D1 depth={rng.randint(1, 6)}",
+            f"hirzebruch-claim n={n} part={rng.randint(1, 2)}",
+        ],
+        3,
+    )
+    # two statements of one section on one line, now and then
+    out: list[str] = []
+    for line in lines:
+        if out and line and out[-1] and "#" not in out[-1] and rng.random() < 0.2:
+            out[-1] += "; " + line
+        else:
+            out.append(line)
+    return "\n".join(out) + "\n"
+
+
+def _parse_outcome(text: str) -> str:
+    try:
+        return repr(parse(text))
+    except Exception as exc:  # noqa: BLE001 - the error's type, message and position are pinned too
+        return f"{type(exc).__name__}: {getattr(exc, 'message', str(exc))!r} {getattr(exc, 'line', None)} {getattr(exc, 'col', None)}"
+
+
+def parse_inputs():
+    """(key, text) for every document of the corpus and every one-character change of each of its lines."""
+    rng = random.Random(20240611)
+    for d in range(CORPUS_SIZE):
+        text = corpus_document(rng)
+        yield f"doc {d}", text
+        lines = text.split("\n")
+        for i, line in enumerate(lines):
+            if not line:
+                continue
+            at, ch = rng.randrange(len(line) + 1), rng.choice(GARBLE_CHARS)
+            yield f"doc {d} line {i + 1} insert {ch!r} at {at}", "\n".join(lines[:i] + [line[:at] + ch + line[at:]] + lines[i + 1 :])
+            at = rng.randrange(len(line))
+            yield f"doc {d} line {i + 1} drop {line[at]!r} at {at}", "\n".join(lines[:i] + [line[:at] + line[at + 1 :]] + lines[i + 1 :])
+
+
+def parse_hashes() -> dict[str, str]:
+    return {key: _sha(_parse_outcome(text)) for key, text in parse_inputs()}
+
+
 def _read(path: Path) -> dict[str, str]:
     pinned = {}
     for line in path.read_text().splitlines():
@@ -169,6 +293,18 @@ def test_checker_verdicts_match_their_pinned_hashes():
     _assert_pinned(CHECKERS, checker_hashes())
 
 
+def test_corpus_documents_parse_whole():
+    for key, text in parse_inputs():
+        if " line " not in key:
+            doc = parse(text)
+            assert doc.model is not None and doc.points and doc.tangents and doc.divisors and doc.queries, key
+
+
+def test_parses_match_their_pinned_hashes():
+    _assert_pinned(PARSES, parse_hashes())
+
+
 if __name__ == "__main__":
     _write(CLAIMS, claim_hashes())
     _write(CHECKERS, checker_hashes())
+    _write(PARSES, parse_hashes())
