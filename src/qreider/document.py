@@ -28,10 +28,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .cones import ConeDescription, ConeGenerator, FiniteGenerators, HirzebruchFamily
-from .lattice import IntersectionLattice, as_fraction
+from .lattice import DivisorClass, IntersectionLattice, as_fraction
 from .search import AffineExpr, Param
 from .surface import Curve, PointSpec, QDivisor, SurfaceModel, TangentSpec, check_tangent
 
@@ -187,7 +187,7 @@ class Document:
                 raise ParseError("declarations need a surface section first")
             return
         lattice = _at(s.line, IntersectionLattice, s.basis, s.gram)
-        curves = {c.name: Curve(c.name, lattice.divisor_class(c.coeffs)) for c in self.curves}
+        curves = {c.name: Curve(c.name, DivisorClass(lattice, tuple(c.coeffs))) for c in self.curves}
         points = {p.name: _at(p.line, PointSpec, p.name, dict(p.mults)) for p in self.points}
         tangents = {}
         for t in self.tangents:
@@ -211,7 +211,7 @@ class Document:
         """Resolve a divisor name or inline expression; ``text`` starts at ``line``, 0-based column ``col``."""
         if self.model is None:
             raise ParseError("no surface declared", line)
-        return _divisor_coeffs(self.symbols, _scan(text, line, col), line)
+        return {curve: _affine(s) for curve, s in _divisor_scalars(self.symbols, _scan(text, line, col), line).items()}
 
     def concrete_divisor(self, text: str, line: Optional[int] = None, col: int = 0) -> QDivisor:
         coeffs = self.divisor_expr(text, line, col)
@@ -226,13 +226,6 @@ class Document:
 # ---------------------------------------------------------------------------
 # expression scanner and parser
 
-
-class _Token(NamedTuple):
-    kind: str  # num | name | sym | end
-    text: str
-    col: Optional[int]  # 1-based column in the line; None for the end of input
-
-
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _NAME_RE = re.compile(_NAME)
 # one group per token kind; "bad" is any other character that is not whitespace
@@ -240,29 +233,35 @@ _TOKEN_RE = re.compile(rf"(?P<num>[0-9]+(?:/[0-9]+)?)|(?P<name>{_NAME})|(?P<sym>
 _WORD_RE = re.compile(r"\S+")
 _RATIONAL_RE = re.compile(r"[-+]?[0-9]+(?:/[0-9]+)?")
 _INTEGER_RE = re.compile(r"-?[0-9]+")
-_END = _Token("end", "", None)
+_END = ("end", "", None)
+_Token = tuple[str, str, Optional[int]]  # kind (num, name, sym or end), text, 1-based column (None at the end)
 
 
 def _scan(text: str, line: int, col_offset: int = 0) -> list[_Token]:
     """The tokens of ``text``, which starts at 0-based column ``col_offset``."""
-    tokens = [_Token(m.lastgroup, m.group(), col_offset + m.start() + 1) for m in _TOKEN_RE.finditer(text)]
-    for tok in tokens:
-        if tok.kind == "bad":
-            raise ParseError(f"unexpected character {tok.text!r}", line, tok.col)
+    tokens = [(m.lastgroup, m[0], col_offset + m.start() + 1) for m in _TOKEN_RE.finditer(text)]
+    for kind, tok, col in tokens:
+        if kind == "bad":
+            raise ParseError(f"unexpected character {tok!r}", line, col)
     return tokens
+
+
+def _literal(text: str, line: Optional[int], col: Optional[int]) -> Union[int, Fraction]:
+    """The value of text of the form ``[sign]digits[/digits]``."""
+    num, _, den = text.partition("/")
+    try:
+        return Fraction(int(num), int(den)) if den else int(num)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {text!r}", line, col) from None
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"expected a rational number, got {text!r}", line, col) from None
 
 
 def _number(text: str, line: int, col: Optional[int] = None) -> Union[int, Fraction]:
     """The exact value of an ASCII literal, ``[sign]p/q`` or ``[sign]integer``
     (an int for an integer); anything else is a positioned ParseError."""
     if _RATIONAL_RE.fullmatch(text):
-        num, _, den = text.partition("/")
-        try:
-            return Fraction(int(num), int(den)) if den else int(num)
-        except ZeroDivisionError:
-            raise ParseError(f"zero denominator in {text!r}", line, col) from None
-        except ValueError:  # more digits than int() converts
-            pass
+        return _literal(text, line, col)
     raise ParseError(f"expected a rational number, got {text!r}", line, col)
 
 
@@ -279,12 +278,13 @@ def _integer(text: str, message: str, line: Optional[int], col: Optional[int]) -
 # Expression values hold plain exact numbers, an int or a Fraction, and are
 # never changed once built: ("scalar", {param or None: number}) is
 # const + sum(coeff * param) with the constant under None, and
-# ("vec", {name: scalar dict}) is a divisor.  An AffineExpr is built only for
-# a finished expression.
+# ("vec", {name: scalar dict}) is a divisor.  A curve or basis label is
+# ("vec", {name: _UNIT}).  An AffineExpr is built only for a finished
+# expression.
 _Scalar = dict[Optional[str], Union[int, Fraction]]
 _Value = tuple[str, dict]
 
-_ONE: _Scalar = {None: Fraction(1)}
+_UNIT: _Scalar = {None: 1}
 _ZERO = Fraction(0)
 
 # The value a name stands for, or None for a name that is not defined.
@@ -301,21 +301,14 @@ class _ExprParser:
         self.resolve = resolve
         self.undefined = undefined
 
-    def take(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok is _END:
-            raise ParseError("unexpected end of expression", self.line)
-        self.pos += 1
-        return tok
-
     def error(self, message: str) -> ParseError:
-        return ParseError(message, self.line, self.tokens[self.pos].col)
+        return ParseError(message, self.line, self.tokens[self.pos][2])
 
     def parse(self) -> dict[str, _Scalar]:
         value = self.additive()
         tok = self.tokens[self.pos]
         if tok is not _END:
-            raise self.error(f"unexpected token {tok.text!r} (expected '+', '-' or end)")
+            raise self.error(f"unexpected token {tok[1]!r} (expected '+', '-' or end)")
         if value[0] == "vec":
             return value[1]
         if not any(value[1].values()):
@@ -323,45 +316,48 @@ class _ExprParser:
         raise ParseError("expected a divisor expression, got a plain number", self.line)
 
     def additive(self) -> _Value:
-        value = self.signed_term()
-        while (op := self.tokens[self.pos].text) in ("+", "-"):
+        """A sum of terms; only the first may carry a run of signs."""
+        negative = False
+        while (op := self.tokens[self.pos][1]) in ("+", "-"):
+            self.pos += 1
+            negative ^= op == "-"
+        value = self.term()
+        if negative:
+            value = _negate(value)
+        while (op := self.tokens[self.pos][1]) in ("+", "-"):
             self.pos += 1
             rhs = self.term()
             value = self._add(value, _negate(rhs) if op == "-" else rhs)
         return value
 
-    def signed_term(self) -> _Value:
-        negative = False
-        while (op := self.tokens[self.pos].text) in ("+", "-"):
-            self.pos += 1
-            negative ^= op == "-"
-        value = self.term()
-        return _negate(value) if negative else value
-
     def term(self) -> _Value:
-        value = self.factor()
-        while (tok := self.tokens[self.pos]).kind in ("num", "name") or tok.text in ("(", "*"):
-            if tok.text == "*":
+        """Factors (a number, a name or a parenthesised sum), juxtaposed or joined by '*'."""
+        tokens, line = self.tokens, self.line
+        value = None
+        while True:
+            kind, text, col = tokens[self.pos]
+            self.pos += 1
+            if kind == "num":
+                factor = ("scalar", {None: _literal(text, line, col)})
+            elif kind == "name":
+                factor = self.resolve(text)
+                if factor is None:
+                    raise ParseError(self.undefined.format(text), line, col)
+            elif text == "(":
+                factor = self.additive()
+                kind, text, col = tokens[self.pos]
                 self.pos += 1
-            value = self._mul(value, self.factor())
-        return value
-
-    def factor(self) -> _Value:
-        tok = self.take()
-        if tok.kind == "num":
-            return ("scalar", {None: _number(tok.text, self.line, tok.col)})
-        if tok.kind == "name":
-            value = self.resolve(tok.text)
-            if value is None:
-                raise ParseError(self.undefined.format(tok.text), self.line, tok.col)
-            return value
-        if tok.text == "(":
-            value = self.additive()
-            closing = self.take()
-            if closing.text != ")":
-                raise ParseError("expected ')'", self.line, closing.col)
-            return value
-        raise ParseError(f"unexpected token {tok.text!r} (expected a number, name or '(')", self.line, tok.col)
+                if text != ")":
+                    raise ParseError("unexpected end of expression" if kind == "end" else "expected ')'", line, col)
+            else:
+                expected = f"unexpected token {text!r} (expected a number, name or '(')"
+                raise ParseError("unexpected end of expression" if kind == "end" else expected, line, col)
+            value = factor if value is None else self._mul(value, factor)
+            kind, text, _ = tokens[self.pos]
+            if text == "*":
+                self.pos += 1
+            elif kind not in ("num", "name") and text != "(":
+                return value
 
     def _add(self, a: _Value, b: _Value) -> _Value:
         if a[0] == "scalar" and b[0] == "scalar":
@@ -384,7 +380,7 @@ class _ExprParser:
         scalar = a[1]
         if b[0] == "scalar":
             return ("scalar", self._product(scalar, b[1]))
-        return ("vec", {name: self._product(scalar, s) for name, s in b[1].items()})
+        return ("vec", {name: scalar if s is _UNIT else self._product(scalar, s) for name, s in b[1].items()})
 
     def _product(self, a: _Scalar, b: _Scalar) -> _Scalar:
         """a * b, which is affine only when one of them is constant."""
@@ -414,41 +410,27 @@ def _negate(value: _Value) -> _Value:
 
 
 def _affine(scalar: _Scalar) -> AffineExpr:
-    terms = dict(scalar)
-    return AffineExpr(terms.pop(None, 0), terms)
+    return AffineExpr(scalar.get(None, 0), {key: coeff for key, coeff in scalar.items() if coeff and key is not None})
 
 
-def _divisor_coeffs(symbols: Mapping[str, object], tokens: Sequence[_Token], line: int) -> dict[str, AffineExpr]:
+def _divisor_scalars(symbols: Mapping[str, object], tokens: Sequence[_Token], line: int) -> dict[str, _Scalar]:
     """Expand a divisor expression over the declared curves, divisors and parameters."""
 
     def resolve(name: str) -> Optional[_Value]:
         decl = symbols.get(name)
-        if isinstance(decl, CurveDecl):
-            return ("vec", {name: _ONE})
-        if isinstance(decl, DivisorDecl):
+        if type(decl) is CurveDecl:
+            return ("vec", {name: _UNIT})
+        if type(decl) is DivisorDecl:
             return ("vec", {curve: {None: expr.const, **expr.terms} for curve, expr in decl.coeffs})
-        if isinstance(decl, Param):
+        if type(decl) is Param:
             return ("scalar", {name: 1})
         return None
 
-    vec = _ExprParser(tokens, line, resolve, "undefined name {!r} (not a curve, divisor, or parameter)").parse()
-    return {curve: _affine(scalar) for curve, scalar in vec.items()}
+    return _ExprParser(tokens, line, resolve, "undefined name {!r} (not a curve, divisor, or parameter)").parse()
 
 
 # ---------------------------------------------------------------------------
 # statement-level parsing
-
-
-def _split_statements(text: str):
-    """Yield (line_no, statement_text, col_offset) with comments stripped."""
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        offset = 0
-        for chunk in line.split(";"):
-            stripped = chunk.strip()
-            if stripped:
-                yield line_no, stripped, offset + chunk.index(stripped[0])
-            offset += len(chunk) + 1
 
 
 def _parse_matrix(tokens: list[_Token], line: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -460,39 +442,39 @@ def _parse_matrix(tokens: list[_Token], line: int) -> tuple[tuple[Fraction, ...]
             raise ParseError(f"unexpected end of matrix (expected {expected or 'a token'})", line)
         tok = tokens[pos]
         pos += 1
-        if expected is not None and tok.text != expected:
-            raise ParseError(f"expected {expected!r}, got {tok.text!r}", line, tok.col)
+        if expected is not None and tok[1] != expected:
+            raise ParseError(f"expected {expected!r}, got {tok[1]!r}", line, tok[2])
         return tok
 
     def entry() -> Fraction:
         nonlocal pos
         sign = 1
-        while pos < len(tokens) and tokens[pos].text in "+-":
-            if tokens[pos].text == "-":
+        while pos < len(tokens) and tokens[pos][1] in "+-":
+            if tokens[pos][1] == "-":
                 sign = -sign
             pos += 1
-        tok = take()
-        if tok.kind != "num":
-            raise ParseError(f"expected a number, got {tok.text!r}", line, tok.col)
-        return Fraction(sign * _number(tok.text, line, tok.col))
+        kind, text, col = take()
+        if kind != "num":
+            raise ParseError(f"expected a number, got {text!r}", line, col)
+        return Fraction(sign * _literal(text, line, col))
 
     take("[")
     rows = []
     while True:
         take("[")
         row = [entry()]
-        while pos < len(tokens) and tokens[pos].text == ",":
+        while pos < len(tokens) and tokens[pos][1] == ",":
             pos += 1
             row.append(entry())
         take("]")
         rows.append(tuple(row))
-        if pos < len(tokens) and tokens[pos].text == ",":
+        if pos < len(tokens) and tokens[pos][1] == ",":
             pos += 1
             continue
         break
     take("]")
     if pos != len(tokens):
-        raise ParseError("trailing input after matrix", line, tokens[pos].col)
+        raise ParseError("trailing input after matrix", line, tokens[pos][2])
     return tuple(rows)
 
 
@@ -520,16 +502,16 @@ class _DocBuilder:
                 raise ParseError(f"surface declaration is missing {key!r}", line)
         (gram, gram_line), (k_tokens, k_line) = keys["gram"], keys["K"]
         # default: labels in order of first appearance in the K expression
-        default = tuple(dict.fromkeys(t.text for t in k_tokens if t.kind == "name"))
+        default = tuple(dict.fromkeys(text for kind, text, _ in k_tokens if kind == "name"))
         basis, basis_line = keys.get("basis", (default, k_line))
         if len(basis) != len(gram):
             raise ParseError(f"basis has {len(basis)} labels but the gram matrix has rank {len(gram)}", basis_line)
-        self.basis = {label: ("vec", {label: _ONE}) for label in basis}
+        self.basis = {label: ("vec", {label: _UNIT}) for label in basis}
         self.surface = SurfaceDecl(basis, gram, self.class_coeffs(k_tokens, k_line), keys["chi_O"][0], gram_line)
 
     def class_coeffs(self, tokens: list[_Token], line: int) -> tuple[Fraction, ...]:
         vec = _ExprParser(tokens, line, self.basis.get, "undefined basis label {!r}").parse()
-        return tuple(as_fraction(vec.get(label, {}).get(None, _ZERO)) for label in self.basis)
+        return tuple([as_fraction(vec[label].get(None, _ZERO)) if label in vec else _ZERO for label in self.basis])
 
     def declare(self, decl, line: int) -> None:
         if not _NAME_RE.fullmatch(decl.name):
@@ -544,18 +526,17 @@ class _DocBuilder:
 
     # -- statements ----------------------------------------------------
     def feed(self, line: int, stmt: str, offset: int) -> None:
-        if stmt in SECTIONS and "=" not in stmt:
+        if stmt in _FEEDS:
             self.section = stmt
             return
         if self.section == "queries":
-            self.feed_query(line, stmt, offset)
+            self.feed_queries(line, stmt, offset)
             return
-        if self.section not in ("surface", "params"):
+        if self.surface is None and self.section not in ("surface", "params"):
             self.freeze(line)
         key, eq, rhs = stmt.partition("=")
         rhs = rhs.strip()  # stmt is stripped, so rhs ends where stmt does
-        handler = getattr(self, f"feed_{self.section}")
-        handler(line, key.strip(), rhs if eq else None, offset + len(stmt) - len(rhs))
+        _FEEDS[self.section](self, line, key.strip(), rhs if eq else None, offset + len(stmt) - len(rhs))
 
     def feed_surface(self, line: int, key: str, rhs: Optional[str], offset: int) -> None:
         if key not in ("basis", "gram", "K", "chi_O"):
@@ -590,6 +571,8 @@ class _DocBuilder:
         if key == "hirzebruch":
             if self.generators:
                 raise ParseError("cone already declared with generators", line)
+            if self.hirzebruch_n is not None:
+                raise ParseError("cone already declared as hirzebruch", line)
             if rhs is None:
                 raise ParseError("expected 'hirzebruch = n'", line)
             self.hirzebruch_n = _integer(rhs, "expected an integer, got {!r}", line, offset + 1)
@@ -614,15 +597,17 @@ class _DocBuilder:
         self.cone_line = self.cone_line or line
 
     def feed_points(self, line: int, key: str, rhs: Optional[str], offset: int) -> None:
-        entries: list[tuple[str, int]] = []
+        mults: dict[str, int] = {}
         for word in _WORD_RE.finditer(rhs or ""):
-            name, _, mult = word.group().partition(":")
+            name, _, mult = word[0].partition(":")
             if not mult:
-                raise ParseError(f"point entry {word.group()!r} must look like curve:mult", line)
+                raise ParseError(f"point entry {word[0]!r} must look like curve:mult", line)
             self.known(name, CurveDecl, "curve", line)
-            col = offset + word.start() + len(name) + 2
-            entries.append((name, _integer(mult, "multiplicity {!r} is not an integer", line, col)))
-        self.declare(PointDecl(key, tuple(entries), line), line)
+            col = offset + word.start() + 1
+            if name in mults:
+                raise ParseError(f"point {key!r} names curve {name!r} twice", line, col)
+            mults[name] = _integer(mult, "multiplicity {!r} is not an integer", line, col + len(name) + 1)
+        self.declare(PointDecl(key, tuple(mults.items()), line), line)
 
     def feed_tangents(self, line: int, key: str, rhs: Optional[str], offset: int) -> None:
         words = list(_WORD_RE.finditer(rhs or ""))
@@ -636,8 +621,10 @@ class _DocBuilder:
             if len(parts) not in (2, 3):
                 raise ParseError(f"tangent entry {word.group()!r} must look like curve:order[:z]", line)
             self.known(parts[0], CurveDecl, "curve", line)
-            col = offset + word.start() + len(parts[0]) + 2
-            order = _integer(parts[1], "order {!r} is not an integer", line, col)
+            col = offset + word.start() + 1
+            if any(curve == parts[0] for curve, _, _ in entries):
+                raise ParseError(f"tangent {key!r} names curve {parts[0]!r} twice", line, col)
+            order = _integer(parts[1], "order {!r} is not an integer", line, col + len(parts[0]) + 1)
             in_cone = len(parts) == 3
             if in_cone and parts[2] != "z":
                 raise ParseError(f"unknown tangent marker {parts[2]!r} (only ':z')", line)
@@ -657,11 +644,12 @@ class _DocBuilder:
     def feed_divisors(self, line: int, key: str, rhs: Optional[str], offset: int) -> None:
         if rhs is None:
             raise ParseError("divisor declaration needs 'name = expression'", line)
-        coeffs = _divisor_coeffs(self.symbols, _scan(rhs, line, offset), line)
-        kept = {c: e for c, e in coeffs.items() if not (e.is_constant() and e.const == 0)}
-        self.declare(DivisorDecl(key, tuple(sorted(kept.items()))), line)
+        scalars = _divisor_scalars(self.symbols, _scan(rhs, line, offset), line)
+        coeffs = [(curve, _affine(s)) for curve, s in scalars.items() if any(s.values())]
+        coeffs.sort()
+        self.declare(DivisorDecl(key, tuple(coeffs)), line)
 
-    def feed_query(self, line: int, stmt: str, offset: int) -> None:
+    def feed_queries(self, line: int, stmt: str, offset: int) -> None:
         first, *words = _WORD_RE.finditer(stmt)
         kind = first.group()
         if kind not in QUERY_KINDS:
@@ -687,24 +675,35 @@ class _DocBuilder:
     def build(self) -> Document:
         if self.surface_keys:
             self.freeze(next(iter(self.surface_keys.values()))[1])
-        decls = list(self.symbols.values())
+        by_kind = {CurveDecl: [], PointDecl: [], TangentDecl: [], Param: [], DivisorDecl: []}
+        for decl in self.symbols.values():
+            by_kind[type(decl)].append(decl)
         return Document(
             surface=self.surface,
-            curves=tuple(d for d in decls if isinstance(d, CurveDecl)),
+            curves=tuple(by_kind[CurveDecl]),
             cone=None if self.cone_line is None else ConeDecl(self.hirzebruch_n, tuple(self.generators), self.cone_line),
-            points=tuple(d for d in decls if isinstance(d, PointDecl)),
-            tangents=tuple(d for d in decls if isinstance(d, TangentDecl)),
-            params=tuple(d for d in decls if isinstance(d, Param)),
-            divisors=tuple(d for d in decls if isinstance(d, DivisorDecl)),
+            points=tuple(by_kind[PointDecl]),
+            tangents=tuple(by_kind[TangentDecl]),
+            params=tuple(by_kind[Param]),
+            divisors=tuple(by_kind[DivisorDecl]),
             queries=tuple(self.queries),
         )
+
+
+# section header -> the handler of its statements
+_FEEDS = {section: getattr(_DocBuilder, f"feed_{section}") for section in SECTIONS}
 
 
 def parse(text: str) -> Document:
     """Parse the declarative format; raises ParseError with position info."""
     builder = _DocBuilder()
-    for line, stmt, offset in _split_statements(text):
-        builder.feed(line, stmt, offset)
+    for line, raw in enumerate(text.splitlines(), start=1):
+        offset = 0  # of the chunk in the line
+        for chunk in raw.split("#", 1)[0].split(";"):
+            stmt = chunk.strip()
+            if stmt:
+                builder.feed(line, stmt, offset + chunk.index(stmt[0]))
+            offset += len(chunk) + 1
     return builder.build()
 
 

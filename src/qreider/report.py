@@ -387,8 +387,9 @@ _RUNNERS = {
 
 
 def _check_keys(q: QueryDecl) -> None:
-    """Raise QueryError for an argument key the query does not read, or for a
-    positional word where none is read (chi reads one, the divisor)."""
+    """Raise QueryError for an argument key the query does not read or that
+    is given twice, or for a positional word where none is read (chi reads
+    one, the divisor)."""
     kept = 1 if q.kind == "chi" else 0
     if len(q.positional) > kept:
         takes = "one divisor" if kept else "only key=value arguments"
@@ -399,9 +400,11 @@ def _check_keys(q: QueryDecl) -> None:
             return  # the runner reports the missing or unknown goal
         goal = _GOALS[q.arg("goal")]
         keys += goal.marked + (goal.witness if goal.search_witness else ())
-    for key, _ in q.args:
+    for i, (key, _) in enumerate(q.args):
         if key not in keys:
             raise QueryError(f"unknown argument {key}= for {q.kind!r} (expected {', '.join(keys)})")
+        if any(k == key for k, _ in q.args[:i]):
+            raise QueryError(f"argument {key}= is given twice to {q.kind!r}")
 
 
 def run_document(doc: Document, source: str = "<memory>") -> Report:

@@ -67,6 +67,8 @@ class AffineExpr:
 
     def __post_init__(self):
         object.__setattr__(self, "const", as_fraction(self.const))
+        if not self.terms:  # a constant
+            return
         cleaned = {}
         for name, coeff in dict(self.terms).items():
             q = as_fraction(coeff)

@@ -658,3 +658,40 @@ def test_class_expressions_evaluate_as_the_affine_reference(text):
     assert got == expected
     if got[0] == "ok":
         assert all(type(q) is F for q in got[1])
+
+
+@pytest.mark.parametrize(
+    "section,col,message",
+    [
+        ("points\np = G:2 G:0", 9, "point 'p' names curve 'G' twice"),
+        ("points\np = G:1 F:1 G:1", 13, "point 'p' names curve 'G' twice"),
+        ("points\np = G:1\ntangents\nv = p G:1:z G:0", 13, "tangent 'v' names curve 'G' twice"),
+    ],
+)
+def test_a_point_or_tangent_names_each_curve_once(section, col, message):
+    with pytest.raises(ParseError) as err:
+        parse(SURFACE + "curves\nG = G\nF = F\n" + section + "\n")
+    assert (err.value.message, err.value.line, err.value.col) == (message, section.count("\n") + 5, col)
+
+
+@pytest.mark.parametrize("second", ["3", "4"])
+def test_a_second_hirzebruch_cone_is_a_parse_error(second):
+    with pytest.raises(ParseError) as err:
+        parse(SURFACE + f"curves\nG = G\nF = F\ncone\nhirzebruch = 3\nhirzebruch = {second}\n")
+    assert (err.value.message, err.value.line) == ("cone already declared as hirzebruch", 7)
+
+
+@pytest.mark.parametrize(
+    "query,key",
+    [
+        ("check-very-ample M=M M=L", "M"),
+        ("check-free point=p point=p B=B M=M", "point"),
+        ("search goal=free goal=free point=p B=Bfam M=Mfam", "goal"),
+    ],
+)
+def test_a_query_key_given_twice_is_a_query_error(query, key):
+    from qreider.report import run_document
+
+    result = run_document(parse(GOLDEN.read_text() + query + "\n")).results[-1]
+    assert result.status == "error"
+    assert result.error == f"argument {key}= is given twice to {query.split()[0]!r}"
