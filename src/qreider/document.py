@@ -287,14 +287,12 @@ _Value = tuple[str, dict]
 _UNIT: _Scalar = {None: 1}
 _ZERO = Fraction(0)
 
-# The value a name stands for, or None for a name that is not defined.
-Resolver = Callable[[str], Optional[_Value]]
-
 
 class _ExprParser:
-    """Parses one divisor expression; ``undefined`` formats the error for an unresolved name."""
+    """Parses one divisor expression.  ``resolve`` gives the value a name stands
+    for, or None for an undefined name; ``undefined`` formats that error."""
 
-    def __init__(self, tokens: Sequence[_Token], line: int, resolve: Resolver, undefined: str):
+    def __init__(self, tokens: Sequence[_Token], line: int, resolve: Callable[[str], Optional[_Value]], undefined: str):
         self.tokens = [*tokens, _END]
         self.line = line
         self.pos = 0
@@ -410,7 +408,8 @@ def _negate(value: _Value) -> _Value:
 
 
 def _affine(scalar: _Scalar) -> AffineExpr:
-    return AffineExpr(scalar.get(None, 0), {key: coeff for key, coeff in scalar.items() if coeff and key is not None})
+    terms = dict(scalar)
+    return AffineExpr(terms.pop(None, 0), terms)
 
 
 def _divisor_scalars(symbols: Mapping[str, object], tokens: Sequence[_Token], line: int) -> dict[str, _Scalar]:
