@@ -408,8 +408,8 @@ def _negate(value: _Value) -> _Value:
 
 
 def _affine(scalar: _Scalar) -> AffineExpr:
-    terms = dict(scalar)
-    return AffineExpr(terms.pop(None, 0), terms)
+    # a new dict of the nonzero terms: a constant's stays empty and holds no key table
+    return AffineExpr(scalar.get(None, 0), {key: coeff for key, coeff in scalar.items() if coeff and key is not None})
 
 
 def _divisor_scalars(symbols: Mapping[str, object], tokens: Sequence[_Token], line: int) -> dict[str, _Scalar]:
