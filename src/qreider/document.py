@@ -6,9 +6,10 @@ switch context; ``#`` starts a comment; ``;`` separates statements on one
 line.  Numbers are ASCII: a rational literal is ``p/q`` or an integer over
 the digits 0-9, with an optional sign where it stands alone (``chi_O``, a
 parameter domain's ends); ``hirzebruch``, multiplicities and tangent orders
-are integers with an optional ``-``.  ``_number`` and ``_integer`` are the
-only way from typed text to a number: query arguments (``m2=``, ``beta2=``,
-``n=``, ...) and the ``qreider hirzebruch`` flags are read by them too.
+are integers with an optional ``-``.  ``_number`` (whose core ``_literal``
+also reads number tokens) and ``_integer`` are the only way from typed text
+to a number: query arguments (``m2=``, ``beta2=``, ``n=``, ...) and the
+``qreider hirzebruch`` flags are read by them too.
 Before the first header, surface-level keys are accepted directly, so a
 fragment like
 
@@ -17,7 +18,8 @@ fragment like
 is a complete surface declaration (basis labels default to the names used in
 the canonical-class expression when no ``basis`` key is given).  The surface
 is built once, at the first curve, cone, point, tangent or divisor statement;
-a surface key after that point is an error.
+a surface key after that point is an error.  A point or tangent names each
+curve once; a cone has one ``hirzebruch``.
 
 Expressions are rational-linear: ``3G + 8F``, ``9/10 G``, ``L - B``, and with
 declared parameters, ``(1 - e)G + (2 + e)F``.  Juxtaposition multiplies.
@@ -677,16 +679,9 @@ class _DocBuilder:
         by_kind = {CurveDecl: [], PointDecl: [], TangentDecl: [], Param: [], DivisorDecl: []}
         for decl in self.symbols.values():
             by_kind[type(decl)].append(decl)
-        return Document(
-            surface=self.surface,
-            curves=tuple(by_kind[CurveDecl]),
-            cone=None if self.cone_line is None else ConeDecl(self.hirzebruch_n, tuple(self.generators), self.cone_line),
-            points=tuple(by_kind[PointDecl]),
-            tangents=tuple(by_kind[TangentDecl]),
-            params=tuple(by_kind[Param]),
-            divisors=tuple(by_kind[DivisorDecl]),
-            queries=tuple(self.queries),
-        )
+        curves, points, tangents, params, divisors = map(tuple, by_kind.values())
+        cone = None if self.cone_line is None else ConeDecl(self.hirzebruch_n, tuple(self.generators), self.cone_line)
+        return Document(self.surface, curves, cone, points, tangents, params, divisors, tuple(self.queries))
 
 
 # section header -> the handler of its statements
