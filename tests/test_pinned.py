@@ -229,7 +229,7 @@ def corpus_document(rng: random.Random) -> str:
         ],
         3,
     )
-    # two statements of one section on one line, now and then
+    # now and then a line joins the one before it, after a ";"
     out: list[str] = []
     for line in lines:
         if out and line and out[-1] and "#" not in out[-1] and rng.random() < 0.2:
@@ -243,7 +243,8 @@ def _parse_outcome(text: str) -> str:
     try:
         return repr(parse(text))
     except Exception as exc:  # noqa: BLE001 - the error's type, message and position are pinned too
-        return f"{type(exc).__name__}: {getattr(exc, 'message', str(exc))!r} {getattr(exc, 'line', None)} {getattr(exc, 'col', None)}"
+        message, line, col = getattr(exc, "message", str(exc)), getattr(exc, "line", None), getattr(exc, "col", None)
+        return f"{type(exc).__name__}: {message!r} {line} {col}"
 
 
 def parse_inputs():
@@ -257,9 +258,11 @@ def parse_inputs():
             if not line:
                 continue
             at, ch = rng.randrange(len(line) + 1), rng.choice(GARBLE_CHARS)
-            yield f"doc {d} line {i + 1} insert {ch!r} at {at}", "\n".join(lines[:i] + [line[:at] + ch + line[at:]] + lines[i + 1 :])
+            inserted = line[:at] + ch + line[at:]
+            yield f"doc {d} line {i + 1} insert {ch!r} at {at}", "\n".join(lines[:i] + [inserted] + lines[i + 1 :])
             at = rng.randrange(len(line))
-            yield f"doc {d} line {i + 1} drop {line[at]!r} at {at}", "\n".join(lines[:i] + [line[:at] + line[at + 1 :]] + lines[i + 1 :])
+            dropped = line[:at] + line[at + 1 :]
+            yield f"doc {d} line {i + 1} drop {line[at]!r} at {at}", "\n".join(lines[:i] + [dropped] + lines[i + 1 :])
 
 
 def parse_hashes() -> dict[str, str]:
