@@ -22,8 +22,14 @@ coefficients, and queries, several to a line and with comments.  Each of its
 documents is pinned whole, and once more for each line with one character
 inserted and once with one character dropped.
 
-To rewrite the files after a deliberate change of output, run
-``PYTHONPATH=src python tests/test_pinned.py``.
+Further documents spell one value several ways (``2``, ``2/1``, ``4/2`` and
+``6/3 G`` against ``2 G``; sums that cancel; many curves of one class; chains
+of divisor references), so that building each distinct value once cannot
+change what a parse shows.
+
+To rewrite pin files after a deliberate change of output, name them:
+``PYTHONPATH=src python tests/test_pinned.py parses`` rewrites only
+``parse_hashes.txt`` (``claims`` and ``checkers`` name the other two).
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -247,22 +254,58 @@ def _parse_outcome(text: str) -> str:
         return f"{type(exc).__name__}: {message!r} {line} {col}"
 
 
+_EQUAL_SURFACE = "surface\nbasis = G F\ngram = [[-2, 1], [1, 0]]\nK = -4/2 G - 4F + G - G\nchi_O = 2/2\n"
+_EQUAL_TAIL = "\npoints\np = G:1 F:1\ntangents\nv = p G:1\nqueries\nchi D0\n"
+
+
+def equal_value_documents() -> list[str]:
+    """Documents that spell one value several ways: equal literals, sums that
+    cancel, many curves of one class and chains of divisor references."""
+    literals = (
+        "curves\nG = G; F = F\nA = 2 G + F\nB = 2/1 G + 1 F\nC = 4/2 G + 1/1 F\nE = 6/3 G + 3/3 F\n"
+        "cone\ngenerator = 2G + F, through-p\ngenerator = 4/2 G + 2/2 F; generator = F + 0 G\n"
+        "params\ne = (0, 2/1)\n"
+        "divisors\nD0 = 2 G\nD1 = 2/1 G\nD2 = 4/2 G; D3 = 6/3 G\nD4 = 2 A + 2/1 B + 4/2 C + 6/3 E\n"
+        "D5 = (2 - e) G + (4/2 - e) F + 2/2 e A\nD6 = 2(G + F) - 2/1 F"
+    )
+    cancel = (
+        "curves\nG = G; F = F\nZ = G - G + F\nY = 1/2 F + 1/2 F + G\n"
+        "params\ne\n"
+        "divisors\nD0 = G - G\nD1 = 1/2 F + 1/2 F\nD2 = G - G + 1/2 F + 1/2 F\nD3 = (e - e) G + F\n"
+        "D4 = 1/3 G + 1/3 G + 1/3 G - G + F\nD5 = 0; D6 = Z - F + Y - G\nD7 = (1 + e) F - e F"
+    )
+    spellings = ("G + 2F", "2F + G", "(G + 4F) - 2F", "1/2(2G + 4F)", "G + 4/2 F")
+    many = "curves\nG = G; F = F\n" + "".join(f"C{i} = {spellings[i % 5]}\n" for i in range(40))
+    many += "divisors\nD0 = " + " + ".join(f"C{i}" for i in range(0, 40, 3)) + "\nD1 = 2 C0 - 2 C39 + F"
+    chain = "curves\nG = G; F = F\nparams\ne = (0, 1)\ndivisors\nD0 = G + F\n"
+    chain += "".join(f"D{i} = D{i - 1} + {'F' if i % 2 else 'e G'}\n" for i in range(1, 20))
+    chain += "D20 = D19 - D18 + D17 - D16 + 2 D0\nD21 = (1 - e) D20 + e D0"
+    return [_EQUAL_SURFACE + body + _EQUAL_TAIL for body in (literals, cancel, many, chain)]
+
+
+def _garbled(key: str, text: str, rng: random.Random):
+    """(key, text) for ``text`` and for each line with one character inserted and once with one dropped."""
+    yield key, text
+    lines = text.split("\n")
+    for i, line in enumerate(lines):
+        if not line:
+            continue
+        at, ch = rng.randrange(len(line) + 1), rng.choice(GARBLE_CHARS)
+        inserted = line[:at] + ch + line[at:]
+        yield f"{key} line {i + 1} insert {ch!r} at {at}", "\n".join(lines[:i] + [inserted] + lines[i + 1 :])
+        at = rng.randrange(len(line))
+        dropped = line[:at] + line[at + 1 :]
+        yield f"{key} line {i + 1} drop {line[at]!r} at {at}", "\n".join(lines[:i] + [dropped] + lines[i + 1 :])
+
+
 def parse_inputs():
     """(key, text) for every document of the corpus and every one-character change of each of its lines."""
     rng = random.Random(20240611)
     for d in range(CORPUS_SIZE):
-        text = corpus_document(rng)
-        yield f"doc {d}", text
-        lines = text.split("\n")
-        for i, line in enumerate(lines):
-            if not line:
-                continue
-            at, ch = rng.randrange(len(line) + 1), rng.choice(GARBLE_CHARS)
-            inserted = line[:at] + ch + line[at:]
-            yield f"doc {d} line {i + 1} insert {ch!r} at {at}", "\n".join(lines[:i] + [inserted] + lines[i + 1 :])
-            at = rng.randrange(len(line))
-            dropped = line[:at] + line[at + 1 :]
-            yield f"doc {d} line {i + 1} drop {line[at]!r} at {at}", "\n".join(lines[:i] + [dropped] + lines[i + 1 :])
+        yield from _garbled(f"doc {d}", corpus_document(rng), rng)
+    rng = random.Random(20261019)
+    for d, text in enumerate(equal_value_documents()):
+        yield from _garbled(f"equal values {d}", text, rng)
 
 
 def parse_hashes() -> dict[str, str]:
@@ -307,7 +350,13 @@ def test_parses_match_their_pinned_hashes():
     _assert_pinned(PARSES, parse_hashes())
 
 
+PINS = {"claims": (CLAIMS, claim_hashes), "checkers": (CHECKERS, checker_hashes), "parses": (PARSES, parse_hashes)}
+
+
 if __name__ == "__main__":
-    _write(CLAIMS, claim_hashes())
-    _write(CHECKERS, checker_hashes())
-    _write(PARSES, parse_hashes())
+    names = sys.argv[1:]
+    if not names or any(name not in PINS for name in names):
+        sys.exit(f"usage: python tests/test_pinned.py {{{','.join(PINS)}}}...  (the pin files to rewrite)")
+    for name in names:
+        path, hashes = PINS[name]
+        _write(path, hashes())
