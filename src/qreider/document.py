@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .cones import ConeDescription, ConeGenerator, FiniteGenerators, HirzebruchFamily
-from .lattice import DivisorClass, IntersectionLattice, as_fraction
+from .lattice import DivisorClass, IntersectionLattice
 from .search import AffineExpr, Param
 from .surface import Curve, PointSpec, QDivisor, SurfaceModel, TangentSpec, check_tangent
 from .writer import render  # re-exported: the inverse of parse
@@ -190,7 +190,14 @@ class Document:
                 raise ParseError("declarations need a surface section first")
             return
         lattice = _at(s.line, IntersectionLattice, s.basis, s.gram)
-        curves = {c.name: Curve(c.name, DivisorClass(lattice, tuple(c.coeffs))) for c in self.curves}
+        classes: dict[tuple, DivisorClass] = {}  # one class per distinct coefficient vector
+        curves = {}
+        for c in self.curves:
+            coeffs = tuple(c.coeffs)
+            cls = classes.get(coeffs)
+            if cls is None:
+                cls = classes[coeffs] = DivisorClass(lattice, coeffs)
+            curves[c.name] = Curve(c.name, cls)
         points = {p.name: _at(p.line, PointSpec, p.name, dict(p.mults)) for p in self.points}
         tangents = {}
         for t in self.tangents:
@@ -288,7 +295,6 @@ _Scalar = dict[Optional[str], Union[int, Fraction]]
 _Value = tuple[str, dict]
 
 _UNIT: _Scalar = {None: 1}
-_ZERO = Fraction(0)
 
 
 class _ExprParser:
@@ -410,9 +416,10 @@ def _negate(value: _Value) -> _Value:
     return ("vec", {name: {key: -coeff for key, coeff in s.items()} for name, s in value[1].items()})
 
 
-def _affine(scalar: _Scalar) -> AffineExpr:
-    # a new dict of the nonzero terms: a constant's stays empty and holds no key table
-    return AffineExpr(scalar.get(None, 0), {key: coeff for key, coeff in scalar.items() if coeff and key is not None})
+def _affine(scalar: _Scalar, constant: Callable[..., AffineExpr] = AffineExpr.constant) -> AffineExpr:
+    """The expression of ``scalar``; a constant one (no nonzero parameter term) is ``constant(value)``."""
+    terms = len(scalar) > (None in scalar) and {k: c for k, c in scalar.items() if c and k is not None}
+    return AffineExpr(scalar.get(None, 0), terms) if terms else constant(scalar.get(None, 0))
 
 
 def _divisor_scalars(symbols: Mapping[str, object], tokens: Sequence[_Token], line: int) -> dict[str, _Scalar]:
@@ -491,6 +498,15 @@ class _DocBuilder:
         self.generators: list[GeneratorDecl] = []
         self.cone_line: Optional[int] = None
         self.queries: list[QueryDecl] = []
+        # one constant per distinct value: equal coefficients share it, and its const Fraction
+        self.constants: dict[tuple[int, int], AffineExpr] = {}
+
+    def constant(self, value: Union[int, Fraction]) -> AffineExpr:
+        key = value.numerator, value.denominator  # two ints hash faster than a Fraction
+        found = self.constants.get(key)
+        if found is None:
+            found = self.constants[key] = AffineExpr.constant(value)
+        return found
 
     def freeze(self, line: int) -> None:
         """Build the surface from its keys, once; ``line`` is the statement that needs it."""
@@ -513,7 +529,7 @@ class _DocBuilder:
 
     def class_coeffs(self, tokens: list[_Token], line: int) -> tuple[Fraction, ...]:
         vec = _ExprParser(tokens, line, self.basis.get, "undefined basis label {!r}").parse()
-        return tuple([as_fraction(vec[label].get(None, _ZERO)) if label in vec else _ZERO for label in self.basis])
+        return tuple([self.constant(vec[label].get(None, 0) if label in vec else 0).const for label in self.basis])
 
     def declare(self, decl, line: int) -> None:
         if not _NAME_RE.fullmatch(decl.name):
@@ -647,7 +663,7 @@ class _DocBuilder:
         if rhs is None:
             raise ParseError("divisor declaration needs 'name = expression'", line)
         scalars = _divisor_scalars(self.symbols, _scan(rhs, line, offset), line)
-        coeffs = [(curve, _affine(s)) for curve, s in scalars.items() if any(s.values())]
+        coeffs = [(curve, _affine(s, self.constant)) for curve, s in scalars.items() if any(s.values())]
         coeffs.sort()
         self.declare(DivisorDecl(key, tuple(coeffs)), line)
 

@@ -87,7 +87,7 @@ class IntersectionLattice:
 
     def divisor_class(self, coeffs: Sequence[RationalLike]) -> "DivisorClass":
         """Build a class from its coefficient vector in basis order."""
-        return DivisorClass(self, tuple(as_fraction(x) for x in coeffs))
+        return DivisorClass(self, tuple(coeffs))  # the class coerces each coefficient
 
     def __repr__(self) -> str:
         return f"IntersectionLattice(basis={list(self.basis_labels)})"
@@ -101,9 +101,9 @@ class DivisorClass:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "coeffs", tuple(as_fraction(x) for x in self.coeffs))
         if len(self.coeffs) != self.lattice.rank:
             raise ValueError("coefficient vector length differs from lattice rank")
-        object.__setattr__(self, "coeffs", tuple(as_fraction(x) for x in self.coeffs))
 
     def _require_same_lattice(self, other: "DivisorClass") -> None:
         if self.lattice is not other.lattice:

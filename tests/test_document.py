@@ -695,3 +695,57 @@ def test_a_query_key_given_twice_is_a_query_error(query, key):
     result = run_document(parse(GOLDEN.read_text() + query + "\n")).results[-1]
     assert result.status == "error"
     assert result.error == f"argument {key}= is given twice to {query.split()[0]!r}"
+
+
+SHARED = (
+    SURFACE + "curves\nG = G\nF = F\nA = G + 2F\nB = 2F + G\nC = 4/2 F + 1 G\n"
+    "cone\ngenerator = G + 2F, through-p\ngenerator = 2/2 F\n"
+    "params\ne = (0, 1)\n"
+    "divisors\nD = 3/2 A + 2 B\nE = 6/4 B + 2/1 C + e G\n"
+)
+
+
+def _held(doc: Document) -> list:
+    """Every class and every divisor coefficient that ``doc`` holds."""
+    classes = [doc.model.canonical, *(c.cls for c in doc.model.curves.values())]
+    classes += [g.cls for g in doc.curve_cone.generators]
+    return classes + [expr for d in doc.divisors for _, expr in d.coeffs]
+
+
+def test_a_parse_builds_each_distinct_value_once():
+    doc = parse(SHARED)
+    curves = doc.model.curves
+    assert curves["A"].cls is curves["B"].cls is curves["C"].cls and curves["G"].cls is not curves["F"].cls
+    d, e = (dict(decl.coeffs) for decl in doc.divisors)
+    assert d["A"] is e["B"]  # 3/2 and 6/4
+    assert d["B"] is e["C"]  # 2 and 2/1
+    assert e["G"].terms == {"e": 1}
+    vectors = (doc.surface.canonical, *(decl.coeffs for decl in (*doc.curves, *doc.cone.generators)))
+    for value, count in ((0, 3), (1, 7), (2, 4)):
+        numbers = [q for coeffs in vectors for q in coeffs if q == value]
+        assert len(numbers) == count and all(q is numbers[0] for q in numbers)
+
+
+def test_a_directly_built_document_shares_its_classes():
+    surface = SurfaceDecl(("G", "F"), ((F(-3), F(1)), (F(1), F(0))), (F(-2), F(-5)), F(1))
+    curves = (CurveDecl("A", (F(1), F(2))), CurveDecl("B", (F(1), F(2))), CurveDecl("C", (F(1), F(3))))
+    model = Document(surface, curves).model
+    assert model.curves["A"].cls is model.curves["B"].cls
+    assert model.curves["A"].cls is not model.curves["C"].cls
+
+
+def test_two_parses_share_no_class_or_coefficient():
+    first, second = parse(SHARED), parse(SHARED)
+    assert first == second
+    assert not {id(x) for x in _held(first)} & {id(x) for x in _held(second)}
+
+
+def test_every_coefficient_of_a_parsed_document_is_a_fraction():
+    # AffineExpr.__repr__ prints str(const), so repr cannot tell an int from a Fraction
+    for text in (SHARED, GOLDEN.read_text()):
+        doc = parse(text)
+        s = doc.surface
+        numbers = [*s.canonical, s.chi_o, *(q for row in s.gram for q in row)]
+        numbers += [q for decl in (*doc.curves, *doc.cone.generators) for q in decl.coeffs]
+        numbers += [q for d in doc.divisors for _, expr in d.coeffs for q in (expr.const, *expr.terms.values())]
+        assert numbers and all(type(q) is F for q in numbers)

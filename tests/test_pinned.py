@@ -284,7 +284,7 @@ def equal_value_documents() -> list[str]:
 
 
 def _garbled(key: str, text: str, rng: random.Random):
-    """(key, text) for ``text`` and for each line with one character inserted and once with one dropped."""
+    """(key, text) for ``text``, then for each of its lines with one character inserted and with one dropped."""
     yield key, text
     lines = text.split("\n")
     for i, line in enumerate(lines):
