@@ -334,6 +334,28 @@ def test_check_queries_need_a_boundary_with_integral_sum_and_two_points(query, m
 
 
 @pytest.mark.parametrize(
+    "query, keys",
+    [
+        ("chi", "H"),
+        ("check-free", "point, B, M, mindeg, beta2, beta1"),
+        ("check-separate", "p, q, B, M, mindeg_p, mindeg_q, mindeg_pq, beta2_p, beta2_q, beta1_p, beta1_q"),
+        ("check-tangent", "tangent, B, M, mindeg_p, mindeg_Z, beta2_p, beta2_V, beta1"),
+        ("check-very-ample", "M, m2, mindeg, beta2, beta1"),
+        ("check-corollary2", "M, m2, mindeg"),
+        ("plc-threshold", "point, B, D, mode, weak, c0"),
+        ("hirzebruch-claim", "n, part, m, depth"),
+        ("search goal=free", "goal, B, M, depth, point, beta2, beta1"),
+        ("search goal=separate", "goal, B, M, depth, p, q"),
+        ("search goal=tangent", "goal, B, M, depth, tangent"),
+        ("search goal=very-ample", "goal, B, M, depth, beta2, beta1"),
+    ],
+)
+def test_an_unknown_key_error_lists_every_key_the_query_reads_in_order(query, keys):
+    (result,) = run_document(parse(f"queries\n{query} bogus=1\n")).results
+    assert result.error == f"unknown argument bogus= for {query.split()[0]!r} (expected {keys})"
+
+
+@pytest.mark.parametrize(
     "text",
     [
         "gram = [[1/0]]; K = -G; chi_O = 1\n",
