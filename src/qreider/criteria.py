@@ -5,18 +5,16 @@ inequalities that were evaluated.  Verdicts are one-sided: ``established``
 certifies the property through one of the implemented sufficient rules, while
 ``not-established`` only means no implemented rule fired on the given data.
 
-Each of the four degree-bound checkers (``freeness_at``, ``separation``,
-``tangent_separation``, ``very_ampleness``) is written once, as a rule
-(``freeness_rule``, ``separation_rule``, ``tangent_rule``,
-``very_ample_rule``) that checks its inputs, picks its branch (high
-multiplicity, a given, searched or missing witness) and returns an
-:class:`Evaluation`: its conditions ``(text, lhs, rel, rhs, holds)`` in trace
-order, each computed only when it is read.  A checker reads them all
-(:func:`explain`); the parameter search reads them only up to the first that
-fails (:func:`holding`), and turns them into trace lines only at the
-candidate that wins.  ``jet_separation`` and ``threshold_very_ampleness``
-explain an evaluation too, so every trace line is made by
-:func:`trace_lines`.
+Each of the four degree-bound checkers is written once, as a rule that
+checks its inputs, picks its branch (high multiplicity, a given, searched or
+missing witness) and returns an :class:`Evaluation`: its conditions
+``(text, lhs, rel, rhs, holds)`` in trace order, each computed only when it
+is read.  A checker reads them all (:func:`explain`); the parameter search
+reads them only up to the first that fails (:func:`holding`), and turns them
+into trace lines only at the candidate that wins.  ``jet_separation`` and
+``threshold_very_ampleness`` explain an evaluation too, so every trace line
+is made by :func:`trace_lines`.  ``GOAL_KINDS`` names each goal kind's rule
+and checker, and what they read.
 
 Every witness is verified exactly.  The freeness and very-ample searches are
 complete: they prefer a dyadic rational (denominator ``2**k``) and fall back to
@@ -36,6 +34,7 @@ from itertools import chain
 from math import isqrt
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
+from .cones import DegreeFilter
 from .lattice import DivisorClass, RationalLike, as_fraction, as_int
 
 _WITNESS_DEPTH = 24  # finest dyadic level of the one-parameter witness searches
@@ -721,6 +720,76 @@ def very_ampleness(
 ) -> CriterionVerdict:
     """Very ampleness of the adjoint system from global degree data."""
     return explain(very_ample_rule(m2, mindeg_all, witness))
+
+
+# ---------------------------------------------------------------------------
+# goal kinds
+
+
+class GoalKind(NamedTuple):
+    """What one goal kind reads, for its check-* query and for search goal=.
+
+    Its rule and its checker both take ``(*mus, m2, *degrees, witness)``:
+    the multiplicities that ``mus`` names, M^2, the minimal degrees that
+    ``degrees`` names, and a witness or None.
+    """
+
+    rule: str  # the rule that the search reads, found by name when it runs, so that a wrapped one is the one called
+    checker: str  # the public checker that the check-* query explains, found by name in the same way
+    marked: tuple[str, ...]  # the keys naming the marked data
+    mus: tuple[str, ...]  # the value name of each multiplicity
+    degrees: tuple[tuple[str, DegreeFilter], ...]  # each minimal degree's value name (its check-* key) and filter
+    witness: tuple[str, ...]  # the witness keys: the beta2 values, then the beta1 values
+    roles: tuple[tuple[str, ...], tuple[str, ...]]  # the roles of the BetaWitness the keys build: beta2's, beta1's
+    search_witness: bool  # whether search goal= takes the witness keys too
+
+    def query_keys(self, *others: str) -> tuple[str, ...]:
+        """The keys of this goal's check-* query, which reads ``others`` after its marked data."""
+        return self.marked + others + tuple(key for key, _ in self.degrees) + self.witness
+
+
+GOAL_KINDS = {
+    "free": GoalKind(
+        "freeness_rule",
+        "freeness_at",
+        ("point",),
+        ("mu",),
+        (("mindeg", DegreeFilter.THROUGH_POINT),),
+        ("beta2", "beta1"),
+        (("at-p",), ("at-p",)),
+        True,
+    ),
+    "separate": GoalKind(
+        "separation_rule",
+        "separation",
+        ("p", "q"),
+        ("mu_p", "mu_q"),
+        (("mindeg_p", DegreeFilter.ALL), ("mindeg_q", DegreeFilter.ALL), ("mindeg_pq", DegreeFilter.ALL)),
+        ("beta2_p", "beta2_q", "beta1_p", "beta1_q"),
+        (("at-p", "at-q"), ("at-p", "at-q")),
+        False,
+    ),
+    "tangent": GoalKind(
+        "tangent_rule",
+        "tangent_separation",
+        ("tangent",),
+        ("mu_p", "mu_V"),
+        (("mindeg_p", DegreeFilter.THROUGH_POINT), ("mindeg_Z", DegreeFilter.CONTAINING_Z)),
+        ("beta2_p", "beta2_V", "beta1"),
+        (("at-p", "at-V"), ("global",)),
+        False,
+    ),
+    "very-ample": GoalKind(
+        "very_ample_rule",
+        "very_ampleness",
+        (),
+        (),
+        (("mindeg", DegreeFilter.ALL),),
+        ("beta2", "beta1"),
+        (("global",), ("global",)),
+        True,
+    ),
+}
 
 
 def _sqrt2_lower_convergents() -> Iterable[Fraction]:

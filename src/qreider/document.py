@@ -198,7 +198,7 @@ class Document:
             if cls is None:
                 cls = classes[coeffs] = DivisorClass(lattice, coeffs)
             curves[c.name] = Curve(c.name, cls)
-        points = {p.name: _at(p.line, PointSpec, p.name, dict(p.mults)) for p in self.points}
+        points = {p.name: _at(p.line, PointSpec, p.name, p.mults) for p in self.points}
         tangents = {}
         for t in self.tangents:
             mults, flags = {c: m for c, m, _ in t.entries}, {c: z for c, _, z in t.entries}

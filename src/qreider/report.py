@@ -10,9 +10,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Optional, TypeVar, Union
+from typing import Mapping, Optional, TypeVar, Union
 
-from . import __version__, criteria
+from . import __version__, criteria, search
 from .cones import DegreeFilter, cone_degrees, min_degree
 from .criteria import (
     BetaWitness,
@@ -114,55 +114,7 @@ def _choice_arg(q: QueryDecl, key: str, choices: Mapping[str, T], default: str) 
     return choices[raw.lower()]
 
 
-class _GoalKind(NamedTuple):
-    """What one goal kind reads, for its check-* query and for search goal=."""
-
-    checker: str  # the criteria checker, found by name when it runs, so that a wrapped one is the one called
-    marked: tuple[str, ...]  # the keys naming the marked data
-    mus: tuple[str, ...]  # the value name of each multiplicity the checker reads
-    degrees: tuple[tuple[str, DegreeFilter], ...]  # each minimal degree's value name (its check-* key) and filter
-    witness: tuple[str, ...]  # the witness keys: the beta2 values, then the beta1 values
-    beta2_roles: tuple[str, ...]  # the roles of the BetaWitness the keys build
-    beta1_roles: tuple[str, ...]
-    search_witness: bool  # whether search goal= takes the witness keys too
-
-    def query_keys(self, *others: str) -> tuple[str, ...]:
-        """The keys of this goal's check-* query, which reads ``others`` after its marked data."""
-        return self.marked + others + tuple(key for key, _ in self.degrees) + self.witness
-
-
-_THROUGH_P, _ALL = DegreeFilter.THROUGH_POINT, DegreeFilter.ALL
-_GOALS = {
-    "free": _GoalKind(
-        "freeness_at", ("point",), ("mu",), (("mindeg", _THROUGH_P),), ("beta2", "beta1"), ("at-p",), ("at-p",), True
-    ),
-    "separate": _GoalKind(
-        "separation",
-        ("p", "q"),
-        ("mu_p", "mu_q"),
-        (("mindeg_p", _ALL), ("mindeg_q", _ALL), ("mindeg_pq", _ALL)),
-        ("beta2_p", "beta2_q", "beta1_p", "beta1_q"),
-        ("at-p", "at-q"),
-        ("at-p", "at-q"),
-        False,
-    ),
-    "tangent": _GoalKind(
-        "tangent_separation",
-        ("tangent",),
-        ("mu_p", "mu_V"),
-        (("mindeg_p", _THROUGH_P), ("mindeg_Z", DegreeFilter.CONTAINING_Z)),
-        ("beta2_p", "beta2_V", "beta1"),
-        ("at-p", "at-V"),
-        ("global",),
-        False,
-    ),
-    "very-ample": _GoalKind(
-        "very_ampleness", (), (), (("mindeg", _ALL),), ("beta2", "beta1"), ("global",), ("global",), True
-    ),
-}
-
-
-def _witness_arg(q: QueryDecl, goal: _GoalKind) -> Optional[BetaWitness]:
+def _witness_arg(q: QueryDecl, goal: criteria.GoalKind) -> Optional[BetaWitness]:
     """The witness that the goal's witness keys give all together, or None
     when none of them is given."""
     values = [_rational_arg(q, key) for key in goal.witness]
@@ -170,8 +122,8 @@ def _witness_arg(q: QueryDecl, goal: _GoalKind) -> Optional[BetaWitness]:
         return None
     if None in values:
         raise QueryError(f"give all of {', '.join(key + '=' for key in goal.witness)}, or none")
-    split = len(goal.beta2_roles)
-    return BetaWitness(values[:split], values[split:], goal.beta2_roles, goal.beta1_roles)
+    split = len(goal.roles[0])
+    return BetaWitness(values[:split], values[split:], *goal.roles)
 
 
 _WEAK = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
@@ -254,17 +206,16 @@ def _run_check_local(doc: Document, q: QueryDecl, result: QueryResult) -> None:
     """check-free, check-separate and check-tangent: the goal's checker on the
     boundary's multiplicities at the marked data, M^2 and M's minimal degrees,
     each given by its value name's key or computed."""
-    _need_model(doc)
-    goal = _GOALS[q.kind.removeprefix("check-")]
+    model = _need_model(doc)
+    kind = q.kind.removeprefix("check-")
+    goal = criteria.GOAL_KINDS[kind]
     at = [_require(q, key) for key in goal.marked]
     if len(set(at)) < len(at):  # check-separate's p= and q=
         raise QueryError(f"p= and q= name the same point {at[0]!r}; separation needs two points")
     boundary, m_cls, m2 = _decomposition(doc, q)
-    if q.kind == "check-tangent":
-        orders = boundary.ord_tangential(at[0])
-        mus, total = orders[:2], {"mu_v": orders.total}  # the total is shown, not read by the checker
-    else:
-        mus, total = tuple(boundary.ord_at(name) for name in at), {}
+    weights = search.mu_weights(model, kind, at)
+    mus = [sum((v * w(c) for c, v in boundary.coeffs.items()), Fraction(0)) for w in weights]
+    total = {"mu_v": mus[0] + mus[1]} if kind == "tangent" else {}  # the total is shown, not read by the checker
     degrees = [_mindeg(doc, m_cls, filt, _rational_arg(q, key)) for key, filt in goal.degrees]
     witness = _witness_arg(q, goal)
     result.values.update({**dict(zip(goal.mus, mus)), **total, "M2": m2})
@@ -282,7 +233,7 @@ def _run_check_global(doc: Document, q: QueryDecl, result: QueryResult) -> None:
             m2 = m_cls.self_intersection()
         if deg is None:
             deg = _mindeg(doc, m_cls, DegreeFilter.ALL, None)
-    goal = _GOALS["very-ample"]
+    goal = criteria.GOAL_KINDS["very-ample"]
     witness = _witness_arg(q, goal) if q.kind == "check-very-ample" else None
     result.values.update({"M2": m2, "mindeg": deg})
     if q.kind == "check-very-ample":
@@ -325,9 +276,9 @@ def _run_search(doc: Document, q: QueryDecl, result: QueryResult) -> None:
     boundary = _divisor(doc, q, "B", concrete=False)
     positive = _divisor(doc, q, "M", concrete=False)
     family = ParamFamily(model, doc.params, boundary, positive)
-    if goal_kind not in _GOALS:
+    if goal_kind not in criteria.GOAL_KINDS:
         raise QueryError(f"unknown search goal {goal_kind!r}")
-    kind = _GOALS[goal_kind]
+    kind = criteria.GOAL_KINDS[goal_kind]
     goal = Goal(
         goal_kind,
         tuple(_require(q, key) for key in kind.marked),
@@ -375,10 +326,10 @@ def _run_hirzebruch_claim(doc: Document, q: QueryDecl, result: QueryResult) -> N
 # query kind -> (runner, the argument keys it reads; a search also reads its goal's keys)
 _RUNNERS = {
     "chi": (_run_chi, ("H",)),
-    "check-free": (_run_check_local, _GOALS["free"].query_keys("B", "M")),
-    "check-separate": (_run_check_local, _GOALS["separate"].query_keys("B", "M")),
-    "check-tangent": (_run_check_local, _GOALS["tangent"].query_keys("B", "M")),
-    "check-very-ample": (_run_check_global, _GOALS["very-ample"].query_keys("M", "m2")),
+    "check-free": (_run_check_local, criteria.GOAL_KINDS["free"].query_keys("B", "M")),
+    "check-separate": (_run_check_local, criteria.GOAL_KINDS["separate"].query_keys("B", "M")),
+    "check-tangent": (_run_check_local, criteria.GOAL_KINDS["tangent"].query_keys("B", "M")),
+    "check-very-ample": (_run_check_global, criteria.GOAL_KINDS["very-ample"].query_keys("M", "m2")),
     "check-corollary2": (_run_check_global, ("M", "m2", "mindeg")),
     "plc-threshold": (_run_plc_threshold, ("point", "B", "D", "mode", "weak", "c0")),
     "search": (_run_search, ("goal", "B", "M", "depth")),
@@ -396,9 +347,9 @@ def _check_keys(q: QueryDecl) -> None:
         raise QueryError(f"unexpected word {q.positional[kept]!r} for {q.kind!r} (it takes {takes})")
     keys = _RUNNERS[q.kind][1]
     if q.kind == "search":
-        if q.arg("goal") not in _GOALS:
+        if q.arg("goal") not in criteria.GOAL_KINDS:
             return  # the runner reports the missing or unknown goal
-        goal = _GOALS[q.arg("goal")]
+        goal = criteria.GOAL_KINDS[q.arg("goal")]
         keys += goal.marked + (goal.witness if goal.search_witness else ())
     for i, (key, _) in enumerate(q.args):
         if key not in keys:

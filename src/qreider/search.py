@@ -41,7 +41,7 @@ import math
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from . import criteria
 from . import hirzebruch as hz
@@ -80,45 +80,8 @@ class AffineExpr:
     def constant(cls, value: RationalLike) -> "AffineExpr":
         return cls(as_fraction(value), {})
 
-    @classmethod
-    def parameter(cls, name: str) -> "AffineExpr":
-        return cls(Fraction(0), {name: Fraction(1)})
-
     def is_constant(self) -> bool:
         return not self.terms
-
-    def evaluate(self, values: Mapping[str, Fraction]) -> Fraction:
-        total = self.const
-        for name, coeff in self.terms.items():
-            if name not in values:
-                raise KeyError(f"no value for parameter {name!r}")
-            total += coeff * values[name]
-        return total
-
-    def __add__(self, other: "AffineExpr") -> "AffineExpr":
-        merged = dict(self.terms)
-        for name, coeff in other.terms.items():
-            merged[name] = merged.get(name, Fraction(0)) + coeff
-        return AffineExpr(self.const + other.const, merged)
-
-    def __sub__(self, other: "AffineExpr") -> "AffineExpr":
-        return self + (-other)
-
-    def __neg__(self) -> "AffineExpr":
-        return AffineExpr(-self.const, {n: -c for n, c in self.terms.items()})
-
-    def __mul__(self, other: Union["AffineExpr", RationalLike]) -> "AffineExpr":
-        if isinstance(other, AffineExpr):
-            if other.is_constant():
-                other = other.const
-            elif self.is_constant():
-                self, other = other, self.const
-            else:
-                raise ValueError("product of two non-constant parameter expressions is not affine")
-        q = as_fraction(other)
-        return AffineExpr(q * self.const, {n: q * c for n, c in self.terms.items()})
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         parts = [str(self.const)] if self.const or not self.terms else []
@@ -232,25 +195,26 @@ class ParamFamily:
 
 WitnessProvider = BetaWitness | Callable[[Mapping[str, Fraction]], BetaWitness] | None
 
-# goal kind -> (rule in the criteria module, number of marked names, number of degree sources)
-_GOAL_KINDS = {
-    "free": ("freeness_rule", 1, 1),
-    "separate": ("separation_rule", 2, 3),
-    "tangent": ("tangent_rule", 1, 2),
-    "very-ample": ("very_ample_rule", 0, 1),
-}
+
+def mu_weights(surface: SurfaceModel, kind: str, at: Sequence[str]) -> tuple[Callable[[str], int], ...]:
+    """Each multiplicity that goal kind ``kind``'s rule reads at the marked
+    names ``at``, in the rule's order, as the weight it gives each curve: a
+    point's multiplicity, or for a tangent its point's and then its order at
+    the infinitely-near point.  Looking them up checks the marked names."""
+    if kind == "tangent":
+        spec = surface.tangent(at[0])
+        return surface.point(spec.at).mult, spec.mult_V
+    return tuple(surface.point(name).mult for name in at)
 
 
 @dataclass(frozen=True)
 class Goal:
     """One Reider-type check of the positive part M at each candidate.
 
-    ``kind`` is a ``search goal=`` name (see ``_GOAL_KINDS``).  ``at`` names
-    the marked data the rule reads: one point (free), two points
-    (separate), one tangent direction (tangent) or nothing (very-ample).
-    ``degrees`` gives one source per minimal degree, in the rule's
-    argument order: one for free and very-ample, three for separate (each
-    point, then both) and two for tangent (the point, then the scheme).
+    ``kind`` is a ``search goal=`` name, a key of ``criteria.GOAL_KINDS``.
+    ``at`` names the marked data the rule reads, one name per ``marked``
+    key of the kind, and ``degrees`` gives one source per minimal degree
+    in the kind's ``degrees``, in the rule's argument order.
     Other counts, or one point named twice for separate, are a
     ``ValueError``.  The search compiles each multiplicity and each degree
     source into integer forms in the candidate point, and hands the rule
@@ -265,25 +229,16 @@ class Goal:
     label: str = ""
 
     def __post_init__(self):
-        if self.kind not in _GOAL_KINDS:
+        kind = criteria.GOAL_KINDS.get(self.kind)
+        if kind is None:
             raise ValueError(f"unknown search goal {self.kind!r}")
-        _, names, sources = _GOAL_KINDS[self.kind]
+        names, sources = len(kind.marked), len(kind.degrees)
         if len(self.at) != names:
             raise ValueError(f"search goal {self.kind!r} takes {names} marked names, not {len(self.at)}")
         if len(self.degrees) != sources:
             raise ValueError(f"search goal {self.kind!r} takes {sources} degree sources, not {len(self.degrees)}")
         if self.kind == "separate" and self.at[0] == self.at[1]:
             raise ValueError(f"search goal 'separate' needs two different points, not {self.at[0]!r} twice")
-
-    def _weights(self, surface: SurfaceModel, curves: Sequence[str]) -> tuple[tuple[int, ...], ...]:
-        """Each multiplicity the rule reads, as its weights on the boundary
-        curves ``curves``; looking them up checks the marked names."""
-        if self.kind == "tangent":
-            spec = surface.tangent(self.at[0])
-            weights = (surface.point(spec.at).mult, spec.mult_V)
-        else:
-            weights = tuple(surface.point(name).mult for name in self.at)
-        return tuple(tuple(w(c) for c in curves) for w in weights)
 
     def _decider(self, family: ParamFamily, weights: Sequence[Sequence[int]]):
         """The goal's rule applied at a candidate point whose M is nef and
@@ -293,7 +248,7 @@ class Goal:
         pairing row composed with M's rows), so that only the rule's
         arguments are made as ``Fraction``s: a degree minimum is the least of
         its forms' integers, over the scale times the source's denominator."""
-        rule = _GOAL_KINDS[self.kind][0]
+        rule = criteria.GOAL_KINDS[self.kind].rule
         names = [p.name for p in family.params]
         mult_forms = [_compose(w, family._boundary_rows) for w in weights]
         degree_forms = [(d.den, [_compose(row, family._m_rows) for row in d.rows]) for d in self.degrees]
@@ -443,7 +398,8 @@ def search_params(
         raise ValueError("a goal's degree classes do not live on the family's lattice")
     # the cone's nef rows composed with M's rows: each pairing with M is a form in the point
     nef_forms = [_compose(row, family._m_rows) for row in cone.nef.rows]
-    weights = [goal._weights(family.surface, tuple(family.boundary)) for goal in goals]
+    curves = tuple(family.boundary)
+    weights = [[tuple(map(w, curves)) for w in mu_weights(family.surface, g.kind, g.at)] for g in goals]
     deciders = None  # compiled at the first candidate whose M is nef and big
     names = [p.name for p in family.params]
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from .lattice import DivisorClass, IntersectionLattice, RationalLike, as_fraction, as_int
 
@@ -48,8 +48,8 @@ class Curve:
 class PointSpec:
     """Local multiplicities of the declared curves at a marked point.
 
-    ``mults[c]`` is the multiplicity of curve ``c`` at the point; curves
-    absent from the map do not pass through the point.
+    ``mults[c]`` is the multiplicity of curve ``c`` at the point (given as a
+    map or as pairs); curves absent from it do not pass through the point.
     """
 
     name: str
@@ -98,14 +98,6 @@ class TangentSpec:
 
     def mult_V(self, curve: str) -> int:
         return self.mults_V.get(curve, 0)
-
-
-class TangentialOrder(NamedTuple):
-    """Orders of a divisor at a point, at the infinitely-near point, and their sum."""
-
-    at_point: Fraction
-    at_infinitely_near: Fraction
-    total: Fraction
 
 
 def check_tangent(tangent: TangentSpec, points: Mapping[str, PointSpec], curves: Mapping[str, Curve]) -> None:
@@ -158,12 +150,6 @@ class SurfaceModel:
             if tangent.name != tname:
                 raise ValueError(f"tangent key {tname!r} does not match tangent name {tangent.name!r}")
             check_tangent(tangent, self.points, self.curves)
-
-    def curve(self, name: str) -> Curve:
-        try:
-            return self.curves[name]
-        except KeyError:
-            raise UnknownCurveError(f"no curve named {name!r}") from None
 
     def point(self, name: str) -> PointSpec:
         try:
@@ -253,14 +239,6 @@ class QDivisor:
         """Multiplicity of the divisor at the marked point named ``point``: sum of coeff * mult."""
         spec = self.surface.point(point)
         return sum((v * spec.mult(n) for n, v in self.coeffs.items()), Fraction(0))
-
-    def ord_tangential(self, tangent: str) -> TangentialOrder:
-        """Orders at the point and at the infinitely-near point of the tangent
-        named ``tangent``, and their sum."""
-        spec = self.surface.tangent(tangent)
-        at_point = self.ord_at(spec.at)
-        near = sum((v * spec.mult_V(n) for n, v in self.coeffs.items()), Fraction(0))
-        return TangentialOrder(at_point, near, at_point + near)
 
     def __repr__(self) -> str:
         parts = [f"{v}*{n}" for n, v in sorted(self.coeffs.items())]

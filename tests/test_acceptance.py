@@ -29,7 +29,7 @@ from qreider.criteria import (
     very_ampleness_witness,
 )
 from qreider.lattice import IntersectionLattice, hirzebruch_lattice
-from qreider.search import hirzebruch_claim
+from qreider.search import hirzebruch_claim, mu_weights
 from qreider.surface import (
     Curve,
     PointSpec,
@@ -228,8 +228,9 @@ def test_criterion_5_identity_suite():
         d = tmodel.divisor(
             {"C1": F(rng.randint(0, 24), 8), "C2": F(rng.randint(0, 24), 8)}
         )
-        mu_p, _, mu_v = d.ord_tangential("t")
-        ok = ok and mu_p <= mu_v <= 2 * mu_p
+        weights = mu_weights(tmodel, "tangent", ("t",))
+        mu_p, mu_V = (sum((v * w(c) for c, v in d.coeffs.items()), F(0)) for w in weights)
+        ok = ok and mu_p <= mu_p + mu_V <= 2 * mu_p
 
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 30.0

@@ -1,3 +1,4 @@
+import inspect
 import operator
 from fractions import Fraction as F
 from math import isqrt
@@ -932,3 +933,20 @@ def test_reading_up_to_the_first_failure_decides_as_the_whole_trace(case):
     assert all(line.holds == _RELATIONS[line.rel](line.lhs, line.rhs) for line in verdict.trace)
     if held is not None:
         assert criteria.trace_lines(held) == verdict.trace
+
+
+# ---------------------------------------------------------------------------
+# goal kinds
+
+
+@pytest.mark.parametrize("name", sorted(criteria.GOAL_KINDS))
+def test_each_goal_kind_states_the_argument_order_of_its_rule_and_checker(name):
+    """Rule and checker take (*mus, m2, *degrees, witness), as the table says."""
+    kind = criteria.GOAL_KINDS[name]
+    rule = inspect.signature(getattr(criteria, kind.rule)).parameters
+    checker = inspect.signature(getattr(criteria, kind.checker)).parameters
+    assert list(rule.values()) == list(checker.values())
+    names = list(rule)
+    assert len(names) == len(kind.mus) + 1 + len(kind.degrees) + 1
+    assert names[: len(kind.mus)] == list(kind.mus)
+    assert (names[len(kind.mus)], names[-1]) == ("m2", "witness")

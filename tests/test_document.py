@@ -1,4 +1,5 @@
 import re
+from dataclasses import dataclass, field
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -440,11 +441,35 @@ def test_render_round_trips_generated_documents(doc):
     assert parse(render(doc)) == doc
 
 
-# -- the expression evaluator against a reference built on AffineExpr ---------
+# -- the expression evaluator against an affine reference --------------------
 #
-# The reference has its own scanner and evaluates with one AffineExpr per
-# scalar and per divisor coefficient, combined by AffineExpr's operators.  It
-# shares nothing with the library's evaluator.
+# The reference has its own scanner and evaluates with one _Affine per scalar
+# and per divisor coefficient, combined by _Affine's operators.  It shares
+# nothing with the library's evaluator.
+
+
+@dataclass(frozen=True)
+class _Affine:
+    """const + sum(coeff * param), with zero coefficients dropped."""
+
+    const: F = F(0)
+    terms: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "terms", {name: c for name, c in self.terms.items() if c})
+
+    def __add__(self, other):
+        names = {**self.terms, **other.terms}
+        return _Affine(self.const + other.const, {n: self.terms.get(n, 0) + other.terms.get(n, 0) for n in names})
+
+    def __neg__(self):
+        return _Affine(-self.const, {name: -c for name, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if self.terms and other.terms:
+            raise ValueError("product of two non-constant parameter expressions is not affine")
+        scale, expr = (self.const, other) if not self.terms else (other.const, self)
+        return _Affine(scale * expr.const, {name: scale * c for name, c in expr.terms.items()})
 
 _REF_TOKEN = re.compile(r"\s*(?:([0-9]+(?:/[0-9]+)?)|([A-Za-z_][A-Za-z0-9_]*)|(\S))")
 
@@ -484,7 +509,7 @@ class _RefParser:
             raise self.error(f"unexpected token {self.peek()[1]!r} (expected '+', '-' or end)")
         if value[0] == "vec":
             return dict(value[1])
-        if value[1] == AffineExpr():
+        if value[1] == _Affine():
             return {}
         raise ParseError("expected a divisor expression, got a plain number", self.line)
 
@@ -518,7 +543,7 @@ class _RefParser:
             num, _, den = text.partition("/")
             if den and int(den) == 0:
                 raise ParseError(f"zero denominator in {text!r}", self.line, col)
-            return ("scalar", AffineExpr.constant(F(int(num), int(den or 1))))
+            return ("scalar", _Affine(F(int(num), int(den or 1))))
         if kind == "name":
             value = self.resolve(text)
             if value is None:
@@ -538,10 +563,10 @@ class _RefParser:
         if a[0] == b[0] == "vec":
             merged = dict(a[1])
             for name, expr in b[1].items():
-                merged[name] = merged.get(name, AffineExpr()) + expr
+                merged[name] = merged.get(name, _Affine()) + expr
             return ("vec", merged)
         scalar, vec = (a, b) if a[0] == "scalar" else (b, a)
-        if scalar[1] == AffineExpr():
+        if scalar[1] == _Affine():
             return vec
         raise self.error("cannot add a number to a divisor expression")
 
@@ -626,11 +651,11 @@ def test_divisor_expressions_evaluate_as_the_affine_reference(text, line, col):
     def resolve(name):
         decl = doc.symbols.get(name)
         if isinstance(decl, CurveDecl):
-            return ("vec", {name: AffineExpr.constant(1)})
+            return ("vec", {name: _Affine(F(1))})
         if isinstance(decl, DivisorDecl):
-            return ("vec", dict(decl.coeffs))
+            return ("vec", {curve: _Affine(e.const, dict(e.terms)) for curve, e in decl.coeffs})
         if isinstance(decl, Param):
-            return ("scalar", AffineExpr.parameter(name))
+            return ("scalar", _Affine(F(0), {name: F(1)}))
         return None
 
     undefined = "undefined name {!r} (not a curve, divisor, or parameter)"
@@ -646,12 +671,12 @@ def test_divisor_expressions_evaluate_as_the_affine_reference(text, line, col):
 @settings(max_examples=300, deadline=None)
 def test_class_expressions_evaluate_as_the_affine_reference(text):
     rhs = text.strip()
-    basis = {label: ("vec", {label: AffineExpr.constant(1)}) for label in ("G", "F")}
+    basis = {label: ("vec", {label: _Affine(F(1))}) for label in ("G", "F")}
 
     def reference():
         tokens = _ref_scan(rhs, 3, len("K = "))
         vec = _RefParser(tokens, 3, basis.get, "undefined basis label {!r}").parse()
-        return tuple(vec.get(label, AffineExpr()).const for label in basis)
+        return tuple(vec.get(label, _Affine()).const for label in basis)
 
     expected = _ref_outcome(reference)
     got = _ref_outcome(lambda: parse(f"basis = G F\ngram = [[-3, 1], [1, 0]]\nK = {rhs}\nchi_O = 1\n").surface.canonical)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from qreider.hirzebruch import hirzebruch_model
 from qreider.lattice import IntersectionLattice
+from qreider.search import mu_weights
 from qreider.surface import (
     Curve,
     PointSpec,
@@ -13,6 +14,7 @@ from qreider.surface import (
     TangentSpec,
     UnknownCurveError,
     UnknownPointError,
+    UnknownTangentError,
     blow_up,
     verify_adjoint_blowup_identity,
 )
@@ -107,27 +109,46 @@ def test_ord_at_weighted_sum():
     assert d.ord_at("p") == F(4, 3)
 
 
-def test_ord_tangential_section_direction():
+def tangent_orders(divisor, tangent):
+    """The divisor's orders at the tangent's point and at its infinitely-near
+    point, read through the tangent goal's weights, and their sum."""
+    weights = mu_weights(divisor.surface, "tangent", (tangent,))
+    mu_p, mu_V = (sum((v * w(c) for c, v in divisor.coeffs.items()), F(0)) for w in weights)
+    return mu_p, mu_V, mu_p + mu_V
+
+
+def test_tangent_weights_section_direction():
     eps = F(1, 10)
     model = hirzebruch_model(1)
     b = model.divisor({"G": 1 - eps})
-    orders = b.ord_tangential("vG")
-    assert orders == (1 - eps, 1 - eps, 2 * (1 - eps))
+    assert tangent_orders(b, "vG") == (1 - eps, 1 - eps, 2 * (1 - eps))
 
 
-def test_ord_tangential_zero_divisor():
+def test_tangent_weights_zero_divisor():
     model = hirzebruch_model(1)
-    assert model.divisor().ord_tangential("vG") == (0, 0, 0)
+    assert tangent_orders(model.divisor(), "vG") == (0, 0, 0)
 
 
-def test_ord_tangential_node_missing_direction():
+def test_tangent_weights_node_missing_direction():
     lat = IntersectionLattice(("a",), ((1,),))
     curves = {"N": Curve("N", lat.basis_class("a"))}
     points = {"p": PointSpec("p", {"N": 2})}
     tangents = {"v": TangentSpec("v", "p", {"N": 0}, {"N": False})}
     model = SurfaceModel(lat, lat.zero(), 1, curves, points, tangents)
     d = model.divisor({"N": 1})
-    assert d.ord_tangential("v") == (2, 0, 2)
+    assert tangent_orders(d, "v") == (2, 0, 2)
+
+
+def test_point_mu_weights_are_the_points_multiplicities_in_order():
+    model = two_curve_model(mults_a=2, mults_b=1)
+    (weight,) = mu_weights(model, "free", ("p",))
+    assert [weight(c) for c in ("C1", "C2")] == [2, 1]
+    assert [[w(c) for c in ("C2", "C1")] for w in mu_weights(model, "separate", ("p", "p"))] == [[1, 2], [1, 2]]
+    assert mu_weights(model, "very-ample", ()) == ()
+    with pytest.raises(UnknownPointError, match="no point named 'q'"):
+        mu_weights(model, "free", ("q",))
+    with pytest.raises(UnknownTangentError, match="no tangent named 'v'"):
+        mu_weights(model, "tangent", ("v",))
 
 
 @pytest.mark.parametrize("m", [1.9, "1_0", True, F(1), None])
@@ -163,7 +184,7 @@ def test_tangential_order_sandwich(b1, b2, m1, m2, v1):
     tangents = {"v": TangentSpec("v", "p", {"C1": min(v1, m1), "C2": 0}, {})}
     model = SurfaceModel(lat, lat.zero(), 1, curves, points, tangents)
     d = model.divisor({"C1": b1, "C2": b2})
-    mu_p, _, mu_v = d.ord_tangential("v")
+    mu_p, _, mu_v = tangent_orders(d, "v")
     assert mu_p <= mu_v <= 2 * mu_p
 
 
