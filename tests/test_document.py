@@ -462,14 +462,12 @@ class _Affine:
         names = {**self.terms, **other.terms}
         return _Affine(self.const + other.const, {n: self.terms.get(n, 0) + other.terms.get(n, 0) for n in names})
 
-    def __neg__(self):
-        return _Affine(-self.const, {name: -c for name, c in self.terms.items()})
-
     def __mul__(self, other):
         if self.terms and other.terms:
             raise ValueError("product of two non-constant parameter expressions is not affine")
         scale, expr = (self.const, other) if not self.terms else (other.const, self)
         return _Affine(scale * expr.const, {name: scale * c for name, c in expr.terms.items()})
+
 
 _REF_TOKEN = re.compile(r"\s*(?:([0-9]+(?:/[0-9]+)?)|([A-Za-z_][A-Za-z0-9_]*)|(\S))")
 
@@ -584,8 +582,8 @@ class _RefParser:
 
 def _ref_negate(value):
     if value[0] == "scalar":
-        return ("scalar", -value[1])
-    return ("vec", {name: -expr for name, expr in value[1].items()})
+        return ("scalar", _Affine(F(-1)) * value[1])
+    return ("vec", {name: _Affine(F(-1)) * expr for name, expr in value[1].items()})
 
 
 def _ref_outcome(evaluate):
