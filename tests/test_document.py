@@ -772,3 +772,100 @@ def test_every_coefficient_of_a_parsed_document_is_a_fraction():
         numbers += [q for decl in (*doc.curves, *doc.cone.generators) for q in decl.coeffs]
         numbers += [q for d in doc.divisors for _, expr in d.coeffs for q in (expr.const, *expr.terms.values())]
         assert numbers and all(type(q) is F for q in numbers)
+
+
+# -- error positions against an independent oracle ---------------------------
+#
+# A generated document of curve, point and divisor statements, with random
+# names, numbers and spacing, sometimes a second statement after ';' and a '#'
+# comment, gets one fault at one token: '$', a stray '/', 'é', or an undefined
+# name.  The test records where it puts the fault, and the expected message,
+# line and column follow from that alone.
+
+LABEL_TEXTS = st.from_regex(r"[A-Za-z][A-Za-z0-9]{0,3}", fullmatch=True)
+SPACES = st.sampled_from(["", " ", "  ", "\t"])
+GAPS = st.sampled_from([" ", "  ", "\t"])
+COEFS = st.one_of(st.integers(0, 99).map(str), st.tuples(st.integers(0, 99), st.integers(1, 9)).map("{0[0]}/{0[1]}".format))
+FAULTS = ("$", "/", "é", None)  # None: an undefined name
+COMMENTS = st.sampled_from(["", "#", "# $ é /", "#x = 1/0; y = $"])
+
+
+def _expression(draw, names):
+    """Tokens ``[sign] [coef [*]] name (op [coef [*]] name)*`` as (kind, text) pairs; a name is never next to a name or number."""
+    tokens = [("op", draw(st.sampled_from("+-")))] if draw(st.booleans()) else []
+    for i in range(draw(st.integers(1, 3))):
+        if i:
+            tokens.append(("op", draw(st.sampled_from("+-"))))
+        if draw(st.booleans()):
+            tokens.append(("num", draw(COEFS)))
+            if draw(st.booleans()):
+                tokens.append(("op", "*"))
+        tokens.append(("name", draw(st.sampled_from(names))))
+    return tokens
+
+
+@st.composite
+def faulty_documents(draw):
+    """A document's text and the (message, line, col) of its one fault."""
+    labels = [f"{draw(LABEL_TEXTS)}_{i}" for i in range(2)]
+    undefined = f"{draw(LABEL_TEXTS)}_u"  # every declared name ends in '_' and digits
+    curves = [f"{draw(LABEL_TEXTS)}_{i}" for i in range(2, 2 + draw(st.integers(1, 4)))]
+    statements = [("curves", name, _expression(draw, labels)) for name in curves]
+    for i in range(draw(st.integers(1, 3))):
+        entries = draw(st.lists(st.sampled_from(curves), min_size=1, max_size=3, unique=True))
+        tokens = [(kind, text) for c in entries for kind, text in (("curve", c), ("mult", str(draw(st.integers(0, 5)))))]
+        statements.append(("points", f"{draw(LABEL_TEXTS)}_{10 + i}", tokens))
+    divisors = []
+    for i in range(draw(st.integers(1, 3))):
+        divisors.append(f"{draw(LABEL_TEXTS)}_{20 + i}")
+        statements.append(("divisors", divisors[-1], _expression(draw, curves + divisors[:-1])))
+
+    at = draw(st.integers(0, len(statements) - 1))
+    section, _, tokens = statements[at]
+    fault = draw(st.sampled_from(FAULTS))
+    where = draw(st.sampled_from([k for k, (kind, _) in enumerate(tokens) if fault or kind in ("name", "curve", "mult")]))
+    kind, token = tokens[where][0], fault or undefined
+    tokens[where] = (kind, token)
+
+    lines = [f"basis = {labels[0]} {labels[1]}", "gram = [[0, 1], [1, 0]]", f"K = -2{labels[0]} - 2 {labels[1]}", "chi_O = 1"]
+    header = None
+    i = 0
+    while i < len(statements):
+        if statements[i][0] != header:
+            header = statements[i][0]
+            lines.append(header)
+        together = i + 1 < len(statements) and statements[i + 1][0] == header and draw(st.booleans())
+        text = draw(SPACES)
+        for j in (i, i + 1) if together else (i,):
+            if j > i:
+                text += draw(SPACES) + ";" + draw(SPACES)
+            _, name, tokens = statements[j]
+            text += name + draw(SPACES) + "=" + draw(SPACES)
+            for k, (what, word) in enumerate(tokens):
+                if k:
+                    text += ":" if what == "mult" else draw(GAPS) if what == "curve" else draw(SPACES)
+                if (j, k) == (at, where):
+                    line, col = len(lines) + 1, len(text) + 1
+                text += word
+        lines.append(text + draw(SPACES) + draw(COMMENTS))
+        i += 2 if together else 1
+
+    if section == "points":
+        message = f"undefined curve {token!r}" if kind == "curve" else f"multiplicity {token!r} is not an integer"
+        col = None if kind == "curve" else col
+    elif fault:
+        message = f"unexpected character {fault!r}"
+    elif section == "curves":
+        message = f"undefined basis label {token!r}"
+    else:
+        message = f"undefined name {token!r} (not a curve, divisor, or parameter)"
+    return "\n".join(lines) + "\n", (message, line, col)
+
+
+@given(faulty_documents())
+@settings(max_examples=400, deadline=None)
+def test_a_fault_is_reported_where_the_test_put_it(case):
+    text, expected = case
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.message, err.value.line, err.value.col) == expected
