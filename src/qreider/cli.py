@@ -14,7 +14,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .document import Document, ParseError, QueryDecl, _integer, _number, parse
+from .document import Document, QueryDecl, parse
+from .literals import ParseError, _integer, _number
 from .report import render_text, report_to_json, run_document
 from .search import DEFAULT_DEPTH
 

@@ -6,10 +6,7 @@ switch context; ``#`` starts a comment; ``;`` separates statements on one
 line.  Numbers are ASCII: a rational literal is ``p/q`` or an integer over
 the digits 0-9, with an optional sign where it stands alone (``chi_O``, a
 parameter domain's ends); ``hirzebruch``, multiplicities and tangent orders
-are integers with an optional ``-``.  ``_number`` (whose core ``_literal``
-also reads number tokens) and ``_integer`` are the only way from typed text
-to a number: query arguments (``m2=``, ``beta2=``, ``n=``, ...) and the
-``qreider hirzebruch`` flags are read by them too.
+are integers with an optional ``-``; ``qreider.literals`` reads them.
 Before the first header, surface-level keys are accepted directly, so a
 fragment like
 
@@ -34,6 +31,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .cones import ConeDescription, ConeGenerator, FiniteGenerators, HirzebruchFamily
 from .lattice import DivisorClass, IntersectionLattice
+from .literals import ParseError, _integer, _literal, _number
 from .search import AffineExpr, Param
 from .surface import Curve, PointSpec, QDivisor, SurfaceModel, TangentSpec, check_tangent
 from .writer import render  # re-exported: the inverse of parse
@@ -50,20 +48,6 @@ QUERY_KINDS = (
     "search",
     "hirzebruch-claim",
 )
-
-
-class ParseError(ValueError):
-    def __init__(self, message: str, line: Optional[int] = None, col: Optional[int] = None):
-        self.message = message
-        self.line = line
-        self.col = col
-        where = ""
-        if line is not None:
-            where = f"line {line}"
-            if col is not None:
-                where += f", col {col}"
-            where += ": "
-        super().__init__(where + message)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +225,6 @@ _NAME_RE = re.compile(_NAME)
 # one group per token kind; "bad" is any other character that is not whitespace
 _TOKEN_RE = re.compile(rf"(?P<num>[0-9]+(?:/[0-9]+)?)|(?P<name>{_NAME})|(?P<sym>[-+*()\[\],:])|(?P<bad>\S)")
 _WORD_RE = re.compile(r"\S+")
-_RATIONAL_RE = re.compile(r"[-+]?[0-9]+(?:/[0-9]+)?")
-_INTEGER_RE = re.compile(r"-?[0-9]+")
 _END = ("end", "", None)
 _Token = tuple[str, str, Optional[int]]  # kind (num, name, sym or end), text, 1-based column (None at the end)
 
@@ -254,35 +236,6 @@ def _scan(text: str, line: int, col_offset: int = 0) -> list[_Token]:
         if kind == "bad":
             raise ParseError(f"unexpected character {tok!r}", line, col)
     return tokens
-
-
-def _literal(text: str, line: Optional[int], col: Optional[int]) -> Union[int, Fraction]:
-    """The value of text of the form ``[sign]digits[/digits]``."""
-    num, _, den = text.partition("/")
-    try:
-        return Fraction(int(num), int(den)) if den else int(num)
-    except ZeroDivisionError:
-        raise ParseError(f"zero denominator in {text!r}", line, col) from None
-    except ValueError:  # more digits than int() converts
-        raise ParseError(f"expected a rational number, got {text!r}", line, col) from None
-
-
-def _number(text: str, line: int, col: Optional[int] = None) -> Union[int, Fraction]:
-    """The exact value of an ASCII literal, ``[sign]p/q`` or ``[sign]integer``
-    (an int for an integer); anything else is a positioned ParseError."""
-    if _RATIONAL_RE.fullmatch(text):
-        return _literal(text, line, col)
-    raise ParseError(f"expected a rational number, got {text!r}", line, col)
-
-
-def _integer(text: str, message: str, line: Optional[int], col: Optional[int]) -> int:
-    """ASCII digits with an optional '-' as an int; anything else raises ``message`` at ``line``, ``col``."""
-    if _INTEGER_RE.fullmatch(text):
-        try:
-            return int(text)
-        except ValueError:  # more digits than int() converts
-            pass
-    raise ParseError(message.format(text), line, col)
 
 
 # Expression values hold plain exact numbers, an int or a Fraction, and are

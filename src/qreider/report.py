@@ -25,7 +25,8 @@ from .criteria import (
     riemann_roch_chi,
     threshold_very_ampleness,
 )
-from .document import _INTEGER_RE, Document, ParseError, QueryDecl, _number
+from .document import Document, QueryDecl
+from .literals import _INTEGER_RE, ParseError, _number
 from .search import DEFAULT_DEPTH, MAX_DEPTH, Goal, ParamFamily, SearchReport, hirzebruch_claim, search_params
 
 T = TypeVar("T")
