@@ -27,11 +27,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Union
 
 from .cones import ConeDescription, ConeGenerator, FiniteGenerators, HirzebruchFamily
 from .lattice import DivisorClass, IntersectionLattice
-from .literals import ParseError, _integer, _literal, _number
+from .literals import _NUM, ParseError, _integer, _literal, _number
 from .search import AffineExpr, Param
 from .surface import Curve, PointSpec, QDivisor, SurfaceModel, TangentSpec, check_tangent
 from .writer import render  # re-exported: the inverse of parse
@@ -174,13 +174,13 @@ class Document:
                 raise ParseError("declarations need a surface section first")
             return
         lattice = _at(s.line, IntersectionLattice, s.basis, s.gram)
-        classes: dict[tuple, DivisorClass] = {}  # one class per distinct coefficient vector
+        classes: dict[tuple, DivisorClass] = {}  # one class per distinct coefficient vector, keyed by ints
         curves = {}
         for c in self.curves:
-            coeffs = tuple(c.coeffs)
-            cls = classes.get(coeffs)
+            key = tuple([(q.numerator, q.denominator) for q in c.coeffs])  # hashed in C, unlike a Fraction
+            cls = classes.get(key)
             if cls is None:
-                cls = classes[coeffs] = DivisorClass(lattice, coeffs)
+                cls = classes[key] = DivisorClass(lattice, c.coeffs)
             curves[c.name] = Curve(c.name, cls)
         points = {p.name: _at(p.line, PointSpec, p.name, p.mults) for p in self.points}
         tangents = {}
@@ -205,7 +205,7 @@ class Document:
         """Resolve a divisor name or inline expression; ``text`` starts at ``line``, 0-based column ``col``."""
         if self.model is None:
             raise ParseError("no surface declared", line)
-        return {curve: _affine(s) for curve, s in _divisor_scalars(self.symbols, _scan(text, line, col), line).items()}
+        return {curve: _affine(s) for curve, s in _divisor_scalars(self.symbols, text, line, col).items()}
 
     def concrete_divisor(self, text: str, line: Optional[int] = None, col: int = 0) -> QDivisor:
         coeffs = self.divisor_expr(text, line, col)
@@ -222,20 +222,27 @@ class Document:
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _NAME_RE = re.compile(_NAME)
-# one group per token kind; "bad" is any other character that is not whitespace
-_TOKEN_RE = re.compile(rf"(?P<num>[0-9]+(?:/[0-9]+)?)|(?P<name>{_NAME})|(?P<sym>[-+*()\[\],:])|(?P<bad>\S)")
+_SYMS = r"+*()\[\],:\-"
+_TOKEN_RE = re.compile(rf"({_NUM})|({_NAME})|([{_SYMS}])")  # one group per kind: num, name, sym
+_TOKENS_RE = re.compile(rf"(?:[\s{_SYMS}]+|{_NUM}|{_NAME})*")  # the longest run of tokens and whitespace
 _WORD_RE = re.compile(r"\S+")
-_END = ("end", "", None)
-_Token = tuple[str, str, Optional[int]]  # kind (num, name, sym or end), text, 1-based column (None at the end)
+_END = ("", "", "")
+_Token = tuple[str, str, str]  # the text of a number, a name or a symbol, the other two empty; all empty at the end
 
 
 def _scan(text: str, line: int, col_offset: int = 0) -> list[_Token]:
     """The tokens of ``text``, which starts at 0-based column ``col_offset``."""
-    tokens = [(m.lastgroup, m[0], col_offset + m.start() + 1) for m in _TOKEN_RE.finditer(text)]
-    for kind, tok, col in tokens:
-        if kind == "bad":
-            raise ParseError(f"unexpected character {tok!r}", line, col)
-    return tokens
+    bad = _TOKENS_RE.match(text).end()
+    if bad < len(text):
+        raise ParseError(f"unexpected character {text[bad]!r}", line, col_offset + bad + 1)
+    return _TOKEN_RE.findall(text)
+
+
+def _col(pattern: re.Pattern, text: str, col_offset: int, index: int) -> Optional[int]:
+    """The 1-based column of match ``index`` of ``pattern`` in ``text``, None past the last.
+    Only an error needs a position, so it is found by scanning ``text`` again."""
+    starts = [m.start() for m in pattern.finditer(text)]
+    return col_offset + starts[index] + 1 if index < len(starts) else None
 
 
 # Expression values hold plain exact numbers, an int or a Fraction, and are
@@ -251,24 +258,24 @@ _UNIT: _Scalar = {None: 1}
 
 
 class _ExprParser:
-    """Parses one divisor expression.  ``resolve`` gives the value a name stands
-    for, or None for an undefined name; ``undefined`` formats that error."""
+    """Parses one divisor expression, ``text`` at 0-based column ``col_offset``.
+    ``resolve`` gives the value a name stands for, or None for an undefined
+    name; ``undefined`` formats that error."""
 
-    def __init__(self, tokens: Sequence[_Token], line: int, resolve: Callable[[str], Optional[_Value]], undefined: str):
-        self.tokens = [*tokens, _END]
-        self.line = line
-        self.pos = 0
-        self.resolve = resolve
-        self.undefined = undefined
+    def __init__(self, text: str, line: int, col_offset: int, resolve: Callable[[str], Optional[_Value]], undefined: str):
+        self.tokens = [*_scan(text, line, col_offset), _END]
+        self.text, self.line, self.col_offset, self.pos = text, line, col_offset, 0
+        self.resolve, self.undefined = resolve, undefined
 
     def error(self, message: str) -> ParseError:
-        return ParseError(message, self.line, self.tokens[self.pos][2])
+        """``message`` at the current token."""
+        return ParseError(message, self.line, _col(_TOKEN_RE, self.text, self.col_offset, self.pos))
 
     def parse(self) -> dict[str, _Scalar]:
         value = self.additive()
-        tok = self.tokens[self.pos]
-        if tok is not _END:
-            raise self.error(f"unexpected token {tok[1]!r} (expected '+', '-' or end)")
+        sym = self.tokens[self.pos][2]  # past a sum, only a symbol or the end is left
+        if sym:
+            raise self.error(f"unexpected token {sym!r} (expected '+', '-' or end)")
         if value[0] == "vec":
             return value[1]
         if not any(value[1].values()):
@@ -278,13 +285,13 @@ class _ExprParser:
     def additive(self) -> _Value:
         """A sum of terms; only the first may carry a run of signs."""
         negative = False
-        while (op := self.tokens[self.pos][1]) in ("+", "-"):
+        while (op := self.tokens[self.pos][2]) in ("+", "-"):
             self.pos += 1
             negative ^= op == "-"
         value = self.term()
         if negative:
             value = _negate(value)
-        while (op := self.tokens[self.pos][1]) in ("+", "-"):
+        while (op := self.tokens[self.pos][2]) in ("+", "-"):
             self.pos += 1
             rhs = self.term()
             value = self._add(value, _negate(rhs) if op == "-" else rhs)
@@ -292,31 +299,30 @@ class _ExprParser:
 
     def term(self) -> _Value:
         """Factors (a number, a name or a parenthesised sum), juxtaposed or joined by '*'."""
-        tokens, line = self.tokens, self.line
+        tokens = self.tokens
         value = None
         while True:
-            kind, text, col = tokens[self.pos]
-            self.pos += 1
-            if kind == "num":
-                factor = ("scalar", {None: _literal(text, line, col)})
-            elif kind == "name":
-                factor = self.resolve(text)
+            num, name, sym = tokens[self.pos]
+            if num:
+                factor = ("scalar", {None: _literal(num, self.error)})
+            elif name:
+                factor = self.resolve(name)
                 if factor is None:
-                    raise ParseError(self.undefined.format(text), line, col)
-            elif text == "(":
+                    raise self.error(self.undefined.format(name))
+            elif sym == "(":
+                self.pos += 1
                 factor = self.additive()
-                kind, text, col = tokens[self.pos]
-                self.pos += 1
-                if text != ")":
-                    raise ParseError("unexpected end of expression" if kind == "end" else "expected ')'", line, col)
+                sym = tokens[self.pos][2]
+                if sym != ")":
+                    raise self.error("expected ')'" if sym else "unexpected end of expression")
             else:
-                expected = f"unexpected token {text!r} (expected a number, name or '(')"
-                raise ParseError("unexpected end of expression" if kind == "end" else expected, line, col)
+                raise self.error(f"unexpected token {sym!r} (expected a number, name or '(')" if sym else "unexpected end of expression")
+            self.pos += 1
             value = factor if value is None else self._mul(value, factor)
-            kind, text, _ = tokens[self.pos]
-            if text == "*":
+            num, name, sym = tokens[self.pos]
+            if sym == "*":
                 self.pos += 1
-            elif kind not in ("num", "name") and text != "(":
+            elif not (num or name or sym == "("):
                 return value
 
     def _add(self, a: _Value, b: _Value) -> _Value:
@@ -375,7 +381,7 @@ def _affine(scalar: _Scalar, constant: Callable[..., AffineExpr] = AffineExpr.co
     return AffineExpr(scalar.get(None, 0), terms) if terms else constant(scalar.get(None, 0))
 
 
-def _divisor_scalars(symbols: Mapping[str, object], tokens: Sequence[_Token], line: int) -> dict[str, _Scalar]:
+def _divisor_scalars(symbols: Mapping[str, object], text: str, line: int, col_offset: int) -> dict[str, _Scalar]:
     """Expand a divisor expression over the declared curves, divisors and parameters."""
 
     def resolve(name: str) -> Optional[_Value]:
@@ -388,15 +394,20 @@ def _divisor_scalars(symbols: Mapping[str, object], tokens: Sequence[_Token], li
             return ("scalar", {name: 1})
         return None
 
-    return _ExprParser(tokens, line, resolve, "undefined name {!r} (not a curve, divisor, or parameter)").parse()
+    return _ExprParser(text, line, col_offset, resolve, "undefined name {!r} (not a curve, divisor, or parameter)").parse()
 
 
 # ---------------------------------------------------------------------------
 # statement-level parsing
 
 
-def _parse_matrix(tokens: list[_Token], line: int) -> tuple[tuple[Fraction, ...], ...]:
+def _parse_matrix(text: str, line: int, col_offset: int) -> tuple[tuple[Fraction, ...], ...]:
+    tokens = _scan(text, line, col_offset)
     pos = 0
+
+    def error(message: str, back: int = 1) -> ParseError:
+        """``message`` at the token ``back`` places before ``pos``."""
+        return ParseError(message, line, _col(_TOKEN_RE, text, col_offset, pos - back))
 
     def take(expected: Optional[str] = None) -> _Token:
         nonlocal pos
@@ -404,39 +415,39 @@ def _parse_matrix(tokens: list[_Token], line: int) -> tuple[tuple[Fraction, ...]
             raise ParseError(f"unexpected end of matrix (expected {expected or 'a token'})", line)
         tok = tokens[pos]
         pos += 1
-        if expected is not None and tok[1] != expected:
-            raise ParseError(f"expected {expected!r}, got {tok[1]!r}", line, tok[2])
+        if expected is not None and tok[2] != expected:
+            raise error(f"expected {expected!r}, got {''.join(tok)!r}")
         return tok
 
     def entry() -> Fraction:
         nonlocal pos
         sign = 1
-        while pos < len(tokens) and tokens[pos][1] in "+-":
-            if tokens[pos][1] == "-":
+        while pos < len(tokens) and tokens[pos][2] in ("+", "-"):
+            if tokens[pos][2] == "-":
                 sign = -sign
             pos += 1
-        kind, text, col = take()
-        if kind != "num":
-            raise ParseError(f"expected a number, got {text!r}", line, col)
-        return Fraction(sign * _literal(text, line, col))
+        num, name, sym = take()
+        if not num:
+            raise error(f"expected a number, got {name or sym!r}")
+        return Fraction(sign * _literal(num, error))
 
     take("[")
     rows = []
     while True:
         take("[")
         row = [entry()]
-        while pos < len(tokens) and tokens[pos][1] == ",":
+        while pos < len(tokens) and tokens[pos][2] == ",":
             pos += 1
             row.append(entry())
         take("]")
         rows.append(tuple(row))
-        if pos < len(tokens) and tokens[pos][1] == ",":
+        if pos < len(tokens) and tokens[pos][2] == ",":
             pos += 1
             continue
         break
     take("]")
     if pos != len(tokens):
-        raise ParseError("trailing input after matrix", line, tokens[pos][2])
+        raise error("trailing input after matrix", 0)
     return tuple(rows)
 
 
@@ -471,17 +482,17 @@ class _DocBuilder:
         for key in ("gram", "K", "chi_O"):
             if key not in keys:
                 raise ParseError(f"surface declaration is missing {key!r}", line)
-        (gram, gram_line), (k_tokens, k_line) = keys["gram"], keys["K"]
+        (gram, gram_line), ((k_text, k_offset, k_tokens), k_line) = keys["gram"], keys["K"]
         # default: labels in order of first appearance in the K expression
-        default = tuple(dict.fromkeys(text for kind, text, _ in k_tokens if kind == "name"))
+        default = tuple(dict.fromkeys(name for _, name, _ in k_tokens if name))
         basis, basis_line = keys.get("basis", (default, k_line))
         if len(basis) != len(gram):
             raise ParseError(f"basis has {len(basis)} labels but the gram matrix has rank {len(gram)}", basis_line)
         self.basis = {label: ("vec", {label: _UNIT}) for label in basis}
-        self.surface = SurfaceDecl(basis, gram, self.class_coeffs(k_tokens, k_line), keys["chi_O"][0], gram_line)
+        self.surface = SurfaceDecl(basis, gram, self.class_coeffs(k_text, k_line, k_offset), keys["chi_O"][0], gram_line)
 
-    def class_coeffs(self, tokens: list[_Token], line: int) -> tuple[Fraction, ...]:
-        vec = _ExprParser(tokens, line, self.basis.get, "undefined basis label {!r}").parse()
+    def class_coeffs(self, text: str, line: int, col_offset: int) -> tuple[Fraction, ...]:
+        vec = _ExprParser(text, line, col_offset, self.basis.get, "undefined basis label {!r}").parse()
         return tuple([self.constant(vec[label].get(None, 0) if label in vec else 0).const for label in self.basis])
 
     def declare(self, decl, line: int) -> None:
@@ -526,9 +537,9 @@ class _DocBuilder:
             if len(set(value)) != len(value):
                 raise ParseError(f"basis labels must be pairwise distinct: {rhs!r}", line)
         elif key == "gram":
-            value = _parse_matrix(_scan(rhs, line, offset), line)
+            value = _parse_matrix(rhs, line, offset)
         elif key == "K":
-            value = _scan(rhs, line, offset)
+            value = rhs, offset, _scan(rhs, line, offset)  # scanned now: a bad character is an error here
         else:
             value = Fraction(_number(rhs, line, offset + 1))
         self.surface_keys[key] = (value, line)
@@ -536,7 +547,7 @@ class _DocBuilder:
     def feed_curves(self, line: int, key: str, rhs: Optional[str], offset: int) -> None:
         if rhs is None:
             raise ParseError("curve declaration needs 'name = class expression'", line)
-        self.declare(CurveDecl(key, self.class_coeffs(_scan(rhs, line, offset), line)), line)
+        self.declare(CurveDecl(key, self.class_coeffs(rhs, line, offset)), line)
 
     def feed_cone(self, line: int, key: str, rhs: Optional[str], offset: int) -> None:
         if key == "hirzebruch":
@@ -553,7 +564,7 @@ class _DocBuilder:
             if rhs is None:
                 raise ParseError("expected 'generator = class expression [, through-p][, contains-z]'", line)
             chunks = [c.strip() for c in rhs.split(",")]
-            coeffs = self.class_coeffs(_scan(chunks[0], line, offset), line)
+            coeffs = self.class_coeffs(chunks[0], line, offset)
             through_p = contains_z = False
             for flag in chunks[1:]:
                 if flag == "through-p":
@@ -569,15 +580,18 @@ class _DocBuilder:
 
     def feed_points(self, line: int, key: str, rhs: Optional[str], offset: int) -> None:
         mults: dict[str, int] = {}
-        for word in _WORD_RE.finditer(rhs or ""):
-            name, _, mult = word[0].partition(":")
+        for entry in (rhs or "").split():
+            name, _, mult = entry.partition(":")
             if not mult:
-                raise ParseError(f"point entry {word[0]!r} must look like curve:mult", line)
+                raise ParseError(f"point entry {entry!r} must look like curve:mult", line)
             self.known(name, CurveDecl, "curve", line)
-            col = offset + word.start() + 1
+            # an error's column is the entry's, and this is entry number len(mults): each before it added a curve
             if name in mults:
-                raise ParseError(f"point {key!r} names curve {name!r} twice", line, col)
-            mults[name] = _integer(mult, "multiplicity {!r} is not an integer", line, col + len(name) + 1)
+                raise ParseError(f"point {key!r} names curve {name!r} twice", line, _col(_WORD_RE, rhs, offset, len(mults)))
+            try:
+                mults[name] = _integer(mult, "multiplicity {!r} is not an integer", line, None)
+            except ParseError as exc:
+                raise ParseError(exc.message, line, _col(_WORD_RE, rhs, offset, len(mults)) + len(name) + 1) from None
         self.declare(PointDecl(key, tuple(mults.items()), line), line)
 
     def feed_tangents(self, line: int, key: str, rhs: Optional[str], offset: int) -> None:
@@ -615,7 +629,7 @@ class _DocBuilder:
     def feed_divisors(self, line: int, key: str, rhs: Optional[str], offset: int) -> None:
         if rhs is None:
             raise ParseError("divisor declaration needs 'name = expression'", line)
-        scalars = _divisor_scalars(self.symbols, _scan(rhs, line, offset), line)
+        scalars = _divisor_scalars(self.symbols, rhs, line, offset)
         coeffs = [(curve, _affine(s, self.constant)) for curve, s in scalars.items() if any(s.values())]
         coeffs.sort()
         self.declare(DivisorDecl(key, tuple(coeffs)), line)

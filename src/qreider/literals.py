@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 
 class ParseError(ValueError):
@@ -31,26 +31,27 @@ class ParseError(ValueError):
         super().__init__(where + message)
 
 
-_RATIONAL_RE = re.compile(r"[-+]?[0-9]+(?:/[0-9]+)?")
+_NUM = r"[0-9]+(?:/[0-9]+)?"
+_RATIONAL_RE = re.compile(rf"[-+]?{_NUM}")
 _INTEGER_RE = re.compile(r"-?[0-9]+")
 
 
-def _literal(text: str, line: Optional[int], col: Optional[int]) -> Union[int, Fraction]:
-    """The value of text of the form ``[sign]digits[/digits]``."""
+def _literal(text: str, error: Callable[[str], ParseError]) -> Union[int, Fraction]:
+    """The value of text of the form ``[sign]digits[/digits]``; ``error`` positions a failure."""
     num, _, den = text.partition("/")
     try:
         return Fraction(int(num), int(den)) if den else int(num)
     except ZeroDivisionError:
-        raise ParseError(f"zero denominator in {text!r}", line, col) from None
+        raise error(f"zero denominator in {text!r}") from None
     except ValueError:  # more digits than int() converts
-        raise ParseError(f"expected a rational number, got {text!r}", line, col) from None
+        raise error(f"expected a rational number, got {text!r}") from None
 
 
 def _number(text: str, line: int, col: Optional[int] = None) -> Union[int, Fraction]:
     """The exact value of an ASCII literal, ``[sign]p/q`` or ``[sign]integer``
     (an int for an integer); anything else is a positioned ParseError."""
     if _RATIONAL_RE.fullmatch(text):
-        return _literal(text, line, col)
+        return _literal(text, lambda message: ParseError(message, line, col))
     raise ParseError(f"expected a rational number, got {text!r}", line, col)
 
 
