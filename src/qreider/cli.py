@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 when every query ran (regardless of established /
-not-established outcomes), 1 for usage, parse, or query errors, 2 for an
-internal invariant violation.
+not-established outcomes), 1 for usage, parse, or query errors and for input
+that cannot be read, 2 for an internal invariant violation.
 """
 
 from __future__ import annotations
@@ -74,7 +74,11 @@ def _run_check(args) -> int:
         if not path.exists():
             print(f"error: no such file: {path}", file=sys.stderr)
             return EXIT_USAGE
-        text = path.read_text()
+        try:
+            text = path.read_text()
+        except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, or bytes the encoding rejects
+            print(f"error: cannot read {path}: {getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
+            return EXIT_USAGE
         source = str(path)
     try:
         doc = parse(text)

@@ -197,6 +197,20 @@ def test_missing_file_exit_one():
     assert proc.returncode == 1
 
 
+def test_a_directory_is_input_that_cannot_be_read(tmp_path):
+    proc = run_cli("check", str(tmp_path))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: cannot read {tmp_path}: Is a directory\n"
+
+
+def test_a_file_that_is_not_utf8_is_input_that_cannot_be_read(tmp_path):
+    path = tmp_path / "latin1.surf"
+    path.write_bytes("gram = [[0, 1], [1, 0]]  # \xe9\n".encode("latin-1"))
+    proc = run_cli("check", str(path))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xe9 in position 27")
+
+
 def test_query_error_sets_exit_one_but_not_established_does_not():
     # min degree of a non-nef class is a query error
     text = (
