@@ -226,9 +226,6 @@ class QDivisor:
     def round_up(self) -> "QDivisor":
         return QDivisor(self.surface, {n: Fraction(math.ceil(v)) for n, v in self.coeffs.items()})
 
-    def round_down(self) -> "QDivisor":
-        return QDivisor(self.surface, {n: Fraction(math.floor(v)) for n, v in self.coeffs.items()})
-
     def divisor_class(self) -> DivisorClass:
         total = self.surface.lattice.zero()
         for name, value in self.coeffs.items():

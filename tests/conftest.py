@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -41,6 +42,11 @@ def grid_min_degree(
 ) -> Fraction:
     scaled, den = _grid_degrees(x, y, n, amax, bextra, include_fiber)
     return Fraction(min(scaled), den)
+
+
+def round_down(d):
+    """The floor of a QDivisor, coefficient by coefficient: the reference for ``round_up``'s identities."""
+    return type(d)(d.surface, {name: Fraction(math.floor(v)) for name, v in d.coeffs.items()})
 
 
 def random_fraction(rng: random.Random, lo: int, hi: int, max_den: int = 4) -> Fraction:

@@ -11,7 +11,7 @@ import time
 import warnings
 from fractions import Fraction as F
 
-from conftest import grid_is_nef, grid_min_degree, random_nef_coeffs
+from conftest import grid_is_nef, grid_min_degree, random_nef_coeffs, round_down
 from qreider.cones import DegreeFilter, HirzebruchFamily, is_nef, min_degree
 from qreider.criteria import (
     BetaWitness,
@@ -201,11 +201,11 @@ def test_criterion_5_identity_suite():
     for _ in range(1000):
         coeffs = {c: F(rng.randint(-40, 40), rng.randint(1, 9)) for c in ("A", "B", "C")}
         d = rmodel.divisor(coeffs)
-        ok = ok and d.round_up() == -((-d).round_down())
-        frac = d - d.round_down()
+        ok = ok and d.round_up() == -round_down(-d)
+        frac = d - round_down(d)
         ok = ok and all(0 <= frac.coeff(c) < 1 for c in coeffs)
         ok = ok and all(
-            d.round_down().coeff(c) <= d.coeff(c) <= d.round_up().coeff(c) for c in coeffs
+            round_down(d).coeff(c) <= d.coeff(c) <= d.round_up().coeff(c) for c in coeffs
         )
 
     for _ in range(1000):
