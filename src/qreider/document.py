@@ -585,7 +585,7 @@ class _DocBuilder:
             if not mult:
                 raise ParseError(f"point entry {entry!r} must look like curve:mult", line)
             self.known(name, CurveDecl, "curve", line)
-            # an error's column is the entry's, and this is entry number len(mults): each before it added a curve
+            # only an error needs the entry's column; it is entry number len(mults), as each before it added a curve
             if name in mults:
                 raise ParseError(f"point {key!r} names curve {name!r} twice", line, _col(_WORD_RE, rhs, offset, len(mults)))
             try:
