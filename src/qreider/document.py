@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional, Union
 
 from .cones import ConeDescription, ConeGenerator, FiniteGenerators, HirzebruchFamily
-from .lattice import DivisorClass, IntersectionLattice
+from .lattice import DivisorClass, IntersectionLattice, as_fraction
 from .literals import _NUM, ParseError, _integer, _literal, _number
 from .search import AffineExpr, Param
 from .surface import Curve, PointSpec, QDivisor, SurfaceModel, TangentSpec, check_tangent
@@ -174,10 +174,12 @@ class Document:
                 raise ParseError("declarations need a surface section first")
             return
         lattice = _at(s.line, IntersectionLattice, s.basis, s.gram)
-        classes: dict[tuple, DivisorClass] = {}  # one class per distinct coefficient vector, keyed by ints
+        # one class per distinct coefficient vector, keyed by ints, which hash in C, unlike a Fraction; as_fraction
+        # first, so that a coefficient that is not a rational is its TypeError
+        classes: dict[tuple, DivisorClass] = {}
         curves = {}
         for c in self.curves:
-            key = tuple([(q.numerator, q.denominator) for q in c.coeffs])  # hashed in C, unlike a Fraction
+            key = tuple([(q.numerator, q.denominator) for q in map(as_fraction, c.coeffs)])
             cls = classes.get(key)
             if cls is None:
                 cls = classes[key] = DivisorClass(lattice, c.coeffs)

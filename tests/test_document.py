@@ -757,6 +757,13 @@ def test_a_directly_built_document_shares_its_classes():
     assert model.curves["A"].cls is not model.curves["C"].cls
 
 
+@pytest.mark.parametrize("coeff", ["1", 0.5, None])
+def test_a_directly_built_curve_coefficient_that_is_not_rational_is_a_type_error(coeff):
+    surface = SurfaceDecl(("G", "F"), ((F(-3), F(1)), (F(1), F(0))), (F(-2), F(-5)), F(1))
+    with pytest.raises(TypeError, match="not an exact rational"):
+        Document(surface, (CurveDecl("A", (coeff, F(2))),))
+
+
 def test_two_parses_share_no_class_or_coefficient():
     first, second = parse(SHARED), parse(SHARED)
     assert first == second
