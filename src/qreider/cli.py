@@ -66,20 +66,16 @@ def _emit(report, as_json: bool) -> None:
 
 
 def _run_check(args) -> int:
-    if args.file == "-":
-        text = sys.stdin.read()
-        source = "<stdin>"
-    else:
-        path = Path(args.file)
-        if not path.exists():
-            print(f"error: no such file: {path}", file=sys.stderr)
-            return EXIT_USAGE
-        try:
-            text = path.read_text()
-        except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, or bytes the encoding rejects
-            print(f"error: cannot read {path}: {getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
-            return EXIT_USAGE
-        source = str(path)
+    path = None if args.file == "-" else Path(args.file)
+    source = "<stdin>" if path is None else str(path)
+    if path is not None and not path.exists():
+        print(f"error: no such file: {path}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        text = sys.stdin.read() if path is None else path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, or bytes the encoding rejects
+        print(f"error: cannot read {source}: {getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         doc = parse(text)
     except ParseError as exc:

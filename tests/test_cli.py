@@ -211,6 +211,15 @@ def test_a_file_that_is_not_utf8_is_input_that_cannot_be_read(tmp_path):
     assert proc.stderr.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xe9 in position 27")
 
 
+def test_stdin_that_is_not_utf8_is_input_that_cannot_be_read():
+    # decoded strictly, as in a UTF-8 locale; under the C locale stdin reads the byte as an escape instead
+    env = {**CHILD_ENV, "PYTHONIOENCODING": "utf-8:strict"}
+    cmd = [sys.executable, "-m", "qreider.cli", "check", "-"]
+    proc = subprocess.run(cmd, input=b"chi_O = 1 # \xe9\n", capture_output=True, timeout=120, env=env)
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr.startswith(b"error: cannot read <stdin>: 'utf-8' codec can't decode byte 0xe9 in position 12")
+
+
 def test_query_error_sets_exit_one_but_not_established_does_not():
     # min degree of a non-nef class is a query error
     text = (
