@@ -194,6 +194,41 @@ def test_separation_without_a_witness_is_not_established():
     assert verdict.trace and all(line.holds for line in verdict.trace)
 
 
+positive = st.fractions(min_value="1/4", max_value=6, max_denominator=4)
+
+
+@given(
+    low_is_q=st.booleans(),
+    high=st.fractions(min_value=2, max_value=4, max_denominator=4),
+    low=st.fractions(min_value=0, max_value="15/8", max_denominator=8),
+    m2=st.fractions(min_value=0, max_value=40, max_denominator=4),
+    degrees=st.tuples(*[st.fractions(min_value=0, max_value=6, max_denominator=4)] * 3),
+    witness=st.one_of(
+        st.none(),
+        st.builds(BetaWitness.single, positive, positive, st.just("at-p")),
+        st.builds(BetaWitness.pair, positive, positive, positive, positive),
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_one_high_separation_is_freeness_at_the_low_point(low_is_q, high, low, m2, degrees, witness):
+    mu_p, mu_q = (high, low) if low_is_q else (low, high)
+    dp, dq, dpq = degrees
+    side = 1 if low_is_q else 0
+    # the low point's slot of the witness: its own values when it has them, else the only ones
+    slot = None
+    if witness is not None:
+        b2, b1 = witness.beta2, witness.beta1
+        slot = BetaWitness.single(b2[min(side, len(b2) - 1)], b1[min(side, len(b1) - 1)], role="at-p")
+    verdict = separation(mu_p, mu_q, m2, dp, dq, dpq, witness)
+    free = freeness_at(low, m2, dq if low_is_q else dp, slot)
+    high_text = "mu_p >= 2" if low_is_q else "mu_q >= 2"
+    assert verdict.rule == "separation/one-high-multiplicity"
+    assert verdict.trace[0] == criteria.TraceLine(high_text, high, ">=", F(2), True)
+    assert verdict.trace[1:] == free.trace
+    assert (verdict.witness, verdict.status) == (free.witness, free.status)
+    assert verdict.note == ("no admissible witness at the low point" if free.witness is None else free.note)
+
+
 # ---------------------------------------------------------------------------
 # separation of tangent directions
 

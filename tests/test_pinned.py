@@ -12,8 +12,11 @@ message, line and column.  The grid reaches every branch of
 witnesses, witnesses with a side missing, ``beta2 = 2 - mu`` exactly and
 ``very_ampleness`` with ``beta2 = 1``.  It also crosses the bounds of
 ``jet_separation`` and ``threshold_very_ampleness``, on each side and
-exactly, with negative and non-integer inputs.  A failure lists the inputs
-whose hash moved.
+exactly, with negative and non-integer inputs.  ``plc_threshold`` is pinned
+on configurations of one to three curves in each mode, with and without
+``weak_boundary`` and with ``c0`` absent, present and unknown: the hash is
+of the result or the error, with the text of any ``PLCContextWarning``.  A
+failure lists the inputs whose hash moved.
 
 The corpus has every kind of statement: surface keys with and without a
 section header, curves, a Hirzebruch or a generated cone, points, tangents,
@@ -38,11 +41,12 @@ import hashlib
 import itertools
 import random
 import sys
+import warnings
 from fractions import Fraction as F
 from pathlib import Path
 
 from qreider import criteria
-from qreider.criteria import BetaWitness
+from qreider.criteria import BetaWitness, LocalConfig, LocalCurveData, PLCContextWarning
 from qreider.document import parse
 from qreider.search import hirzebruch_claim
 
@@ -158,8 +162,45 @@ def _outcome(name: str, args: tuple) -> str:
         return f"{type(exc).__name__}: {exc}"
 
 
+# one curve through the point: each boundary coefficient, auxiliary coefficient and multiplicity
+_PLC_CURVES = tuple(itertools.product((0, F(1, 2), F(3, 4)), (0, F(1, 2), 1, F(3, 2)), (1, 2)))
+
+
+def plc_configs():
+    """Every one-curve configuration, then 24 seeded ones of two curves and 24 of three."""
+    rng = random.Random(20261020)
+    picks = [(curve,) for curve in _PLC_CURVES]
+    picks += [tuple(rng.choices(_PLC_CURVES, k=k)) for k in (2, 3) for _ in range(24)]
+    for curves in picks:
+        yield LocalConfig(tuple(LocalCurveData(f"C{i}", b, d, mult) for i, (b, d, mult) in enumerate(curves)))
+
+
+def _plc_outcome(config: LocalConfig, mode: str, c0, weak_boundary: bool) -> str:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = repr(criteria.plc_threshold(config, mode, c0=c0, weak_boundary=weak_boundary))
+        except Exception as exc:  # noqa: BLE001 - the error's type and text are pinned too
+            out = f"{type(exc).__name__}: {exc}"
+    return out + "".join(f"\nwarning: {w.message}" for w in caught if w.category is PLCContextWarning)
+
+
+def plc_hashes() -> dict[str, str]:
+    """``plc_threshold`` in each mode, with and without ``weak_boundary``, and with ``c0`` absent, the
+    configuration's last curve and a name it does not have."""
+    hashes = {}
+    for config in plc_configs():
+        shown = "; ".join(f"{c.name} b={c.b} d={c.d} mult={c.mult_p}" for c in config.curves)
+        c0s = (None, config.curves[-1].name, "Z")
+        for mode, weak, c0 in itertools.product(("basic", "cap3", "prime"), (False, True), c0s):
+            key = f"plc_threshold({shown}, mode={mode!r}, c0={c0!r}, weak_boundary={weak})"
+            hashes[key] = _sha(_plc_outcome(config, mode, c0, weak))
+    return hashes
+
+
 def checker_hashes() -> dict[str, str]:
-    return {f"{name}{args!r}": _sha(_outcome(name, args)) for name, args in checker_inputs()}
+    hashes = {f"{name}{args!r}": _sha(_outcome(name, args)) for name, args in checker_inputs()}
+    return {**hashes, **plc_hashes()}
 
 
 # -- the parser's corpus --------------------------------------------------
