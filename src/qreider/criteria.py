@@ -19,9 +19,9 @@ and checker, and what they read.
 Every witness is verified exactly.  The freeness and very-ample searches are
 complete: they prefer a dyadic rational (denominator ``2**k``) and fall back to
 the exact corner of the feasible region, so they find a witness whenever the
-system has a real solution.  The two-point and tangent searches walk a dyadic
-grid and are not yet complete.  Every function here is a pure, deterministic
-decision procedure over immutable data.
+system has a real solution.  The two-point and tangent searches share one
+walk over a dyadic grid of pairs and are not yet complete.  Every function
+here is a pure, deterministic decision procedure over immutable data.
 """
 
 from __future__ import annotations
@@ -225,16 +225,6 @@ def _dyadic_below_sqrt(value: Fraction, depth: int) -> Optional[Fraction]:
     return Fraction(a, 1 << depth) if a else None
 
 
-def _dedupe(values: Iterable[Fraction]) -> list[Fraction]:
-    seen: set[Fraction] = set()
-    out: list[Fraction] = []
-    for v in values:
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return out
-
-
 def _degree_corner(mu: Fraction, mindeg: Fraction) -> Optional[Fraction]:
     """Smallest beta2 whose beta1 bound fits under mindeg, or None if none does.
 
@@ -260,9 +250,9 @@ def _dyadic_witness(value: Fraction, floor: Fraction) -> Fraction:
 
 
 def _dyadic_grid(lo: Fraction, hi: Fraction, levels: int) -> list[Fraction]:
-    """Dyadic subdivision points of [lo, hi], endpoints included, lo first."""
-    if hi < lo:
-        return []
+    """Dyadic subdivision points of [lo, hi]: lo, then j/2**k of the way for odd j, k = 1..levels, then hi."""
+    if hi <= lo:
+        return [lo] if hi == lo else []
     span = hi - lo
     points = [lo]
     for k in range(1, levels + 1):
@@ -270,7 +260,20 @@ def _dyadic_grid(lo: Fraction, hi: Fraction, levels: int) -> list[Fraction]:
         for j in range(1, scale, 2):
             points.append(lo + span * Fraction(j, scale))
     points.append(hi)
-    return _dedupe(points)
+    return points
+
+
+def _pair_walk(lo: Fraction, lo_other: Fraction, sq: Fraction) -> Iterator[tuple[Fraction, Fraction]]:
+    """The (beta2, other) candidates of the two-point and tangent searches: beta2 on the grid of
+    [lo, sqrt(sq - lo_other^2)), the other just below sqrt(sq - beta2^2), then lo_other, each at
+    2**-_PAIR_DEPTH; only pairs with the other >= lo_other and beta2^2 + other^2 < sq."""
+    top = _dyadic_below_sqrt(sq - lo_other * lo_other, _PAIR_DEPTH)
+    if top is None:
+        return
+    for b2 in _dyadic_grid(lo, top, levels=6):
+        for other in (_dyadic_below_sqrt(sq - b2 * b2, _PAIR_DEPTH), lo_other):
+            if other is not None and other >= lo_other and b2 * b2 + other * other < sq:
+                yield b2, other
 
 
 # ---------------------------------------------------------------------------
@@ -380,19 +383,10 @@ def separation_witness(
     corner_q = _degree_corner(mq, dq)
     if corner_p is None or corner_q is None:
         return None
-    top = _dyadic_below_sqrt(sq - corner_q * corner_q, _PAIR_DEPTH)
-    if top is None:
-        return None
-    for b2p in _dyadic_grid(corner_p, top, levels=6):
-        bound_p = min_formula(mp, b2p)
-        if bound_p > dp:
-            continue
-        for b2q in (_dyadic_below_sqrt(sq - b2p * b2p, _PAIR_DEPTH), corner_q):
-            if b2q is None or b2q < corner_q or b2p * b2p + b2q * b2q >= sq:
-                continue
-            bound_q = min_formula(mq, b2q)
-            if bound_q > dq or bound_p + bound_q > dpq:
-                continue
+    # from each corner on, min_formula (non-increasing in beta2) stays within that point's degree
+    for b2p, b2q in _pair_walk(corner_p, corner_q, sq):
+        bound_p, bound_q = min_formula(mp, b2p), min_formula(mq, b2q)
+        if bound_p + bound_q <= dpq:
             return BetaWitness.pair(b2p, b2q, bound_p, bound_q)
     return None
 
@@ -450,25 +444,17 @@ def separation_rule(
         return Evaluation("separation/both-high-multiplicity", iter((_ge("mu_p >= 2", mp, 2), _ge("mu_q >= 2", mq, 2))))
 
     if mp >= 2 or mq >= 2:
-        # run the one-point degree bound at the low-multiplicity point
+        # the freeness rule at the low-multiplicity point, after the high point's line
         if mp >= 2:
-            high_text, high = "mu_p >= 2", mp
-            low, low_deg, side = mq, dq, 1
+            high_line, low, low_deg, side = _ge("mu_p >= 2", mp, 2), mq, dq, 1
         else:
-            high_text, high = "mu_q >= 2", mq
-            low, low_deg, side = mp, dp, 0
-        given = _witness_for_side(witness, side)
-        sub = freeness_witness(low, sq, low_deg) if given is None else given
-        high_line = _ge(high_text, high, 2)
-        if sub is None:
-            return Evaluation(
-                "separation/one-high-multiplicity",
-                chain((high_line,), _infeasible(low, sq, low_deg, "")),
-                note="no admissible witness at the low point",
-                sufficient=False,
-            )
-        conditions = chain((high_line,), _degree_bound(low, sq, low_deg, sub.beta2[0], sub.beta1[0]))
-        return Evaluation("separation/one-high-multiplicity", conditions, sub, _SEARCHED if given is None else "")
+            high_line, low, low_deg, side = _ge("mu_q >= 2", mq, 2), mp, dp, 0
+        free = freeness_rule(low, sq, low_deg, _witness_for_side(witness, side))
+        return free._replace(
+            rule="separation/one-high-multiplicity",
+            conditions=chain((high_line,), free.conditions),
+            note=free.note if free.sufficient else "no admissible witness at the low point",
+        )
 
     found = separation_witness(mp, mq, sq, dp, dq, dpq) if witness is None else witness
     if found is None:
@@ -548,20 +534,11 @@ def tangent_witness(
     cap = min(dp, dz / 2)
     if cap <= 0:
         return None
-    lower_p, lower_v = 2 - mp, 2 - mv_
-    top = _dyadic_below_sqrt(sq - lower_v * lower_v, _PAIR_DEPTH)
-    if top is None:
-        return None
-    for b2p in _dyadic_grid(lower_p, top, levels=6):
-        for b2v in (_dyadic_below_sqrt(sq - b2p * b2p, _PAIR_DEPTH), lower_v):
-            if b2v is None or b2v < lower_v or b2p * b2p + b2v * b2v >= sq:
-                continue
-            bound = tangent_beta1_bound(mp, mv_, b2p, b2v)
-            if bound > cap or bound <= 0:
-                continue
-            return BetaWitness(
-                beta2=(b2p, b2v), beta1=(bound,), beta2_roles=("at-p", "at-V"), beta1_roles=("global",)
-            )
+    # the bound is positive: (4 - mu_v)/2 > 0, and each beta2 at its floor or above makes the denominator >= 2
+    for b2p, b2v in _pair_walk(2 - mp, 2 - mv_, sq):
+        bound = tangent_beta1_bound(mp, mv_, b2p, b2v)
+        if bound <= cap:
+            return BetaWitness((b2p, b2v), (bound,), ("at-p", "at-V"), ("global",))
     return None
 
 
@@ -928,18 +905,8 @@ def plc_threshold(
     """
     mode = ThresholdMode(mode)
     mu, m_p = config.mu, config.m_p
-
-    def coefficient_terms(exclude: Optional[str]) -> list[tuple[str, Fraction]]:
-        out = []
-        for cur in config.curves:
-            if cur.name == exclude or cur.d == 0:
-                continue
-            total = cur.b + cur.d
-            if total > 1 or (weak_boundary and mode is ThresholdMode.PRIME and total >= 1):
-                out.append((cur.name, (1 - cur.b) / cur.d))
-        return out
-
     terms: list[tuple[str, Fraction]] = []
+    chosen = None  # the primed variant's c0
     if mode is ThresholdMode.BASIC:
         if m_p != 2 - mu:
             warnings.warn(
@@ -947,28 +914,23 @@ def plc_threshold(
                 PLCContextWarning,
                 stacklevel=2,
             )
-        terms = coefficient_terms(exclude=None)
-        if not terms:
-            return ThresholdResult(is_plc=True)
-    elif mode is ThresholdMode.CAP3:
-        if m_p > 0:
-            terms.append(("ord-cap", (3 - mu) / m_p))
-        terms += coefficient_terms(exclude=None)
-        if not terms:
-            return ThresholdResult(is_plc=True)
-    else:
+    elif mode is ThresholdMode.PRIME:
         if c0 is None:
             raise ValueError("primed threshold needs the distinguished curve c0")
         chosen = next((c for c in config.curves if c.name == c0), None)
         if chosen is None:
             raise ValueError(f"no curve named {c0!r} in the local configuration")
         terms.append(("one", Fraction(1)))
-        if m_p > 0:
-            terms.append(("ord-cap", (3 - mu) / m_p))
-        if chosen.d > 0:
-            terms.append((chosen.name, (2 - chosen.b) / chosen.d))
-        terms += coefficient_terms(exclude=c0)
-
+    if mode is not ThresholdMode.BASIC and m_p > 0:
+        terms.append(("ord-cap", (3 - mu) / m_p))
+    if chosen is not None and chosen.d > 0:
+        terms.append((chosen.name, (2 - chosen.b) / chosen.d))
+    weak = weak_boundary and chosen is not None
+    for cur in config.curves:
+        if cur is not chosen and cur.d != 0 and (cur.b + cur.d > 1 or weak and cur.b + cur.d >= 1):
+            terms.append((cur.name, (1 - cur.b) / cur.d))
+    if not terms:
+        return ThresholdResult(is_plc=True)
     c = min(v for _, v in terms)
     achievers = tuple(label for label, v in terms if v == c)
     return ThresholdResult(is_plc=False, c=c, achievers=achievers)
