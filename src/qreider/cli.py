@@ -68,12 +68,12 @@ def _emit(report, as_json: bool) -> None:
 def _run_check(args) -> int:
     path = None if args.file == "-" else Path(args.file)
     source = "<stdin>" if path is None else str(path)
-    if path is not None and not path.exists():
+    try:  # a .surf document is UTF-8, read as bytes from a file or from stdin alike
+        text = (sys.stdin.buffer.read() if path is None else path.read_bytes()).decode()
+    except FileNotFoundError:
         print(f"error: no such file: {path}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        text = sys.stdin.read() if path is None else path.read_text()
-    except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, or bytes the encoding rejects
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, or bytes that are not UTF-8
         print(f"error: cannot read {source}: {getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -111,9 +111,6 @@ def main(argv=None) -> int:
         if args.command == "check":
             return _run_check(args)
         return _run_hirzebruch(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 - report as internal failure
         print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -39,6 +39,11 @@ def run_cli(*args, stdin=None):
     return proc
 
 
+def stdin_of(text: str) -> io.TextIOWrapper:
+    """A stand-in for ``sys.stdin``: text over the UTF-8 bytes that the CLI reads."""
+    return io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
+
+
 def run_claims(*args):
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "run_claims.py"), *args],
@@ -212,12 +217,23 @@ def test_a_file_that_is_not_utf8_is_input_that_cannot_be_read(tmp_path):
 
 
 def test_stdin_that_is_not_utf8_is_input_that_cannot_be_read():
-    # decoded strictly, as in a UTF-8 locale; under the C locale stdin reads the byte as an escape instead
     env = {**CHILD_ENV, "PYTHONIOENCODING": "utf-8:strict"}
     cmd = [sys.executable, "-m", "qreider.cli", "check", "-"]
     proc = subprocess.run(cmd, input=b"chi_O = 1 # \xe9\n", capture_output=True, timeout=120, env=env)
     assert (proc.returncode, proc.stdout) == (1, b"")
     assert proc.stderr.startswith(b"error: cannot read <stdin>: 'utf-8' codec can't decode byte 0xe9 in position 12")
+
+
+@pytest.mark.parametrize("locale", ["C", "C.UTF-8"])
+def test_stdin_is_decoded_as_a_file_is_whatever_the_locale(locale):
+    # these locales give stdin the surrogateescape handler, which would read the comment's 0xe9 as an escape
+    env = {key: value for key, value in CHILD_ENV.items() if key not in ("PYTHONIOENCODING", "PYTHONUTF8")}
+    env["LC_ALL"] = locale
+    text = b"gram = [[-1, 1], [1, 0]]; K = -2G - 3F; chi_O = 1  # \xe9\ncurves\nG = G\nF = F\nqueries\nchi G\n"
+    cmd = [sys.executable, "-m", "qreider.cli", "check", "-"]
+    proc = subprocess.run(cmd, input=text, capture_output=True, timeout=120, env=env)
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr.startswith(b"error: cannot read <stdin>: 'utf-8' codec can't decode byte 0xe9 in position 53")
 
 
 def test_query_error_sets_exit_one_but_not_established_does_not():
@@ -388,7 +404,7 @@ def test_an_unknown_key_error_lists_every_key_the_query_reads_in_order(query, ke
     ids=["gram", "inline-query", "empty-domain"],
 )
 def test_bad_literals_exit_one_not_two(text, capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    monkeypatch.setattr("sys.stdin", stdin_of(text))
     assert main(["check", "-"]) == 1
     captured = capsys.readouterr()
     assert "line " in captured.out + captured.err
@@ -439,11 +455,11 @@ queries
 )
 def test_search_resolves_marked_names_before_any_candidate(query, message, capsys, monkeypatch):
     """An unknown point or tangent is an error even when no candidate is nef."""
-    monkeypatch.setattr("sys.stdin", io.StringIO(NEVER_NEF_SEARCH + query + "\n"))
+    monkeypatch.setattr("sys.stdin", stdin_of(NEVER_NEF_SEARCH + query + "\n"))
     assert main(["check", "-"]) == 1
     assert capsys.readouterr().out == f"report for <stdin>\n== {query}\n   error: {message}\n"
 
-    monkeypatch.setattr("sys.stdin", io.StringIO(NEVER_NEF_SEARCH + query + "\n"))
+    monkeypatch.setattr("sys.stdin", stdin_of(NEVER_NEF_SEARCH + query + "\n"))
     assert main(["check", "-", "--json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     jsonschema.validate(payload, SCHEMA)
@@ -469,13 +485,13 @@ def test_search_resolves_marked_names_before_any_candidate(query, message, capsy
     ],
 )
 def test_claim_integer_arguments_are_read_like_depth(args, message, capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO(f"queries\nhirzebruch-claim {args}\n"))
+    monkeypatch.setattr("sys.stdin", stdin_of(f"queries\nhirzebruch-claim {args}\n"))
     assert main(["check", "-"]) == 1
     assert f"   error: {message}\n" in capsys.readouterr().out
 
 
 def test_claim_integer_arguments_accept_plain_digits(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("queries\nhirzebruch-claim n=02 part=2 m=10\n"))
+    monkeypatch.setattr("sys.stdin", stdin_of("queries\nhirzebruch-claim n=02 part=2 m=10\n"))
     assert main(["check", "-"]) == 0
     out = capsys.readouterr().out
     assert "   n = 2\n" in out and "   m = 10\n" in out and "   ok: yes\n" in out
@@ -486,7 +502,7 @@ def test_a_minimal_degree_next_to_the_corollary_threshold_is_established(capsys,
     deg = 2 + F(isqrt(2 * scale * scale) + 1, scale)  # about 1e-400 above 2 + sqrt(2)
     header = GOLDEN.read_text().split("\nqueries\n")[0]
     query = f"check-corollary2 m2=100 mindeg={deg.numerator}/{deg.denominator}"
-    monkeypatch.setattr("sys.stdin", io.StringIO(f"{header}\nqueries\n{query}\n"))
+    monkeypatch.setattr("sys.stdin", stdin_of(f"{header}\nqueries\n{query}\n"))
     assert main(["check", "-", "--json"]) == 0
     (result,) = json.loads(capsys.readouterr().out)["queries"]
     assert (result["status"], result["rule"]) == ("established", "very-ample/threshold")
@@ -499,7 +515,7 @@ def test_a_very_ample_witness_with_beta2_one_is_not_established(capsys, monkeypa
         "check-very-ample m2=20 mindeg=5 beta2=1 beta1=1\n"
         "search goal=very-ample B=Bfam M=Mfam beta2=1 beta1=1 depth=3\n"
     )
-    monkeypatch.setattr("sys.stdin", io.StringIO(GOLDEN.read_text() + queries))
+    monkeypatch.setattr("sys.stdin", stdin_of(GOLDEN.read_text() + queries))
     assert main(["check", "-"]) == 0
     out = capsys.readouterr().out
     check, search = out.split("== check-very-ample m2=20")[1].split("== search goal=very-ample")
@@ -516,7 +532,7 @@ def test_a_very_ample_witness_with_beta2_one_is_not_established(capsys, monkeypa
     assert search == (
         " B=Bfam M=Mfam beta2=1 beta1=1 depth=3\n   status: not-established\n   search: found=False attempts=2\n"
     )
-    monkeypatch.setattr("sys.stdin", io.StringIO(GOLDEN.read_text() + queries))
+    monkeypatch.setattr("sys.stdin", stdin_of(GOLDEN.read_text() + queries))
     assert main(["check", "-", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     witness = next(q for q in payload["queries"] if q["query"].startswith("check-very-ample m2=20"))["witness"]
@@ -551,7 +567,7 @@ WEAK_SPELLINGS = "must be one of 1, true, yes, 0, false, no"
     ],
 )
 def test_choice_arguments_name_the_key_and_the_accepted_values(query, message, capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO(CHOICE_DOC + query + "\n"))
+    monkeypatch.setattr("sys.stdin", stdin_of(CHOICE_DOC + query + "\n"))
     assert main(["check", "-"]) == 1
     assert capsys.readouterr().out == f"report for <stdin>\n== {query}\n   error: {message}\n"
 
@@ -562,7 +578,7 @@ def test_weak_spellings_turn_the_weak_boundary_on_and_off(capsys, monkeypatch):
     outputs = {}
     for weak in ("", " weak=1", " weak=true", " weak=YES", " weak=0", " weak=false", " weak=No"):
         query = "plc-threshold point=p B=B D=D mode=prime c0=F" + weak
-        monkeypatch.setattr("sys.stdin", io.StringIO(CHOICE_DOC + query + "\n"))
+        monkeypatch.setattr("sys.stdin", stdin_of(CHOICE_DOC + query + "\n"))
         assert main(["check", "-"]) == 0
         outputs[weak] = capsys.readouterr().out.split("\n", 2)[2]  # the result after its query line
     on = {outputs[w] for w in (" weak=1", " weak=true", " weak=YES")}
@@ -621,7 +637,7 @@ def mutated_documents(draw):
 @settings(max_examples=200, deadline=None)
 def test_any_text_on_stdin_exits_zero_or_one(text):
     out, err = io.StringIO(), io.StringIO()
-    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    stdin, sys.stdin = sys.stdin, stdin_of(text)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["check", "-"])

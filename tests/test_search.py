@@ -442,11 +442,11 @@ def test_search_notes_pin_the_family_violation_texts(monkeypatch, capsys):
 
     from qreider.cli import main
 
-    monkeypatch.setattr("sys.stdin", io.StringIO(VIOLATION_DOC))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(VIOLATION_DOC.encode()), encoding="utf-8"))
     assert main(["check", "-"]) == 0
     assert capsys.readouterr().out == VIOLATION_TEXT
 
-    monkeypatch.setattr("sys.stdin", io.StringIO(VIOLATION_DOC))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(VIOLATION_DOC.encode()), encoding="utf-8"))
     assert main(["check", "-", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     (result,) = payload["queries"]
