@@ -264,9 +264,9 @@ def _dyadic_grid(lo: Fraction, hi: Fraction, levels: int) -> list[Fraction]:
 
 
 def _pair_walk(lo: Fraction, lo_other: Fraction, sq: Fraction) -> Iterator[tuple[Fraction, Fraction]]:
-    """The (beta2, other) candidates of the two-point and tangent searches: beta2 on the grid of
-    [lo, sqrt(sq - lo_other^2)), the other just below sqrt(sq - beta2^2), then lo_other, each at
-    2**-_PAIR_DEPTH; only pairs with the other >= lo_other and beta2^2 + other^2 < sq."""
+    """The (beta2, other) candidates of the two-point and tangent searches, in order: beta2 on the dyadic grid
+    from lo to the last multiple m of 2**-_PAIR_DEPTH with m^2 < sq - lo_other^2; the other at the last such m
+    with m^2 < sq - beta2^2, then at lo_other.  Only pairs with other >= lo_other and beta2^2 + other^2 < sq."""
     top = _dyadic_below_sqrt(sq - lo_other * lo_other, _PAIR_DEPTH)
     if top is None:
         return

@@ -167,7 +167,7 @@ _PLC_CURVES = tuple(itertools.product((0, F(1, 2), F(3, 4)), (0, F(1, 2), 1, F(3
 
 
 def plc_configs():
-    """Every one-curve configuration, then 24 seeded ones of two curves and 24 of three."""
+    """Every one-curve configuration, then 24 seeded draws of two curves and 24 of three (a draw may repeat)."""
     rng = random.Random(20261020)
     picks = [(curve,) for curve in _PLC_CURVES]
     picks += [tuple(rng.choices(_PLC_CURVES, k=k)) for k in (2, 3) for _ in range(24)]
