@@ -392,12 +392,12 @@ def separation_witness(
 
 
 def _witness_for_side(witness: Optional[BetaWitness], side: int) -> Optional[BetaWitness]:
-    """Extract one (beta2, beta1) slot from a possibly two-sided witness."""
+    """Extract one (beta2, beta1) slot, with its own roles, from a possibly two-sided witness."""
     if witness is None:
         return None
     i = side if len(witness.beta2) > side else 0
     j = side if len(witness.beta1) > side else 0
-    return BetaWitness.single(witness.beta2[i], witness.beta1[j], role="at-p")
+    return BetaWitness((witness.beta2[i],), (witness.beta1[j],), (witness.beta2_roles[i],), (witness.beta1_roles[j],))
 
 
 def _pair_degree_bounds(
@@ -450,8 +450,12 @@ def separation_rule(
         else:
             high_line, low, low_deg, side = _ge("mu_q >= 2", mq, 2), mp, dp, 0
         free = freeness_rule(low, sq, low_deg, _witness_for_side(witness, side))
+        found = free.witness
+        if witness is None and side and found is not None:  # a searched witness, which is at q
+            found = BetaWitness.single(found.beta2[0], found.beta1[0], role="at-q")
         return free._replace(
             rule="separation/one-high-multiplicity",
+            witness=found,
             conditions=chain((high_line,), free.conditions),
             note=free.note if free.sufficient else "no admissible witness at the low point",
         )

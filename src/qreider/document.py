@@ -466,6 +466,8 @@ class _DocBuilder:
         self.queries: list[QueryDecl] = []
         # one constant per distinct value: equal coefficients share it, and its const Fraction
         self.constants: dict[tuple[int, int], AffineExpr] = {}
+        # one coefficient tuple per distinct class-expression text, parsed once: the basis is fixed by then
+        self.classes: dict[str, tuple[Fraction, ...]] = {}
 
     def constant(self, value: Union[int, Fraction]) -> AffineExpr:
         key = value.numerator, value.denominator  # two ints hash faster than a Fraction
@@ -494,8 +496,12 @@ class _DocBuilder:
         self.surface = SurfaceDecl(basis, gram, self.class_coeffs(k_text, k_line, k_offset), keys["chi_O"][0], gram_line)
 
     def class_coeffs(self, text: str, line: int, col_offset: int) -> tuple[Fraction, ...]:
-        vec = _ExprParser(text, line, col_offset, self.basis.get, "undefined basis label {!r}").parse()
-        return tuple([self.constant(vec[label].get(None, 0) if label in vec else 0).const for label in self.basis])
+        found = self.classes.get(text)
+        if found is None:
+            vec = _ExprParser(text, line, col_offset, self.basis.get, "undefined basis label {!r}").parse()
+            coeffs = [self.constant(vec[label].get(None, 0) if label in vec else 0).const for label in self.basis]
+            found = self.classes[text] = tuple(coeffs)
+        return found
 
     def declare(self, decl, line: int) -> None:
         if not _NAME_RE.fullmatch(decl.name):

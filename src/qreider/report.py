@@ -8,6 +8,7 @@ only alongside, explicitly marked ``approx``.  JSON encodes rationals as
 from __future__ import annotations
 
 import time
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, TypeVar, Union
@@ -250,6 +251,8 @@ def _run_plc_threshold(doc: Document, q: QueryDecl, result: QueryResult) -> None
     boundary = _divisor(doc, q, "B")
     auxiliary = _divisor(doc, q, "D")
     mode = _choice_arg(q, "mode", _THRESHOLD_MODES, "basic")
+    if mode is not ThresholdMode.PRIME and (q.arg("c0") is not None or q.arg("weak") is not None):
+        raise QueryError("c0= and weak= apply only to mode=prime")
     weak = _choice_arg(q, "weak", _WEAK, "false")
     # declaration order of the point's curves decides threshold tie-breaking
     curves = tuple(
@@ -258,7 +261,11 @@ def _run_plc_threshold(doc: Document, q: QueryDecl, result: QueryResult) -> None
         if mult >= 1
     )
     config = LocalConfig(curves)
-    outcome = plc_threshold(config, mode, c0=q.arg("c0"), weak_boundary=weak)
+    # the basic mode's context warning is a note of this result, each time it is drawn
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        outcome = plc_threshold(config, mode, c0=q.arg("c0"), weak_boundary=weak)
+    result.notes += tuple(str(w.message) for w in caught)
     result.status = "value"
     result.values.update({"mu": config.mu, "ord_D": config.m_p})
     result.flags["plc"] = outcome.is_plc

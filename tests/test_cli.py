@@ -303,14 +303,7 @@ def test_plc_ties_break_by_declaration_order():
         "divisors\nBd = 1/2 Zc + 1/2 Ac\nDd = 3/4 Zc + 3/4 Ac\n"
         "queries\nplc-threshold point=p B=Bd D=Dd\n"
     )
-    import warnings
-
-    from qreider.criteria import PLCContextWarning
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", PLCContextWarning)
-        report = run_document(parse(text))
-    result = report.results[0]
+    result = run_document(parse(text)).results[0]
     assert result.labels["critical"] == "Zc"
     assert result.labels["achievers"] == "Zc, Ac"
 
@@ -570,6 +563,29 @@ def test_choice_arguments_name_the_key_and_the_accepted_values(query, message, c
     monkeypatch.setattr("sys.stdin", stdin_of(CHOICE_DOC + query + "\n"))
     assert main(["check", "-"]) == 1
     assert capsys.readouterr().out == f"report for <stdin>\n== {query}\n   error: {message}\n"
+
+
+@pytest.mark.parametrize("mode", ["", " mode=basic", " mode=cap3"])
+@pytest.mark.parametrize("extra", [" c0=nosuch", " weak=true", " c0=F weak=false"])
+def test_c0_and_weak_are_errors_outside_the_primed_mode(mode, extra, capsys, monkeypatch):
+    query = "plc-threshold point=p B=B D=D" + mode + extra
+    monkeypatch.setattr("sys.stdin", stdin_of(CHOICE_DOC + query + "\n"))
+    assert main(["check", "-"]) == 1
+    assert capsys.readouterr().out == f"report for <stdin>\n== {query}\n   error: c0= and weak= apply only to mode=prime\n"
+
+
+def test_the_basic_context_warning_is_a_note_on_every_query_that_draws_it():
+    """CHOICE_DOC's D has ord_p(D) = 5/4 at p, where 2 - mu = 3/2."""
+    note = "threshold taken with ord_p(D) = 5/4, not the usual 2 - mu = 3/2"
+    text = CHOICE_DOC + "plc-threshold point=p B=B D=D\nplc-threshold point=p B=B D=D mode=basic\n"
+    shown = run_cli("check", "-", stdin=text)
+    assert (shown.returncode, shown.stderr) == (0, "")
+    assert shown.stdout.count(f"   note: {note}\n") == 2
+    shown = run_cli("check", "-", "--json", stdin=text)
+    assert (shown.returncode, shown.stderr) == (0, "")
+    payload = json.loads(shown.stdout)
+    jsonschema.validate(payload, SCHEMA)
+    assert [q["notes"] for q in payload["queries"]] == [[note], [note]]
 
 
 def test_weak_spellings_turn_the_weak_boundary_on_and_off(capsys, monkeypatch):

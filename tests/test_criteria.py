@@ -214,19 +214,38 @@ def test_one_high_separation_is_freeness_at_the_low_point(low_is_q, high, low, m
     mu_p, mu_q = (high, low) if low_is_q else (low, high)
     dp, dq, dpq = degrees
     side = 1 if low_is_q else 0
-    # the low point's slot of the witness: its own values when it has them, else the only ones
+    # the low point's slot of the witness: its own values and roles when it has them, else the only ones
     slot = None
     if witness is not None:
-        b2, b1 = witness.beta2, witness.beta1
-        slot = BetaWitness.single(b2[min(side, len(b2) - 1)], b1[min(side, len(b1) - 1)], role="at-p")
+        i, j = min(side, len(witness.beta2) - 1), min(side, len(witness.beta1) - 1)
+        slot = BetaWitness((witness.beta2[i],), (witness.beta1[j],), (witness.beta2_roles[i],), (witness.beta1_roles[j],))
     verdict = separation(mu_p, mu_q, m2, dp, dq, dpq, witness)
     free = freeness_at(low, m2, dq if low_is_q else dp, slot)
     high_text = "mu_p >= 2" if low_is_q else "mu_q >= 2"
     assert verdict.rule == "separation/one-high-multiplicity"
     assert verdict.trace[0] == criteria.TraceLine(high_text, high, ">=", F(2), True)
     assert verdict.trace[1:] == free.trace
-    assert (verdict.witness, verdict.status) == (free.witness, free.status)
+    assert verdict.status == free.status
     assert verdict.note == ("no admissible witness at the low point" if free.witness is None else free.note)
+    if free.witness is None or witness is not None:
+        assert verdict.witness == free.witness
+    else:  # a searched witness is labelled with the low point
+        role = "at-q" if low_is_q else "at-p"
+        assert verdict.witness == BetaWitness.single(free.witness.beta2[0], free.witness.beta1[0], role=role)
+
+
+@pytest.mark.parametrize("low_is_q", [False, True])
+def test_one_high_separation_labels_its_witness_with_the_low_point(low_is_q):
+    """The searched witness is at the low point; a given witness keeps its own roles."""
+    args = (2, 0, 12, 0, 4, 0) if low_is_q else (0, 2, 12, 4, 0, 0)
+    low = "at-q" if low_is_q else "at-p"
+    searched = separation(*args).witness
+    assert (searched.beta2, searched.beta1) == ((3,), (F(3, 2),))
+    assert (searched.beta2_roles, searched.beta1_roles) == ((low,), (low,))
+    given = separation(*args, BetaWitness.pair(F(5, 2), 3, 1, F(3, 2))).witness
+    assert given == BetaWitness.single(3 if low_is_q else F(5, 2), F(3, 2) if low_is_q else 1, role=low)
+    one_sided = separation(*args, BetaWitness.single(3, F(3, 2))).witness
+    assert one_sided == BetaWitness.single(3, F(3, 2), role="global")
 
 
 # ---------------------------------------------------------------------------

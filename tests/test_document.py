@@ -749,6 +749,40 @@ def test_a_parse_builds_each_distinct_value_once():
         assert len(numbers) == count and all(q is numbers[0] for q in numbers)
 
 
+def test_equal_class_texts_share_one_tuple():
+    doc = parse(SURFACE + "curves\nA = -2G - 5F\nB = 2F\nC = -2G - 5F; D = 2F\ncone\ngenerator = -2G - 5F, through-p\n")
+    a, b, c, d = (decl.coeffs for decl in doc.curves)
+    assert a is c is doc.surface.canonical is doc.cone.generators[0].coeffs
+    assert b is d and a == (-2, -5) and b == (0, 2)
+
+
+CLASS_SPELLINGS = ("2G", "2 G", "G + G", "4/2 G", "2*G", "G+G+0F", "F", "1F", "G + 3F", "3F + G", "-G", "0G", "(1 - 2)G")
+
+
+@given(st.lists(st.sampled_from(CLASS_SPELLINGS), min_size=1, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_a_repeated_class_text_parses_as_it_does_alone(texts):
+    doc = parse(SURFACE + "curves\n" + "".join(f"C{i} = {text}\n" for i, text in enumerate(texts)))
+    first = {}
+    for text, decl in zip(texts, doc.curves):
+        assert decl.coeffs == parse(SURFACE + f"curves\nX = {text}\n").curves[0].coeffs
+        assert decl.coeffs is first.setdefault(text, decl.coeffs)
+
+
+@pytest.mark.parametrize(
+    "text,col,message",
+    [
+        ("2G + $", 10, "unexpected character '$'"),
+        ("2G + Z", 10, "undefined basis label 'Z'"),
+        ("2G + 1/0 F", 10, "zero denominator in '1/0'"),
+    ],
+)
+def test_a_bad_class_text_written_twice_is_an_error_at_its_first_line(text, col, message):
+    with pytest.raises(ParseError) as err:
+        parse(SURFACE + f"curves\nA = {text}\nB = {text}\n")
+    assert (err.value.message, err.value.line, err.value.col) == (message, 3, col)
+
+
 def test_a_directly_built_document_shares_its_classes():
     surface = SurfaceDecl(("G", "F"), ((F(-3), F(1)), (F(1), F(0))), (F(-2), F(-5)), F(1))
     curves = (CurveDecl("A", (F(1), F(2))), CurveDecl("B", (F(1), F(2))), CurveDecl("C", (F(1), F(3))))
