@@ -1,10 +1,14 @@
-"""Re-importing the package frees the old module copies.
+"""Import checks that need a fresh interpreter, so that no other test's
+imports or caches enter them.
 
-A module-level alias that subscripts ``typing`` with a library class (for
-example ``Union[SomeClass, ...]``) puts that class into ``typing``'s global
-caches, and through the class its whole module stays alive after the package
-is dropped from ``sys.modules``.  The check runs in a fresh interpreter, so no
-other test's imports or caches enter it.
+Re-importing the package frees the old module copies.  A module-level alias
+that subscripts ``typing`` with a library class (for example
+``Union[SomeClass, ...]``) puts that class into ``typing``'s global caches,
+and through the class its whole module stays alive after the package is
+dropped from ``sys.modules``.
+
+The expression layer (``qreider.expr``) stands below the statement parser: it
+loads no ``qreider.document``, ``qreider.report`` or ``qreider.cli``.
 """
 
 import json
@@ -47,3 +51,12 @@ def test_reimport_leaves_no_class_of_the_old_modules_alive():
     result = json.loads(proc.stdout)
     assert result["classes"] > 40
     assert result["alive"] == []
+
+
+def test_the_expression_layer_loads_no_statement_parser_report_or_cli():
+    code = "import json, sys, qreider.expr; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert "qreider.expr" in loaded
+    assert not loaded & {"qreider.document", "qreider.report", "qreider.cli"}
