@@ -8,6 +8,7 @@ that cannot be read, 2 for an internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -37,6 +38,7 @@ def rational(text: str) -> Fraction:
     return Fraction(_number(text, None))
 
 
+@functools.cache  # one parser per process: parse_args leaves it as it was, so calls of main share it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qreider",

@@ -176,14 +176,19 @@ class Document:
             return
         lattice = _at(s.line, IntersectionLattice, s.basis, s.gram)
         # one class per distinct coefficient vector, keyed by ints, which hash in C, unlike a Fraction; as_fraction
-        # first, so that a coefficient that is not a rational is its TypeError
+        # first, so that a coefficient that is not a rational is its TypeError.  The key is built once per tuple
+        # object (a parse gives equal class texts one tuple), found by id while self.curves holds every tuple.
         classes: dict[tuple, DivisorClass] = {}
+        by_tuple: dict[int, DivisorClass] = {}
         curves = {}
         for c in self.curves:
-            key = tuple([(q.numerator, q.denominator) for q in map(as_fraction, c.coeffs)])
-            cls = classes.get(key)
+            cls = by_tuple.get(id(c.coeffs))
             if cls is None:
-                cls = classes[key] = DivisorClass(lattice, c.coeffs)
+                key = tuple([(q.numerator, q.denominator) for q in map(as_fraction, c.coeffs)])
+                cls = classes.get(key)
+                if cls is None:
+                    cls = classes[key] = DivisorClass(lattice, c.coeffs)
+                by_tuple[id(c.coeffs)] = cls
             curves[c.name] = Curve(c.name, cls)
         points = {p.name: _at(p.line, PointSpec, p.name, p.mults) for p in self.points}
         tangents = {}
@@ -208,7 +213,7 @@ class Document:
         """Resolve a divisor name or inline expression; ``text`` starts at ``line``, 0-based column ``col``."""
         if self.model is None:
             raise ParseError("no surface declared", line)
-        return {curve: _affine(s) for curve, s in _divisor_scalars(self.symbols, text, line, col).items()}
+        return {curve: _affine(s) for curve, s in _divisor_scalars(self.symbols, text, line, col, {}).items()}
 
     def concrete_divisor(self, text: str, line: Optional[int] = None, col: int = 0) -> QDivisor:
         coeffs = self.divisor_expr(text, line, col)
@@ -220,8 +225,11 @@ class Document:
         return self.model.divisor(out)
 
 
-def _divisor_scalars(symbols: Mapping[str, object], text: str, line: int, col_offset: int) -> dict[str, _Scalar]:
-    """Expand a divisor expression over the declared curves, divisors and parameters."""
+def _divisor_scalars(
+    symbols: Mapping[str, object], text: str, line: int, col_offset: int, literals: dict[str, _Value]
+) -> dict[str, _Scalar]:
+    """Expand a divisor expression over the declared curves, divisors and parameters;
+    ``literals`` is the number table of ``_ExprParser``."""
 
     def resolve(name: str) -> Optional[_Value]:
         decl = symbols.get(name)
@@ -233,7 +241,8 @@ def _divisor_scalars(symbols: Mapping[str, object], text: str, line: int, col_of
             return ("scalar", {name: 1})
         return None
 
-    return _ExprParser(text, line, col_offset, resolve, "undefined name {!r} (not a curve, divisor, or parameter)").parse()
+    undefined = "undefined name {!r} (not a curve, divisor, or parameter)"
+    return _ExprParser(text, line, col_offset, resolve, undefined, literals).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +266,8 @@ class _DocBuilder:
         self.constants: dict[tuple[int, int], AffineExpr] = {}
         # one coefficient tuple per distinct class-expression text, parsed once: the basis is fixed by then
         self.classes: dict[str, tuple[Fraction, ...]] = {}
+        # the value of each number text the expressions have read; see _ExprParser
+        self.literals: dict[str, _Value] = {}
 
     def constant(self, value: Union[int, Fraction]) -> AffineExpr:
         key = value.numerator, value.denominator  # two ints hash faster than a Fraction
@@ -287,7 +298,7 @@ class _DocBuilder:
     def class_coeffs(self, text: str, line: int, col_offset: int) -> tuple[Fraction, ...]:
         found = self.classes.get(text)
         if found is None:
-            vec = _ExprParser(text, line, col_offset, self.basis.get, "undefined basis label {!r}").parse()
+            vec = _ExprParser(text, line, col_offset, self.basis.get, "undefined basis label {!r}", self.literals).parse()
             coeffs = [self.constant(vec[label].get(None, 0) if label in vec else 0).const for label in self.basis]
             found = self.classes[text] = tuple(coeffs)
         return found
@@ -426,7 +437,7 @@ class _DocBuilder:
     def feed_divisors(self, line: int, key: str, rhs: Optional[str], offset: int) -> None:
         if rhs is None:
             raise ParseError("divisor declaration needs 'name = expression'", line)
-        scalars = _divisor_scalars(self.symbols, rhs, line, offset)
+        scalars = _divisor_scalars(self.symbols, rhs, line, offset, self.literals)
         coeffs = [(curve, _affine(s, self.constant)) for curve, s in scalars.items() if any(s.values())]
         coeffs.sort()
         self.declare(DivisorDecl(key, tuple(coeffs)), line)

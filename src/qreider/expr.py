@@ -42,7 +42,8 @@ def _col(pattern: re.Pattern, text: str, col_offset: int, index: int) -> Optiona
 
 
 # Expression values hold plain exact numbers, an int or a Fraction, and are
-# never changed once built: ("scalar", {param or None: number}) is
+# never changed once built (a sum adds its terms into a dict of its own before
+# it returns it): ("scalar", {param or None: number}) is
 # const + sum(coeff * param) with the constant under None, and
 # ("vec", {name: scalar dict}) is a divisor.  A curve or basis label is
 # ("vec", {name: _UNIT}).  An AffineExpr is built only for a finished
@@ -56,51 +57,75 @@ _UNIT: _Scalar = {None: 1}
 class _ExprParser:
     """Parses one divisor expression, ``text`` at 0-based column ``col_offset``.
     ``resolve`` gives the value a name stands for, or None for an undefined
-    name; ``undefined`` formats that error."""
+    name; ``undefined`` formats that error.  ``literals`` maps a number's text,
+    with a leading ``-`` when negated, to its value: a parse shares one table
+    across the expressions of its document, and a literal that does not read
+    is not added."""
 
-    def __init__(self, text: str, line: int, col_offset: int, resolve: Callable[[str], Optional[_Value]], undefined: str):
+    def __init__(
+        self,
+        text: str,
+        line: int,
+        col_offset: int,
+        resolve: Callable[[str], Optional[_Value]],
+        undefined: str,
+        literals: dict[str, _Value],
+    ):
         self.tokens = [*_scan(text, line, col_offset), _END]
         self.text, self.line, self.col_offset, self.pos = text, line, col_offset, 0
         self.resolve, self.undefined = resolve, undefined
+        self.literals = literals
 
     def error(self, message: str) -> ParseError:
         """``message`` at the current token."""
         return ParseError(message, self.line, _col(_TOKEN_RE, self.text, self.col_offset, self.pos))
 
     def parse(self) -> dict[str, _Scalar]:
-        value = self.additive()
+        kind, value = self.additive()
         sym = self.tokens[self.pos][2]  # past a sum, only a symbol or the end is left
         if sym:
             raise self.error(f"unexpected token {sym!r} (expected '+', '-' or end)")
-        if value[0] == "vec":
-            return value[1]
-        if not any(value[1].values()):
+        if kind == "vec":
+            return value
+        if not any(value.values()):
             return {}
         raise ParseError("expected a divisor expression, got a plain number", self.line)
 
     def additive(self) -> _Value:
-        """A sum of terms; only the first may carry a run of signs."""
+        """A sum of terms; only the first may carry a run of signs.  The terms
+        are added, left to right, into one dict that this sum owns."""
+        tokens = self.tokens
         negative = False
-        while (op := self.tokens[self.pos][2]) in ("+", "-"):
+        while (op := tokens[self.pos][2]) in ("+", "-"):
             self.pos += 1
             negative ^= op == "-"
-        value = self.term()
-        if negative:
-            value = _negate(value)
-        while (op := self.tokens[self.pos][2]) in ("+", "-"):
+        kind, first = self.term(negative)
+        total = dict(first)
+        while (op := tokens[self.pos][2]) in ("+", "-"):
             self.pos += 1
-            rhs = self.term()
-            value = self._add(value, _negate(rhs) if op == "-" else rhs)
-        return value
+            rhs_kind, rhs = self.term(op == "-")
+            if rhs_kind == kind == "vec":
+                for name, scalar in rhs.items():
+                    total[name] = _sum(total[name], scalar) if name in total else scalar
+            elif rhs_kind == kind:
+                for key, coeff in rhs.items():
+                    total[key] = total.get(key, 0) + coeff
+            elif any((total if kind == "scalar" else rhs).values()):  # a number and a divisor: only 0 adds
+                raise self.error("cannot add a number to a divisor expression")
+            elif kind == "scalar":
+                kind, total = "vec", dict(rhs)
+        return (kind, total)
 
-    def term(self) -> _Value:
-        """Factors (a number, a name or a parenthesised sum), juxtaposed or joined by '*'."""
+    def term(self, negative: bool = False) -> _Value:
+        """Factors (a number, a name or a parenthesised sum), juxtaposed or
+        joined by '*'; ``negative`` negates the first factor."""
         tokens = self.tokens
         value = None
         while True:
             num, name, sym = tokens[self.pos]
             if num:
-                factor = ("scalar", {None: _literal(num, self.error)})
+                factor = self.literal(num, negative)
+                negative = False
             elif name:
                 factor = self.resolve(name)
                 if factor is None:
@@ -113,6 +138,8 @@ class _ExprParser:
                     raise self.error("expected ')'" if sym else "unexpected end of expression")
             else:
                 raise self.error(f"unexpected token {sym!r} (expected a number, name or '(')" if sym else "unexpected end of expression")
+            if negative:
+                factor, negative = _negate(factor), False
             self.pos += 1
             value = factor if value is None else self._mul(value, factor)
             num, name, sym = tokens[self.pos]
@@ -121,18 +148,14 @@ class _ExprParser:
             elif not (num or name or sym == "("):
                 return value
 
-    def _add(self, a: _Value, b: _Value) -> _Value:
-        if a[0] == "scalar" and b[0] == "scalar":
-            return ("scalar", _sum(a[1], b[1]))
-        if a[0] == "vec" and b[0] == "vec":
-            merged = dict(a[1])
-            for name, scalar in b[1].items():
-                merged[name] = _sum(merged[name], scalar) if name in merged else scalar
-            return ("vec", merged)
-        a, b = (a, b) if a[0] == "scalar" else (b, a)
-        if not any(a[1].values()):
-            return b
-        raise self.error("cannot add a number to a divisor expression")
+    def literal(self, num: str, negative: bool) -> _Value:
+        """The value of number token ``num``, negated when ``negative``, read once per table."""
+        key = "-" + num if negative else num
+        factor = self.literals.get(key)
+        if factor is None:
+            q = _literal(num, self.error)
+            factor = self.literals[key] = ("scalar", {None: -q if negative else q})
+        return factor
 
     def _mul(self, a: _Value, b: _Value) -> _Value:
         if a[0] == "vec" and b[0] == "vec":

@@ -276,6 +276,59 @@ def test_main_entry_returns_exit_codes_in_process(capsys):
     assert exc.value.code == 0
 
 
+# Runs each argument list given as JSON through main in this one process and
+# prints [exit code, stdout, stderr] for each; SystemExit gives its code.
+CALLS_CHILD = r"""
+import contextlib, io, json, sys
+from qreider.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def _calls_in_one_process(argvs: list) -> list:
+    proc = subprocess.run(
+        [sys.executable, "-c", CALLS_CHILD, json.dumps(argvs)], capture_output=True, text=True, timeout=120, env=CHILD_ENV
+    )
+    assert proc.returncode == 0, proc.stderr
+
+    def drop(node):  # elapsed_ms is the one field that differs between runs
+        if isinstance(node, dict):
+            return {k: drop(v) for k, v in node.items() if k != "elapsed_ms"}
+        return [drop(v) for v in node] if isinstance(node, list) else node
+
+    results = json.loads(proc.stdout)
+    for result in results:
+        if result[1].startswith("{"):
+            result[1] = drop(json.loads(result[1]))
+    return results
+
+
+def test_repeated_in_process_calls_of_main_answer_as_a_first_call(tmp_path):
+    sequence = [
+        ["check"],
+        ["--version"],
+        ["check", str(GOLDEN)],
+        ["check", str(GOLDEN), "--json"],
+        ["hirzebruch", "--n", "3", "--part", "1"],
+        ["check", str(tmp_path / "missing.surf")],
+    ]
+    repeated = _calls_in_one_process(sequence + sequence)
+    for argv, in_sequence, second_time in zip(sequence, repeated, repeated[len(sequence) :]):
+        assert in_sequence == second_time == _calls_in_one_process([argv])[0], argv
+    codes = [code for code, _, _ in repeated[: len(sequence)]]
+    assert codes == [1, 0, 0, 0, 0, 1]
+    assert repeated[1][1] == f"qreider {__version__}\n"
+
+
 def test_hirzebruch_claim_query_matches_search_example():
     text = "queries\nhirzebruch-claim n=1 part=2"
     report = run_document(parse(text))

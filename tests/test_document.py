@@ -683,6 +683,83 @@ def test_class_expressions_evaluate_as_the_affine_reference(text):
         assert all(type(q) is F for q in got[1])
 
 
+# A divisors section after EXPR_DOC's: each statement may name the divisors
+# declared before it, and the section reads its numbers from a small pool, so
+# a number text and its negation recur across statements.  Half the
+# statements are sums of coefficient-times-name terms, which mostly evaluate;
+# the rest are free forms, garbled at times.
+SECTION_LITERALS = ("0", "1", "2", "3", "1/2", "2/4", "3/4", "7/3", "12", "1/0")
+
+
+def _section_statements(names, pool):
+    numbers = st.sampled_from(pool)
+    coefficients = st.recursive(
+        st.one_of(numbers, st.sampled_from(("e", "f"))),
+        lambda c: st.one_of(st.tuples(c, st.sampled_from([" + ", " - ", "-", " * ", " "]), c).map("".join), c.map("({})".format)),
+        max_leaves=3,
+    )
+    terms = st.one_of(
+        st.tuples(coefficients, st.sampled_from(names)).map("({0[0]}) {0[1]}".format),
+        st.tuples(numbers, st.sampled_from(names)).map("{0[0]} {0[1]}".format),
+        st.sampled_from(names),
+    )
+    signs = st.sampled_from(["+", "-", " + ", " - "])
+    sums = st.lists(st.tuples(signs, terms), min_size=1, max_size=4).map(lambda ts: "".join(s + t for s, t in ts).lstrip())
+    atoms = st.one_of(st.sampled_from(names), st.sampled_from(names[-2:]), numbers)
+    return st.one_of(sums, st.recursive(atoms, _expr_forms, max_leaves=6))
+
+
+@st.composite
+def divisor_sections(draw):
+    pool = draw(st.lists(st.sampled_from(SECTION_LITERALS), min_size=1, max_size=4, unique=True))
+    statements = []
+    for i in range(draw(st.integers(2, 8))):
+        names = ("G", "F", "C", "D", "E", "Z", "e", "f", "x") + tuple(f"N{j}" for j in range(i))
+        text = draw(_section_statements(names, pool))
+        if draw(st.integers(0, 9)) == 0:
+            text = _garble((text, draw(st.integers(0, 60)), draw(st.sampled_from(list("()+-*$ ") + [""]))))
+        statements.append(text)
+    return statements
+
+
+@given(divisor_sections())
+@settings(max_examples=200, deadline=None)
+def test_divisor_sections_evaluate_as_the_affine_reference_statement_by_statement(texts):
+    base = parse(EXPR_DOC)
+    first_line = EXPR_DOC.count("\n") + 1
+    declared = {}  # the reference's value of each divisor, EXPR_DOC's and then the section's
+
+    for decl in base.divisors:
+        declared[decl.name] = {curve: _Affine(e.const, dict(e.terms)) for curve, e in decl.coeffs}
+
+    def resolve(name):
+        if isinstance(base.symbols.get(name), CurveDecl):
+            return ("vec", {name: _Affine(F(1))})
+        if isinstance(base.symbols.get(name), Param):
+            return ("scalar", _Affine(F(0), {name: F(1)}))
+        return ("vec", dict(declared[name])) if name in declared else None
+
+    undefined = "undefined name {!r} (not a curve, divisor, or parameter)"
+    expected = []
+    for i, text in enumerate(texts):
+        line, head = first_line + i, f"N{i} = "
+        outcome = _ref_outcome(lambda: _RefParser(_ref_scan(text, line, len(head)), line, resolve, undefined).parse())
+        if outcome[0] == "error":
+            break
+        declared[f"N{i}"] = outcome[1]
+        expected.append(sorted((curve, a.const, a.terms) for curve, a in outcome[1].items() if a != _Affine()))
+
+    got = _ref_outcome(lambda: parse(EXPR_DOC + "".join(f"N{i} = {text}\n" for i, text in enumerate(texts))))
+    if outcome[0] == "error":
+        assert got == outcome
+        return
+    assert got[0] == "ok"
+    section = got[1].divisors[len(base.divisors) :]
+    assert [decl.name for decl in section] == [f"N{i}" for i in range(len(texts))]
+    for decl, items in zip(section, expected):
+        assert _as_items(dict(decl.coeffs)) == items
+
+
 @pytest.mark.parametrize(
     "section,col,message",
     [
