@@ -484,6 +484,11 @@ def parse(text: str) -> Document:
     """Parse the declarative format; raises ParseError with position info."""
     builder = _DocBuilder()
     for line, raw in enumerate(text.splitlines(), start=1):
+        if "#" not in raw and ";" not in raw:  # one statement or none, the common line
+            stmt = raw.strip()
+            if stmt:
+                builder.feed(line, stmt, raw.index(stmt[0]))
+            continue
         offset = 0  # of the chunk in the line
         for chunk in raw.split("#", 1)[0].split(";"):
             stmt = chunk.strip()
