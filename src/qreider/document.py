@@ -31,7 +31,7 @@ from typing import Callable, Mapping, Optional, Union
 
 from .cones import ConeDescription, ConeGenerator, FiniteGenerators, HirzebruchFamily
 from .lattice import DivisorClass, IntersectionLattice, as_fraction
-from .expr import _NAME_RE, _UNIT, _affine, _col, _ExprParser, _parse_matrix, _Scalar, _scan, _Value
+from .expr import _NAME_RE, _UNIT, _affine, _col, _ExprParser, _flat_terms, _parse_matrix, _read_literal, _Scalar, _scan, _Value
 from .literals import ParseError, _integer, _number
 from .search import AffineExpr, Param
 from .surface import Curve, PointSpec, QDivisor, SurfaceModel, TangentSpec, check_tangent
@@ -268,6 +268,8 @@ class _DocBuilder:
         self.classes: dict[str, tuple[Fraction, ...]] = {}
         # the value of each number text the expressions have read; see _ExprParser
         self.literals: dict[str, _Value] = {}
+        # the (curve, factor) pairs of each curve and constant divisor a flat sum has named; a curve's factor is None
+        self.flat: dict[str, tuple[tuple[str, Optional[Fraction]], ...]] = {}
 
     def constant(self, value: Union[int, Fraction]) -> AffineExpr:
         key = value.numerator, value.denominator  # two ints hash faster than a Fraction
@@ -437,10 +439,45 @@ class _DocBuilder:
     def feed_divisors(self, line: int, key: str, rhs: Optional[str], offset: int) -> None:
         if rhs is None:
             raise ParseError("divisor declaration needs 'name = expression'", line)
-        scalars = _divisor_scalars(self.symbols, rhs, line, offset, self.literals)
-        coeffs = [(curve, _affine(s, self.constant)) for curve, s in scalars.items() if any(s.values())]
+        total = self.flat_sum(rhs)
+        if total is None:
+            scalars = _divisor_scalars(self.symbols, rhs, line, offset, self.literals)
+            coeffs = [(curve, _affine(s, self.constant)) for curve, s in scalars.items() if any(s.values())]
+        else:
+            coeffs = [(curve, self.constant(q)) for curve, q in total.items() if q]
         coeffs.sort()
         self.declare(DivisorDecl(key, tuple(coeffs)), line)
+
+    def flat_sum(self, rhs: str) -> Optional[dict[str, Union[int, Fraction]]]:
+        """Each curve's coefficient in ``rhs`` when it is a flat sum (see qreider.expr) of curves and
+        divisors with constant coefficients, whose numbers all read; None leaves ``rhs`` to _ExprParser,
+        which makes every error."""
+        terms = _flat_terms(rhs)
+        if terms is None:
+            return None
+        flat, literals, total = self.flat, self.literals, {}
+        for sign, num, name in terms:
+            pairs = flat.get(name)
+            if pairs is None:
+                decl = self.symbols.get(name)
+                if type(decl) is CurveDecl:
+                    pairs = ((name, None),)
+                elif type(decl) is DivisorDecl and all(expr.is_constant() for _, expr in decl.coeffs):
+                    pairs = tuple((curve, expr.const) for curve, expr in decl.coeffs)
+                else:
+                    return None
+                flat[name] = pairs
+            if not num:
+                q = -1 if sign == "-" else 1
+            else:
+                try:
+                    q = _read_literal(literals, num, sign == "-", ParseError)[1][None]
+                except ParseError:
+                    return None
+            for curve, factor in pairs:
+                value = q if factor is None else q * factor
+                total[curve] = total[curve] + value if curve in total else value
+        return total
 
     def feed_queries(self, line: int, stmt: str, offset: int) -> None:
         first, *words = _WORD_RE.finditer(stmt)

@@ -1,5 +1,5 @@
 """The ``.surf`` expression layer: the token scanner, the rational-linear
-expression evaluator and the gram-matrix reader.
+expression evaluator, the flat-sum pattern and the gram-matrix reader.
 
 It knows names only through the ``resolve`` function a caller passes, so the
 statement-level parser in ``qreider.document`` decides what a name stands
@@ -32,6 +32,20 @@ def _scan(text: str, line: int, col_offset: int = 0) -> list[_Token]:
     if bad < len(text):
         raise ParseError(f"unexpected character {text[bad]!r}", line, col_offset + bad + 1)
     return _TOKEN_RE.findall(text)
+
+
+# A flat sum, [sign] [number [*]] name (sign [number [*]] name)*: nearly every
+# divisor statement has this shape, and a caller that knows what each name
+# stands for may add it up without _ExprParser.
+_FLAT_TERM = rf"(?:{_NUM}\s*\*?\s*)?{_NAME}"
+_FLAT_RE = re.compile(rf"[+-]?\s*{_FLAT_TERM}(?:\s*[+-]\s*{_FLAT_TERM})*")
+_FLAT_TERM_RE = re.compile(rf"([+-]?)\s*(?:({_NUM})\s*\*?\s*)?({_NAME})")
+
+
+def _flat_terms(text: str) -> Optional[list[_Token]]:
+    """The (sign, number, name) of each term when ``text`` is a flat sum, an absent
+    sign or number empty; None for any other text."""
+    return _FLAT_TERM_RE.findall(text) if _FLAT_RE.fullmatch(text) else None
 
 
 def _col(pattern: re.Pattern, text: str, col_offset: int, index: int) -> Optional[int]:
@@ -124,7 +138,7 @@ class _ExprParser:
         while True:
             num, name, sym = tokens[self.pos]
             if num:
-                factor = self.literal(num, negative)
+                factor = _read_literal(self.literals, num, negative, self.error)
                 negative = False
             elif name:
                 factor = self.resolve(name)
@@ -148,15 +162,6 @@ class _ExprParser:
             elif not (num or name or sym == "("):
                 return value
 
-    def literal(self, num: str, negative: bool) -> _Value:
-        """The value of number token ``num``, negated when ``negative``, read once per table."""
-        key = "-" + num if negative else num
-        factor = self.literals.get(key)
-        if factor is None:
-            q = _literal(num, self.error)
-            factor = self.literals[key] = ("scalar", {None: -q if negative else q})
-        return factor
-
     def _mul(self, a: _Value, b: _Value) -> _Value:
         if a[0] == "vec" and b[0] == "vec":
             raise self.error("cannot multiply two divisor expressions")
@@ -175,6 +180,17 @@ class _ExprParser:
             raise self.error("product of two non-constant parameter expressions is not affine")
         q = a.get(None, 0)
         return b if q == 1 else {key: q * coeff for key, coeff in b.items()}
+
+
+def _read_literal(literals: dict[str, _Value], num: str, negative: bool, error: Callable[[str], ParseError]) -> _Value:
+    """The value of number token ``num``, negated when ``negative``, through the
+    table ``literals``; ``error`` makes the error of a literal that does not read."""
+    key = "-" + num if negative else num
+    factor = literals.get(key)
+    if factor is None:
+        q = _literal(num, error)
+        factor = literals[key] = ("scalar", {None: -q if negative else q})
+    return factor
 
 
 def _sum(a: _Scalar, b: _Scalar) -> _Scalar:

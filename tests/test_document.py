@@ -4,9 +4,10 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qreider.document as document
 from qreider.document import (
     QUERY_KINDS,
     ConeDecl,
@@ -758,6 +759,81 @@ def test_divisor_sections_evaluate_as_the_affine_reference_statement_by_statemen
     assert [decl.name for decl in section] == [f"N{i}" for i in range(len(texts))]
     for decl, items in zip(section, expected):
         assert _as_items(dict(decl.coeffs)) == items
+
+
+# A divisor statement of the flat shape, [sign] [number [*]] name (sign
+# [number [*]] name)*, is added up without the general evaluator when every
+# name is a curve or a divisor with constant coefficients and every number
+# reads; any other text goes to _ExprParser.  The names below cover each kind
+# a flat sum may meet, and the numbers include ones that do not read.
+FLAT_DOC = (
+    SURFACE + "curves\nG = G\nC = G + 3F\npoints\np = G:1\nparams\ne = (0, 1)\n"
+    "divisors\nA = 2G + 1/3 C\nZ = G - G\nP = (1 - e)G + 2/3 C\n"
+)
+FLAT_NAMES = (
+    "G", "C",  # curves
+    "A", "Z",  # divisors with constant coefficients, Z the zero divisor
+    "P",  # a divisor with a parametric coefficient
+    "e",  # a parameter
+    "F",  # a basis label that is not a declared curve
+    "p", "x", "G2",  # a point, and undefined names
+)
+BIG = "1" + "0" * 4999  # more digits than int() converts by default
+FLAT_NUMBERS = ("", "", "0", "1", "3", "2/4", "7/3", "12", "1/0", BIG, "2 3")  # "2 3": a product, not flat
+FLAT_TERMS = st.tuples(st.sampled_from(FLAT_NUMBERS), st.sampled_from(["", " ", "*", " * "]), st.sampled_from(FLAT_NAMES)).map(
+    lambda t: t[0] + t[1] + t[2] if t[0] else t[2]
+)
+FLAT_TEXTS = st.tuples(
+    st.sampled_from(["", "", "-", "+", "- ", "--"]),
+    FLAT_TERMS,
+    st.lists(st.tuples(st.sampled_from([" + ", " - ", "+", "-"]), FLAT_TERMS).map("".join), max_size=3).map("".join),
+).map("".join)
+
+
+@given(FLAT_TEXTS)
+@example("0")
+@example("2/4")
+@example("1/0")
+@example(BIG)
+@example("--G")
+@example("3G")
+@example("3*G")
+@example("2 3 G")
+@example("1/0 G")
+@example("e")
+@settings(max_examples=300, deadline=None)
+def test_a_flat_divisor_statement_parses_as_the_expression_parser_evaluates_it(text):
+    base = parse(FLAT_DOC)
+    line, head = FLAT_DOC.count("\n") + 1, "N = "
+
+    def general():
+        scalars = document._divisor_scalars(base.symbols, text, line, len(head), {})
+        coeffs = sorted((curve, document._affine(s)) for curve, s in scalars.items() if any(s.values()))
+        return DivisorDecl("N", tuple(coeffs))
+
+    expected = _ref_outcome(general)
+    got = _ref_outcome(lambda: parse(FLAT_DOC + head + text + "\n").divisors[-1])
+    assert got == expected
+    if got[0] == "ok":
+        assert all(type(expr.const) is F for _, expr in got[1].coeffs)
+
+
+def test_only_the_golden_files_non_flat_divisor_statements_reach_the_expression_parser(monkeypatch):
+    text = GOLDEN.read_text()
+    lines = text.splitlines()
+    start, end = lines.index("divisors"), lines.index("queries")
+    names = {i + 1: lines[i].partition("=")[0].strip() for i in range(start + 1, end) if "=" in lines[i]}
+    seen = []
+
+    class Counting(document._ExprParser):
+        def __init__(self, expr, line, *args):
+            seen.append(line)
+            super().__init__(expr, line, *args)
+
+    monkeypatch.setattr(document, "_ExprParser", Counting)
+    doc = parse(text)
+    assert [d.name for d in doc.divisors] == list(names.values()) and len(names) == 7
+    assert [names[line] for line in seen if line in names] == ["Bfam", "Mfam"]
 
 
 @pytest.mark.parametrize(
