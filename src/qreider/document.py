@@ -455,18 +455,18 @@ class _DocBuilder:
         terms = _flat_terms(rhs)
         if terms is None:
             return None
-        flat, literals, total = self.flat, self.literals, {}
-        for sign, num, name in terms:
-            pairs = flat.get(name)
-            if pairs is None:
+        flat = self.flat
+        for _, _, name in terms:  # every name before any arithmetic, which a text left to _ExprParser would waste
+            if name not in flat:
                 decl = self.symbols.get(name)
                 if type(decl) is CurveDecl:
-                    pairs = ((name, None),)
+                    flat[name] = ((name, None),)
                 elif type(decl) is DivisorDecl and all(expr.is_constant() for _, expr in decl.coeffs):
-                    pairs = tuple((curve, expr.const) for curve, expr in decl.coeffs)
+                    flat[name] = tuple((curve, expr.const) for curve, expr in decl.coeffs)
                 else:
                     return None
-                flat[name] = pairs
+        literals, total = self.literals, {}
+        for sign, num, name in terms:
             if not num:
                 q = -1 if sign == "-" else 1
             else:
@@ -474,8 +474,8 @@ class _DocBuilder:
                     q = _read_literal(literals, num, sign == "-", ParseError)[1][None]
                 except ParseError:
                     return None
-            for curve, factor in pairs:
-                value = q if factor is None else q * factor
+            for curve, factor in flat[name]:
+                value = q if factor is None else factor if q == 1 else q * factor
                 total[curve] = total[curve] + value if curve in total else value
         return total
 
