@@ -20,14 +20,10 @@ from .criteria import (
     BetaWitness,
     CriterionVerdict,
     DomainError,
-    LocalConfig,
-    LocalCurveData,
-    ThresholdResult,
     freeness_at,
     freeness_witness,
     jet_separation,
     min_formula,
-    plc_threshold,
     riemann_roch_chi,
     separation,
     separation_witness,
@@ -38,6 +34,7 @@ from .criteria import (
     very_ampleness_witness,
 )
 from .lattice import DivisorClass, IntersectionLattice, LatticeMismatchError, hirzebruch_lattice
+from .plc import LocalConfig, LocalCurveData, ThresholdResult, plc_threshold
 from .search import (
     AffineExpr,
     Param,

@@ -15,19 +15,10 @@ from typing import Mapping, Optional, TypeVar, Union
 
 from . import __version__, criteria, search
 from .cones import DegreeFilter, cone_degrees, min_degree
-from .criteria import (
-    BetaWitness,
-    CriterionVerdict,
-    LocalConfig,
-    LocalCurveData,
-    ThresholdMode,
-    TraceLine,
-    plc_threshold,
-    riemann_roch_chi,
-    threshold_very_ampleness,
-)
+from .criteria import BetaWitness, CriterionVerdict, TraceLine, riemann_roch_chi, threshold_very_ampleness
 from .document import Document, QueryDecl
 from .literals import _INTEGER_RE, ParseError, _number
+from .plc import LocalConfig, LocalCurveData, ThresholdMode, plc_threshold
 from .search import DEFAULT_DEPTH, MAX_DEPTH, Goal, ParamFamily, SearchReport, hirzebruch_claim, search_params
 
 T = TypeVar("T")

@@ -15,13 +15,9 @@ from conftest import grid_is_nef, grid_min_degree, random_nef_coeffs, round_down
 from qreider.cones import DegreeFilter, HirzebruchFamily, is_nef, min_degree
 from qreider.criteria import (
     BetaWitness,
-    LocalConfig,
-    LocalCurveData,
-    PLCContextWarning,
     freeness_at,
     freeness_witness,
     min_formula,
-    plc_threshold,
     separation,
     tangent_separation,
     threshold_very_ampleness,
@@ -29,6 +25,7 @@ from qreider.criteria import (
     very_ampleness_witness,
 )
 from qreider.lattice import IntersectionLattice, hirzebruch_lattice
+from qreider.plc import LocalConfig, LocalCurveData, PLCContextWarning, plc_threshold
 from qreider.search import hirzebruch_claim, mu_weights
 from qreider.surface import (
     Curve,

@@ -11,15 +11,10 @@ from qreider import criteria
 from qreider.criteria import (
     BetaWitness,
     DomainError,
-    LocalConfig,
-    LocalCurveData,
-    PLCContextWarning,
-    ThresholdResult,
     freeness_at,
     freeness_witness,
     jet_separation,
     min_formula,
-    plc_threshold,
     riemann_roch_chi,
     separation,
     separation_witness,
@@ -31,6 +26,7 @@ from qreider.criteria import (
     very_ampleness_witness,
 )
 from qreider.lattice import hirzebruch_lattice
+from qreider.plc import LocalConfig, LocalCurveData, PLCContextWarning, ThresholdResult, plc_threshold
 
 mus = st.fractions(min_value=0, max_value="19/10", max_denominator=12)
 small_pos = st.fractions(min_value="1/8", max_value=8, max_denominator=12)

@@ -45,9 +45,10 @@ import warnings
 from fractions import Fraction as F
 from pathlib import Path
 
-from qreider import criteria
-from qreider.criteria import BetaWitness, LocalConfig, LocalCurveData, PLCContextWarning
+from qreider import criteria, plc
+from qreider.criteria import BetaWitness
 from qreider.document import parse
+from qreider.plc import LocalConfig, LocalCurveData, PLCContextWarning
 from qreider.search import hirzebruch_claim
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -179,7 +180,7 @@ def _plc_outcome(config: LocalConfig, mode: str, c0, weak_boundary: bool) -> str
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            out = repr(criteria.plc_threshold(config, mode, c0=c0, weak_boundary=weak_boundary))
+            out = repr(plc.plc_threshold(config, mode, c0=c0, weak_boundary=weak_boundary))
         except Exception as exc:  # noqa: BLE001 - the error's type and text are pinned too
             out = f"{type(exc).__name__}: {exc}"
     return out + "".join(f"\nwarning: {w.message}" for w in caught if w.category is PLCContextWarning)
