@@ -6,21 +6,20 @@ multiplicity at the point.  :func:`plc_threshold` returns the exact scale of
 the auxiliary divisor at which a combined coefficient first leaves the
 log-canonical range, with the terms that attain it.  The computation is local:
 it uses none of the degree-bound rules of :mod:`qreider.criteria`.
+
+Every function here is pure.  The basic threshold is normally taken with
+``ord_p(D) = 2 - mu``; :func:`context_note` says so, as a value, when a
+configuration differs.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
 
 from .lattice import as_fraction, as_int
-
-
-class PLCContextWarning(UserWarning):
-    """The auxiliary divisor's multiplicity differs from the usual context value."""
 
 
 @dataclass(frozen=True)
@@ -113,21 +112,14 @@ def plc_threshold(
             side condition to b_i + d_i >= 1.
 
     Curves with d_i = 0 never enter a minimum; m_p = 0 drops the cap term.
-    In basic mode a context warning is emitted when m_p != 2 - mu, the value
-    the threshold is normally used with.
+    :func:`context_note` tells a basic-mode threshold taken off its usual
+    context.
     """
     mode = ThresholdMode(mode)
     mu, m_p = config.mu, config.m_p
     terms: list[tuple[str, Fraction]] = []
     chosen = None  # the primed variant's c0
-    if mode is ThresholdMode.BASIC:
-        if m_p != 2 - mu:
-            warnings.warn(
-                f"threshold taken with ord_p(D) = {m_p}, not the usual 2 - mu = {2 - mu}",
-                PLCContextWarning,
-                stacklevel=2,
-            )
-    elif mode is ThresholdMode.PRIME:
+    if mode is ThresholdMode.PRIME:
         if c0 is None:
             raise ValueError("primed threshold needs the distinguished curve c0")
         chosen = next((c for c in config.curves if c.name == c0), None)
@@ -147,3 +139,12 @@ def plc_threshold(
     c = min(v for _, v in terms)
     achievers = tuple(label for label, v in terms if v == c)
     return ThresholdResult(is_plc=False, c=c, achievers=achievers)
+
+
+def context_note(config: LocalConfig, mode: Union[str, ThresholdMode] = ThresholdMode.BASIC) -> str:
+    """The note of a basic-mode threshold taken where ``m_p != 2 - mu``, the
+    value the threshold is normally used with; ``""`` otherwise."""
+    mu, m_p = config.mu, config.m_p
+    if ThresholdMode(mode) is not ThresholdMode.BASIC or m_p == 2 - mu:
+        return ""
+    return f"threshold taken with ord_p(D) = {m_p}, not the usual 2 - mu = {2 - mu}"

@@ -8,7 +8,6 @@ only alongside, explicitly marked ``approx``.  JSON encodes rationals as
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, TypeVar, Union
@@ -18,7 +17,7 @@ from .cones import DegreeFilter, cone_degrees, min_degree
 from .criteria import BetaWitness, CriterionVerdict, TraceLine, riemann_roch_chi, threshold_very_ampleness
 from .document import Document, QueryDecl
 from .literals import _INTEGER_RE, ParseError, _number
-from .plc import LocalConfig, LocalCurveData, ThresholdMode, plc_threshold
+from .plc import LocalConfig, LocalCurveData, ThresholdMode, context_note, plc_threshold
 from .search import DEFAULT_DEPTH, MAX_DEPTH, Goal, ParamFamily, SearchReport, hirzebruch_claim, search_params
 
 T = TypeVar("T")
@@ -252,11 +251,10 @@ def _run_plc_threshold(doc: Document, q: QueryDecl, result: QueryResult) -> None
         if mult >= 1
     )
     config = LocalConfig(curves)
-    # the basic mode's context warning is a note of this result, each time it is drawn
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        outcome = plc_threshold(config, mode, c0=q.arg("c0"), weak_boundary=weak)
-    result.notes += tuple(str(w.message) for w in caught)
+    outcome = plc_threshold(config, mode, c0=q.arg("c0"), weak_boundary=weak)
+    note = context_note(config, mode)
+    if note:
+        result.notes += (note,)
     result.status = "value"
     result.values.update({"mu": config.mu, "ord_D": config.m_p})
     result.flags["plc"] = outcome.is_plc

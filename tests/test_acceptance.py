@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import random
 import time
-import warnings
 from fractions import Fraction as F
 
 from conftest import grid_is_nef, grid_min_degree, random_nef_coeffs, round_down
@@ -25,7 +24,7 @@ from qreider.criteria import (
     very_ampleness_witness,
 )
 from qreider.lattice import IntersectionLattice, hirzebruch_lattice
-from qreider.plc import LocalConfig, LocalCurveData, PLCContextWarning, plc_threshold
+from qreider.plc import LocalConfig, LocalCurveData, plc_threshold
 from qreider.search import hirzebruch_claim, mu_weights
 from qreider.surface import (
     Curve,
@@ -364,62 +363,60 @@ def test_criterion_7_checker_coherence():
             ok = ok and value <= 2 - mu and ((value == 2 - mu) == (b2 == 2 - mu))
 
     # threshold exactness and the shallow-boundary lower bound
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", PLCContextWarning)
-        for _ in range(1000):
-            k = rng.randint(1, 4)
-            curves = tuple(
+    for _ in range(1000):
+        k = rng.randint(1, 4)
+        curves = tuple(
+            LocalCurveData(
+                f"C{i}",
+                F(rng.randint(0, 9), 10),
+                F(rng.randint(0, 24), 8),
+                rng.randint(1, 3),
+            )
+            for i in range(k)
+        )
+        config = LocalConfig(curves)
+        out = plc_threshold(config)
+        if out.is_plc:
+            ok = ok and all(c.b + c.d <= 1 for c in curves)
+            continue
+        c = out.c
+        ok = ok and 0 < c < 1
+        ok = ok and max(cur.b + c * cur.d for cur in curves) == 1
+        lam = c * F(rng.randint(1, 15), 16)
+        ok = ok and all(cur.b + lam * cur.d <= 1 for cur in curves)
+        lam = c * (1 + F(rng.randint(1, 16), 16))
+        ok = ok and any(cur.b + lam * cur.d > 1 for cur in curves)
+
+    checked = 0
+    for _ in range(1000):
+        mu = F(rng.randint(0, 9), 10)
+        k = rng.randint(1, 4)
+        weights = [(rng.randint(0, 5), rng.randint(0, 5), rng.randint(1, 3)) for _ in range(k)]
+        weights[0] = (weights[0][0], max(weights[0][1], 1), 1)
+        b_total = sum(bw for bw, _, _ in weights)
+        if b_total == 0:
+            mu = F(0)
+        d_total = sum(dw * m for _, dw, m in weights)
+        config = LocalConfig(
+            tuple(
                 LocalCurveData(
                     f"C{i}",
-                    F(rng.randint(0, 9), 10),
-                    F(rng.randint(0, 24), 8),
-                    rng.randint(1, 3),
+                    mu * F(bw, b_total) / m if b_total else F(0),
+                    (2 - mu) * F(dw, d_total),
+                    m,
                 )
-                for i in range(k)
+                for i, (bw, dw, m) in enumerate(weights)
             )
-            config = LocalConfig(curves)
-            out = plc_threshold(config)
-            if out.is_plc:
-                ok = ok and all(c.b + c.d <= 1 for c in curves)
-                continue
-            c = out.c
-            ok = ok and 0 < c < 1
-            ok = ok and max(cur.b + c * cur.d for cur in curves) == 1
-            lam = c * F(rng.randint(1, 15), 16)
-            ok = ok and all(cur.b + lam * cur.d <= 1 for cur in curves)
-            lam = c * (1 + F(rng.randint(1, 16), 16))
-            ok = ok and any(cur.b + lam * cur.d > 1 for cur in curves)
-
-        checked = 0
-        for _ in range(1000):
-            mu = F(rng.randint(0, 9), 10)
-            k = rng.randint(1, 4)
-            weights = [(rng.randint(0, 5), rng.randint(0, 5), rng.randint(1, 3)) for _ in range(k)]
-            weights[0] = (weights[0][0], max(weights[0][1], 1), 1)
-            b_total = sum(bw for bw, _, _ in weights)
-            if b_total == 0:
-                mu = F(0)
-            d_total = sum(dw * m for _, dw, m in weights)
-            config = LocalConfig(
-                tuple(
-                    LocalCurveData(
-                        f"C{i}",
-                        mu * F(bw, b_total) / m if b_total else F(0),
-                        (2 - mu) * F(dw, d_total),
-                        m,
-                    )
-                    for i, (bw, dw, m) in enumerate(weights)
-                )
-            )
-            out = plc_threshold(config)
-            if out.is_plc:
-                continue
-            critical = next(c for c in config.curves if c.name == out.critical)
-            if critical.mult_p != 1 or mu >= 1:
-                continue
-            checked += 1
-            ok = ok and out.c >= (1 - mu) / (2 - mu)
-        ok = ok and checked >= 200
+        )
+        out = plc_threshold(config)
+        if out.is_plc:
+            continue
+        critical = next(c for c in config.curves if c.name == out.critical)
+        if critical.mult_p != 1 or mu >= 1:
+            continue
+        checked += 1
+        ok = ok and out.c >= (1 - mu) / (2 - mu)
+    ok = ok and checked >= 200
 
     _report(7, "monotonicity, scaling, witness transfer, minimum branches, thresholds", ok)
 

@@ -27,9 +27,10 @@ CHILD_PATH = (str(ROOT / "src"), os.environ.get("PYTHONPATH"))
 CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, CHILD_PATH))}
 
 
-def run_cli(*args, stdin=None):
+def run_cli(*args, stdin=None, flags=()):
+    """``python [flags] -m qreider.cli args`` in a child process."""
     proc = subprocess.run(
-        [sys.executable, "-m", "qreider.cli", *args],
+        [sys.executable, *flags, "-m", "qreider.cli", *args],
         capture_output=True,
         text=True,
         input=stdin,
@@ -628,13 +629,15 @@ def test_c0_and_weak_are_errors_outside_the_primed_mode(mode, extra, capsys, mon
 
 
 def test_the_basic_context_warning_is_a_note_on_every_query_that_draws_it():
-    """CHOICE_DOC's D has ord_p(D) = 5/4 at p, where 2 - mu = 3/2."""
+    """CHOICE_DOC's D has ord_p(D) = 5/4 at p, where 2 - mu = 3/2.  The child
+    runs with every warning an error, so the note cannot come from one."""
     note = "threshold taken with ord_p(D) = 5/4, not the usual 2 - mu = 3/2"
     text = CHOICE_DOC + "plc-threshold point=p B=B D=D\nplc-threshold point=p B=B D=D mode=basic\n"
-    shown = run_cli("check", "-", stdin=text)
+    strict = ("-X", "dev", "-W", "error")
+    shown = run_cli("check", "-", stdin=text, flags=strict)
     assert (shown.returncode, shown.stderr) == (0, "")
     assert shown.stdout.count(f"   note: {note}\n") == 2
-    shown = run_cli("check", "-", "--json", stdin=text)
+    shown = run_cli("check", "-", "--json", stdin=text, flags=strict)
     assert (shown.returncode, shown.stderr) == (0, "")
     payload = json.loads(shown.stdout)
     jsonschema.validate(payload, SCHEMA)

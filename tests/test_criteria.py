@@ -1,5 +1,6 @@
 import inspect
 import operator
+import warnings
 from fractions import Fraction as F
 from math import isqrt
 
@@ -26,7 +27,7 @@ from qreider.criteria import (
     very_ampleness_witness,
 )
 from qreider.lattice import hirzebruch_lattice
-from qreider.plc import LocalConfig, LocalCurveData, PLCContextWarning, ThresholdResult, plc_threshold
+from qreider.plc import LocalConfig, LocalCurveData, ThresholdMode, ThresholdResult, context_note, plc_threshold
 
 mus = st.fractions(min_value=0, max_value="19/10", max_denominator=12)
 small_pos = st.fractions(min_value="1/8", max_value=8, max_denominator=12)
@@ -394,10 +395,10 @@ def test_plc_threshold_worked_value():
             LocalCurveData("C1", F(1, 4), F(1, 4), 1),
         )
     )
-    with pytest.warns(PLCContextWarning):
-        out = plc_threshold(config)
+    out = plc_threshold(config)
     assert out.c == F(2, 3)
     assert out.critical == "C0"
+    assert context_note(config) == "threshold taken with ord_p(D) = 1, not the usual 2 - mu = 5/4"
 
 
 def test_plc_threshold_already_plc():
@@ -407,10 +408,35 @@ def test_plc_threshold_already_plc():
             LocalCurveData("C1", F(1, 4), F(1, 2), 1),
         )
     )
-    with pytest.warns(PLCContextWarning):
-        out = plc_threshold(config)
+    out = plc_threshold(config)
     assert out.is_plc
     assert out.c is None
+    assert context_note(config) == "threshold taken with ord_p(D) = 1, not the usual 2 - mu = 5/4"
+
+
+def test_an_off_context_basic_threshold_draws_no_warning():
+    """ord_p(D) = 3/2 where 2 - mu = 5/4: the note is a value, and nothing is warned."""
+    config = LocalConfig((LocalCurveData("C0", F(1, 2), F(3, 4), 1), LocalCurveData("C1", F(1, 4), F(3, 4), 1)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = plc_threshold(config)
+        note = context_note(config)
+        for mode in ("cap3", "prime"):
+            plc_threshold(config, mode, c0="C1")
+    assert caught == []
+    assert out == ThresholdResult(False, F(2, 3), ("C0",))
+    assert note == "threshold taken with ord_p(D) = 3/2, not the usual 2 - mu = 5/4"
+    assert context_note(config, "basic") == context_note(config, ThresholdMode.BASIC) == note
+
+
+def test_context_note_is_empty_in_context_and_outside_the_basic_mode():
+    in_context = LocalConfig((LocalCurveData("C", F(1, 2), F(3, 2), 1),))  # ord_p(D) = 3/2 = 2 - mu
+    assert context_note(in_context) == context_note(in_context, "basic") == ""
+    off_context = LocalConfig((LocalCurveData("C", F(1, 2), F(3, 4), 1),))
+    assert context_note(off_context) != ""
+    for mode in ("cap3", "prime", ThresholdMode.CAP3, ThresholdMode.PRIME):
+        assert context_note(off_context, mode) == ""
+        assert context_note(in_context, mode) == ""
 
 
 def test_plc_threshold_cap_mode():
@@ -555,11 +581,7 @@ def test_plc_threshold_is_the_exact_crossing_point(curves):
     config = LocalConfig(
         tuple(LocalCurveData(f"C{i}", b, d, m) for i, (b, d, m) in enumerate(curves))
     )
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", PLCContextWarning)
-        out = plc_threshold(config)
+    out = plc_threshold(config)
     if out.is_plc:
         assert all(c.b + c.d <= 1 for c in config.curves)
         return

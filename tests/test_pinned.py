@@ -15,8 +15,9 @@ witnesses, witnesses with a side missing, ``beta2 = 2 - mu`` exactly and
 exactly, with negative and non-integer inputs.  ``plc_threshold`` is pinned
 on configurations of one to three curves in each mode, with and without
 ``weak_boundary`` and with ``c0`` absent, present and unknown: the hash is
-of the result or the error, with the text of any ``PLCContextWarning``.  A
-failure lists the inputs whose hash moved.
+of the result or the error, with the text of the basic mode's
+``context_note`` when it has one.  A failure lists the inputs whose hash
+moved.
 
 The corpus has every kind of statement: surface keys with and without a
 section header, curves, a Hirzebruch or a generated cone, points, tangents,
@@ -41,14 +42,13 @@ import hashlib
 import itertools
 import random
 import sys
-import warnings
 from fractions import Fraction as F
 from pathlib import Path
 
 from qreider import criteria, plc
 from qreider.criteria import BetaWitness
 from qreider.document import parse
-from qreider.plc import LocalConfig, LocalCurveData, PLCContextWarning
+from qreider.plc import LocalConfig, LocalCurveData
 from qreider.search import hirzebruch_claim
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -177,13 +177,12 @@ def plc_configs():
 
 
 def _plc_outcome(config: LocalConfig, mode: str, c0, weak_boundary: bool) -> str:
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            out = repr(plc.plc_threshold(config, mode, c0=c0, weak_boundary=weak_boundary))
-        except Exception as exc:  # noqa: BLE001 - the error's type and text are pinned too
-            out = f"{type(exc).__name__}: {exc}"
-    return out + "".join(f"\nwarning: {w.message}" for w in caught if w.category is PLCContextWarning)
+    try:
+        out = repr(plc.plc_threshold(config, mode, c0=c0, weak_boundary=weak_boundary))
+    except Exception as exc:  # noqa: BLE001 - the error's type and text are pinned too
+        out = f"{type(exc).__name__}: {exc}"
+    note = plc.context_note(config, mode)
+    return out + (f"\nwarning: {note}" if note else "")
 
 
 def plc_hashes() -> dict[str, str]:
