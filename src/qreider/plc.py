@@ -54,6 +54,9 @@ class LocalConfig:
         names = [c.name for c in self.curves]
         if len(set(names)) != len(names):
             raise ValueError("duplicate curve names in local configuration")
+        special = [name for name in names if name in ThresholdResult.SPECIAL]
+        if special:
+            raise ValueError(f"curve name {special[0]!r} is a threshold term's label")
 
     @property
     def mu(self) -> Fraction:
@@ -70,14 +73,15 @@ class ThresholdResult:
 
     ``achievers`` lists every term attaining the minimum, in declaration
     order; curve names for coefficient terms, ``"ord-cap"`` for the
-    multiplicity cap, ``"one"`` for the constant cap of the primed variant.
+    multiplicity cap, ``"one-cap"`` for the constant cap of the primed
+    variant.  Neither label can name a curve.
     """
 
     is_plc: bool
     c: Optional[Fraction] = None
     achievers: tuple[str, ...] = ()
 
-    SPECIAL = ("ord-cap", "one")
+    SPECIAL = ("ord-cap", "one-cap")
 
     @property
     def critical(self) -> Optional[str]:
@@ -125,7 +129,7 @@ def plc_threshold(
         chosen = next((c for c in config.curves if c.name == c0), None)
         if chosen is None:
             raise ValueError(f"no curve named {c0!r} in the local configuration")
-        terms.append(("one", Fraction(1)))
+        terms.append(("one-cap", Fraction(1)))
     if mode is not ThresholdMode.BASIC and m_p > 0:
         terms.append(("ord-cap", (3 - mu) / m_p))
     if chosen is not None and chosen.d > 0:

@@ -656,7 +656,33 @@ def test_weak_spellings_turn_the_weak_boundary_on_and_off(capsys, monkeypatch):
     on = {outputs[w] for w in (" weak=1", " weak=true", " weak=YES")}
     off = {outputs[w] for w in ("", " weak=0", " weak=false", " weak=No")}
     assert len(on) == len(off) == 1 and on != off
-    assert "   achievers: one, G\n" in on.pop() and "   achievers: one\n" in off.pop()
+    assert "   achievers: one-cap, G\n" in on.pop() and "   achievers: one-cap\n" in off.pop()
+
+
+ONE_DOC = """gram = [[-3, 1], [1, 0]]; K = -2G - 5F; chi_O = 1
+curves
+one = G
+F = F
+points
+p = one:1 F:1
+divisors
+B = 1/2 one
+D = 3/4 one + 3/4 F
+E = 1/2 one + 1/2 F
+queries
+plc-threshold point=p B=B D=D
+plc-threshold point=p B=B D=E mode=prime c0=F weak=true
+"""
+
+
+def test_a_curve_named_one_is_critical_and_not_the_primed_cap():
+    """The primed variant's constant cap is labelled one-cap, which no .surf name can be, so a curve
+    named one is reported as the critical curve, as a curve named G would be."""
+    basic, prime = run_document(parse(ONE_DOC)).results
+    assert (basic.values["c"], basic.labels) == (F(2, 3), {"critical": "one", "achievers": "one"})
+    # with weak=true the curve one has (1 - 1/2)/(1/2) = 1, the cap's value
+    assert (prime.values["c"], prime.labels) == (F(1), {"critical": "one", "achievers": "one-cap, one"})
+    assert run_document(parse(ONE_DOC.replace("one", "G"))).results[0].labels == {"critical": "G", "achievers": "G"}
 
 
 GENERATOR_SEARCH_DOC = """gram = [[-3, 1], [1, 0]]; K = -2G - 5F; chi_O = 1

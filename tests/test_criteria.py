@@ -482,6 +482,12 @@ def test_plc_threshold_prime_needs_declared_curve():
         plc_threshold(config, "prime", c0="missing")
 
 
+@pytest.mark.parametrize("label", ThresholdResult.SPECIAL)
+def test_a_local_curve_may_not_carry_a_threshold_label(label):
+    with pytest.raises(ValueError, match=f"curve name '{label}' is a threshold term's label"):
+        LocalConfig((LocalCurveData("C", 0, 1, 1), LocalCurveData(label, 0, 1, 1)))
+
+
 def test_local_curve_data_validation():
     with pytest.raises(ValueError):
         LocalCurveData("C", 1, 1, 1)  # boundary coefficient must stay below 1
