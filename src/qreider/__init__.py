@@ -22,7 +22,6 @@ from .criteria import (
     DomainError,
     freeness_at,
     freeness_witness,
-    jet_separation,
     min_formula,
     riemann_roch_chi,
     separation,

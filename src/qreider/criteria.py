@@ -4,6 +4,9 @@ Every checker returns a :class:`CriterionVerdict` whose trace lists the exact
 inequalities that were evaluated.  Verdicts are one-sided: ``established``
 certifies the property through one of the implemented sufficient rules, while
 ``not-established`` only means no implemented rule fired on the given data.
+The module holds the four degree-bound rules, their irrational-threshold
+corollary and the Euler characteristic; the local PLC thresholds are in
+:mod:`qreider.plc`.
 
 Each of the four degree-bound checkers is written once, as a rule that
 checks its inputs, picks its branch (high multiplicity, a given, searched or
@@ -11,8 +14,8 @@ missing witness) and returns an :class:`Evaluation`: its conditions
 ``(text, lhs, rel, rhs, holds)`` in trace order, each computed only when it
 is read.  A checker reads them all (:func:`explain`); the parameter search
 reads them only up to the first that fails (:func:`holding`), and turns them
-into trace lines only at the candidate that wins.  ``jet_separation`` and
-``threshold_very_ampleness`` explain an evaluation too, so every trace line
+into trace lines only at the candidate that wins.
+``threshold_very_ampleness`` explains an evaluation too, so every trace line
 is made by :func:`trace_lines`.  ``GOAL_KINDS`` names each goal kind's rule
 and checker, and what they read.
 
@@ -33,7 +36,7 @@ from math import isqrt
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .cones import DegreeFilter
-from .lattice import DivisorClass, RationalLike, as_fraction, as_int
+from .lattice import DivisorClass, RationalLike, as_fraction
 
 _WITNESS_DEPTH = 24  # finest dyadic level of the one-parameter witness searches
 _PAIR_DEPTH = 12  # the pair and tangent searches take each point below a square root at level 2**-12
@@ -166,21 +169,6 @@ def _ge(text: str, lhs: RationalLike, rhs: RationalLike) -> Condition:
 
 def _gt(text: str, lhs: RationalLike, rhs: RationalLike) -> Condition:
     return text, lhs, ">", rhs, lhs > rhs
-
-
-# ---------------------------------------------------------------------------
-# jets
-
-
-def jet_separation(mu: RationalLike, s: int) -> CriterionVerdict:
-    """Separation of s-jets at a point where the boundary has multiplicity mu."""
-    m = as_fraction(mu)
-    if m < 0:
-        raise DomainError("multiplicity must be non-negative")
-    s = as_int(s)
-    if s < 0:
-        raise DomainError("jet order must be non-negative")
-    return explain(Evaluation("jet-separation", iter((_ge("boundary multiplicity >= s + 2", m, s + 2),))))
 
 
 # ---------------------------------------------------------------------------

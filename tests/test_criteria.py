@@ -14,7 +14,6 @@ from qreider.criteria import (
     DomainError,
     freeness_at,
     freeness_witness,
-    jet_separation,
     min_formula,
     riemann_roch_chi,
     separation,
@@ -31,30 +30,6 @@ from qreider.plc import LocalConfig, LocalCurveData, ThresholdMode, ThresholdRes
 
 mus = st.fractions(min_value=0, max_value="19/10", max_denominator=12)
 small_pos = st.fractions(min_value="1/8", max_value=8, max_denominator=12)
-
-
-# ---------------------------------------------------------------------------
-# jets
-
-
-def test_jet_separation_freeness_threshold():
-    assert jet_separation(2, 0).established
-    assert not jet_separation(0, 0).established
-    assert jet_separation(F(7, 2), 1).established
-
-
-def test_jet_separation_rejects_negative_inputs():
-    with pytest.raises(DomainError):
-        jet_separation(-1, 0)
-    with pytest.raises(DomainError):
-        jet_separation(1, -1)
-
-
-@pytest.mark.parametrize("s", [F(3, 2), 1.5, 1.0, "1", True])
-def test_jet_order_is_an_int(s):
-    """jet_separation(3, 1.5) used to check s = 1 and hold."""
-    with pytest.raises(TypeError, match="not an integer"):
-        jet_separation(3, s)
 
 
 # ---------------------------------------------------------------------------

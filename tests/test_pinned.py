@@ -11,11 +11,10 @@ message, line and column.  The grid reaches every branch of
 ``very_ampleness``: high multiplicities, given, searched and missing
 witnesses, witnesses with a side missing, ``beta2 = 2 - mu`` exactly and
 ``very_ampleness`` with ``beta2 = 1``.  It also crosses the bounds of
-``jet_separation`` and ``threshold_very_ampleness``, on each side and
-exactly, with negative and non-integer inputs.  ``plc_threshold`` is pinned
-on configurations of one to three curves in each mode, with and without
-``weak_boundary`` and with ``c0`` absent, present and unknown: the hash is
-of the result or the error, with the text of the basic mode's
+``threshold_very_ampleness``, on each side and exactly.  ``plc_threshold`` is
+pinned on configurations of one to three curves in each mode, with and
+without ``weak_boundary`` and with ``c0`` absent, present and unknown: the
+hash is of the result or the error, with the text of the basic mode's
 ``context_note`` when it has one.  A failure lists the inputs whose hash
 moved.
 
@@ -146,8 +145,6 @@ def checker_inputs():
         yield "tangent_separation", (mp, mv, m2, *degrees, witness)
     for args in itertools.product((0, 8, 9, 12, 50, 100), (2, F(5, 2), 3, F(7, 2), 4, 6), _VA_WITNESSES):
         yield "very_ampleness", args
-    for args in itertools.product((F(-1, 2), 0, 1, F(3, 2), 2, 3, F(7, 2), 4), (-1, 0, 1, 2, F(3, 2))):
-        yield "jet_separation", args
     # around M^2 = 6 + 4*sqrt(2) (about 11.657) and min degree = 2 + sqrt(2) (about 3.414)
     for args in itertools.product(
         (0, 6, 11, F(233, 20), F(35, 3), 12, 50, 10**6),
