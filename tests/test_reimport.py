@@ -8,9 +8,13 @@ and through the class its whole module stays alive after the package is
 dropped from ``sys.modules``.
 
 The expression layer (``qreider.expr``) stands below the statement parser: it
-loads no ``qreider.document``, ``qreider.report`` or ``qreider.cli``.
+loads no ``qreider.document``, ``qreider.report`` or ``qreider.cli``.  The PLC
+thresholds (``qreider.plc``) stand beside the criteria: from the library they
+import ``qreider.lattice`` alone, and ``qreider.criteria`` defines none of
+their names.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -60,3 +64,27 @@ def test_the_expression_layer_loads_no_statement_parser_report_or_cli():
     loaded = set(json.loads(proc.stdout))
     assert "qreider.expr" in loaded
     assert not loaded & {"qreider.document", "qreider.report", "qreider.cli"}
+
+
+def _library_imports(path: Path) -> set[str]:
+    """The ``qreider`` modules that a source file's import statements name, relative ones included."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = "qreider" + (f".{node.module}" if node.module else "") if node.level else node.module
+            names += [module] if module != "qreider" else [f"qreider.{alias.name}" for alias in node.names]
+    return {name.removeprefix("qreider.").split(".")[0] for name in names if name.split(".")[0] == "qreider"}
+
+
+def test_the_plc_thresholds_import_only_the_lattice():
+    assert _library_imports(ROOT / "src" / "qreider" / "plc.py") == {"lattice"}
+
+
+def test_criteria_defines_no_plc_threshold_name_and_no_jets():
+    from qreider import criteria
+
+    gone = ("plc_threshold", "LocalConfig", "LocalCurveData", "ThresholdResult", "ThresholdMode")
+    gone += ("PLCContextWarning", "jet_separation")
+    assert [name for name in gone if hasattr(criteria, name)] == []
