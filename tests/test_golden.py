@@ -1,11 +1,12 @@
-"""Byte-for-byte golden output of six reports, as text and as JSON, and of
-the console's two n = 12 claims.
+"""Byte-for-byte golden output of six reports, as text and as JSON, of the
+console's two n = 12 claims, and of two threshold scans.
 
 The JSON comparison drops ``elapsed_ms``, the only field that varies from
 run to run.  The expected files live in ``tests/golden/``.
 """
 
 import json
+import runpy
 from pathlib import Path
 
 import pytest
@@ -164,3 +165,19 @@ def test_golden_text_and_json(name):
 def test_the_console_claim_matches_its_golden(part, capsys):
     assert main(["hirzebruch", "--n", "12", "--part", str(part)]) == 0
     assert capsys.readouterr().out == (GOLDEN_DIR / f"hirzebruch_n12_part{part}_cli.txt").read_text()
+
+
+# scripts/threshold_scan.py's default 1/100 steps, and 1/1000000 steps from
+# 341421/100000 to 341423/100000 next to 2 + sqrt(2), whose witnesses come
+# from the convergents 1393/985 and 239/169
+SCANS = {
+    "threshold_scan": (),
+    "threshold_scan_fine": ("--start", "341421/100000", "--stop", "341423/100000", "--step", "1/1000000"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCANS))
+def test_the_threshold_scan_matches_its_golden(name, capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["threshold_scan.py", *SCANS[name]])
+    runpy.run_path(str(ROOT / "scripts" / "threshold_scan.py"), run_name="__main__")
+    assert capsys.readouterr().out == (GOLDEN_DIR / f"{name}.txt").read_text()
