@@ -22,7 +22,13 @@ and checker, and what they read.
 Every witness is verified exactly.  The freeness and very-ample searches are
 complete: they prefer a dyadic rational (denominator ``2**k``) and fall back to
 the exact corner of the feasible region, so they find a witness whenever the
-system has a real solution.  The two-point and tangent searches share one
+system has a real solution.  Whether a level ``k`` has a multiple of ``2**-k``
+in ``[corner, sqrt(value))`` is one integer test, monotone in ``k``, so the
+first such level is found by bisection and only its witness is a
+``Fraction``; the irrational threshold tests each ``sqrt(2)`` convergent on
+integers too.  Both return the witnesses that a level-by-level and a
+convergent-by-convergent walk in ``Fraction`` arithmetic return.  The
+two-point and tangent searches share one
 walk over a dyadic grid of pairs and are not yet complete.  Every function
 here is a pure, deterministic decision procedure over immutable data.
 """
@@ -223,12 +229,35 @@ def _degree_corner(mu: Fraction, mindeg: Fraction) -> Optional[Fraction]:
 
 def _dyadic_witness(value: Fraction, floor: Fraction) -> Fraction:
     """For the first level k = 0.._WITNESS_DEPTH where it is >= floor, the largest
-    multiple of 2**-k whose square is below ``value``; else floor itself."""
-    for k in range(_WITNESS_DEPTH + 1 if value > 0 else 0):
-        below = Fraction(_numerator_below_sqrt(value, k), 1 << k)
-        if below >= floor:
-            return below
-    return floor
+    multiple of 2**-k whose square is below ``value``; else floor itself.
+
+    For floor > 0, level k has one exactly when the least multiple of 2**-k at
+    or above floor, c / 2**k with c = ceil(floor * 2**k), has c^2 < value * 4**k.
+    That integer test is monotone in k, since a multiple of 2**-k is one of
+    2**-(k+1) too: so level 0 is tested, then the last level, and the first
+    level between them is bisected.  Only that level's multiple is a Fraction.
+    """
+    num, den = value.numerator, value.denominator
+    fn, fd = floor.numerator, floor.denominator
+
+    def reaches(k: int) -> bool:
+        c = -((-fn << k) // fd)
+        return c * c * den < num << 2 * k
+
+    if num <= 0:
+        return floor
+    if reaches(0):
+        return Fraction(_numerator_below_sqrt(value, 0))
+    if not reaches(_WITNESS_DEPTH):
+        return floor
+    lo, hi = 0, _WITNESS_DEPTH  # level lo has no multiple in [floor, sqrt(value)), level hi has one
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if reaches(mid):
+            hi = mid
+        else:
+            lo = mid
+    return Fraction(_numerator_below_sqrt(value, hi), 1 << hi)
 
 
 def _dyadic_grid(lo: Fraction, hi: Fraction, levels: int) -> list[Fraction]:
@@ -755,11 +784,12 @@ GOAL_KINDS = {
 }
 
 
-def _sqrt2_lower_convergents() -> Iterable[Fraction]:
+def _sqrt2_lower_convergents() -> Iterator[tuple[int, int]]:
+    """(p, q) for each convergent p/q of sqrt(2) below it, in order."""
     p, q = 1, 1
     while True:
         if p * p < 2 * q * q:
-            yield Fraction(p, q)
+            yield p, q
         p, q = p + 2 * q, p + q
 
 
@@ -769,7 +799,10 @@ def threshold_very_ampleness(m2: RationalLike, mindeg_all: RationalLike) -> Crit
     Requires M^2 > 6 + 4*sqrt(2) and min degree > 2 + sqrt(2); both are
     decided over the rationals by exact square comparisons.  On success the
     verdict carries an explicit witness for the two-parameter rule: beta2 = 1 + c
-    for the first lower convergent c of sqrt(2) that fits.
+    for the first lower convergent c = p/q of sqrt(2) that fits.  With
+    beta2 = (p + q)/q and beta1 = beta2/(beta2 - 1) = (p + q)/p, each convergent
+    is tested on integers, by cross-multiplying M^2 > 2*beta2^2 and
+    min degree >= 2*beta1; only the witness is made of Fractions.
     """
     sq, deg = as_fraction(m2), as_fraction(mindeg_all)
     conditions = (
@@ -783,11 +816,11 @@ def threshold_very_ampleness(m2: RationalLike, mindeg_all: RationalLike) -> Crit
     # The comparisons above put 1 + sqrt(2) inside [deg/(deg - 2), sqrt(M^2/2)),
     # the beta2 range of the rule, so a convergent lands in it after a number of
     # steps linear in the bit size of the input.
-    for conv in _sqrt2_lower_convergents():  # each conv >= 1, so beta2 >= 2
-        b2 = 1 + conv
-        b1 = b2 / (b2 - 1)
-        if sq > 2 * b2 * b2 and deg >= 2 * b1:
-            witness = BetaWitness.single(b2, b1)
+    sn, sd, dn, dd = sq.numerator, sq.denominator, deg.numerator, deg.denominator
+    for p, q in _sqrt2_lower_convergents():  # each p/q >= 1, so beta2 >= 2
+        s = p + q
+        if sn * q * q > 2 * s * s * sd and dn * p >= 2 * s * dd:
+            witness = BetaWitness.single(Fraction(s, q), Fraction(s, p))
             break
     return explain(Evaluation("very-ample/threshold", iter(conditions), witness, "witness from sqrt(2) convergents"))
 
