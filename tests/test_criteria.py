@@ -737,6 +737,66 @@ def test_witness_searches_pick_the_first_feasible_candidate_of_the_dyadic_rule(m
         assert global_.beta1 == (global_.beta2[0] / (global_.beta2[0] - 1),)
 
 
+def _placed(draw, k, lo, top):
+    """A corner c in (lo, top], a slack and the witness beta2 that put the first
+    dyadic level of the searches at k, with M^2 = c^2 (1 + slack).
+
+    c = (j - theta) / 2**k with 0 < theta < 1 and, for k >= 1, j odd: the least
+    multiple of 2**-k at or above c is j / 2**k, and that of 2**-(k-1) (and of
+    every coarser level) is at least (j + 1) / 2**k.  M^2 lies in
+    ((j / 2**k)^2, ((j + 1) / 2**k)^2], so the witness is j / 2**k up to level
+    24 and c itself past it.  theta and M^2's place in its range are each a
+    share of their room, as low as about 2**-60 (and the slack with them),
+    near a half, or near all of it: past the lower half, the next level's
+    multiple below sqrt(M^2) is not j / 2**k.  M^2 may also be the top of its
+    range, the square of the coarser multiple, which is then not below it.
+    """
+
+    def share():  # in (0, 1)
+        part = F(draw(st.integers(1, 2**16 - 1)), 2**16)
+        return draw(st.sampled_from([part / 2 ** draw(st.integers(0, 44)), part, 1 - part / 2**44]))
+
+    scale = 2**k
+    j_min, j_max = lo * scale // 1 + 1, top * scale // 1
+    if k:
+        j = 2 * draw(st.integers(j_min // 2, (j_max - 1) // 2)) + 1
+    else:
+        j = draw(st.integers(j_min, j_max))
+    theta = min(1, j - lo * scale) * share()
+    corner = (j - theta) / scale
+    low_sq, high_sq = F(j, scale) ** 2, F(j + 1, scale) ** 2
+    slack = (low_sq + (high_sq - low_sq) * draw(st.sampled_from([share(), 1]))) / corner**2 - 1
+    return corner, slack, F(j, scale) if k <= 24 else corner
+
+
+@pytest.mark.parametrize("k", range(27))
+@given(data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_witness_searches_find_the_first_level_at_every_depth(k, data):
+    """The first level at k = 0..24, and past the last level at k = 25 and 26,
+    for freeness with mu below 1 (corner above 2 - mu) and with mu at least 1
+    (corner 2 - mu), and for the global rule (corner above 2)."""
+    draw = data.draw
+    if draw(st.booleans()):
+        mu = draw(st.fractions(min_value=0, max_value=F(99, 100), max_denominator=100))
+        corner, slack, beta2 = _placed(draw, k, 2 - mu, 5 - mu)
+        deg = corner / (corner - 1 + mu)  # puts the degree corner (1 - mu) deg / (deg - 1) at corner
+    else:
+        corner, slack, beta2 = _placed(draw, k, 0, 1)
+        mu = 2 - corner
+        deg = corner + draw(st.sampled_from([0, F(1, 3), 5]))
+    m2 = corner**2 * (1 + slack)
+    free = freeness_witness(mu, m2, deg)
+    assert free.beta2 == (beta2,) and _freeness_rule(mu, m2, deg) == beta2
+    assert free.beta1 == (_bound_at(mu, beta2),)
+
+    corner, slack, beta2 = _placed(draw, k, 2, 5)
+    m2, deg = 2 * corner**2 * (1 + slack), 2 * corner / (corner - 1)  # the degree corner deg / (deg - 2) is corner
+    global_ = very_ampleness_witness(m2, deg)
+    assert global_.beta2 == (beta2,) and _global_rule(m2, deg) == beta2
+    assert global_.beta1 == (beta2 / (beta2 - 1),)
+
+
 TINY = F(1, 10**12)
 FINEST, CORNER = 2 + F(1, 2**24), 2 + F(1, 2**25)  # the finest level lies above this corner, level 23 below
 
