@@ -114,6 +114,9 @@ def _witness_arg(q: QueryDecl, goal: criteria.GoalKind) -> Optional[BetaWitness]
         return None
     if None in values:
         raise QueryError(f"give all of {', '.join(key + '=' for key in goal.witness)}, or none")
+    for key, value in zip(goal.witness, values):
+        if value <= 0:
+            raise QueryError(f"{key}={q.arg(key)!r} must be positive")
     split = len(goal.roles[0])
     return BetaWitness(values[:split], values[split:], *goal.roles)
 

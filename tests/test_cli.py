@@ -420,6 +420,24 @@ def test_check_queries_need_a_boundary_with_integral_sum_and_two_points(query, m
 
 
 @pytest.mark.parametrize(
+    "query, message",
+    [
+        ("check-free point=q B=B M=M mindeg=3 beta2=5 beta1=0", "beta1='0' must be positive"),
+        (
+            "check-separate p=p q=q B=B M=M beta2_p=1 beta2_q=-1/2 beta1_p=0 beta1_q=1",
+            "beta2_q='-1/2' must be positive",
+        ),
+        ("search goal=very-ample B=B M=M beta2=0 beta1=-1", "beta2='0' must be positive"),
+    ],
+    ids=["check-free", "check-separate", "search-very-ample"],
+)
+def test_a_witness_value_that_is_not_positive_names_the_first_such_key(query, message, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", stdin_of(TWO_POINT_DOCUMENT + query + "\n"))
+    assert main(["check", "-"]) == 1
+    assert capsys.readouterr().out == f"report for <stdin>\n== {query}\n   error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "query, keys",
     [
         ("chi", "H"),
